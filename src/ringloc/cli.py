@@ -38,7 +38,6 @@ def _config_epilog() -> str:
     lines = ["config keys (key = value per line, '#' comments):"]
     for key, doc in cfgmod.KEY_DOCS.items():
         lines.append(f"  {key:28s} {doc}")
-    lines.append("environment: LEADER_GEO_THREADS sets benchmark thread count")
     return "\n".join(lines)
 
 

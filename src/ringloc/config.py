@@ -13,16 +13,16 @@ import dataclasses
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from .encoder import EncoderConfig
+from .encoder import DOWNSAMPLE_FACTOR, EncoderConfig
 from .errors import ParseError
 from .io import atomic_write_text
 from .plane import RansacPlaneParams
 from .pose_solve import RansacPoseParams, SelectionPolicy
 from .projection import ProjectionConfig
 from .regressor import RegressorConfig
-from .simulate import OracleSpec, Perturbation, SensorSpec, WorldSpec
+from .simulate import OracleSpec, Perturbation, SensorSpec
 
 CONFIG_VERSION = 1
 
@@ -83,7 +83,6 @@ KEY_DOCS: Dict[str, str] = {
     "plane.seed": "ground-plane sampling seed offset",
     "pose.iterations": "pose RANSAC hypothesis count",
     "pose.threshold": "pose inlier residual (m)",
-    "pose.sample_size": "correspondences per minimal sample",
     "pose.refit_on_inliers": "refit the winner over its inliers",
     "pose.seed": "pose sampling seed offset",
     "selection.top_fraction": "share of points kept by reliability",
@@ -218,6 +217,9 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
             hook()
         except ValueError as exc:
             raise ParseError(f"{source}: section '{section_name}': {exc}") from exc
+    if cfg.projection.ring_cells % DOWNSAMPLE_FACTOR != 0:
+        raise ParseError(f"{source}: projection.ring_cells must be divisible "
+                         f"by {DOWNSAMPLE_FACTOR}, the encoder's downsampling")
     return cfg
 
 

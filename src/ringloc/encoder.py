@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -146,11 +146,12 @@ def _gather_stack(grid: SparseGrid, neighbor_rows: np.ndarray) -> np.ndarray:
     return block.transpose(1, 0, 2).reshape(m, v * grid.width)
 
 
-def _stride1_neighbors(grid: SparseGrid, offsets: np.ndarray) -> np.ndarray:
-    """(V, M) rows of each offset neighbor; ring axis wraps."""
-    rows = np.empty((len(offsets), len(grid)), dtype=np.int64)
+def _neighbors(grid: SparseGrid, centers: np.ndarray,
+               offsets: np.ndarray) -> np.ndarray:
+    """(V, M) grid row of each center's offset neighbor; ring axis wraps."""
+    rows = np.empty((len(offsets), len(centers)), dtype=np.int64)
     for k, off in enumerate(offsets):
-        nb = grid.coords + off
+        nb = centers + off
         nb[:, 0] %= grid.ring_cells
         rows[k] = grid.lookup(nb)
     return rows
@@ -174,7 +175,7 @@ def cyclic_conv(grid: SparseGrid, spec: ConvSpec,
 
     if spec.stride == 1:
         if neighbor_rows is None:
-            neighbor_rows = _stride1_neighbors(grid, spec.offsets())
+            neighbor_rows = _neighbors(grid, grid.coords, spec.offsets())
         block = _gather_stack(grid, neighbor_rows)
         return SparseGrid(grid.coords, block @ w2d + spec.bias,
                           grid.ring_cells, keys=grid.keys)
@@ -182,10 +183,7 @@ def cyclic_conv(grid: SparseGrid, spec: ConvSpec,
     if grid.ring_cells % 2 != 0:
         raise ValueError("cannot halve an odd ring")
     parents, _ = _parent_sites(grid)
-    rows = np.empty((8, len(parents)), dtype=np.int64)
-    for k, off in enumerate(spec.offsets()):
-        rows[k] = grid.lookup(parents * 2 + off)
-    block = _gather_stack(grid, rows)
+    block = _gather_stack(grid, _neighbors(grid, parents * 2, spec.offsets()))
     return SparseGrid(parents, block @ w2d + spec.bias, grid.ring_cells // 2)
 
 
@@ -342,8 +340,6 @@ def encode(v: VoxelCloud, weights: EncoderWeights) -> np.ndarray:
     """
     if len(v) == 0:
         raise EmptyGrid("cannot encode an empty voxel grid")
-    if np.any(v.padded):
-        raise ValueError("encode expects an unpadded voxel grid")
     if v.ring_cells % DOWNSAMPLE_FACTOR != 0:
         raise ValueError(f"ring_cells must be divisible by {DOWNSAMPLE_FACTOR}")
     t = weights.tensors
@@ -385,7 +381,7 @@ def encode(v: VoxelCloud, weights: EncoderWeights) -> np.ndarray:
 
 def _conv_pair(grid: SparseGrid, a: ConvSpec, b: ConvSpec) -> SparseGrid:
     """Two stride-1 convs sharing one neighbor table."""
-    table = _stride1_neighbors(grid, a.offsets())
+    table = _neighbors(grid, grid.coords, a.offsets())
     out = cyclic_conv(grid, a, neighbor_rows=table)
     out = SparseGrid(out.coords, leaky_relu(out.feats), out.ring_cells,
                      keys=out.keys)

@@ -58,11 +58,15 @@ def atomic_write_bytes(path: PathLike, payload: bytes) -> None:
         raise
 
 
-def _parse_rows(path: Path, expected_header: str) -> np.ndarray:
+def _read_lines(path: Path) -> List[str]:
     try:
-        lines = path.read_text().splitlines()
+        return path.read_text().splitlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_rows(path: Path, lines: List[str],
+                expected_header: str) -> np.ndarray:
     if not lines or lines[0].strip() != expected_header:
         raise ParseError(f"{path}: expected header '{expected_header}'")
     width = expected_header.count(",") + 1
@@ -94,16 +98,12 @@ def read_scan_csv(path: PathLike
     cloud files.
     """
     path = Path(path)
-    try:
-        first = path.read_text().splitlines()[:1]
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    header = first[0].strip() if first else ""
-    if header == SCAN_HEADER:
-        data = _parse_rows(path, SCAN_HEADER)
+    lines = _read_lines(path)
+    if lines and lines[0].strip() == SCAN_HEADER:
+        data = _parse_rows(path, lines, SCAN_HEADER)
         cloud = _make_cloud(path, data[:, :3], data[:, 3])
         return cloud, data[:, 4].astype(np.int64), data[:, 5:8]
-    data = _parse_rows(path, CLOUD_HEADER)
+    data = _parse_rows(path, lines, CLOUD_HEADER)
     return _make_cloud(path, data[:, :3], data[:, 3]), None, None
 
 
@@ -156,7 +156,8 @@ def write_pose(path: PathLike, t: RigidTransform) -> None:
 
 
 def read_voxel_csv(path: PathLike, config: ProjectionConfig) -> VoxelCloud:
-    data = _parse_rows(Path(path), VOXEL_HEADER)
+    path = Path(path)
+    data = _parse_rows(path, _read_lines(path), VOXEL_HEADER)
     idx = data[:, :3]
     if np.any(idx != np.round(idx)):
         raise ParseError(f"{path}: voxel indices must be integers")

@@ -90,15 +90,6 @@ def percentile(values: Sequence[float], p: float) -> float:
     return float(np.percentile(values, p, method="linear"))
 
 
-def error_cdf(values: Sequence[float], grid: Sequence[float]) -> np.ndarray:
-    """Fraction of values at or below each grid point."""
-    values = np.sort(np.asarray(values, dtype=np.float64))
-    if len(values) == 0:
-        raise EmptyScan("cdf of an empty sample")
-    grid = np.asarray(grid, dtype=np.float64)
-    return np.searchsorted(values, grid, side="right") / len(values)
-
-
 def summarize(result: TrajectoryResult,
               thresholds: Sequence[float] = DEFAULT_SUCCESS_THRESHOLDS
               ) -> Dict[str, Union[int, float]]:

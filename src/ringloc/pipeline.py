@@ -14,12 +14,8 @@ with their error name and skipped, not fatal.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from .config import PipelineConfig
 from .encoder import EncoderWeights, encode
@@ -28,14 +24,13 @@ from .metrics import TrajectoryResult
 from .plane import rectify
 from .pose_solve import PoseEstimate, compensate, estimate_pose_ransac, \
     select_reliable
-from .projection import project_cylindrical, recover_cartesian, voxelize
+from .projection import VoxelCloud, project_cylindrical, recover_cartesian, \
+    voxelize
 from .regressor import RegressorWeights, regress
-from .se3 import RigidTransform, invert
+from .se3 import PointCloud, RigidTransform, invert
 from .simulate import Perturbation, Scan, SyntheticWorld, WorldSpec, \
     effective_truth, generate_world, loop_trajectory, oracle_predict, \
     perturb_scan, scan_seed, simulate_scan
-
-THREADS_ENV = "LEADER_GEO_THREADS"
 
 # Stage tags for per-frame seed derivation.
 SEED_SCAN = 0
@@ -55,19 +50,23 @@ class LocalizationResult:
     n_selected: int
 
 
-def worker_count() -> int:
-    """Thread count from the environment, defaulting to serial."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def world_spec_from(cfg: PipelineConfig) -> WorldSpec:
     return WorldSpec(n_boxes=cfg.world.n_boxes,
                      n_cylinders=cfg.world.n_cylinders,
                      keepout_radius=cfg.trajectory.radius)
+
+
+def rectified_voxels(scan: Scan, cfg: PipelineConfig, frame_seed: int
+                     ) -> Tuple[PointCloud, RigidTransform, VoxelCloud]:
+    """Front end of one frame: level the scan, unroll it, voxelize it.
+
+    Returns the rectified cloud, the raw-to-rectified transform, and
+    the voxel grid built from the rectified cloud.
+    """
+    rect_cloud, t_plane = rectify(
+        scan.cloud, replace(cfg.plane, seed=scan_seed(frame_seed, SEED_PLANE)))
+    projected = project_cylindrical(rect_cloud, cfg.projection)
+    return rect_cloud, t_plane, voxelize(projected, cfg.projection)
 
 
 def localize_scan(scan: Scan, cfg: PipelineConfig, frame_seed: int,
@@ -85,10 +84,7 @@ def localize_scan(scan: Scan, cfg: PipelineConfig, frame_seed: int,
     voxel centers mapped back to Cartesian space, since the grid is all
     it sees.
     """
-    rect_cloud, t_plane = rectify(
-        scan.cloud, replace(cfg.plane, seed=scan_seed(frame_seed, SEED_PLANE)))
-    projected = project_cylindrical(rect_cloud, cfg.projection)
-    voxels = voxelize(projected, cfg.projection)
+    rect_cloud, t_plane, voxels = rectified_voxels(scan, cfg, frame_seed)
     src = voxels.source_index
 
     if predictor == "oracle":
@@ -151,40 +147,20 @@ def run_perturbed_trajectory(cfg: PipelineConfig, run_seed: int,
     if perturbation is not None:
         label = f"{perturbation.kind}:{perturbation.magnitude:g}"
 
-    def one_frame(i: int):
-        frame_seed = scan_seed(run_seed, i)
-        scan, truth = scans[i], poses[i]
-        if perturbation is not None:
-            scan, applied = perturb_scan(scan, perturbation,
-                                         scan_seed(frame_seed, SEED_PERTURB))
-            truth = effective_truth(truth, applied)
-        res = localize_scan(scan, cfg, frame_seed, predictor,
-                            encoder_weights, regressor_weights)
-        return res.transform, truth
-
-    outcomes: List[object] = [None] * len(scans)
-
-    def guarded(i: int):
-        try:
-            outcomes[i] = one_frame(i)
-        except RinglocError as exc:
-            outcomes[i] = type(exc).__name__
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(guarded, range(len(scans))))
-    else:
-        for i in range(len(scans)):
-            guarded(i)
-
     row = BenchRow(label, TrajectoryResult(), [])
-    for i, out in enumerate(outcomes):
-        if isinstance(out, str):
-            row.failures.append((i, out))
-        else:
-            estimate, truth = out
-            row.result.add(i, estimate, truth)
+    for i, (scan, truth) in enumerate(zip(scans, poses)):
+        frame_seed = scan_seed(run_seed, i)
+        try:
+            if perturbation is not None:
+                scan, applied = perturb_scan(
+                    scan, perturbation, scan_seed(frame_seed, SEED_PERTURB))
+                truth = effective_truth(truth, applied)
+            res = localize_scan(scan, cfg, frame_seed, predictor,
+                                encoder_weights, regressor_weights)
+        except RinglocError as exc:
+            row.failures.append((i, type(exc).__name__))
+            continue
+        row.result.add(i, res.transform, truth)
     return row
 
 

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateInput
+from .pose_solve import distinct_samples
 from .se3 import PointCloud, RigidTransform, apply, rotation_about
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -55,19 +56,6 @@ def _canonicalize(normal: np.ndarray, d: float) -> Tuple[np.ndarray, float]:
     return (-normal, -d) if flip else (normal, d)
 
 
-def _distinct_triples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """Draw `count` index triples without replacement, vectorized."""
-    i0 = rng.integers(0, n, count)
-    i1 = rng.integers(0, n - 1, count)
-    i1 = i1 + (i1 >= i0)
-    lo = np.minimum(i0, i1)
-    hi = np.maximum(i0, i1)
-    i2 = rng.integers(0, n - 2, count)
-    i2 = i2 + (i2 >= lo)
-    i2 = i2 + (i2 >= hi)
-    return np.stack([i0, i1, i2], axis=1)
-
-
 def fit_plane_ransac(cloud: PointCloud,
                      params: Optional[RansacPlaneParams] = None
                      ) -> Tuple[PlaneModel, np.ndarray]:
@@ -90,7 +78,7 @@ def fit_plane_ransac(cloud: PointCloud,
     if n < 3:
         raise DegenerateInput("plane fit needs at least 3 points")
     rng = np.random.default_rng(params.seed)
-    triples = _distinct_triples(rng, n, params.iterations)
+    triples = distinct_samples(rng, n, params.iterations, 3)
 
     p0 = pts[triples[:, 0]]
     normals = np.cross(pts[triples[:, 1]] - p0, pts[triples[:, 2]] - p0)

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import DegenerateInput, LengthMismatch, NoConsensus
 from .se3 import RigidTransform, compose, invert
 
+SAMPLE_SIZE = 3  # correspondences per minimal sample of a rigid fit
+
 
 @dataclass
 class SelectionPolicy:
@@ -34,7 +36,6 @@ class SelectionPolicy:
 class RansacPoseParams:
     iterations: int = 1000
     threshold: float = 0.5  # m, inlier residual
-    sample_size: int = 3
     refit_on_inliers: bool = True
     seed: int = 0
 
@@ -97,8 +98,8 @@ def kabsch(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     return RigidTransform(r, dc - r @ sc)
 
 
-def _distinct_samples(rng: np.random.Generator, n: int, count: int,
-                      size: int) -> np.ndarray:
+def distinct_samples(rng: np.random.Generator, n: int, count: int,
+                     size: int) -> np.ndarray:
     """(count, size) index samples without replacement, fully vectorized."""
     out = np.empty((count, size), dtype=np.int64)
     for j in range(size):
@@ -132,11 +133,11 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
     if local.shape != pred.shape:
         raise LengthMismatch("local and predicted point counts differ")
     n = len(local)
-    if n < params.sample_size:
+    if n < SAMPLE_SIZE:
         raise NoConsensus(f"{n} correspondences cannot fill a sample of "
-                          f"{params.sample_size}")
+                          f"{SAMPLE_SIZE}")
     rng = np.random.default_rng(params.seed)
-    samples = _distinct_samples(rng, n, params.iterations, params.sample_size)
+    samples = distinct_samples(rng, n, params.iterations, SAMPLE_SIZE)
 
     rot, trans, valid = _fit_minimal(local[samples], pred[samples])
     resid = np.einsum("kij,nj->kni", rot, local) + trans[:, None, :] - pred
@@ -145,9 +146,9 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
     counts = np.where(valid, inlier_mask.sum(axis=1), 0)
 
     best_count = counts.max()
-    if best_count < params.sample_size:
+    if best_count < SAMPLE_SIZE:
         raise NoConsensus(f"best hypothesis holds {best_count} inliers, "
-                          f"need {params.sample_size}")
+                          f"need {SAMPLE_SIZE}")
     candidates = np.flatnonzero(counts == best_count)
     cand_rms = [
         float(np.sqrt(np.mean(resid[c, inlier_mask[c]] ** 2)))
@@ -165,7 +166,7 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
         refit_res = np.linalg.norm(
             local @ transform.rotation.T + transform.translation - pred, axis=1)
         inliers = np.flatnonzero(refit_res <= params.threshold)
-        if len(inliers) < params.sample_size:
+        if len(inliers) < SAMPLE_SIZE:
             raise NoConsensus("refit collapsed the consensus set")
         rms = float(np.sqrt(np.mean(refit_res[inliers] ** 2)))
     else:

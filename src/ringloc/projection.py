@@ -9,7 +9,7 @@ can wrap around the seam instead of truncating it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -58,7 +58,6 @@ class VoxelCloud:
         source_index: (M,) row of each representative in the source cloud.
         ring_cells: cells per turn the grid was built with.
         voxel_size: cell edge (m).
-        padded: (M,) True for seam clones added by cyclic_pad.
     """
 
     indices: np.ndarray
@@ -67,7 +66,6 @@ class VoxelCloud:
     source_index: np.ndarray
     ring_cells: int
     voxel_size: float
-    padded: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -79,14 +77,9 @@ class VoxelCloud:
             raise ShapeMismatch("indices and points must both be (M, 3)")
         if self.intensity.shape != (m,) or self.source_index.shape != (m,):
             raise ShapeMismatch("per-voxel arrays must have length M")
-        if self.padded is None:
-            self.padded = np.zeros(m, dtype=bool)
-        self.padded = np.asarray(self.padded, dtype=bool)
-        if self.padded.shape != (m,):
-            raise ShapeMismatch("padded mask must have length M")
-        core = self.indices[~self.padded, 0]
-        if len(core) and (core.min() < 0 or core.max() >= self.ring_cells):
-            raise ValueError("unpadded ring index outside [0, ring_cells)")
+        ring = self.indices[:, 0]
+        if m and (ring.min() < 0 or ring.max() >= self.ring_cells):
+            raise ValueError("ring index outside [0, ring_cells)")
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -130,43 +123,6 @@ def voxelize(projected: PointCloud,
     return VoxelCloud(idx[first], projected.xyz[first],
                       projected.intensity[first], first,
                       config.ring_cells, config.voxel_size)
-
-
-def cyclic_pad(v: VoxelCloud, w: int) -> VoxelCloud:
-    """Clone voxels across the seam so a kernel of half-extent w sees them.
-
-    Entries with ix < w reappear at ix + ring_cells, entries with
-    ix > ring_cells - w reappear at ix - ring_cells; representative arcs
-    shift by one full ring length alongside.  Originals come first in the
-    output, clones carry the padded flag.
-    """
-    if w < 0:
-        raise ValueError("pad extent must be non-negative")
-    if np.any(v.padded):
-        raise ValueError("cannot pad an already padded grid")
-    shift_cells = np.array([v.ring_cells, 0, 0], dtype=np.int64)
-    shift_arc = np.array([v.ring_cells * v.voxel_size, 0.0, 0.0])
-
-    low = np.flatnonzero(v.indices[:, 0] < w)
-    high = np.flatnonzero(v.indices[:, 0] > v.ring_cells - w)
-    parts_idx = [v.indices, v.indices[low] + shift_cells, v.indices[high] - shift_cells]
-    parts_pts = [v.points, v.points[low] + shift_arc, v.points[high] - shift_arc]
-    n_clones = len(low) + len(high)
-    return VoxelCloud(
-        np.concatenate(parts_idx),
-        np.concatenate(parts_pts),
-        np.concatenate([v.intensity, v.intensity[low], v.intensity[high]]),
-        np.concatenate([v.source_index, v.source_index[low], v.source_index[high]]),
-        v.ring_cells, v.voxel_size,
-        np.concatenate([v.padded, np.ones(n_clones, dtype=bool)]),
-    )
-
-
-def strip_padding(v: VoxelCloud) -> VoxelCloud:
-    """Drop seam clones, restoring the original voxel list."""
-    keep = ~v.padded
-    return VoxelCloud(v.indices[keep], v.points[keep], v.intensity[keep],
-                      v.source_index[keep], v.ring_cells, v.voxel_size)
 
 
 def recover_cartesian(v: VoxelCloud,

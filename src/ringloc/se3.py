@@ -9,20 +9,12 @@ point identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateInput, EmptyScan, ShapeMismatch
 
 ORTHO_TOL = 1e-9  # max |R^T R - I| entry for a transform to count as rigid
-
-
-class Point3(NamedTuple):
-    x: float  # m
-    y: float  # m
-    z: float  # m
-    intensity: float  # unitless, in [0, 1]
 
 
 @dataclass
@@ -56,11 +48,6 @@ class RigidTransform:
         ortho = np.abs(r.T @ r - np.eye(3)).max()
         return bool(ortho <= tol and abs(np.linalg.det(r) - 1.0) <= tol)
 
-    def require_rigid(self, tol: float = ORTHO_TOL) -> "RigidTransform":
-        if not self.is_rigid(tol):
-            raise DegenerateInput("matrix is not a proper rotation")
-        return self
-
 
 @dataclass
 class PointCloud:
@@ -92,16 +79,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.xyz)
-
-    def point(self, i: int) -> Point3:
-        return Point3(*self.xyz[i], self.intensity[i])
-
-    @classmethod
-    def from_points(cls, points) -> "PointCloud":
-        pts = [Point3(*p) for p in points]
-        xyz = np.array([[p.x, p.y, p.z] for p in pts], dtype=np.float64)
-        inten = np.array([p.intensity for p in pts], dtype=np.float64)
-        return cls(xyz, inten)
 
 
 def identity() -> RigidTransform:

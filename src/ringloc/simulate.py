@@ -10,7 +10,7 @@ point carries its exact ground-truth world hit alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -276,29 +276,13 @@ def _kept_indices(cloud: PointCloud, p: Perturbation, seed: int) -> np.ndarray:
     return np.arange(n)
 
 
-def perturb(cloud: PointCloud, p: Perturbation, seed: int = 0) -> PointCloud:
-    """Corrupt a cloud; rotation kinds rotate, subset kinds drop rows.
-
-    The same seed drives the rotation draw, the dropout mask, and the
-    additive noise, so a perturbation is reproducible from (p, seed).
-    """
-    kept = _kept_indices(cloud, p, seed)
-    if len(kept) == 0:
-        raise EmptyScan("perturbation removed every point")
-    xyz = cloud.xyz[kept]
-    t = perturbation_transform(p, seed)
-    xyz = xyz @ t.rotation.T
-    if p.kind == "gaussian_noise":
-        # Separate stream so the rotation draw (unused here) cannot shift
-        # the noise realization between kinds.
-        rng = np.random.default_rng(seed)
-        xyz = xyz + rng.normal(0.0, p.magnitude, xyz.shape)
-    return PointCloud(xyz, cloud.intensity[kept])
-
-
 def perturb_scan(scan: Scan, p: Perturbation, seed: int = 0
                  ) -> Tuple[Scan, RigidTransform]:
     """Perturb a scan, keeping classes and ground truth row-aligned.
+
+    Rotation kinds rotate the cloud, subset kinds drop rows.  The same
+    seed drives the rotation draw, the dropout mask, and the additive
+    noise, so a perturbation is reproducible from (p, seed).
 
     Returns the new scan and the applied rotation; a pose that explains
     the perturbed cloud is the original pose composed with the inverse

@@ -13,7 +13,7 @@ points above ground, which is what the quartile evaluation checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -22,9 +22,7 @@ from .config import PipelineConfig
 from .encoder import EncoderWeights, encode
 from .errors import EmptyScan
 from . import losses
-from .pipeline import SEED_PLANE, simulate_trajectory
-from .plane import rectify
-from .projection import project_cylindrical, voxelize
+from .pipeline import rectified_voxels, simulate_trajectory
 from .regressor import RegressorWeights, init_regressor_weights, regress, \
     regress_backward
 from .simulate import scan_seed
@@ -67,11 +65,7 @@ def build_training_set(cfg: PipelineConfig, encoder_weights: EncoderWeights,
     feats, targets, classes, scan_ids = [], [], [], []
     for i in range(0, len(scans), cfg.train.scan_stride):
         scan = scans[i]
-        frame_seed = scan_seed(run_seed, i)
-        rect_cloud, _ = rectify(scan.cloud, replace(
-            cfg.plane, seed=scan_seed(frame_seed, SEED_PLANE)))
-        voxels = voxelize(project_cylindrical(rect_cloud, cfg.projection),
-                          cfg.projection)
+        _, _, voxels = rectified_voxels(scan, cfg, scan_seed(run_seed, i))
         f = encode(voxels, encoder_weights)
         src = voxels.source_index
         take = np.arange(len(voxels))

@@ -63,7 +63,6 @@ def test_help_documents_every_config_key():
     text = build_parser().format_help()
     for key in KEY_DOCS:
         assert key in text, key
-    assert "LEADER_GEO_THREADS" in text
 
 
 def test_rectify_levels_the_cloud(ws, tmp_path):
@@ -264,6 +263,17 @@ def test_empty_input_exits_5(ws, tmp_path):
     empty.write_text("x,y,z,intensity\n")
     rc = run(ws, "rectify", str(empty), out=tmp_path / "o")
     assert rc == 5
+
+
+@pytest.mark.parametrize("cmd", ["train-toy", "bench"])
+def test_ring_cells_off_the_encoder_grid_exits_2(tmp_path, capsys, cmd):
+    cfg = trimmed_config()
+    cfg.projection.ring_cells = 1000  # even, but not divisible by 16
+    cfg_path = tmp_path / "ring.cfg"
+    write_config(cfg_path, cfg)
+    rc = main([cmd, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "projection.ring_cells" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(ws, tmp_path):

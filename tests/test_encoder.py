@@ -237,10 +237,6 @@ def test_encode_rejects_bad_ring_and_padding():
     w = init_encoder_weights(seed=0)
     with pytest.raises(ValueError):
         encode(make_voxels([[0, 1, 1]], ring=24), w)
-    from ringloc.projection import cyclic_pad
-    padded = cyclic_pad(make_voxels([[0, 1, 1]], ring=64), 2)
-    with pytest.raises(ValueError):
-        encode(padded, w)
 
 
 def test_encode_rows_follow_input_order():

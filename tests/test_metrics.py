@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from ringloc.errors import EmptyScan, LengthMismatch
-from ringloc.metrics import (TrajectoryResult, emit_report, error_cdf, moe,
-                             mpe, orientation_errors_deg, percentile,
+from ringloc.metrics import (TrajectoryResult, emit_report, moe, mpe,
+                             orientation_errors_deg, percentile,
                              position_errors, report_schema, success_at,
                              summarize)
 from ringloc.se3 import RigidTransform, identity, orthonormalize, yaw
@@ -100,23 +100,6 @@ def test_success_fraction():
     assert success_at(result, 3.0) == 1.0
 
 
-def test_cdf_matches_counting_and_is_monotone():
-    rng = np.random.default_rng(5)
-    values = rng.uniform(0.0, 2.0, 500)
-    grid = np.sort(rng.uniform(-0.5, 2.5, 40))
-    cdf = error_cdf(values, grid)
-    for g, c in zip(grid, cdf):
-        assert c == np.count_nonzero(values <= g) / 500
-    assert np.all(np.diff(cdf) >= 0.0)
-    assert error_cdf(values, [5.0])[0] == 1.0
-    assert error_cdf(values, [-1.0])[0] == 0.0
-
-
-def test_cdf_is_inclusive_at_sample_points():
-    cdf = error_cdf([1.0, 2.0, 3.0, 4.0], [2.0])
-    assert cdf[0] == 0.5
-
-
 def test_summary_matches_schema():
     result = random_result(1, n=50)
     summary = summarize(result)
@@ -178,8 +161,6 @@ def test_empty_result_is_rejected_everywhere(tmp_path):
             fn(empty)
     with pytest.raises(EmptyScan):
         percentile([], 50.0)
-    with pytest.raises(EmptyScan):
-        error_cdf([], [1.0])
     with pytest.raises(EmptyScan):
         emit_report(empty, tmp_path / "x.csv")
 

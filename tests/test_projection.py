@@ -1,4 +1,4 @@
-"""Cylindrical projection, voxel quantization, seam padding, recovery."""
+"""Cylindrical projection, voxel quantization, recovery."""
 
 import math
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from ringloc.errors import EmptyGrid, OriginPoint
-from ringloc.projection import (ProjectionConfig, VoxelCloud, cyclic_pad,
+from ringloc.projection import (ProjectionConfig, VoxelCloud,
                                 project_cylindrical, recover_cartesian,
-                                strip_padding, voxelize)
+                                voxelize)
 from ringloc.se3 import PointCloud, apply, yaw
 
 CFG64 = ProjectionConfig(voxel_size=0.2, ring_cells=64)
@@ -102,59 +102,6 @@ def test_voxel_order_is_ascending_source_index():
                            rng.uniform(-2, 2, 200)])
     v = voxelize(PointCloud(pts), CFG64)
     assert np.all(np.diff(v.source_index) > 0)
-
-
-def test_cyclic_pad_half_extent_two():
-    v = VoxelCloud(np.array([[0, 3, 0], [7, 4, 1]]),
-                   np.array([[0.05, 0.7, 0.1], [1.55, 0.9, 0.3]]),
-                   np.array([0.2, 0.4]), np.array([0, 1]),
-                   ring_cells=8, voxel_size=0.2)
-    p = cyclic_pad(v, 2)
-    assert sorted(p.indices[:, 0].tolist()) == [-1, 0, 7, 8]
-    np.testing.assert_array_equal(p.padded, [False, False, True, True])
-    # Clones sit one full ring length away in arc, same radius and height.
-    ring = 8 * 0.2
-    np.testing.assert_allclose(p.points[2], v.points[0] + [ring, 0, 0])
-    np.testing.assert_allclose(p.points[3], v.points[1] - [ring, 0, 0])
-    np.testing.assert_array_equal(p.source_index, [0, 1, 0, 1])
-
-
-def test_cyclic_pad_half_extent_three():
-    v = VoxelCloud(np.array([[1, 0, 0], [6, 0, 0]]),
-                   np.zeros((2, 3)), np.zeros(2), np.array([0, 1]),
-                   ring_cells=8, voxel_size=0.2)
-    p = cyclic_pad(v, 3)
-    assert sorted(p.indices[:, 0].tolist()) == [-2, 1, 6, 9]
-
-
-def test_cyclic_pad_one_without_edge_cells_is_identity():
-    v = VoxelCloud(np.array([[3, 0, 0], [63, 1, 0]]),
-                   np.zeros((2, 3)), np.zeros(2), np.array([0, 1]),
-                   ring_cells=64, voxel_size=0.2)
-    p = cyclic_pad(v, 1)
-    assert len(p) == 2
-    np.testing.assert_array_equal(p.indices, v.indices)
-
-
-def test_cyclic_pad_then_strip_is_identity():
-    rng = np.random.default_rng(2)
-    n = 50
-    v = VoxelCloud(np.column_stack([rng.integers(0, 64, n),
-                                    rng.integers(0, 30, n),
-                                    rng.integers(-5, 5, n)]),
-                   rng.normal(size=(n, 3)), rng.uniform(0, 1, n),
-                   np.arange(n), ring_cells=64, voxel_size=0.2)
-    back = strip_padding(cyclic_pad(v, 4))
-    np.testing.assert_array_equal(back.indices, v.indices)
-    np.testing.assert_array_equal(back.points, v.points)
-    np.testing.assert_array_equal(back.source_index, v.source_index)
-
-
-def test_double_padding_rejected():
-    v = VoxelCloud(np.array([[0, 0, 0]]), np.zeros((1, 3)), np.zeros(1),
-                   np.zeros(1), ring_cells=8, voxel_size=0.2)
-    with pytest.raises(ValueError):
-        cyclic_pad(cyclic_pad(v, 2), 2)
 
 
 def test_recover_zero_angle():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ringloc.errors import DegenerateInput, EmptyScan
+from ringloc.errors import EmptyScan
 from ringloc.se3 import (PointCloud, RigidTransform, apply, apply_points,
                          compose, identity, invert, orthonormalize,
                          rotation_about, rotation_angle_deg, yaw)
@@ -68,11 +68,6 @@ def test_apply_preserves_order_and_intensity():
 def test_is_rigid_flags_scaled_matrix():
     assert identity().is_rigid()
     assert not RigidTransform(2.0 * np.eye(3), np.zeros(3)).is_rigid()
-
-
-def test_require_rigid_raises_on_drift():
-    with pytest.raises(DegenerateInput):
-        RigidTransform(2.0 * np.eye(3), np.zeros(3)).require_rigid()
 
 
 def test_orthonormalize_snaps_drift():

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from ringloc.errors import EmptyScan, LengthMismatch
-from ringloc.se3 import RigidTransform, apply_points, compose, identity
+from ringloc.se3 import (PointCloud, RigidTransform, apply_points, compose,
+                         identity)
 from ringloc.simulate import (CLASS_AMBIGUOUS, CLASS_RELIABLE, OracleSpec,
-                              Perturbation, SensorSpec, WorldSpec,
+                              Perturbation, Scan, SensorSpec, WorldSpec,
                               effective_truth, generate_world,
-                              loop_trajectory, oracle_predict, perturb,
-                              perturb_scan, perturbation_transform, scan_seed,
+                              loop_trajectory, oracle_predict, perturb_scan,
+                              perturbation_transform, scan_seed,
                               simulate_scan)
 
 
@@ -140,29 +141,39 @@ def test_perturbation_validation():
     Perturbation("fov_limit", 360.0)
 
 
-def sample_cloud(seed=0, n=500):
+def scan_of(xyz, intensity):
+    return Scan(PointCloud(xyz, intensity),
+                np.zeros(len(xyz), dtype=np.int64), xyz.copy())
+
+
+def sample_scan(seed=0, n=500):
     rng = np.random.default_rng(seed)
-    from ringloc.se3 import PointCloud
-    return PointCloud(rng.uniform(-20.0, 20.0, (n, 3)),
-                      rng.uniform(0.0, 1.0, n))
+    return scan_of(rng.uniform(-20.0, 20.0, (n, 3)), rng.uniform(0.0, 1.0, n))
+
+
+def perturbed_cloud(scan, p, seed=0):
+    out, _ = perturb_scan(scan, p, seed=seed)
+    return out.cloud
 
 
 def test_zero_dropout_is_identity():
-    cloud = sample_cloud()
-    out = perturb(cloud, Perturbation("dropout", 0.0), seed=3)
+    scan = sample_scan()
+    cloud = scan.cloud
+    out = perturbed_cloud(scan, Perturbation("dropout", 0.0), seed=3)
     assert np.array_equal(out.xyz, cloud.xyz)
     assert np.array_equal(out.intensity, cloud.intensity)
 
 
 def test_dropout_removes_about_the_stated_share():
-    cloud = sample_cloud(n=10000)
-    out = perturb(cloud, Perturbation("dropout", 0.5), seed=1)
+    out = perturbed_cloud(sample_scan(n=10000), Perturbation("dropout", 0.5),
+                          seed=1)
     assert 4700 <= len(out) <= 5300
 
 
 def test_yaw_half_turn_preserves_geometry():
-    cloud = sample_cloud(n=100)
-    out = perturb(cloud, Perturbation("yaw", 180.0), seed=0)
+    scan = sample_scan(n=100)
+    cloud = scan.cloud
+    out = perturbed_cloud(scan, Perturbation("yaw", 180.0))
     assert len(out) == len(cloud)
     d0 = np.linalg.norm(cloud.xyz[:, None] - cloud.xyz[None, :], axis=2)
     d1 = np.linalg.norm(out.xyz[:, None] - out.xyz[None, :], axis=2)
@@ -183,27 +194,28 @@ def test_random_yaw_rotation_comes_from_seed():
 
 def test_gaussian_noise_magnitude():
     # mean offset norm of isotropic 3d noise is sigma * sqrt(8 / pi)
-    cloud = sample_cloud(n=100000)
-    out = perturb(cloud, Perturbation("gaussian_noise", 0.05), seed=2)
+    scan = sample_scan(n=100000)
+    cloud = scan.cloud
+    out = perturbed_cloud(scan, Perturbation("gaussian_noise", 0.05), seed=2)
     mean_norm = np.linalg.norm(out.xyz - cloud.xyz, axis=1).mean()
     want = 0.05 * math.sqrt(8.0 / math.pi)
     assert abs(mean_norm - want) <= 0.05 * want
 
 
 def test_fov_limit_keeps_the_front_wedge():
-    cloud = sample_cloud(n=2000)
-    out = perturb(cloud, Perturbation("fov_limit", 90.0), seed=0)
+    scan = sample_scan(n=2000)
+    cloud = scan.cloud
+    out = perturbed_cloud(scan, Perturbation("fov_limit", 90.0))
     az = np.degrees(np.arctan2(out.xyz[:, 1], out.xyz[:, 0]))
     assert np.all(np.abs(az) <= 45.0 + 1e-9)
     assert 0 < len(out) < len(cloud)
 
 
 def test_fov_limit_can_empty_a_cloud():
-    from ringloc.se3 import PointCloud
-    behind = PointCloud(np.array([[-5.0, 0.0, 0.0], [-3.0, 0.1, 1.0]]),
-                        np.array([0.5, 0.5]))
+    behind = scan_of(np.array([[-5.0, 0.0, 0.0], [-3.0, 0.1, 1.0]]),
+                     np.array([0.5, 0.5]))
     with pytest.raises(EmptyScan):
-        perturb(behind, Perturbation("fov_limit", 10.0))
+        perturb_scan(behind, Perturbation("fov_limit", 10.0))
 
 
 def test_perturb_scan_keeps_rows_aligned():
