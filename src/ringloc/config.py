@@ -50,6 +50,10 @@ class TrainConfig:
     points_per_scan: int = 320  # voxel subsample per training frame
     seed: int = 3
 
+    def __post_init__(self):
+        if self.scan_stride < 1:
+            raise ValueError("scan_stride must be at least 1")
+
 
 @dataclass
 class BenchConfig:
@@ -77,11 +81,11 @@ class PipelineConfig:
 KEY_DOCS: Dict[str, str] = {
     "projection.voxel_size": "cell edge of the cylindrical grid (m)",
     "projection.ring_cells": "cells per full turn; even, divisible by 16",
-    "plane.iterations": "ground-plane RANSAC hypothesis count",
+    "plane.iterations": "ground-plane RANSAC hypothesis count (>= 1)",
     "plane.threshold": "ground-plane inlier distance (m)",
     "plane.min_inliers": "minimum ground consensus size",
     "plane.seed": "ground-plane sampling seed offset",
-    "pose.iterations": "pose RANSAC hypothesis count",
+    "pose.iterations": "pose RANSAC hypothesis count (>= 1)",
     "pose.threshold": "pose inlier residual (m)",
     "pose.refit_on_inliers": "refit the winner over its inliers",
     "pose.seed": "pose sampling seed offset",
@@ -95,8 +99,8 @@ KEY_DOCS: Dict[str, str] = {
     "sensor.range_noise": "1-sigma range noise along the ray (m)",
     "oracle.sigma_reliable": "oracle jitter on reliable points (m)",
     "oracle.outlier_box": "oracle scatter cube side on ambiguous points (m)",
-    "oracle.u_reliable": "oracle score range for reliable points",
-    "oracle.u_ambiguous": "oracle score range for ambiguous points",
+    "oracle.u_reliable": "oracle score range for reliable points: low,high",
+    "oracle.u_ambiguous": "oracle score range for ambiguous points: low,high",
     "encoder.stem_width": "width of the stem's hidden projection",
     "encoder.stage_widths": "five encoder stage widths",
     "encoder.output_width": "fused full-resolution feature width",
@@ -112,7 +116,7 @@ KEY_DOCS: Dict[str, str] = {
     "train.epochs": "gradient-descent epochs",
     "train.lr": "step size at epoch 0",
     "train.decay": "per-epoch multiplicative step decay",
-    "train.scan_stride": "train on every stride-th frame",
+    "train.scan_stride": "train on every stride-th frame (>= 1)",
     "train.points_per_scan": "voxel subsample per training frame",
     "train.seed": "weight init and subsample seed",
     "bench.seed": "base seed for per-frame derivation",

@@ -7,20 +7,25 @@ ring index, features are exactly equivariant to yaws that are multiples
 of one cell, and the four stride-2 stages keep that property for shifts
 in multiples of 16 cells.
 
-Convolutions are computed sparsely: occupied sites are the only outputs,
-absent neighbors contribute zero, and each layer is one gather (im2col
-over the kernel's offsets) plus one matmul.
+Geometry is built once and features flow through it as plain arrays.
+The geometry is a pyramid of five `Level`s, the occupied sites at each
+resolution.  `Level.halve` yields each child's parent row, which the
+stride-2 conv, the max pool and the read-back of each voxel's feature
+share.  Every conv layer is one `sparse_conv`: an im2col gather over a
+(kernel offset, site) neighbor table, zeros where a neighbor is absent,
+plus one matmul.  A table is built once per (level, offsets): a stage's
+two 3x3x3 convs share one, and the dilated stages 5 and 6 share another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import EmptyGrid, ShapeMismatch, WidthMismatch
+from .errors import EmptyGrid, ParseError
 from .io import read_tensors, write_tensors
 from .projection import VoxelCloud
 
@@ -28,185 +33,91 @@ LEAKY_SLOPE = 0.01
 _PACK_BASE = 1 << 20  # per-axis coordinate bound for key packing
 DOWNSAMPLE_FACTOR = 16  # product of the four stride-2 stages
 
+# Kernel offsets, (V, 3), in lexicographic order; conv weights are
+# (V, C_in, C_out), offset-major in the same order.
+CUBE = np.array(list(product((-1, 0, 1), repeat=3)), dtype=np.int64)
+DOWN = np.array(list(product((0, 1), repeat=3)), dtype=np.int64)
+UP = -DOWN  # the kernel-2 stride-1 form that reaches offsets {0, -1}
+
 
 def leaky_relu(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, LEAKY_SLOPE * x)
 
 
 def _pack(coords: np.ndarray) -> np.ndarray:
-    """Fold (ix, iy, iz) into one sortable int64 key per site."""
+    """Fold (ix, iy, iz) into one sortable int64 key per site.
+
+    Only a voxel file can carry an index this far out, so an index
+    outside the packable range is a parse error.
+    """
     c = coords + _PACK_BASE
     if np.any(c < 0) or np.any(c >= 2 * _PACK_BASE):
-        raise ValueError("voxel coordinate outside packable range")
+        raise ParseError(f"voxel coordinate outside the packable range "
+                         f"[-{_PACK_BASE}, {_PACK_BASE - 1}]")
     return (c[:, 0] << 42) | (c[:, 1] << 21) | c[:, 2]
 
 
 @dataclass
-class SparseGrid:
-    """Active sites with features, kept sorted by packed coordinate key.
+class Level:
+    """Occupied sites at one resolution of the pyramid.
 
     Attributes:
-        coords: (M, 3) active sites; ring index in [0, ring_cells).
-        feats: (M, C) features.
+        coords: (M, 3) distinct sites in ascending key order; ring index
+            in [0, ring_cells).
+        keys: (M,) ascending packed keys of coords.
         ring_cells: circumference of the grid at this resolution.
     """
 
     coords: np.ndarray
-    feats: np.ndarray
+    keys: np.ndarray
     ring_cells: int
-    keys: np.ndarray = field(default=None)  # type: ignore[assignment]
 
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=np.int64)
-        self.feats = np.asarray(self.feats, dtype=np.float64)
-        if len(self.coords) != len(self.feats):
-            raise ShapeMismatch("coords and feats must have equal length")
-        if self.keys is None:
-            keys = _pack(self.coords)
-            order = np.argsort(keys)
-            self.coords = self.coords[order]
-            self.feats = self.feats[order]
-            self.keys = keys[order]
+    @classmethod
+    def of(cls, coords: np.ndarray, ring_cells: int
+           ) -> Tuple["Level", np.ndarray]:
+        """The level of the distinct sites in coords, and each row's site."""
+        keys, first, site = np.unique(_pack(coords), return_index=True,
+                                      return_inverse=True)
+        return cls(coords[first], keys, ring_cells), site
 
-    def __len__(self) -> int:
-        return len(self.coords)
+    def halve(self) -> Tuple["Level", np.ndarray]:
+        """The level of floor(site / 2) parents, and each site's parent row."""
+        return Level.of(self.coords >> 1, self.ring_cells // 2)
 
-    @property
-    def width(self) -> int:
-        return self.feats.shape[1]
-
-    def lookup(self, coords: np.ndarray) -> np.ndarray:
-        """Row of each query site, or -1 where the site is inactive."""
-        q = _pack(np.asarray(coords, dtype=np.int64))
-        pos = np.searchsorted(self.keys, q)
-        pos = np.minimum(pos, len(self.keys) - 1)
-        hit = self.keys[pos] == q
-        return np.where(hit, pos, -1)
+    def neighbors(self, centers: np.ndarray, offsets: np.ndarray
+                  ) -> np.ndarray:
+        """(V, M) row of each center's offset neighbor, -1 where absent."""
+        rows = np.empty((len(offsets), len(centers)), dtype=np.int64)
+        for k, off in enumerate(offsets):
+            nb = centers + off
+            nb[:, 0] %= self.ring_cells
+            q = _pack(nb)
+            pos = np.minimum(np.searchsorted(self.keys, q), len(self.keys) - 1)
+            rows[k] = np.where(self.keys[pos] == q, pos, -1)
+        return rows
 
 
-@dataclass
-class ConvSpec:
-    """One sparse convolution layer.
+def sparse_conv(feats: np.ndarray, neighbor_rows: np.ndarray,
+                weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """One sparse conv layer; returns (M, C_out) features.
 
-    Attributes:
-        kernel_extent: cells per axis (2 or odd).
-        stride: 1, or 2 for the kernel-2 downsampling form.
-        dilation: neighbor offsets are multiplied by this.
-        transposed: kernel-2 stride-1 form reaching offsets {0, -1}.
-        weights: (V, C_in, C_out) with V = kernel_extent**3, offset-major
-            in the order of `offsets()`.
-        bias: (C_out,).
+    neighbor_rows is a (V, M) table from `Level.neighbors` into the rows
+    of feats, weights is (V, C_in, C_out) and bias is (C_out,).  Absent
+    neighbors contribute zero.
     """
-
-    kernel_extent: int
-    stride: int
-    dilation: int
-    weights: np.ndarray
-    bias: np.ndarray
-    transposed: bool = False
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        v = self.kernel_extent ** 3
-        if self.weights.ndim != 3 or self.weights.shape[0] != v:
-            raise ShapeMismatch(
-                f"weights must be ({v}, C_in, C_out), got {self.weights.shape}")
-        if self.bias.shape != (self.weights.shape[2],):
-            raise ShapeMismatch("bias length must equal C_out")
-        if self.stride not in (1, 2):
-            raise ValueError("stride must be 1 or 2")
-        if self.stride == 2 and self.kernel_extent != 2:
-            raise ValueError("stride 2 requires kernel extent 2")
-
-    @property
-    def in_width(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_width(self) -> int:
-        return self.weights.shape[2]
-
-    def offsets(self) -> np.ndarray:
-        """Kernel offsets, (V, 3), in fixed lexicographic order."""
-        if self.kernel_extent == 2:
-            per_axis = (0, -1) if self.transposed else (0, 1)
-        else:
-            e = (self.kernel_extent - 1) // 2
-            per_axis = tuple(range(-e, e + 1))
-        offs = np.array(list(product(per_axis, repeat=3)), dtype=np.int64)
-        return offs * self.dilation
-
-
-def _gather_stack(grid: SparseGrid, neighbor_rows: np.ndarray) -> np.ndarray:
-    """im2col: (M, V*C) feature block, zeros where neighbors are absent."""
     v, m = neighbor_rows.shape
-    block = grid.feats[neighbor_rows.clip(min=0)]
+    block = feats[neighbor_rows.clip(min=0)]
     block[neighbor_rows < 0] = 0.0
-    return block.transpose(1, 0, 2).reshape(m, v * grid.width)
+    block = block.transpose(1, 0, 2).reshape(m, v * feats.shape[1])
+    return block @ weights.reshape(-1, weights.shape[2]) + bias
 
 
-def _neighbors(grid: SparseGrid, centers: np.ndarray,
-               offsets: np.ndarray) -> np.ndarray:
-    """(V, M) grid row of each center's offset neighbor; ring axis wraps."""
-    rows = np.empty((len(offsets), len(centers)), dtype=np.int64)
-    for k, off in enumerate(offsets):
-        nb = centers + off
-        nb[:, 0] %= grid.ring_cells
-        rows[k] = grid.lookup(nb)
-    return rows
-
-
-def cyclic_conv(grid: SparseGrid, spec: ConvSpec,
-                neighbor_rows: Optional[np.ndarray] = None) -> SparseGrid:
-    """Run one sparse convolution over the circular grid.
-
-    Stride 1 keeps the active set; stride 2 emits every parent site
-    floor(child / 2) on a ring of half the size.  A precomputed
-    neighbor_rows table (from a previous stride-1 layer on the same
-    sites and offsets) can be passed to skip the lookups.
-    """
-    if grid.width != spec.in_width:
-        raise WidthMismatch(
-            f"grid width {grid.width} vs weights expecting {spec.in_width}")
-    if len(grid) == 0:
-        raise EmptyGrid("convolution over an empty grid")
-    w2d = spec.weights.reshape(-1, spec.out_width)
-
-    if spec.stride == 1:
-        if neighbor_rows is None:
-            neighbor_rows = _neighbors(grid, grid.coords, spec.offsets())
-        block = _gather_stack(grid, neighbor_rows)
-        return SparseGrid(grid.coords, block @ w2d + spec.bias,
-                          grid.ring_cells, keys=grid.keys)
-
-    if grid.ring_cells % 2 != 0:
-        raise ValueError("cannot halve an odd ring")
-    parents, _ = _parent_sites(grid)
-    block = _gather_stack(grid, _neighbors(grid, parents * 2, spec.offsets()))
-    return SparseGrid(parents, block @ w2d + spec.bias, grid.ring_cells // 2)
-
-
-def _parent_sites(grid: SparseGrid) -> Tuple[np.ndarray, np.ndarray]:
-    """Unique floor(child/2) sites plus each child's parent row.
-
-    Parents come out in packed-key order, matching SparseGrid's canonical
-    ordering, and the inverse array maps each child row to its parent row.
-    """
-    child_parent = grid.coords >> 1  # arithmetic shift: floor halving
-    _, first, inverse = np.unique(_pack(child_parent),
-                                  return_index=True, return_inverse=True)
-    return child_parent[first], inverse
-
-
-def max_pool2(grid: SparseGrid) -> SparseGrid:
-    """Stride-2 max pool; each parent takes the max over present children."""
-    if len(grid) == 0:
-        raise EmptyGrid("pooling an empty grid")
-    parents, inverse = _parent_sites(grid)
-    pooled = np.full((len(parents), grid.width), -np.inf)
-    np.maximum.at(pooled, inverse, grid.feats)
-    return SparseGrid(parents, pooled, grid.ring_cells // 2)
+def max_pool2(feats: np.ndarray, parent_rows: np.ndarray,
+              n_parents: int) -> np.ndarray:
+    """Stride-2 max pool; each parent takes the max over its children."""
+    pooled = np.full((n_parents, feats.shape[1]), -np.inf)
+    np.maximum.at(pooled, parent_rows, feats)
+    return pooled
 
 
 @dataclass
@@ -231,12 +142,6 @@ class EncoderConfig:
 class EncoderWeights:
     config: EncoderConfig
     tensors: Dict[str, np.ndarray]
-
-    def conv(self, name: str, kernel_extent: int, stride: int = 1,
-             dilation: int = 1, transposed: bool = False) -> ConvSpec:
-        return ConvSpec(kernel_extent, stride, dilation,
-                        self.tensors[name + ".w"], self.tensors[name + ".b"],
-                        transposed=transposed)
 
 
 def _encoder_layout(cfg: EncoderConfig) -> List[Tuple[str, Tuple[int, ...]]]:
@@ -308,15 +213,21 @@ def save_encoder_weights(path, weights: EncoderWeights) -> None:
 
 def load_encoder_weights(path) -> EncoderWeights:
     tensors = read_tensors(path)
-    stem_width = tensors["stem.proj.w"].shape[1]
-    stage_widths = tuple(tensors[f"stage{i}.down.w"].shape[2] for i in range(1, 5))
-    stage_widths += (tensors["stage5.a.w"].shape[2],)
-    config = EncoderConfig(stem_width, stage_widths,
-                           tensors["stage6.fuse.w"].shape[1])
+    try:
+        stem_width = tensors["stem.proj.w"].shape[1]
+        stage_widths = tuple(tensors[f"stage{i}.down.w"].shape[2]
+                             for i in range(1, 5))
+        stage_widths += (tensors["stage5.a.w"].shape[2],)
+        config = EncoderConfig(stem_width, stage_widths,
+                               tensors["stage6.fuse.w"].shape[1])
+    except (KeyError, IndexError) as exc:
+        raise ParseError(f"{path}: not an encoder weight file "
+                         f"({type(exc).__name__}: {exc})") from exc
     expected = {n: s for n, s in _encoder_layout(config)}
     got = {n: t.shape for n, t in tensors.items()}
     if expected != got:
-        raise ValueError("weight file shapes do not form a valid encoder")
+        raise ParseError(f"{path}: weight file shapes do not form a valid "
+                         f"encoder")
     return EncoderWeights(config, tensors)
 
 
@@ -336,7 +247,8 @@ def encode(v: VoxelCloud, weights: EncoderWeights) -> np.ndarray:
     The voxel grid is downsampled 16x through four stride-2 stages, run
     through two dilated stages at the coarsest ring, and each input voxel
     reads back the fused feature of its coarse ancestor, so rows align
-    with the input voxel order.
+    with the input voxel order.  Voxels that repeat an index share one
+    site, which takes the stem features of one of them.
     """
     if len(v) == 0:
         raise EmptyGrid("cannot encode an empty voxel grid")
@@ -344,47 +256,34 @@ def encode(v: VoxelCloud, weights: EncoderWeights) -> np.ndarray:
         raise ValueError(f"ring_cells must be divisible by {DOWNSAMPLE_FACTOR}")
     t = weights.tensors
 
+    def conv(name: str, x: np.ndarray, table: np.ndarray) -> np.ndarray:
+        return sparse_conv(x, table, t[name + ".w"], t[name + ".b"])
+
+    def conv_pair(stage: str, x: np.ndarray, table: np.ndarray) -> np.ndarray:
+        x = leaky_relu(conv(stage + ".a", x, table))
+        return leaky_relu(conv(stage + ".b", x, table))
+
     feats = initial_features(v)
     h = leaky_relu(feats @ t["stem.proj.w"] + t["stem.proj.b"]
                    + feats @ t["stem.skip.w"])
     h = leaky_relu(h @ t["stem.out.w"] + t["stem.out.b"])
-    grid = SparseGrid(v.indices, h, v.ring_cells)
+    level, voxel_rows = Level.of(v.indices, v.ring_cells)
+    x = np.empty((len(level.coords), h.shape[1]))
+    x[voxel_rows] = h
 
-    skip4 = None
     for i in range(1, 5):
-        down = cyclic_conv(grid, weights.conv(f"stage{i}.down", 2, stride=2))
-        pooled = max_pool2(grid)
-        grid = SparseGrid(down.coords,
-                          np.hstack([leaky_relu(down.feats), pooled.feats]),
-                          down.ring_cells, keys=down.keys)
-        grid = _conv_pair(grid, weights.conv(f"stage{i}.a", 3),
-                          weights.conv(f"stage{i}.b", 3))
-        if i == 4:
-            skip4 = grid
+        child, (level, parent_rows) = level, level.halve()
+        down = conv(f"stage{i}.down", x,
+                    child.neighbors(2 * level.coords, DOWN))
+        x = np.hstack([leaky_relu(down),
+                       max_pool2(x, parent_rows, len(level.coords))])
+        x = conv_pair(f"stage{i}", x, level.neighbors(level.coords, CUBE))
+        voxel_rows = parent_rows[voxel_rows]
 
-    grid = _conv_pair(grid, weights.conv("stage5.a", 3, dilation=2),
-                      weights.conv("stage5.b", 3, dilation=2))
-
-    up = cyclic_conv(grid, weights.conv("stage6.up", 2, transposed=True))
-    fused = np.hstack([leaky_relu(up.feats), skip4.feats])
-    fused = leaky_relu(fused @ t["stage6.fuse.w"] + t["stage6.fuse.b"])
-    grid = SparseGrid(up.coords, fused, up.ring_cells, keys=up.keys)
-    grid = _conv_pair(grid, weights.conv("stage6.a", 3, dilation=2),
-                      weights.conv("stage6.b", 3, dilation=2))
-
-    ancestors = v.indices >> 4  # arithmetic shift: floor division by 16
-    rows = grid.lookup(ancestors)
-    if np.any(rows < 0):
-        raise EmptyGrid("input voxel lost its coarse ancestor")
-    return grid.feats[rows]
-
-
-def _conv_pair(grid: SparseGrid, a: ConvSpec, b: ConvSpec) -> SparseGrid:
-    """Two stride-1 convs sharing one neighbor table."""
-    table = _neighbors(grid, grid.coords, a.offsets())
-    out = cyclic_conv(grid, a, neighbor_rows=table)
-    out = SparseGrid(out.coords, leaky_relu(out.feats), out.ring_cells,
-                     keys=out.keys)
-    out = cyclic_conv(out, b, neighbor_rows=table)
-    return SparseGrid(out.coords, leaky_relu(out.feats), out.ring_cells,
-                      keys=out.keys)
+    skip4 = x
+    dilated = level.neighbors(level.coords, 2 * CUBE)
+    x = conv_pair("stage5", x, dilated)
+    up = conv("stage6.up", x, level.neighbors(level.coords, UP))
+    x = leaky_relu(np.hstack([leaky_relu(up), skip4]) @ t["stage6.fuse.w"]
+                   + t["stage6.fuse.b"])
+    return conv_pair("stage6", x, dilated)[voxel_rows]

@@ -39,10 +39,6 @@ class OriginPoint(DegenerateInput):
     """A point on the sensor axis has no defined azimuth."""
 
 
-class WidthMismatch(RinglocError):
-    """Feature width does not agree with the weight shapes."""
-
-
 class ShapeMismatch(RinglocError):
     """Array arguments whose shapes cannot be combined."""
 

@@ -49,6 +49,10 @@ class RansacPlaneParams:
     min_inliers: int = 50
     seed: int = 0
 
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError("iterations must be at least 1")
+
 
 def _canonicalize(normal: np.ndarray, d: float) -> Tuple[np.ndarray, float]:
     a, b, c = normal

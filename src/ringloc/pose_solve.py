@@ -39,6 +39,10 @@ class RansacPoseParams:
     refit_on_inliers: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError("iterations must be at least 1")
+
 
 @dataclass
 class PoseEstimate:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ParseError, ShapeMismatch
 from .io import read_tensors, write_tensors
 
 LEAKY_SLOPE = 0.01
@@ -79,12 +79,17 @@ def save_regressor_weights(path, weights: RegressorWeights) -> None:
 
 def load_regressor_weights(path) -> RegressorWeights:
     tensors = read_tensors(path)
-    width, kn = tensors["mhm1.w"].shape
     layers = sum(1 for n in tensors if n.startswith("mhm") and n.endswith(".w"))
-    config = RegressorConfig(width, kn // width, layers)
+    try:
+        width, kn = tensors["mhm1.w"].shape
+        config = RegressorConfig(width, kn // width, layers)
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{path}: not a regressor weight file "
+                         f"({type(exc).__name__}: {exc})") from exc
     expected = {n: s for n, s in _regressor_layout(config)}
     if expected != {n: t.shape for n, t in tensors.items()}:
-        raise ValueError("weight file shapes do not form a valid regressor")
+        raise ParseError(f"{path}: weight file shapes do not form a valid "
+                         f"regressor")
     return RegressorWeights(config, tensors)
 
 

@@ -320,6 +320,12 @@ class OracleSpec:
     u_reliable: Tuple[float, float] = (2.0, 10.0)
     u_ambiguous: Tuple[float, float] = (-10.0, -2.0)
 
+    def __post_init__(self):
+        for name in ("u_reliable", "u_ambiguous"):
+            lo_hi = getattr(self, name)
+            if len(lo_hi) != 2 or lo_hi[0] > lo_hi[1]:
+                raise ValueError(f"{name} must be two values, low <= high")
+
 
 def oracle_predict(gt_world: np.ndarray, classes: np.ndarray,
                    oracle: Optional[OracleSpec] = None,

@@ -219,10 +219,56 @@ def test_train_toy_rerun_is_byte_identical(ws, tmp_path):
 # -------------------------------------------------------------- exit codes
 
 
-def test_malformed_input_exits_2(ws, tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("a,b\n1,2\n")
-    rc = run(ws, "rectify", str(bad), out=tmp_path / "o")
+def _text_file(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _tensor_file(path, **tensors):
+    io.write_tensors(path, list(tensors.items()))
+    return str(path)
+
+
+def _voxel_file(ws, d):
+    proj = ws["cfg"].projection
+    path = d / "voxels.csv"
+    io.write_voxel_csv(path, voxelize(project_cylindrical(ws["scan"].cloud,
+                                                          proj), proj))
+    return str(path)
+
+
+def _misshapen_encoder(path):
+    tensors = dict(init_encoder_weights(seed=0).tensors)
+    tensors["stem.skip.w"] = np.zeros((4, 16))
+    return _tensor_file(path, **tensors)
+
+
+# Each case writes one malformed input under d and returns the arguments.
+MALFORMED = {
+    "csv-header": lambda ws, d: [
+        "rectify", _text_file(d / "bad.csv", "a,b\n1,2\n")],
+    "voxel-out-of-range": lambda ws, d: [
+        "encode", _text_file(d / "vox.csv", io.VOXEL_HEADER
+                             + "\n0,5000000,0,0,0,0,0.5,0\n")],
+    "encoder-weights-foreign": lambda ws, d: [
+        "encode", _voxel_file(ws, d), "--encoder-weights",
+        _tensor_file(d / "foo.bin", foo=np.zeros(3))],
+    "encoder-weights-misshapen": lambda ws, d: [
+        "encode", _voxel_file(ws, d), "--encoder-weights",
+        _misshapen_encoder(d / "enc.bin")],
+    "regressor-weights-foreign": lambda ws, d: [
+        "localize", str(ws["scan_path"]), "--predictor", "regressor",
+        "--regressor-weights", _tensor_file(d / "foo.bin", foo=np.zeros(3))],
+    "regressor-weights-no-heads": lambda ws, d: [
+        "localize", str(ws["scan_path"]), "--predictor", "regressor",
+        "--regressor-weights",
+        _tensor_file(d / "reg.bin", **{"mhm1.w": np.zeros((4, 3))})],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(ws, tmp_path, capsys, case):
+    rc = run(ws, *MALFORMED[case](ws, tmp_path), out=tmp_path / "o")
     assert rc == 2
     assert "ringloc: error:" in capsys.readouterr().err
 

@@ -69,12 +69,22 @@ def test_bad_value_rejected():
         parse_config_text(text)
 
 
-def test_invalid_section_value_rejected():
-    # Parses as a float but violates the section's own validation.
-    text = config_to_text(PipelineConfig()).replace(
-        "projection.voxel_size = 0.2", "projection.voxel_size = -1.0")
+@pytest.mark.parametrize("key, value", [
+    ("projection.voxel_size", "-1.0"),
+    ("plane.iterations", "0"),
+    ("pose.iterations", "0"),
+    ("train.scan_stride", "0"),
+    ("oracle.u_reliable", "1.0"),
+    ("oracle.u_reliable", "1.0,2.0,3.0"),
+    ("oracle.u_ambiguous", "-2.0,-10.0"),
+], ids=["voxel_size", "plane_iterations", "pose_iterations", "scan_stride",
+        "u_one_value", "u_three_values", "u_reversed"])
+def test_invalid_section_value_rejected(key, value):
+    # Parses as the key's type but violates the section's own validation.
+    lines = [f"{key} = {value}" if line.startswith(key + " = ") else line
+             for line in config_to_text(PipelineConfig()).splitlines()]
     with pytest.raises(ParseError):
-        parse_config_text(text)
+        parse_config_text("\n".join(lines))
 
 
 def test_standard_config_pins_pose_iterations():

@@ -5,12 +5,20 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ringloc.encoder import (ConvSpec, EncoderConfig, SparseGrid, cyclic_conv,
-                             encode, init_encoder_weights, initial_features,
+from ringloc.encoder import (CUBE, DOWN, UP, EncoderConfig, Level, encode,
+                             init_encoder_weights, initial_features,
                              leaky_relu, load_encoder_weights, max_pool2,
-                             save_encoder_weights)
-from ringloc.errors import EmptyGrid, WidthMismatch
+                             save_encoder_weights, sparse_conv)
+from ringloc.errors import EmptyGrid
 from ringloc.projection import VoxelCloud
+
+
+def make_level(coords, feats, ring):
+    """Level of the given distinct sites plus their features in row order."""
+    level, site = Level.of(np.asarray(coords, dtype=np.int64), ring)
+    x = np.empty((len(level.coords), np.shape(feats)[1]))
+    x[site] = feats
+    return level, x
 
 
 def random_grid(ring=16, n=40, cin=3, seed=0, y_range=(0, 12), z_range=(-4, 6)):
@@ -24,16 +32,20 @@ def random_grid(ring=16, n=40, cin=3, seed=0, y_range=(0, 12), z_range=(-4, 6)):
             seen.add(c)
             coords.append(c)
     feats = rng.normal(size=(n, cin))
-    return SparseGrid(np.array(coords, dtype=np.int64), feats, ring)
+    return make_level(coords, feats, ring)
 
 
-def conv_oracle(grid, offsets, weights, bias):
+def stride1(level, x, offsets, weights, bias):
+    return sparse_conv(x, level.neighbors(level.coords, offsets), weights, bias)
+
+
+def conv_oracle(level, x, offsets, weights, bias):
     """Per-site sum over offset neighbors, ring axis wrapped modulo."""
-    table = {tuple(c): f for c, f in zip(grid.coords, grid.feats)}
-    out = np.tile(bias, (len(grid), 1)).astype(np.float64)
-    for r, c in enumerate(grid.coords):
+    table = {tuple(c): f for c, f in zip(level.coords, x)}
+    out = np.tile(bias, (len(x), 1)).astype(np.float64)
+    for r, c in enumerate(level.coords):
         for v, off in enumerate(offsets):
-            nb = ((int(c[0] + off[0])) % grid.ring_cells,
+            nb = ((int(c[0] + off[0])) % level.ring_cells,
                   int(c[1] + off[1]), int(c[2] + off[2]))
             f = table.get(nb)
             if f is not None:
@@ -50,158 +62,139 @@ def make_voxels(indices, intensity=None, ring=64, delta=0.2):
                       np.arange(n), ring_cells=ring, voxel_size=delta)
 
 
-def test_sparse_grid_sorts_canonically_and_looks_up():
-    g = SparseGrid(np.array([[3, 0, 0], [0, 1, -2], [0, 1, 5]]),
-                   np.arange(6.0).reshape(3, 2), 8)
-    assert g.coords[0].tolist() == [0, 1, -2]
-    assert g.lookup(np.array([[3, 0, 0]]))[0] == 2
-    assert g.lookup(np.array([[7, 7, 7]]))[0] == -1
+def test_level_sorts_canonically_and_looks_up():
+    level, site = Level.of(np.array([[3, 0, 0], [0, 1, -2], [0, 1, 5]]), 8)
+    assert level.coords.tolist() == [[0, 1, -2], [0, 1, 5], [3, 0, 0]]
+    assert site.tolist() == [2, 0, 1]
+    queries = np.array([[3, 0, 0], [7, 7, 7], [8, 1, 5]])  # 8 wraps to 0
+    assert level.neighbors(queries, np.zeros((1, 3), dtype=np.int64)
+                           ).tolist() == [[2, -1, 1]]
 
 
 def test_offsets_orderings():
-    w3 = np.zeros((27, 1, 1))
-    s = ConvSpec(3, 1, 1, w3, np.zeros(1))
-    offs = s.offsets()
-    assert offs[0].tolist() == [-1, -1, -1]
-    assert offs[13].tolist() == [0, 0, 0]
-    assert offs[26].tolist() == [1, 1, 1]
-    s2 = ConvSpec(2, 2, 1, np.zeros((8, 1, 1)), np.zeros(1))
-    assert s2.offsets().tolist() == list(
-        list(t) for t in product((0, 1), repeat=3))
-    st = ConvSpec(2, 1, 1, np.zeros((8, 1, 1)), np.zeros(1), transposed=True)
-    assert st.offsets().tolist() == list(
-        list(t) for t in product((0, -1), repeat=3))
-    d = ConvSpec(3, 1, 2, w3, np.zeros(1))
-    assert d.offsets()[0].tolist() == [-2, -2, -2]
+    assert CUBE[0].tolist() == [-1, -1, -1]
+    assert CUBE[13].tolist() == [0, 0, 0]
+    assert CUBE[26].tolist() == [1, 1, 1]
+    assert DOWN.tolist() == list(list(t) for t in product((0, 1), repeat=3))
+    assert UP.tolist() == list(list(t) for t in product((0, -1), repeat=3))
+    assert (2 * CUBE)[0].tolist() == [-2, -2, -2]
 
 
 def test_identity_kernel_is_identity():
-    g = random_grid(seed=1, cin=4)
+    level, x = random_grid(seed=1, cin=4)
     w = np.zeros((27, 4, 4))
     w[13] = np.eye(4)
-    out = cyclic_conv(g, ConvSpec(3, 1, 1, w, np.zeros(4)))
-    np.testing.assert_array_equal(out.feats, g.feats)
-    np.testing.assert_array_equal(out.coords, g.coords)
+    np.testing.assert_array_equal(stride1(level, x, CUBE, w, np.zeros(4)), x)
 
 
 def test_seam_neighbor_contributes_across_wrap():
     # A voxel in the last ring cell must see one in cell 0 as a neighbor.
-    g = SparseGrid(np.array([[0, 2, 3], [15, 2, 3]]),
-                   np.array([[27.0], [0.0]]), 16)
+    level, x = make_level([[0, 2, 3], [15, 2, 3]], [[27.0], [0.0]], 16)
     w = np.full((27, 1, 1), 1.0 / 27.0)
-    out = cyclic_conv(g, ConvSpec(3, 1, 1, w, np.zeros(1)))
-    row_last = int(np.flatnonzero(out.coords[:, 0] == 15)[0])
-    assert out.feats[row_last, 0] == pytest.approx(1.0)
+    out = stride1(level, x, CUBE, w, np.zeros(1))
+    row_last = int(np.flatnonzero(level.coords[:, 0] == 15)[0])
+    assert out[row_last, 0] == pytest.approx(1.0)
 
 
 def test_pointwise_kernel_hand_case():
-    g = SparseGrid(np.array([[1, 0, 0], [5, 2, 1]]),
-                   np.array([[1.0, 2.0], [-0.5, 0.25]]), 8)
+    level, x = make_level([[1, 0, 0], [5, 2, 1]], [[1.0, 2.0], [-0.5, 0.25]], 8)
     w = np.array([[[0.5, -1.0], [2.0, 0.0]]])  # (1, 2, 2)
     b = np.array([0.1, -0.2])
-    out = cyclic_conv(g, ConvSpec(1, 1, 1, w, b))
-    np.testing.assert_allclose(out.feats, g.feats @ w[0] + b, atol=1e-15)
+    out = stride1(level, x, np.zeros((1, 3), dtype=np.int64), w, b)
+    np.testing.assert_allclose(out, x @ w[0] + b, atol=1e-15)
 
 
 def test_stride1_matches_dense_reference():
     rng = np.random.default_rng(2)
-    g = random_grid(seed=2, cin=3)
-    spec = ConvSpec(3, 1, 1, rng.normal(size=(27, 3, 5)), rng.normal(size=5))
-    out = cyclic_conv(g, spec)
-    want = conv_oracle(g, spec.offsets(), spec.weights, spec.bias)
-    np.testing.assert_allclose(out.feats, want, atol=1e-12)
+    level, x = random_grid(seed=2, cin=3)
+    w, b = rng.normal(size=(27, 3, 5)), rng.normal(size=5)
+    np.testing.assert_allclose(stride1(level, x, CUBE, w, b),
+                               conv_oracle(level, x, CUBE, w, b), atol=1e-12)
 
 
 def test_dilated_matches_dense_reference():
     rng = np.random.default_rng(3)
-    g = random_grid(seed=3, cin=2, ring=16)
-    spec = ConvSpec(3, 1, 2, rng.normal(size=(27, 2, 2)), rng.normal(size=2))
-    out = cyclic_conv(g, spec)
-    want = conv_oracle(g, spec.offsets(), spec.weights, spec.bias)
-    np.testing.assert_allclose(out.feats, want, atol=1e-12)
+    level, x = random_grid(seed=3, cin=2, ring=16)
+    w, b = rng.normal(size=(27, 2, 2)), rng.normal(size=2)
+    np.testing.assert_allclose(stride1(level, x, 2 * CUBE, w, b),
+                               conv_oracle(level, x, 2 * CUBE, w, b),
+                               atol=1e-12)
 
 
 def test_transposed_k2_matches_dense_reference():
     rng = np.random.default_rng(4)
-    g = random_grid(seed=4, cin=3, ring=16)
-    spec = ConvSpec(2, 1, 1, rng.normal(size=(8, 3, 3)), rng.normal(size=3),
-                    transposed=True)
-    out = cyclic_conv(g, spec)
-    want = conv_oracle(g, spec.offsets(), spec.weights, spec.bias)
-    np.testing.assert_allclose(out.feats, want, atol=1e-12)
+    level, x = random_grid(seed=4, cin=3, ring=16)
+    w, b = rng.normal(size=(8, 3, 3)), rng.normal(size=3)
+    np.testing.assert_allclose(stride1(level, x, UP, w, b),
+                               conv_oracle(level, x, UP, w, b), atol=1e-12)
 
 
 def test_stride2_matches_dense_reference():
     rng = np.random.default_rng(5)
-    g = random_grid(seed=5, cin=3, ring=16)
-    spec = ConvSpec(2, 2, 1, rng.normal(size=(8, 3, 4)), rng.normal(size=4))
-    out = cyclic_conv(g, spec)
-    assert out.ring_cells == 8
+    child, x = random_grid(seed=5, cin=3, ring=16)
+    w, b = rng.normal(size=(8, 3, 4)), rng.normal(size=4)
+    parent, _ = child.halve()
+    assert parent.ring_cells == 8
+    out = sparse_conv(x, child.neighbors(2 * parent.coords, DOWN), w, b)
 
-    table = {tuple(c): f for c, f in zip(g.coords, g.feats)}
+    table = {tuple(c): f for c, f in zip(child.coords, x)}
     parents = sorted({(c[0] >> 1, c[1] >> 1, c[2] >> 1)
-                      for c in map(tuple, g.coords)})
-    want = np.tile(spec.bias, (len(parents), 1)).astype(np.float64)
+                      for c in map(tuple, child.coords)})
+    want = np.tile(b, (len(parents), 1)).astype(np.float64)
     for r, p in enumerate(parents):
-        for v, off in enumerate(spec.offsets()):
-            child = (2 * p[0] + off[0], 2 * p[1] + off[1], 2 * p[2] + off[2])
-            f = table.get(child)
+        for v, off in enumerate(DOWN):
+            c = (2 * p[0] + off[0], 2 * p[1] + off[1], 2 * p[2] + off[2])
+            f = table.get(c)
             if f is not None:
-                want[r] += f @ spec.weights[v]
-    np.testing.assert_array_equal(out.coords, np.array(parents))
-    np.testing.assert_allclose(out.feats, want, atol=1e-12)
+                want[r] += f @ w[v]
+    np.testing.assert_array_equal(parent.coords, np.array(parents))
+    np.testing.assert_allclose(out, want, atol=1e-12)
 
 
 def test_stride2_site_rule():
-    # Output sites are exactly the floor-halved child sites, so negative
+    # Parent sites are exactly the floor-halved child sites, so negative
     # heights round toward minus infinity.
-    g = SparseGrid(np.array([[3, 1, -1], [2, 0, -2]]),
-                   np.ones((2, 1)), 8)
-    out = cyclic_conv(g, ConvSpec(2, 2, 1, np.zeros((8, 1, 1)), np.zeros(1)))
-    assert sorted(map(tuple, out.coords)) == [(1, 0, -1)]
+    child, _ = Level.of(np.array([[3, 1, -1], [2, 0, -2]]), 8)
+    parent, parent_rows = child.halve()
+    assert parent.coords.tolist() == [[1, 0, -1]]
+    assert parent_rows.tolist() == [0, 0]
 
 
 def test_conv_linearity_at_zero_bias():
     rng = np.random.default_rng(6)
-    g = random_grid(seed=6, cin=3)
-    spec = ConvSpec(3, 1, 1, rng.normal(size=(27, 3, 3)), np.zeros(3))
-    doubled = SparseGrid(g.coords, 2.0 * g.feats, g.ring_cells)
-    np.testing.assert_allclose(cyclic_conv(doubled, spec).feats,
-                               2.0 * cyclic_conv(g, spec).feats, atol=1e-9)
+    level, x = random_grid(seed=6, cin=3)
+    w = rng.normal(size=(27, 3, 3))
+    np.testing.assert_allclose(stride1(level, 2.0 * x, CUBE, w, np.zeros(3)),
+                               2.0 * stride1(level, x, CUBE, w, np.zeros(3)),
+                               atol=1e-9)
 
 
 def test_conv_ignores_absolute_height():
-    g = random_grid(seed=7, cin=3)
-    shifted = SparseGrid(g.coords + [0, 0, 7], g.feats, g.ring_cells)
+    level, x = random_grid(seed=7, cin=3)
+    shifted, xs = make_level(level.coords + [0, 0, 7], x, level.ring_cells)
     rng = np.random.default_rng(7)
-    spec = ConvSpec(3, 1, 1, rng.normal(size=(27, 3, 3)), rng.normal(size=3))
-    np.testing.assert_array_equal(cyclic_conv(g, spec).feats,
-                                  cyclic_conv(shifted, spec).feats)
-
-
-def test_width_mismatch_rejected():
-    g = random_grid(seed=8, cin=3)
-    with pytest.raises(WidthMismatch):
-        cyclic_conv(g, ConvSpec(3, 1, 1, np.zeros((27, 5, 2)), np.zeros(2)))
+    w, b = rng.normal(size=(27, 3, 3)), rng.normal(size=3)
+    np.testing.assert_array_equal(stride1(level, x, CUBE, w, b),
+                                  stride1(shifted, xs, CUBE, w, b))
 
 
 def test_empty_grid_rejected():
-    g = SparseGrid(np.zeros((0, 3), dtype=np.int64), np.zeros((0, 2)), 8)
     with pytest.raises(EmptyGrid):
-        cyclic_conv(g, ConvSpec(3, 1, 1, np.zeros((27, 2, 2)), np.zeros(2)))
+        encode(make_voxels(np.zeros((0, 3))), init_encoder_weights(seed=0))
 
 
 def test_max_pool_matches_reference():
-    g = random_grid(seed=9, cin=3, ring=16)
-    out = max_pool2(g)
-    assert out.ring_cells == 8
+    child, x = random_grid(seed=9, cin=3, ring=16)
+    parent, parent_rows = child.halve()
+    out = max_pool2(x, parent_rows, len(parent.coords))
+    assert parent.ring_cells == 8
     groups = {}
-    for c, f in zip(g.coords, g.feats):
+    for c, f in zip(child.coords, x):
         groups.setdefault((c[0] >> 1, c[1] >> 1, c[2] >> 1), []).append(f)
     parents = sorted(groups)
     want = np.array([np.max(groups[p], axis=0) for p in parents])
-    np.testing.assert_array_equal(out.coords, np.array(parents))
-    np.testing.assert_array_equal(out.feats, want)
+    np.testing.assert_array_equal(parent.coords, np.array(parents))
+    np.testing.assert_array_equal(out, want)
 
 
 def test_initial_features_drop_the_ring_coordinate():
