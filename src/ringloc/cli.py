@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--loss", choices=trainmod.LOSS_KINDS, default="trr")
     p.add_argument("--epochs", type=int, default=None,
-                   help="override train.epochs (0 keeps the init)")
+                   help="override train.epochs (>= 0; 0 keeps the init)")
     return parser
 
 
@@ -238,6 +238,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
+    if args.epochs is not None and args.epochs < 0:
+        raise ParseError(f"--epochs must be at least 0, got {args.epochs}")
     cfg = _load_config(args)
     out = _outdir(args)
     seed = _run_seed(args, cfg)

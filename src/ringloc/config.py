@@ -51,8 +51,11 @@ class TrainConfig:
     seed: int = 3
 
     def __post_init__(self):
-        if self.scan_stride < 1:
-            raise ValueError("scan_stride must be at least 1")
+        if self.scan_stride < 1 or self.points_per_scan < 1:
+            raise ValueError("scan_stride and points_per_scan must be at "
+                             "least 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be at least 0")
 
 
 @dataclass
@@ -113,18 +116,15 @@ KEY_DOCS: Dict[str, str] = {
     "trajectory.n_poses": "frames on the loop",
     "trajectory.radius": "loop radius (m)",
     "trajectory.height": "sensor height above ground (m)",
-    "train.epochs": "gradient-descent epochs",
+    "train.epochs": "gradient-descent epochs (>= 0)",
     "train.lr": "step size at epoch 0",
     "train.decay": "per-epoch multiplicative step decay",
     "train.scan_stride": "train on every stride-th frame (>= 1)",
-    "train.points_per_scan": "voxel subsample per training frame",
+    "train.points_per_scan": "voxel subsample per training frame (>= 1)",
     "train.seed": "weight init and subsample seed",
     "bench.seed": "base seed for per-frame derivation",
     "bench.perturbations": "comma list of kind[:magnitude] entries",
 }
-
-_SCALARS = (int, float, bool, str)
-
 
 def _sections(cfg: PipelineConfig) -> List[Tuple[str, object]]:
     return [(f.name, getattr(cfg, f.name))

@@ -27,10 +27,9 @@ import numpy as np
 
 from .errors import EmptyGrid, ParseError
 from .io import read_tensors, write_tensors
-from .projection import VoxelCloud
+from .projection import INDEX_BOUND, VoxelCloud
 
 LEAKY_SLOPE = 0.01
-_PACK_BASE = 1 << 20  # per-axis coordinate bound for key packing
 DOWNSAMPLE_FACTOR = 16  # product of the four stride-2 stages
 
 # Kernel offsets, (V, 3), in lexicographic order; conv weights are
@@ -47,13 +46,15 @@ def leaky_relu(x: np.ndarray) -> np.ndarray:
 def _pack(coords: np.ndarray) -> np.ndarray:
     """Fold (ix, iy, iz) into one sortable int64 key per site.
 
-    Only a voxel file can carry an index this far out, so an index
-    outside the packable range is a parse error.
+    A site outside [-INDEX_BOUND, INDEX_BOUND) on any axis is a parse
+    error.  Lookups from in-range sites stay in range: a stride-2 conv
+    reads only a parent's own children, and the coarser levels span half
+    the range or less.
     """
-    c = coords + _PACK_BASE
-    if np.any(c < 0) or np.any(c >= 2 * _PACK_BASE):
+    c = coords + INDEX_BOUND
+    if np.any(c < 0) or np.any(c >= 2 * INDEX_BOUND):
         raise ParseError(f"voxel coordinate outside the packable range "
-                         f"[-{_PACK_BASE}, {_PACK_BASE - 1}]")
+                         f"[-{INDEX_BOUND}, {INDEX_BOUND - 1}]")
     return (c[:, 0] << 42) | (c[:, 1] << 21) | c[:, 2]
 
 

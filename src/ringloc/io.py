@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ParseError
-from .projection import ProjectionConfig, VoxelCloud
+from .projection import INDEX_BOUND, ProjectionConfig, VoxelCloud
 from .se3 import PointCloud, RigidTransform
 
 PathLike = Union[str, Path]
@@ -156,16 +156,34 @@ def write_pose(path: PathLike, t: RigidTransform) -> None:
 
 
 def read_voxel_csv(path: PathLike, config: ProjectionConfig) -> VoxelCloud:
+    """Read a voxel grid: integer indices in [-INDEX_BOUND, INDEX_BOUND),
+    each at most once."""
     path = Path(path)
-    data = _parse_rows(path, _read_lines(path), VOXEL_HEADER)
+    lines = _read_lines(path)
+    data = _parse_rows(path, lines, VOXEL_HEADER)
+    linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
     idx = data[:, :3]
     if np.any(idx != np.round(idx)):
         raise ParseError(f"{path}: voxel indices must be integers")
+    outside = np.flatnonzero(np.any((idx < -INDEX_BOUND)
+                                    | (idx >= INDEX_BOUND), axis=1))
+    if len(outside):
+        raise ParseError(f"{path}:{linenos[outside[0]]}: voxel index outside "
+                         f"[-{INDEX_BOUND}, {INDEX_BOUND - 1}]")
+    cells = idx.astype(np.int64)
+    _, first, site = np.unique(cells, axis=0, return_index=True,
+                               return_inverse=True)
+    earlier = first[site.reshape(-1)]
+    repeats = np.flatnonzero(earlier != np.arange(len(cells)))
+    if len(repeats):
+        row = repeats[0]
+        raise ParseError(f"{path}:{linenos[row]}: repeats the voxel index of "
+                         f"line {linenos[earlier[row]]}")
     src = data[:, 7]
     if np.any(src != np.round(src)) or np.any(src < 0):
         raise ParseError(f"{path}: source_index must be a non-negative integer")
     try:
-        return VoxelCloud(idx.astype(np.int64), data[:, 3:6], data[:, 6],
+        return VoxelCloud(cells, data[:, 3:6], data[:, 6],
                           src.astype(np.int64), config.ring_cells,
                           config.voxel_size)
     except ValueError as exc:

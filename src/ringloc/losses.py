@@ -17,6 +17,8 @@ scores back toward the band.
 
 Two baselines are included: the unweighted mean distance, and a
 matching-style loss whose weights fall linearly with a sigma score.
+Every loss is a function (pred, gt, u) -> LossBreakdown that computes
+its value and its exact gradients in one pass.
 """
 
 from __future__ import annotations
@@ -33,48 +35,57 @@ from .errors import EmptyScan, LengthMismatch, ShapeMismatch
 K_SCALE = math.log(10.0) / math.pi
 CLAMP = 10.0 * math.pi
 MATCHING_FLOOR = 0.01
+SIGMA_MAX = 1.0  # matching weights reach the floor at this sigma
 
 
 @dataclass
 class LossBreakdown:
-    """Per-point terms of one reliability-weighted loss evaluation.
+    """One loss evaluation over one cloud's predictions.
 
     Attributes:
-        raw: (n,) Euclidean distances to the targets (m).
-        u_scale: (n,) squashed scores.
-        u_cut: (n,) squashed scores after clamping.
-        weights: (n,) softmax weights; sums to 1 when all scores are in
-            the clamp band.
-        total: weighted sum of raw distances.
-        n_clamped: how many scores sat outside the clamp band.
+        total: the loss value.
+        weights: (n,) weight of each point's distance in the total; the
+            TRR weights sum to 1 when all scores are in the clamp band.
+        grad_pred: (n, 3) gradient of the total in the predictions.
+        grad_u: (n,) gradient of the total in the scores.
+        n_clamped: how many scores sat outside the clamp band (TRR only).
     """
 
-    raw: np.ndarray
-    u_scale: np.ndarray
-    u_cut: np.ndarray
-    weights: np.ndarray
     total: float
-    n_clamped: int
+    weights: np.ndarray
+    grad_pred: np.ndarray
+    grad_u: np.ndarray
+    n_clamped: int = 0
 
 
-def _check(pred: np.ndarray, gt: np.ndarray, aux: np.ndarray
+def _check(pred: np.ndarray, gt: np.ndarray, u: np.ndarray
            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate one loss's inputs; return (pred - gt, distances, u)."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    aux = np.asarray(aux, dtype=np.float64)
-    if pred.ndim != 2 or pred.shape[1] != 3 or gt.shape != pred.shape:
+    u = np.asarray(u, dtype=np.float64)
+    if pred.ndim != 2 or pred.shape[1] != 3 or gt.ndim != 2 or gt.shape[1] != 3:
         raise ShapeMismatch("pred and gt must both be (n, 3)")
-    if aux.shape != (len(pred),):
-        raise LengthMismatch("score array length must match the points")
+    if len(gt) != len(pred) or u.shape != (len(pred),):
+        raise LengthMismatch("pred, gt and scores must have one row per point")
     if len(pred) == 0:
         raise EmptyScan("loss over zero points")
-    return pred, gt, aux
+    diff = pred - gt
+    return diff, np.linalg.norm(diff, axis=1), u
 
 
 def distance_residuals(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Per-point Euclidean distance to the target coordinates."""
     return np.linalg.norm(np.asarray(pred, dtype=np.float64)
                           - np.asarray(gt, dtype=np.float64), axis=1)
+
+
+def _weighted_grad_pred(weights: np.ndarray, raw: np.ndarray,
+                        diff: np.ndarray) -> np.ndarray:
+    """Gradient of weights @ raw in pred: each weight times the unit vector
+    toward its prediction, zero for a point sitting on its target."""
+    safe = np.where(raw > 0.0, raw, 1.0)
+    return (weights / safe * (raw > 0.0))[:, None] * diff
 
 
 def calibrate_scores(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -84,112 +95,71 @@ def calibrate_scores(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             np.arctan(np.clip(u, -CLAMP, CLAMP)) * K_SCALE)
 
 
-def reliability_weights(u: np.ndarray) -> np.ndarray:
-    """Softmax-style weights with split numerator/denominator branches."""
+def _split_softmax(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(weights, denominator shares) of the split-branch softmax."""
     u_scale, u_cut = calibrate_scores(u)
     hi = np.maximum(u_scale, u_cut)
     lo = np.minimum(u_scale, u_cut)
     # Shifting both exponent sets by the same constant leaves the ratio
     # untouched; using the denominator max keeps every exponent <= 0.
     shift = lo.max()
-    return np.exp(hi - shift) / np.exp(lo - shift).sum()
+    denom = np.exp(lo - shift).sum()
+    return np.exp(hi - shift) / denom, np.exp(lo - shift) / denom
+
+
+def reliability_weights(u: np.ndarray) -> np.ndarray:
+    """Softmax-style weights with split numerator/denominator branches."""
+    return _split_softmax(u)[0]
 
 
 def reliability_loss(pred: np.ndarray, gt: np.ndarray, u: np.ndarray
                      ) -> LossBreakdown:
-    """Weighted distance loss over one cloud's predictions."""
-    pred, gt, u = _check(pred, gt, u)
-    raw = distance_residuals(pred, gt)
-    u_scale, u_cut = calibrate_scores(u)
-    weights = reliability_weights(u)
-    return LossBreakdown(raw, u_scale, u_cut, weights,
-                         float(weights @ raw),
+    """Weighted distance loss over one cloud's predictions.
+
+    The score gradient splits into the numerator term (live max branch)
+    and the shared-denominator term (live min branch); whichever branch
+    is frozen by the clamp simply drops out.
+    """
+    diff, raw, u = _check(pred, gt, u)
+    weights, denom_share = _split_softmax(u)
+    total = weights @ raw
+    datan = K_SCALE / (1.0 + u * u)
+    d_hi = np.where(u < -CLAMP, 0.0, datan)
+    d_lo = np.where(u > CLAMP, 0.0, datan)
+    grad_u = weights * d_hi * raw - total * denom_share * d_lo
+    return LossBreakdown(float(total), weights,
+                         _weighted_grad_pred(weights, raw, diff), grad_u,
                          int(np.count_nonzero(np.abs(u) > CLAMP)))
 
 
 def reliability_loss_gradients(pred: np.ndarray, gt: np.ndarray, u: np.ndarray
                                ) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact gradients of the weighted loss in (pred, u).
+    """(grad_pred, grad_u) of `reliability_loss`."""
+    b = reliability_loss(pred, gt, u)
+    return b.grad_pred, b.grad_u
 
-    The coordinate gradient of each point is its weight times the unit
-    vector toward its prediction; a point sitting exactly on its target
-    takes the zero subgradient.  The score gradient splits into the
-    numerator term (live max branch) and the shared-denominator term
-    (live min branch); whichever branch is frozen by the clamp simply
-    drops out.
-    """
-    pred, gt, u = _check(pred, gt, u)
-    raw = distance_residuals(pred, gt)
-    u_scale, u_cut = calibrate_scores(u)
-    hi = np.maximum(u_scale, u_cut)
-    lo = np.minimum(u_scale, u_cut)
-    shift = lo.max()
-    denom = np.exp(lo - shift).sum()
-    weights = np.exp(hi - shift) / denom
-    denom_share = np.exp(lo - shift) / denom
-    total = weights @ raw
 
-    diff = pred - gt
+def mean_distance_loss(pred: np.ndarray, gt: np.ndarray, u: np.ndarray
+                       ) -> LossBreakdown:
+    """Plain mean Euclidean distance; scores get a zero gradient."""
+    diff, raw, u = _check(pred, gt, u)
+    n = len(raw)
     safe = np.where(raw > 0.0, raw, 1.0)
-    grad_pred = (weights / safe * (raw > 0.0))[:, None] * diff
-
-    datan = K_SCALE / (1.0 + u * u)
-    d_hi = np.where(u < -CLAMP, 0.0, datan)
-    d_lo = np.where(u > CLAMP, 0.0, datan)
-    grad_u = weights * d_hi * raw - total * denom_share * d_lo
-    return grad_pred, grad_u
+    grad_pred = ((raw > 0.0) / (safe * n))[:, None] * diff
+    return LossBreakdown(float(raw.mean()), np.full(n, 1.0 / n), grad_pred,
+                         np.zeros_like(u))
 
 
-def mean_distance_loss(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Plain mean Euclidean distance."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.ndim != 2 or pred.shape[1] != 3 or gt.ndim != 2 or gt.shape[1] != 3:
-        raise ShapeMismatch("pred and gt must both be (n, 3)")
-    if gt.shape != pred.shape:
-        raise LengthMismatch("pred and gt row counts differ")
-    if len(pred) == 0:
-        raise EmptyScan("loss over zero points")
-    return float(distance_residuals(pred, gt).mean())
-
-
-def mean_distance_gradients(pred: np.ndarray, gt: np.ndarray, u: np.ndarray
-                            ) -> Tuple[np.ndarray, np.ndarray]:
-    """Gradients of the mean distance; scores get a zero gradient."""
-    pred, gt, u = _check(pred, gt, u)
-    raw = distance_residuals(pred, gt)
-    safe = np.where(raw > 0.0, raw, 1.0)
-    grad_pred = ((raw > 0.0) / (safe * len(pred)))[:, None] * (pred - gt)
-    return grad_pred, np.zeros_like(u)
-
-
-def matching_weights(sigma: np.ndarray, sigma_max: float = 1.0) -> np.ndarray:
-    """Normalized weights falling linearly with sigma, floored at 0.01."""
-    w = np.maximum(sigma_max - np.asarray(sigma, dtype=np.float64),
-                   MATCHING_FLOOR)
-    return w / w.sum()
-
-
-def matching_loss(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray,
-                  sigma_max: float = 1.0) -> float:
-    """Distance loss with linearly decaying confidence weights."""
-    pred, gt, sigma = _check(pred, gt, sigma)
-    return float(matching_weights(sigma, sigma_max)
-                 @ distance_residuals(pred, gt))
-
-
-def matching_gradients(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray,
-                       sigma_max: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
-    pred, gt, sigma = _check(pred, gt, sigma)
-    raw = distance_residuals(pred, gt)
-    pre = np.maximum(sigma_max - sigma, MATCHING_FLOOR)
+def matching_loss(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray
+                  ) -> LossBreakdown:
+    """Distance loss with weights falling linearly with sigma, floored."""
+    diff, raw, sigma = _check(pred, gt, sigma)
+    pre = np.maximum(SIGMA_MAX - sigma, MATCHING_FLOOR)
     total_w = pre.sum()
     weights = pre / total_w
-    loss = weights @ raw
-
-    safe = np.where(raw > 0.0, raw, 1.0)
-    grad_pred = (weights / safe * (raw > 0.0))[:, None] * (pred - gt)
+    total = weights @ raw
     # d pre / d sigma is -1 on the linear branch, 0 once the floor binds.
-    live = (sigma_max - sigma) > MATCHING_FLOOR
-    grad_sigma = np.where(live, -(raw - loss) / total_w, 0.0)
-    return grad_pred, grad_sigma
+    live = (SIGMA_MAX - sigma) > MATCHING_FLOOR
+    grad_sigma = np.where(live, -(raw - total) / total_w, 0.0)
+    return LossBreakdown(float(total), weights,
+                         _weighted_grad_pred(weights, raw, diff), grad_sigma)

@@ -17,6 +17,10 @@ import numpy as np
 from .errors import EmptyGrid, OriginPoint, ShapeMismatch
 from .se3 import PointCloud
 
+# Voxel indices lie in [-INDEX_BOUND, INDEX_BOUND) on every axis, the
+# range the encoder packs into one int64 key per site.
+INDEX_BOUND = 1 << 20
+
 
 @dataclass
 class ProjectionConfig:

@@ -96,7 +96,7 @@ def load_regressor_weights(path) -> RegressorWeights:
 def regress(features: np.ndarray, weights: RegressorWeights
             ) -> Tuple[np.ndarray, np.ndarray]:
     """Predict (coords (M, 3), reliability u (M,)) from (M, N) features."""
-    out, _ = _forward(features, weights)
+    out, _ = forward(features, weights)
     return out[:, :3].copy(), out[:, 3].copy()
 
 
@@ -108,11 +108,12 @@ def regress_backward(features: np.ndarray, weights: RegressorWeights,
     Returns per-tensor gradients (same names and shapes as the weights)
     and the gradient with respect to the input features.
     """
-    _, cache = _forward(features, weights)
-    return _backward(weights, cache, grad_coords, grad_u)
+    _, cache = forward(features, weights)
+    return backward(weights, cache, grad_coords, grad_u)
 
 
-def _forward(features: np.ndarray, weights: RegressorWeights):
+def forward(features: np.ndarray, weights: RegressorWeights):
+    """(M, 4) outputs, coords then u, and the cache `backward` reads."""
     cfg = weights.config
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != cfg.width:
@@ -139,7 +140,8 @@ def _forward(features: np.ndarray, weights: RegressorWeights):
     return out, (layers, h)
 
 
-def _backward(weights: RegressorWeights, cache, grad_coords, grad_u):
+def backward(weights: RegressorWeights, cache, grad_coords, grad_u):
+    """`regress_backward` on the cache of a `forward` already run."""
     cfg = weights.config
     t = weights.tensors
     layers, last = cache

@@ -23,11 +23,13 @@ from .encoder import EncoderWeights, encode
 from .errors import EmptyScan
 from . import losses
 from .pipeline import rectified_voxels, simulate_trajectory
-from .regressor import RegressorWeights, init_regressor_weights, regress, \
-    regress_backward
+from .regressor import RegressorWeights, backward, forward, \
+    init_regressor_weights, regress
 from .simulate import scan_seed
 
-LOSS_KINDS = ("trr", "mean", "matching")
+LOSSES = {"trr": losses.reliability_loss, "mean": losses.mean_distance_loss,
+          "matching": losses.matching_loss}
+LOSS_KINDS = tuple(LOSSES)
 
 
 @dataclass
@@ -82,32 +84,19 @@ def build_training_set(cfg: PipelineConfig, encoder_weights: EncoderWeights,
                        np.concatenate(classes), np.concatenate(scan_ids))
 
 
-def _loss_and_grads(kind: str, pred: np.ndarray, tgt: np.ndarray,
-                    u: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray, int]:
-    if kind == "trr":
-        breakdown = losses.reliability_loss(pred, tgt, u)
-        g_pred, g_u = losses.reliability_loss_gradients(pred, tgt, u)
-        return breakdown.total, g_pred, g_u, breakdown.n_clamped
-    if kind == "mean":
-        g_pred, g_u = losses.mean_distance_gradients(pred, tgt, u)
-        return losses.mean_distance_loss(pred, tgt), g_pred, g_u, 0
-    if kind == "matching":
-        g_pred, g_u = losses.matching_gradients(pred, tgt, u)
-        return losses.matching_loss(pred, tgt, u), g_pred, g_u, 0
-    raise ValueError(f"unknown loss kind '{kind}'")
-
-
 def train_regressor(tset: TrainingSet, cfg: PipelineConfig, loss_kind: str,
                     epochs: Optional[int] = None
                     ) -> Tuple[RegressorWeights, List[EpochStats]]:
     """Gradient descent over the pooled frames.
 
     Losses normalize their weights within a frame, so gradients are
-    computed frame by frame and averaged; epochs=0 returns the seeded
-    initialization untouched.
+    computed frame by frame and averaged: one regressor forward pass per
+    frame, whose cache the loss's gradients flow back through.  epochs=0
+    returns the seeded initialization untouched.
     """
-    if loss_kind not in LOSS_KINDS:
+    if loss_kind not in LOSSES:
         raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
+    loss_fn = LOSSES[loss_kind]
     epochs = cfg.train.epochs if epochs is None else epochs
     weights = init_regressor_weights(cfg.regressor, seed=cfg.train.seed)
     slices = tset.scan_slices()
@@ -119,15 +108,13 @@ def train_regressor(tset: TrainingSet, cfg: PipelineConfig, loss_kind: str,
         accum: Dict[str, np.ndarray] = {
             name: np.zeros_like(t) for name, t in weights.tensors.items()}
         for rows in slices:
-            pred, u = regress(tset.features[rows], weights)
-            loss, g_pred, g_u, n_cl = _loss_and_grads(
-                loss_kind, pred, tset.targets[rows], u)
-            grads, _ = regress_backward(tset.features[rows], weights,
-                                        g_pred, g_u)
+            out, cache = forward(tset.features[rows], weights)
+            loss = loss_fn(out[:, :3], tset.targets[rows], out[:, 3])
+            grads, _ = backward(weights, cache, loss.grad_pred, loss.grad_u)
             for name, g in grads.items():
                 accum[name] += g
-            total += loss
-            clamped += n_cl
+            total += loss.total
+            clamped += loss.n_clamped
         scale = lr / len(slices)
         for name in weights.tensors:
             weights.tensors[name] -= scale * accum[name]

@@ -250,6 +250,10 @@ MALFORMED = {
     "voxel-out-of-range": lambda ws, d: [
         "encode", _text_file(d / "vox.csv", io.VOXEL_HEADER
                              + "\n0,5000000,0,0,0,0,0.5,0\n")],
+    "voxel-repeated-index": lambda ws, d: [
+        "encode", _text_file(d / "vox.csv", io.VOXEL_HEADER
+                             + "\n0,3,1,0,0,0,0.5,0\n5,3,1,0,0,0,0.5,1"
+                             + "\n0,3,1,0,0,0,0.7,2\n")],
     "encoder-weights-foreign": lambda ws, d: [
         "encode", _voxel_file(ws, d), "--encoder-weights",
         _tensor_file(d / "foo.bin", foo=np.zeros(3))],
@@ -270,7 +274,10 @@ MALFORMED = {
 def test_malformed_input_exits_2(ws, tmp_path, capsys, case):
     rc = run(ws, *MALFORMED[case](ws, tmp_path), out=tmp_path / "o")
     assert rc == 2
-    assert "ringloc: error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ringloc: error:" in err
+    # Every case's error names the malformed file it wrote under tmp_path.
+    assert str(tmp_path) in err
 
 
 def test_localize_needs_scan_format(ws, tmp_path):
@@ -282,6 +289,12 @@ def test_regressor_predictor_needs_weights(ws, tmp_path):
     rc = run(ws, "localize", str(ws["scan_path"]), "--predictor", "regressor",
              out=tmp_path / "o")
     assert rc == 2
+
+
+def test_train_toy_negative_epochs_exits_2(ws, tmp_path):
+    rc = run(ws, "train-toy", "--epochs", "-1", out=tmp_path / "o")
+    assert rc == 2
+    assert not (tmp_path / "o" / "telemetry.csv").exists()
 
 
 def test_degenerate_geometry_exits_3(ws, tmp_path):

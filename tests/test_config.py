@@ -74,11 +74,14 @@ def test_bad_value_rejected():
     ("plane.iterations", "0"),
     ("pose.iterations", "0"),
     ("train.scan_stride", "0"),
+    ("train.points_per_scan", "0"),
+    ("train.epochs", "-2"),
     ("oracle.u_reliable", "1.0"),
     ("oracle.u_reliable", "1.0,2.0,3.0"),
     ("oracle.u_ambiguous", "-2.0,-10.0"),
 ], ids=["voxel_size", "plane_iterations", "pose_iterations", "scan_stride",
-        "u_one_value", "u_three_values", "u_reversed"])
+        "points_per_scan", "epochs", "u_one_value", "u_three_values",
+        "u_reversed"])
 def test_invalid_section_value_rejected(key, value):
     # Parses as the key's type but violates the section's own validation.
     lines = [f"{key} = {value}" if line.startswith(key + " = ") else line

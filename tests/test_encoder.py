@@ -9,8 +9,8 @@ from ringloc.encoder import (CUBE, DOWN, UP, EncoderConfig, Level, encode,
                              init_encoder_weights, initial_features,
                              leaky_relu, load_encoder_weights, max_pool2,
                              save_encoder_weights, sparse_conv)
-from ringloc.errors import EmptyGrid
-from ringloc.projection import VoxelCloud
+from ringloc.errors import EmptyGrid, ParseError
+from ringloc.projection import INDEX_BOUND, VoxelCloud
 
 
 def make_level(coords, feats, ring):
@@ -181,6 +181,15 @@ def test_conv_ignores_absolute_height():
 def test_empty_grid_rejected():
     with pytest.raises(EmptyGrid):
         encode(make_voxels(np.zeros((0, 3))), init_encoder_weights(seed=0))
+
+
+def test_sites_at_the_index_bound_encode():
+    # The bound that io.read_voxel_csv enforces is exactly what packs.
+    edge = [[0, INDEX_BOUND - 1, -INDEX_BOUND], [5, 1, 0]]
+    feats = encode(make_voxels(edge), init_encoder_weights(seed=0))
+    assert feats.shape == (2, 64) and np.all(np.isfinite(feats))
+    with pytest.raises(ParseError):
+        encode(make_voxels([[0, INDEX_BOUND, 0]]), init_encoder_weights(seed=0))
 
 
 def test_max_pool_matches_reference():

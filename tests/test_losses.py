@@ -7,11 +7,9 @@ import pytest
 
 from ringloc.errors import LengthMismatch
 from ringloc.losses import (CLAMP, K_SCALE, MATCHING_FLOOR, calibrate_scores,
-                            distance_residuals, matching_gradients,
-                            matching_loss, matching_weights,
-                            mean_distance_gradients, mean_distance_loss,
-                            reliability_loss, reliability_loss_gradients,
-                            reliability_weights)
+                            distance_residuals, matching_loss,
+                            mean_distance_loss, reliability_loss,
+                            reliability_loss_gradients, reliability_weights)
 
 
 def rel_err(a, b):
@@ -94,7 +92,8 @@ def test_total_reduces_to_mean_for_equal_scores():
     rng = np.random.default_rng(2)
     pred, gt = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
     b = reliability_loss(pred, gt, np.full(6, 1.3))
-    assert b.total == pytest.approx(mean_distance_loss(pred, gt), abs=1e-12)
+    assert b.total == pytest.approx(
+        mean_distance_loss(pred, gt, np.zeros(6)).total, abs=1e-12)
 
 
 def test_unit_residuals_total_equals_weight_sum():
@@ -124,7 +123,9 @@ def test_length_mismatch_rejected():
     with pytest.raises(LengthMismatch):
         reliability_loss(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(2))
     with pytest.raises(LengthMismatch):
-        mean_distance_loss(np.zeros((3, 3)), np.zeros((2, 3)))
+        reliability_loss(np.zeros((3, 3)), np.zeros((2, 3)), np.zeros(3))
+    with pytest.raises(LengthMismatch):
+        mean_distance_loss(np.zeros((3, 3)), np.zeros((2, 3)), np.zeros(3))
     with pytest.raises(LengthMismatch):
         matching_loss(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(4))
 
@@ -185,7 +186,7 @@ def test_gradients_match_central_differences():
 def test_below_average_point_wants_more_reliability():
     pred = np.array([[0.1, 0.0, 0.0], [1.0, 0.0, 0.0]])
     gt = np.zeros((2, 3))
-    _, g_u = reliability_loss_gradients(pred, gt, np.zeros(2))
+    g_u = reliability_loss(pred, gt, np.zeros(2)).grad_u
     assert g_u[0] < 0.0  # raising u of the low-loss point lowers the total
     assert g_u[1] > 0.0
 
@@ -195,14 +196,14 @@ def test_gradient_survives_far_past_clamp():
     gt = np.zeros((2, 3))
     for sign in (1.0, -1.0):
         u = np.array([sign * 2.0 * CLAMP, 0.0])
-        _, g_u = reliability_loss_gradients(pred, gt, u)
+        g_u = reliability_loss(pred, gt, u).grad_u
         assert abs(g_u[0]) > 0.0
 
 
 def test_zero_distance_subgradient_is_zero():
     pred = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
     gt = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-    g_pred, _ = reliability_loss_gradients(pred, gt, np.zeros(2))
+    g_pred = reliability_loss(pred, gt, np.zeros(2)).grad_pred
     np.testing.assert_array_equal(g_pred[0], np.zeros(3))
     assert np.linalg.norm(g_pred[1]) > 0.0
 
@@ -212,7 +213,7 @@ def test_one_score_step_rebalances_toward_low_loss():
     gt = np.zeros((2, 3))
     u = np.zeros(2)
     w0 = reliability_weights(u)
-    _, g_u = reliability_loss_gradients(pred, gt, u)
+    g_u = reliability_loss(pred, gt, u).grad_u
     w1 = reliability_weights(u - 0.1 * g_u)
     assert w1[0] > w0[0]
     assert w1[1] < w0[1]
@@ -221,30 +222,41 @@ def test_one_score_step_rebalances_toward_low_loss():
 def test_mean_loss_basics_and_gradients():
     rng = np.random.default_rng(4)
     pred, gt = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-    assert mean_distance_loss(gt, gt) == 0.0
-    single = mean_distance_loss(pred[:1], gt[:1])
+    u = np.zeros(5)
+
+    def total(p):
+        return mean_distance_loss(p, gt, u).total
+
+    assert total(gt) == 0.0
+    single = mean_distance_loss(pred[:1], gt[:1], u[:1]).total
     assert single == pytest.approx(distance_residuals(pred[:1], gt[:1])[0])
-    assert mean_distance_loss(pred, gt) == pytest.approx(
+    assert total(pred) == pytest.approx(
         float(distance_residuals(pred, gt).mean()), abs=1e-12)
 
-    g_pred, g_u = mean_distance_gradients(pred, gt, np.zeros(5))
-    np.testing.assert_array_equal(g_u, np.zeros(5))
+    b = mean_distance_loss(pred, gt, u)
+    g_pred = b.grad_pred
+    np.testing.assert_array_equal(b.grad_u, np.zeros(5))
+    np.testing.assert_allclose(b.weights, np.full(5, 0.2), atol=1e-15)
     eps = 1e-6
     for i in np.ndindex(pred.shape):
         keep = pred[i]
         pred[i] = keep + eps
-        hi = mean_distance_loss(pred, gt)
+        hi = total(pred)
         pred[i] = keep - eps
-        lo = mean_distance_loss(pred, gt)
+        lo = total(pred)
         pred[i] = keep
         assert rel_err(g_pred[i], (hi - lo) / (2 * eps)) <= 1e-4
 
 
 def test_matching_weights_floor_and_uniform():
-    w = matching_weights(np.zeros(4))
+    def weights(sigma):
+        n = len(sigma)
+        return matching_loss(np.ones((n, 3)), np.zeros((n, 3)), sigma).weights
+
+    w = weights(np.zeros(4))
     np.testing.assert_allclose(w, np.full(4, 0.25), atol=1e-12)
     # sigma at the cap falls back to the 0.01 floor before normalizing.
-    w = matching_weights(np.array([0.0, 1.0]))
+    w = weights(np.array([0.0, 1.0]))
     np.testing.assert_allclose(w * (1.0 + MATCHING_FLOOR), [1.0, 0.01],
                                atol=1e-12)
 
@@ -252,14 +264,14 @@ def test_matching_weights_floor_and_uniform():
 def test_matching_sigma_zero_reduces_to_mean():
     rng = np.random.default_rng(5)
     pred, gt = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
-    assert matching_loss(pred, gt, np.zeros(6)) == pytest.approx(
-        mean_distance_loss(pred, gt), abs=1e-12)
+    assert matching_loss(pred, gt, np.zeros(6)).total == pytest.approx(
+        mean_distance_loss(pred, gt, np.zeros(6)).total, abs=1e-12)
 
 
 def test_matching_three_point_hand_case():
     pred = np.array([[3.0, 4.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 1.0]])
     gt = np.zeros((3, 3))
-    total = matching_loss(pred, gt, np.array([0.0, 0.5, 1.0]))
+    total = matching_loss(pred, gt, np.array([0.0, 0.5, 1.0])).total
     assert total == pytest.approx(3.6571925031622503, abs=1e-9)
 
 
@@ -274,25 +286,26 @@ def test_matching_gradients_match_central_differences():
         near = distance_residuals(pred, gt) < 1e-3
         pred[near] += 0.5
         sigma = rng.uniform(-0.5, 1.5, size=n)
-        # stay off the weight-floor kink at sigma_max - sigma = 0.01
+        # stay off the weight-floor kink at SIGMA_MAX - sigma = 0.01
         at_kink = np.abs(1.0 - sigma - MATCHING_FLOOR) < 1e-2
         sigma[at_kink] -= 0.05
-        g_pred, g_sigma = matching_gradients(pred, gt, sigma)
+        b = matching_loss(pred, gt, sigma)
+        g_pred, g_sigma = b.grad_pred, b.grad_u
 
         for i in np.ndindex(pred.shape):
             keep = pred[i]
             pred[i] = keep + eps
-            hi = matching_loss(pred, gt, sigma)
+            hi = matching_loss(pred, gt, sigma).total
             pred[i] = keep - eps
-            lo = matching_loss(pred, gt, sigma)
+            lo = matching_loss(pred, gt, sigma).total
             pred[i] = keep
             worst = max(worst, rel_err(g_pred[i], (hi - lo) / (2 * eps)))
         for i in range(n):
             keep = sigma[i]
             sigma[i] = keep + eps
-            hi = matching_loss(pred, gt, sigma)
+            hi = matching_loss(pred, gt, sigma).total
             sigma[i] = keep - eps
-            lo = matching_loss(pred, gt, sigma)
+            lo = matching_loss(pred, gt, sigma).total
             sigma[i] = keep
             worst = max(worst, rel_err(g_sigma[i], (hi - lo) / (2 * eps)))
     assert worst <= 1e-4

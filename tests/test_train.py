@@ -4,11 +4,12 @@ import pytest
 
 from ringloc.config import PipelineConfig
 from ringloc.losses import distance_residuals
-from ringloc.regressor import init_regressor_weights, regress
+from ringloc.regressor import init_regressor_weights, regress, \
+    regress_backward
 from ringloc.simulate import CLASS_AMBIGUOUS, CLASS_RELIABLE
-from ringloc.train import (LOSS_KINDS, TrainingSet, build_training_set,
-                           evaluate_quartiles, quartile_errors,
-                           train_regressor)
+from ringloc.train import (LOSS_KINDS, LOSSES, TrainingSet,
+                           build_training_set, evaluate_quartiles,
+                           quartile_errors, train_regressor)
 
 
 def tiny_set(seed=0, n=40, width=64):
@@ -50,6 +51,37 @@ def test_one_step_reduces_every_loss(kind):
     cfg.train.decay = 1.0
     _, tel = train_regressor(tiny_set(), cfg, kind, epochs=2)
     assert tel[1].loss < tel[0].loss
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_step_matches_two_call_reference(kind):
+    # The reference runs regress, the loss and regress_backward, which
+    # redoes the forward pass: one forward per step must not change a bit.
+    cfg, tset = PipelineConfig(), tiny_set()
+    got, tel = train_regressor(tset, cfg, kind, epochs=2)
+
+    ref = init_regressor_weights(cfg.regressor, seed=cfg.train.seed)
+    lr, want = cfg.train.lr, []
+    for epoch in range(2):
+        total, clamped = 0.0, 0
+        accum = {k: np.zeros_like(t) for k, t in ref.tensors.items()}
+        slices = tset.scan_slices()
+        for rows in slices:
+            pred, u = regress(tset.features[rows], ref)
+            loss = LOSSES[kind](pred, tset.targets[rows], u)
+            grads, _ = regress_backward(tset.features[rows], ref,
+                                        loss.grad_pred, loss.grad_u)
+            for k, g in grads.items():
+                accum[k] += g
+            total += loss.total
+            clamped += loss.n_clamped
+        for k in ref.tensors:
+            ref.tensors[k] -= lr / len(slices) * accum[k]
+        want.append((epoch, total / len(slices), lr, clamped))
+        lr *= cfg.train.decay
+    assert [(s.epoch, s.loss, s.lr, s.n_clamped) for s in tel] == want
+    assert all(got.tensors[k].tobytes() == ref.tensors[k].tobytes()
+               for k in ref.tensors)
 
 
 def test_telemetry_rows_and_decay_schedule():
