@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,12 +25,12 @@ from . import io
 from .encoder import encode, init_encoder_weights, load_encoder_weights, \
     save_encoder_weights
 from .errors import ParseError, RinglocError
-from .metrics import emit_report, summarize
+from .metrics import orientation_errors_deg, position_errors, summarize
 from .pipeline import SEED_PERTURB, localize_scan, run_bench
 from .plane import rectify
 from .projection import project_cylindrical, recover_cartesian, voxelize
 from .regressor import load_regressor_weights, save_regressor_weights
-from .simulate import Perturbation, Scan, perturb_scan, scan_seed
+from .simulate import Scan, perturb_scan, scan_seed
 from .train import build_training_set, evaluate_quartiles, train_regressor
 from . import train as trainmod
 
@@ -72,24 +73,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoder-weights", type=Path, default=None,
                    help="weight file (default: seeded random init)")
 
+    def predicting(p, perturb_help):
+        p.add_argument("--predictor", choices=("oracle", "regressor"),
+                       default="oracle")
+        p.add_argument("--perturb", action="append", default=[],
+                       metavar="KIND=VALUE", help=perturb_help)
+        p.add_argument("--encoder-weights", type=Path, default=None)
+        p.add_argument("--regressor-weights", type=Path, default=None)
+
     p = sub.add_parser("localize", help="full pose estimate for one scan")
     common(p, needs_input=True)
-    p.add_argument("--predictor", choices=("oracle", "regressor"),
-                   default="oracle")
-    p.add_argument("--perturb", action="append", default=[],
-                   metavar="KIND=VALUE", help="corrupt the scan first")
-    p.add_argument("--encoder-weights", type=Path, default=None)
-    p.add_argument("--regressor-weights", type=Path, default=None)
+    predicting(p, "corrupt the scan first (KIND:VALUE also accepted)")
 
     p = sub.add_parser("bench", help="run the synthetic benchmark")
     common(p)
-    p.add_argument("--predictor", choices=("oracle", "regressor"),
-                   default="oracle")
-    p.add_argument("--perturb", action="append", default=[],
-                   metavar="KIND=VALUE",
-                   help="override the config's perturbation list")
-    p.add_argument("--encoder-weights", type=Path, default=None)
-    p.add_argument("--regressor-weights", type=Path, default=None)
+    predicting(p, "override the config's perturbation list")
 
     p = sub.add_parser("train-toy", help="train the regressor at toy scale")
     common(p)
@@ -97,33 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None,
                    help="override train.epochs (>= 0; 0 keeps the init)")
     return parser
-
-
-def _load_config(args) -> cfgmod.PipelineConfig:
-    if args.config is not None:
-        return cfgmod.read_config(args.config)
-    return cfgmod.standard_bench_config()
-
-
-def _run_seed(args, cfg) -> int:
-    return cfg.bench.seed if args.seed is None else args.seed
-
-
-def _parse_cli_perturb(tokens: List[str]) -> List[Optional[Perturbation]]:
-    out = []
-    for tok in tokens:
-        kind, _, value = tok.partition("=")
-        try:
-            out.append(Perturbation(kind.strip(),
-                                    float(value) if value else 0.0))
-        except ValueError as exc:
-            raise ParseError(f"bad --perturb '{tok}': {exc}") from exc
-    return out
-
-
-def _outdir(args) -> Path:
-    args.out.mkdir(parents=True, exist_ok=True)
-    return args.out
 
 
 def _read_scan(path) -> Scan:
@@ -134,20 +105,15 @@ def _read_scan(path) -> Scan:
     return Scan(cloud, classes, gt)
 
 
-def cmd_rectify(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_rectify(args, cfg, out) -> int:
     cloud = io.read_cloud_csv(args.input)
-    seed = _run_seed(args, cfg)
-    rect_cloud, t_plane = rectify(cloud, replace(cfg.plane, seed=seed))
+    rect_cloud, t_plane = rectify(cloud, replace(cfg.plane, seed=args.seed))
     io.write_cloud_csv(out / "rectified.csv", rect_cloud)
     io.write_pose(out / "t_plane.txt", t_plane)
     return 0
 
 
-def cmd_project(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_project(args, cfg, out) -> int:
     cloud = io.read_cloud_csv(args.input)
     voxels = voxelize(project_cylindrical(cloud, cfg.projection),
                       cfg.projection)
@@ -158,107 +124,89 @@ def cmd_project(args) -> int:
     return 0
 
 
-def cmd_encode(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
-    voxels = io.read_voxel_csv(args.input, cfg.projection)
+def _encoder_weights(args, cfg):
+    """--encoder-weights if given, else the run seed's random init."""
     if args.encoder_weights is not None:
-        weights = load_encoder_weights(args.encoder_weights)
-    else:
-        weights = init_encoder_weights(cfg.encoder, seed=_run_seed(args, cfg))
-    feats = encode(voxels, weights)
+        return load_encoder_weights(args.encoder_weights)
+    return init_encoder_weights(cfg.encoder, seed=args.seed)
+
+
+def cmd_encode(args, cfg, out) -> int:
+    voxels = io.read_voxel_csv(args.input, cfg.projection)
+    feats = encode(voxels, _encoder_weights(args, cfg))
     header = "ix,iy,iz," + ",".join(f"f{i}" for i in range(feats.shape[1]))
-    lines = [header]
-    for (ix, iy, iz), row in zip(voxels.indices, feats):
-        lines.append(f"{ix},{iy},{iz},"
-                     + ",".join(repr(float(x)) for x in row))
-    io.atomic_write_text(out / "features.csv", "\n".join(lines) + "\n")
+    rows = ((*idx, *row) for idx, row
+            in zip(voxels.indices.tolist(), feats.tolist()))
+    io.write_csv(out / "features.csv", header, rows)
     return 0
 
 
-def _predictor_weights(args, cfg, seed):
+def _predictor_weights(args, cfg):
     if args.predictor != "regressor":
         return None, None
-    enc = (load_encoder_weights(args.encoder_weights)
-           if args.encoder_weights is not None
-           else init_encoder_weights(cfg.encoder, seed=seed))
+    enc = _encoder_weights(args, cfg)
     if args.regressor_weights is None:
         raise ParseError("--predictor regressor needs --regressor-weights")
     return enc, load_regressor_weights(args.regressor_weights)
 
 
-def cmd_localize(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_localize(args, cfg, out) -> int:
     scan = _read_scan(args.input)
-    seed = _run_seed(args, cfg)
-    enc_w, reg_w = _predictor_weights(args, cfg, seed)
-    for p in _parse_cli_perturb(args.perturb):
-        scan, _ = perturb_scan(scan, p, scan_seed(seed, SEED_PERTURB))
-    result = localize_scan(scan, cfg, seed, args.predictor, enc_w, reg_w)
+    enc_w, reg_w = _predictor_weights(args, cfg)
+    for p in cfgmod.parse_perturbation_list(",".join(args.perturb)):
+        scan, _ = perturb_scan(scan, p, scan_seed(args.seed, SEED_PERTURB))
+    result = localize_scan(scan, cfg, args.seed, args.predictor, enc_w, reg_w)
     io.write_pose(out / "pose.txt", result.transform)
     sidecar = {
         "inlier_count": int(len(result.pose.inliers)),
         "rms_residual": float(result.pose.rms_residual),
-        "seed": int(seed),
+        "seed": int(args.seed),
     }
     io.atomic_write_text(out / "pose.json", json.dumps(sidecar, indent=2) + "\n")
     return 0
 
 
-def cmd_bench(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
-    seed = _run_seed(args, cfg)
-    enc_w, reg_w = _predictor_weights(args, cfg, seed)
-    if args.perturb:
-        perturbations = _parse_cli_perturb(args.perturb)
-    else:
-        perturbations = cfgmod.parse_perturbation_list(cfg.bench.perturbations)
-    rows = run_bench(cfg, seed, perturbations, args.predictor, enc_w, reg_w)
+def cmd_bench(args, cfg, out) -> int:
+    enc_w, reg_w = _predictor_weights(args, cfg)
+    text = ",".join(args.perturb) if args.perturb else cfg.bench.perturbations
+    rows = run_bench(cfg, args.seed, cfgmod.parse_perturbation_list(text),
+                     args.predictor, enc_w, reg_w)
 
-    emit_report(rows[0].result, out / "baseline_frames.csv", fmt="csv")
-    emit_report(rows[0].result, out / "baseline_summary.json", fmt="json")
+    baseline = rows[0].result
+    io.write_csv(out / "baseline_frames.csv", "frame,pos_err_m,ori_err_deg",
+                 zip(baseline.frames, position_errors(baseline),
+                     orientation_errors_deg(baseline)))
+    summaries = [summarize(row.result) if len(row.result) else {}
+                 for row in rows]
+    io.atomic_write_text(out / "baseline_summary.json",
+                         json.dumps(summaries[0], indent=2) + "\n")
 
-    table = ["label,frames_ok,frames_failed,mpe_m,moe_deg,success@0.5"]
-    fail_lines = ["label,frame,error"]
-    for row in rows:
-        s = summarize(row.result) if len(row.result) else None
-        table.append(",".join([
-            row.label, str(len(row.result)), str(len(row.failures)),
-            repr(s["mpe_m"]) if s else "nan",
-            repr(s["moe_deg"]) if s else "nan",
-            repr(s["success@0.5"]) if s else "nan",
-        ]))
+    stats = ("mpe_m", "moe_deg", "success@0.5")  # summary keys per condition
+    table, failures = [], []
+    for row, s in zip(rows, summaries):
+        table.append([row.label, len(row.result), len(row.failures)]
+                     + [s.get(key, math.nan) for key in stats])
         for frame, err in row.failures:
-            fail_lines.append(f"{row.label},{frame},{err}")
-    io.atomic_write_text(out / "perturbations.csv", "\n".join(table) + "\n")
-    io.atomic_write_text(out / "failures.csv", "\n".join(fail_lines) + "\n")
+            failures.append((row.label, frame, err))
+    io.write_csv(out / "perturbations.csv",
+                 ",".join(("label", "frames_ok", "frames_failed") + stats),
+                 table)
+    io.write_csv(out / "failures.csv", "label,frame,error", failures)
     return 0
 
 
-def cmd_train_toy(args) -> int:
+def cmd_train_toy(args, cfg, out) -> int:
     if args.epochs is not None and args.epochs < 0:
         raise ParseError(f"--epochs must be at least 0, got {args.epochs}")
-    cfg = _load_config(args)
-    out = _outdir(args)
-    seed = _run_seed(args, cfg)
-    enc_weights = init_encoder_weights(cfg.encoder, seed=seed)
-    tset = build_training_set(cfg, enc_weights, run_seed=seed)
+    enc_weights = init_encoder_weights(cfg.encoder, seed=args.seed)
+    tset = build_training_set(cfg, enc_weights, run_seed=args.seed)
     weights, telemetry = train_regressor(tset, cfg, args.loss,
                                          epochs=args.epochs)
-    u, errors, quartiles = evaluate_quartiles(tset, weights)
-
-    lines = ["epoch,loss,lr,n_clamped"]
-    for e in telemetry:
-        lines.append(f"{e.epoch},{repr(e.loss)},{repr(e.lr)},{e.n_clamped}")
-    io.atomic_write_text(out / "telemetry.csv", "\n".join(lines) + "\n")
-
-    qlines = ["quartile,mean_err_m"]
-    for q, val in enumerate(quartiles, start=1):
-        qlines.append(f"{q},{repr(float(val))}")
-    io.atomic_write_text(out / "quartiles.csv", "\n".join(qlines) + "\n")
-
+    _, _, quartiles = evaluate_quartiles(tset, weights)
+    io.write_csv(out / "telemetry.csv", "epoch,loss,lr,n_clamped",
+                 ((e.epoch, e.loss, e.lr, e.n_clamped) for e in telemetry))
+    io.write_csv(out / "quartiles.csv", "quartile,mean_err_m",
+                 enumerate(quartiles, start=1))
     save_encoder_weights(out / "encoder_weights.bin", enc_weights)
     save_regressor_weights(out / "regressor_weights.bin", weights)
     return 0
@@ -277,7 +225,17 @@ COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        if args.config is not None:
+            cfg = cfgmod.read_config(args.config)
+        else:
+            cfg = cfgmod.standard_bench_config()
+        if args.seed is None:
+            args.seed = cfg.bench.seed
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ParseError(f"cannot create --out {args.out}: {exc}") from exc
+        return COMMANDS[args.command](args, cfg, args.out)
     except RinglocError as exc:
         print(f"ringloc: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -12,12 +12,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .encoder import DOWNSAMPLE_FACTOR, EncoderConfig
 from .errors import ParseError
-from .io import atomic_write_text
+from .io import atomic_write_text, read_text
 from .plane import RansacPlaneParams
 from .pose_solve import RansacPoseParams, SelectionPolicy
 from .projection import ProjectionConfig
@@ -228,12 +227,7 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
 
 
 def read_config(path) -> PipelineConfig:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(read_text(path), source=str(path))
 
 
 def write_config(path, cfg: PipelineConfig) -> None:
@@ -247,11 +241,12 @@ def standard_bench_config() -> PipelineConfig:
 
 
 def parse_perturbation(token: str) -> Optional[Perturbation]:
-    """'kind:magnitude' or bare 'kind'; 'none' means no perturbation."""
+    """'kind:magnitude', 'kind=magnitude' or bare 'kind'; 'none' means no
+    perturbation."""
     token = token.strip()
     if token in ("", "none", "baseline"):
         return None
-    kind, _, mag = token.partition(":")
+    kind, _, mag = token.replace("=", ":").partition(":")
     try:
         magnitude = float(mag) if mag else 0.0
         return Perturbation(kind.strip(), magnitude)
@@ -259,5 +254,11 @@ def parse_perturbation(token: str) -> Optional[Perturbation]:
         raise ParseError(f"bad perturbation '{token}': {exc}") from exc
 
 
-def parse_perturbation_list(text: str) -> List[Optional[Perturbation]]:
-    return [parse_perturbation(tok) for tok in text.split(",") if tok.strip()]
+def parse_perturbation_list(text: str) -> List[Perturbation]:
+    """Comma-separated perturbations, leaving out 'none'/'baseline' entries."""
+    perturbations = []
+    for token in text.split(","):
+        p = parse_perturbation(token)
+        if p is not None:
+            perturbations.append(p)
+    return perturbations

@@ -254,7 +254,7 @@ def encode(v: VoxelCloud, weights: EncoderWeights) -> np.ndarray:
     if len(v) == 0:
         raise EmptyGrid("cannot encode an empty voxel grid")
     if v.ring_cells % DOWNSAMPLE_FACTOR != 0:
-        raise ValueError(f"ring_cells must be divisible by {DOWNSAMPLE_FACTOR}")
+        raise ParseError(f"ring_cells must be divisible by {DOWNSAMPLE_FACTOR}")
     t = weights.tensors
 
     def conv(name: str, x: np.ndarray, table: np.ndarray) -> np.ndarray:

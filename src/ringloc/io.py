@@ -11,9 +11,9 @@ Formats:
                 little-endian float32 payloads in header order.
 
 Writes go to a temp file in the target directory followed by an atomic
-rename, so readers never observe a half-written file.  Floats are
-serialized with shortest round-trip repr, which keeps reruns
-byte-identical.
+rename, so readers never observe a half-written file.  Every CSV goes
+through `write_csv`, and every float cell (CSV or pose) is serialized
+with shortest round-trip repr, which keeps reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,8 +37,20 @@ VOXEL_HEADER = "ix,iy,iz,px,py,pz,intensity,source_index"
 TENSOR_MAGIC = "ringloc-tensors 1"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _cell(x) -> str:
+    """Shortest round-trip repr for a float (Python or numpy), str otherwise."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def write_csv(path: PathLike, header: str, rows: Iterable[Sequence]) -> None:
+    """Write the header line, then one comma-joined line per row, with a
+    trailing newline, atomically."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(map(_cell, row)))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def atomic_write_text(path: PathLike, text: str) -> None:
@@ -58,9 +70,10 @@ def atomic_write_bytes(path: PathLike, payload: bytes) -> None:
         raise
 
 
-def _read_lines(path: Path) -> List[str]:
+def read_text(path: PathLike) -> str:
+    """A file's text; an unreadable file is a ParseError naming it."""
     try:
-        return path.read_text().splitlines()
+        return Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
@@ -98,7 +111,7 @@ def read_scan_csv(path: PathLike
     cloud files.
     """
     path = Path(path)
-    lines = _read_lines(path)
+    lines = read_text(path).splitlines()
     if lines and lines[0].strip() == SCAN_HEADER:
         data = _parse_rows(path, lines, SCAN_HEADER)
         cloud = _make_cloud(path, data[:, :3], data[:, 3])
@@ -115,28 +128,20 @@ def _make_cloud(path: Path, xyz: np.ndarray, intensity: np.ndarray) -> PointClou
 
 
 def write_cloud_csv(path: PathLike, cloud: PointCloud) -> None:
-    lines = [CLOUD_HEADER]
-    for (x, y, z), i in zip(cloud.xyz, cloud.intensity):
-        lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{_fmt(i)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, CLOUD_HEADER,
+              np.column_stack([cloud.xyz, cloud.intensity]).tolist())
 
 
 def write_scan_csv(path: PathLike, cloud: PointCloud,
                    classes: np.ndarray, gt_world: np.ndarray) -> None:
-    lines = [SCAN_HEADER]
-    for (x, y, z), i, c, g in zip(cloud.xyz, cloud.intensity, classes, gt_world):
-        lines.append(
-            f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{_fmt(i)},{int(c)},"
-            f"{_fmt(g[0])},{_fmt(g[1])},{_fmt(g[2])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = ((*xyz, i, int(c), *g) for xyz, i, c, g
+            in zip(cloud.xyz.tolist(), cloud.intensity.tolist(),
+                   classes.tolist(), gt_world.tolist()))
+    write_csv(path, SCAN_HEADER, rows)
 
 
 def read_pose(path: PathLike) -> RigidTransform:
-    path = Path(path)
-    try:
-        tokens = path.read_text().split()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    tokens = read_text(path).split()
     if len(tokens) != 12:
         raise ParseError(f"{path}: pose file must hold 12 numbers, got {len(tokens)}")
     try:
@@ -151,7 +156,7 @@ def read_pose(path: PathLike) -> RigidTransform:
 
 
 def write_pose(path: PathLike, t: RigidTransform) -> None:
-    rows = ["  ".join(_fmt(v) for v in row) for row in t.matrix()]
+    rows = ["  ".join(_cell(v) for v in row) for row in t.matrix()]
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 
@@ -159,7 +164,7 @@ def read_voxel_csv(path: PathLike, config: ProjectionConfig) -> VoxelCloud:
     """Read a voxel grid: integer indices in [-INDEX_BOUND, INDEX_BOUND),
     each at most once."""
     path = Path(path)
-    lines = _read_lines(path)
+    lines = read_text(path).splitlines()
     data = _parse_rows(path, lines, VOXEL_HEADER)
     linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
     idx = data[:, :3]
@@ -191,12 +196,10 @@ def read_voxel_csv(path: PathLike, config: ProjectionConfig) -> VoxelCloud:
 
 
 def write_voxel_csv(path: PathLike, v: VoxelCloud) -> None:
-    lines = [VOXEL_HEADER]
-    for (ix, iy, iz), (px, py, pz), inten, src in zip(
-            v.indices, v.points, v.intensity, v.source_index):
-        lines.append(f"{ix},{iy},{iz},{_fmt(px)},{_fmt(py)},{_fmt(pz)},"
-                     f"{_fmt(inten)},{src}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = ((*idx, *pt, inten, src) for idx, pt, inten, src
+            in zip(v.indices.tolist(), v.points.tolist(),
+                   v.intensity.tolist(), v.source_index.tolist()))
+    write_csv(path, VOXEL_HEADER, rows)
 
 
 def write_tensors(path: PathLike, tensors: Sequence[Tuple[str, np.ndarray]]) -> None:

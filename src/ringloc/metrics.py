@@ -1,4 +1,4 @@
-"""Trajectory error metrics and report emission.
+"""Trajectory error metrics, percentiles, and summaries.
 
 Position error is the Euclidean distance between estimated and true
 translation; orientation error is the geodesic angle of the relative
@@ -16,7 +16,6 @@ from typing import Dict, List, Sequence, Union
 import numpy as np
 
 from .errors import EmptyScan, LengthMismatch
-from .io import atomic_write_text
 from .se3 import RigidTransform, rotation_angle_deg
 
 SCHEMA_VERSION = 1
@@ -114,21 +113,3 @@ def report_schema() -> dict:
         "report.schema.json").read_text()
     return json.loads(text)
 
-
-def emit_report(result: TrajectoryResult, path, fmt: str = "csv",
-                thresholds: Sequence[float] = DEFAULT_SUCCESS_THRESHOLDS
-                ) -> None:
-    """Write per-frame errors (csv) or the summary block (json)."""
-    result.require_nonempty()
-    if fmt == "csv":
-        pos = position_errors(result)
-        ori = orientation_errors_deg(result)
-        lines = ["frame,pos_err_m,ori_err_deg"]
-        for f, p, o in zip(result.frames, pos, ori):
-            lines.append(f"{f},{repr(float(p))},{repr(float(o))}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
-    elif fmt == "json":
-        atomic_write_text(
-            path, json.dumps(summarize(result, thresholds), indent=2) + "\n")
-    else:
-        raise ValueError(f"unknown report format '{fmt}'")

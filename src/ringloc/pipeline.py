@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from .config import PipelineConfig
 from .encoder import EncoderWeights, encode
-from .errors import RinglocError
+from .errors import ParseError, RinglocError
 from .metrics import TrajectoryResult
 from .plane import rectify
 from .pose_solve import PoseEstimate, compensate, estimate_pose_ransac, \
@@ -96,12 +96,12 @@ def localize_scan(scan: Scan, cfg: PipelineConfig, frame_seed: int,
         u = scores[src]
     elif predictor == "regressor":
         if encoder_weights is None or regressor_weights is None:
-            raise ValueError("regressor predictor needs both weight sets")
+            raise ParseError("regressor predictor needs both weight sets")
         feats = encode(voxels, encoder_weights)
         pred, u = regress(feats, regressor_weights)
         local = recover_cartesian(voxels, cfg.projection).xyz
     else:
-        raise ValueError(f"unknown predictor '{predictor}'")
+        raise ParseError(f"unknown predictor '{predictor}'")
 
     selected = select_reliable(u, cfg.selection)
     estimate = estimate_pose_ransac(
@@ -157,6 +157,8 @@ def run_perturbed_trajectory(cfg: PipelineConfig, run_seed: int,
                 truth = effective_truth(truth, applied)
             res = localize_scan(scan, cfg, frame_seed, predictor,
                                 encoder_weights, regressor_weights)
+        except ParseError:
+            raise  # a malformed call fails the run, not one frame
         except RinglocError as exc:
             row.failures.append((i, type(exc).__name__))
             continue
@@ -165,7 +167,7 @@ def run_perturbed_trajectory(cfg: PipelineConfig, run_seed: int,
 
 
 def run_bench(cfg: PipelineConfig, run_seed: int,
-              perturbations: List[Optional[Perturbation]],
+              perturbations: List[Perturbation],
               predictor: str = "oracle",
               encoder_weights=None, regressor_weights=None,
               scans: Optional[List[Scan]] = None,
@@ -179,7 +181,7 @@ def run_bench(cfg: PipelineConfig, run_seed: int,
     if scans is None or poses is None:
         _, poses, scans = simulate_trajectory(cfg, run_seed)
     rows = []
-    for p in [None] + [p for p in perturbations if p is not None]:
+    for p in [None] + perturbations:
         rows.append(run_perturbed_trajectory(
             cfg, run_seed, poses, scans, p, predictor,
             encoder_weights, regressor_weights))

@@ -18,7 +18,8 @@ from .errors import EmptyGrid, OriginPoint, ShapeMismatch
 from .se3 import PointCloud
 
 # Voxel indices lie in [-INDEX_BOUND, INDEX_BOUND) on every axis, the
-# range the encoder packs into one int64 key per site.
+# range the encoder packs into one int64 key per site; voxelize drops
+# points whose cell falls outside it.
 INDEX_BOUND = 1 << 20
 
 
@@ -117,13 +118,17 @@ def voxelize(projected: PointCloud,
 
     Cells are floor(coord / voxel_size); the ring index is reduced modulo
     ring_cells so an arc that rounds up to the full turn stays in range.
-    Voxels are ordered by their representative's position in the input.
+    Points whose cell lies outside [-INDEX_BOUND, INDEX_BOUND) on any axis
+    (about 209 km out at 0.2 m cells) are dropped.  Voxels are ordered by
+    their representative's position in the input.
     """
     config = config or ProjectionConfig()
     idx = np.floor(projected.xyz / config.voxel_size).astype(np.int64)
     idx[:, 0] %= config.ring_cells
-    _, first = np.unique(idx, axis=0, return_index=True)
-    first = np.sort(first)
+    inside = np.flatnonzero(np.all((idx >= -INDEX_BOUND)
+                                   & (idx < INDEX_BOUND), axis=1))
+    _, first = np.unique(idx[inside], axis=0, return_index=True)
+    first = inside[np.sort(first)]
     return VoxelCloud(idx[first], projected.xyz[first],
                       projected.intensity[first], first,
                       config.ring_cells, config.voxel_size)

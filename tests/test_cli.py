@@ -10,10 +10,13 @@ from ringloc.cli import build_parser, main
 from ringloc.config import (KEY_DOCS, PipelineConfig, read_config,
                             write_config)
 from ringloc.encoder import encode, init_encoder_weights
-from ringloc.metrics import report_schema
-from ringloc.pipeline import simulate_trajectory
+from ringloc.errors import ParseError
+from ringloc.metrics import (orientation_errors_deg, position_errors,
+                             report_schema, summarize)
+from ringloc.pipeline import localize_scan, run_bench, simulate_trajectory
 from ringloc.projection import project_cylindrical, voxelize
-from ringloc.regressor import load_regressor_weights
+from ringloc.regressor import (init_regressor_weights, load_regressor_weights,
+                               save_regressor_weights)
 from ringloc.se3 import apply_points, rotation_angle_deg
 
 
@@ -159,6 +162,15 @@ def test_localize_with_yaw_flip_still_localizes(ws, tmp_path):
     assert np.linalg.norm(est.translation - truth.translation) <= 0.05
 
 
+def test_localize_perturb_none_is_no_perturbation(ws, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(ws, "localize", str(ws["scan_path"]), out=a) == 0
+    assert run(ws, "localize", str(ws["scan_path"]), "--perturb", "none",
+               out=b) == 0
+    for name in ("pose.txt", "pose.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_bench_outputs_and_schema(ws, tmp_path):
     out = tmp_path / "o"
     assert run(ws, "bench", out=out) == 0
@@ -174,8 +186,17 @@ def test_bench_outputs_and_schema(ws, tmp_path):
     jsonschema.validate(summary, report_schema())
     assert summary["frames"] == 10
     frames = (out / "baseline_frames.csv").read_text().strip().split("\n")
+    assert frames[0] == "frame,pos_err_m,ori_err_deg"
     assert len(frames) == 11
     assert (out / "failures.csv").read_text() == "label,frame,error\n"
+    # The baseline files hold exactly the library's errors and summary.
+    baseline = run_bench(read_config(ws["cfg_path"]), 0, [])[0].result
+    cells = [row.split(",") for row in frames[1:]]
+    assert [int(c[0]) for c in cells] == baseline.frames
+    assert [float(c[1]) for c in cells] == list(position_errors(baseline))
+    assert ([float(c[2]) for c in cells]
+            == list(orientation_errors_deg(baseline)))
+    assert summary == summarize(baseline)
 
 
 def test_bench_rerun_is_byte_identical(ws, tmp_path):
@@ -278,6 +299,60 @@ def test_malformed_input_exits_2(ws, tmp_path, capsys, case):
     assert "ringloc: error:" in err
     # Every case's error names the malformed file it wrote under tmp_path.
     assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize("cmd", ["localize", "bench"])
+def test_unknown_perturbation_exits_2(ws, tmp_path, capsys, cmd):
+    extra = [str(ws["scan_path"])] if cmd == "localize" else []
+    rc = run(ws, cmd, *extra, "--perturb", "jitterbug=3", out=tmp_path / "o")
+    assert rc == 2
+    assert "jitterbug" in capsys.readouterr().err
+
+
+def test_out_below_a_file_exits_2(ws, tmp_path, capsys):
+    blocker = tmp_path / "some_file"
+    blocker.write_text("not a directory\n")
+    rc = run(ws, "project", str(ws["cloud_path"]), out=blocker / "sub")
+    assert rc == 2
+    assert "some_file" in capsys.readouterr().err
+
+
+def test_localize_scan_rejects_bad_predictor_calls(ws):
+    cfg, scan = ws["cfg"], ws["scan"]
+    with pytest.raises(ParseError):
+        localize_scan(scan, cfg, 0, "nearest")
+    with pytest.raises(ParseError):
+        localize_scan(scan, cfg, 0, "regressor",
+                      init_encoder_weights(seed=0), None)
+    # A malformed call fails the whole bench, not each frame in turn.
+    with pytest.raises(ParseError):
+        run_bench(cfg, 0, [], "regressor", scans=[scan], poses=[ws["pose0"]])
+
+
+@pytest.fixture(scope="module")
+def far_scan_path(ws):
+    """The workspace scan plus one point 1000 km out, past the voxel
+    index range."""
+    path = ws["root"] / "far.csv"
+    path.write_text(ws["scan_path"].read_text()
+                    + "1000000.0,0.0,0.0,0.5,0,1000000.0,0.0,0.0\n")
+    return path
+
+
+def test_far_point_regressor_localize_does_not_reject_the_scan(
+        ws, far_scan_path, tmp_path):
+    weights = tmp_path / "reg.bin"
+    save_regressor_weights(weights, init_regressor_weights(
+        ws["cfg"].regressor, seed=0))
+    rc = run(ws, "localize", str(far_scan_path), "--predictor", "regressor",
+             "--regressor-weights", str(weights), out=tmp_path / "o")
+    assert rc in (0, 3, 4, 5)
+
+
+def test_far_point_project_then_encode(ws, far_scan_path, tmp_path):
+    vox = tmp_path / "v"
+    assert run(ws, "project", str(far_scan_path), out=vox) == 0
+    assert run(ws, "encode", str(vox / "voxels.csv"), out=tmp_path / "e") == 0
 
 
 def test_localize_needs_scan_format(ws, tmp_path):

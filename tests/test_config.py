@@ -108,10 +108,11 @@ def test_parse_perturbation_forms():
     assert parse_perturbation("baseline") is None
     q = parse_perturbation("random_yaw")
     assert q.kind == "random_yaw"
+    assert parse_perturbation("yaw=180") == p
 
 
 def test_parse_perturbation_list():
-    ps = parse_perturbation_list("yaw:180,dropout:0.5")
+    ps = parse_perturbation_list("yaw:180,none,dropout:0.5,baseline")
     assert [p.kind for p in ps] == ["yaw", "dropout"]
     assert ps[1].magnitude == 0.5
 

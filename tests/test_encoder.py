@@ -237,7 +237,7 @@ def test_encode_deterministic():
 
 def test_encode_rejects_bad_ring_and_padding():
     w = init_encoder_weights(seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         encode(make_voxels([[0, 1, 1]], ring=24), w)
 
 

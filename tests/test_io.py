@@ -1,13 +1,15 @@
 """File formats: CSV clouds and scans, pose text, voxel CSV, tensors."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ringloc.errors import ParseError
 from ringloc.io import (atomic_write_text, read_cloud_csv, read_pose,
                         read_scan_csv, read_tensors, read_voxel_csv,
-                        write_cloud_csv, write_pose, write_scan_csv,
-                        write_tensors, write_voxel_csv)
+                        write_cloud_csv, write_csv, write_pose,
+                        write_scan_csv, write_tensors, write_voxel_csv)
 from ringloc.projection import ProjectionConfig, voxelize
 from ringloc.se3 import PointCloud, RigidTransform, yaw
 
@@ -16,6 +18,28 @@ def random_cloud(n=20, seed=0):
     rng = np.random.default_rng(seed)
     return PointCloud(rng.uniform(-50, 50, size=(n, 3)),
                       rng.uniform(0, 1, n))
+
+
+def test_write_csv_round_trips_exactly(tmp_path):
+    rng = np.random.default_rng(6)
+    floats = [0.1, 1.0 / 3.0, -2.5e-300, 1e16, float("nan"),
+              np.float64(rng.normal()), np.float32(rng.normal())]
+    rows = [(i, np.int64(7 * i), "label", x) for i, x in enumerate(floats)]
+    p = tmp_path / "t.csv"
+    write_csv(p, "i,j,name,value", rows)
+    text = p.read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    lines = text.splitlines()
+    assert lines[0] == "i,j,name,value"
+    assert len(lines) == len(rows) + 1
+    for line, (i, j, name, x) in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert cells[:3] == [str(i), str(int(j)), name]
+        back = float(cells[3])
+        assert back == float(x) or (math.isnan(back) and math.isnan(x))
+    first = p.read_bytes()
+    write_csv(p, "i,j,name,value", rows)
+    assert p.read_bytes() == first
 
 
 def test_cloud_round_trip_is_exact(tmp_path):

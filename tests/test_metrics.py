@@ -1,5 +1,4 @@
 """Trajectory metrics against brute-force recomputation."""
-import json
 import math
 
 import jsonschema
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 
 from ringloc.errors import EmptyScan, LengthMismatch
-from ringloc.metrics import (TrajectoryResult, emit_report, moe, mpe,
+from ringloc.metrics import (TrajectoryResult, moe, mpe,
                              orientation_errors_deg, percentile,
                              position_errors, report_schema, success_at,
                              summarize)
@@ -121,48 +120,13 @@ def test_summary_honors_custom_thresholds():
     jsonschema.validate(summary, report_schema())
 
 
-def test_csv_report_round_trips(tmp_path):
-    result = random_result(3, n=20)
-    path = tmp_path / "frames.csv"
-    emit_report(result, path, fmt="csv")
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "frame,pos_err_m,ori_err_deg"
-    assert len(lines) == 21
-    pos = position_errors(result)
-    ori = orientation_errors_deg(result)
-    for row, f, p, o in zip(lines[1:], result.frames, pos, ori):
-        sf, sp, so = row.split(",")
-        assert int(sf) == f
-        assert float(sp) == p  # repr round-trip is exact
-        assert float(so) == o
-    first = path.read_bytes()
-    emit_report(result, path, fmt="csv")
-    assert path.read_bytes() == first
-
-
-def test_json_report_is_the_summary(tmp_path):
-    result = random_result(4, n=15)
-    path = tmp_path / "summary.json"
-    emit_report(result, path, fmt="json")
-    loaded = json.loads(path.read_text())
-    assert loaded == summarize(result)
-    jsonschema.validate(loaded, report_schema())
-
-
-def test_unknown_report_format_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        emit_report(random_result(5, n=3), tmp_path / "x", fmt="yaml")
-
-
-def test_empty_result_is_rejected_everywhere(tmp_path):
+def test_empty_result_is_rejected_everywhere():
     empty = TrajectoryResult()
     for fn in [mpe, moe, position_errors, orientation_errors_deg, summarize]:
         with pytest.raises(EmptyScan):
             fn(empty)
     with pytest.raises(EmptyScan):
         percentile([], 50.0)
-    with pytest.raises(EmptyScan):
-        emit_report(empty, tmp_path / "x.csv")
 
 
 def test_misaligned_constructor_rejected():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ringloc.errors import EmptyGrid, OriginPoint
-from ringloc.projection import (ProjectionConfig, VoxelCloud,
+from ringloc.projection import (INDEX_BOUND, ProjectionConfig, VoxelCloud,
                                 project_cylindrical, recover_cartesian,
                                 voxelize)
 from ringloc.se3 import PointCloud, apply, yaw
@@ -93,6 +93,20 @@ def test_voxelize_float_edge_wraps_to_zero():
     assert 204.8 / 0.2 == 1024.0
     v = voxelize(PointCloud(np.array([[204.8, 5.0, 0.0]])), cfg)
     assert v.indices[0, 0] == 0
+
+
+def test_voxelize_drops_cells_past_the_index_bound():
+    edge = INDEX_BOUND * 0.2  # first height whose cell is out of range
+    pts = np.array([[0.05, 1.31, 0.0],
+                    [0.05, 1e6, 0.0],          # radius 5e6 cells out
+                    [0.05, 1.31, edge - 0.1],  # last cell in range
+                    [0.05, 1.31, edge],
+                    [0.05, 1.31, -edge],       # lowest cell in range
+                    [0.05, 1.31, -edge - 0.1]])
+    v = voxelize(PointCloud(pts), CFG64)
+    np.testing.assert_array_equal(v.source_index, [0, 2, 4])
+    np.testing.assert_array_equal(v.indices[:, 2],
+                                  [0, INDEX_BOUND - 1, -INDEX_BOUND])
 
 
 def test_voxel_order_is_ascending_source_index():
