@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None,
                        help="config file (default: shipped benchmark config)")
         p.add_argument("--seed", type=int, default=None,
-                       help="run seed (default: bench.seed from the config)")
+                       help="run seed, >= 0 (default: bench.seed from the config)")
         p.add_argument("--out", type=Path, required=True,
                        help="output directory")
 
@@ -231,6 +231,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg = cfgmod.standard_bench_config()
         if args.seed is None:
             args.seed = cfg.bench.seed
+        if args.seed < 0:
+            raise ParseError(f"--seed must be at least 0, got {args.seed}")
         try:
             args.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

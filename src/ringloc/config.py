@@ -32,6 +32,10 @@ class WorldConfig:
     n_boxes: int = 12
     n_cylinders: int = 14
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
+
 
 @dataclass
 class TrajectoryConfig:
@@ -55,6 +59,8 @@ class TrainConfig:
                              "least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be at least 0")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
 
 
 @dataclass
@@ -62,6 +68,10 @@ class BenchConfig:
     seed: int = 0  # base seed for per-frame derivation
     perturbations: str = ("yaw:180,random_yaw,fov_limit:180,"
                           "dropout:0.5,gaussian_noise:0.05,pitch_roll:10")
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
 
 
 @dataclass
@@ -84,11 +94,11 @@ KEY_DOCS: Dict[str, str] = {
     "projection.voxel_size": "cell edge of the cylindrical grid (m)",
     "projection.ring_cells": "cells per full turn; even, divisible by 16",
     "plane.iterations": "ground-plane RANSAC hypothesis count (>= 1)",
-    "plane.threshold": "ground-plane inlier distance (m)",
+    "plane.threshold": "ground-plane inlier distance (m, > 0, finite)",
     "plane.min_inliers": "minimum ground consensus size",
     "plane.seed": "ground-plane sampling seed offset",
     "pose.iterations": "pose RANSAC hypothesis count (>= 1)",
-    "pose.threshold": "pose inlier residual (m)",
+    "pose.threshold": "pose inlier residual (m, > 0, finite)",
     "pose.refit_on_inliers": "refit the winner over its inliers",
     "pose.seed": "pose sampling seed offset",
     "selection.top_fraction": "share of points kept by reliability",
@@ -109,7 +119,7 @@ KEY_DOCS: Dict[str, str] = {
     "regressor.width": "regressor feature width",
     "regressor.heads": "candidate vectors per max layer",
     "regressor.layers": "stacked max layers",
-    "world.seed": "world layout seed",
+    "world.seed": "world layout seed (>= 0)",
     "world.n_boxes": "building count",
     "world.n_cylinders": "pole/trunk count",
     "trajectory.n_poses": "frames on the loop",
@@ -120,8 +130,8 @@ KEY_DOCS: Dict[str, str] = {
     "train.decay": "per-epoch multiplicative step decay",
     "train.scan_stride": "train on every stride-th frame (>= 1)",
     "train.points_per_scan": "voxel subsample per training frame (>= 1)",
-    "train.seed": "weight init and subsample seed",
-    "bench.seed": "base seed for per-frame derivation",
+    "train.seed": "weight init and subsample seed (>= 0)",
+    "bench.seed": "base seed for per-frame derivation (>= 0)",
     "bench.perturbations": "comma list of kind[:magnitude] entries",
 }
 

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateInput
-from .pose_solve import distinct_samples
+from .pose_solve import SCORE_BLOCK, distinct_samples
 from .se3 import PointCloud, RigidTransform, apply, rotation_about
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -52,6 +52,8 @@ class RansacPlaneParams:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
+        if not 0.0 < self.threshold < np.inf:
+            raise ValueError("threshold must be positive and finite")
 
 
 def _canonicalize(normal: np.ndarray, d: float) -> Tuple[np.ndarray, float]:
@@ -65,9 +67,10 @@ def fit_plane_ransac(cloud: PointCloud,
                      ) -> Tuple[PlaneModel, np.ndarray]:
     """Fit the dominant plane by RANSAC with a least-squares refit.
 
-    Hypotheses come from pre-drawn point triples; the one with the most
-    inliers wins (first such hypothesis on ties), then the plane is refit
-    on its consensus set and inliers are recomputed against the refit.
+    Hypotheses come from pre-drawn point triples, scored SCORE_BLOCK at a
+    time; the one with the most inliers wins (first such hypothesis on
+    ties), then the plane is refit on its consensus set and inliers are
+    recomputed against the refit.
 
     Returns:
         (plane, inlier_indices) with indices ascending into the cloud.
@@ -93,15 +96,19 @@ def fit_plane_ransac(cloud: PointCloud,
     normals[valid] /= lengths[valid, None]
     offsets = -np.einsum("ij,ij->i", normals, p0)
 
-    # (iterations, N) distance table; invalid hypotheses get zero inliers.
-    dist = np.abs(normals @ pts.T + offsets[:, None])
-    counts = np.where(valid, np.count_nonzero(dist <= params.threshold, axis=1), 0)
+    counts = np.empty(params.iterations, dtype=np.int64)
+    for start in range(0, params.iterations, SCORE_BLOCK):
+        blk = slice(start, start + SCORE_BLOCK)
+        dist = np.abs(normals[blk] @ pts.T + offsets[blk, None])
+        counts[blk] = np.count_nonzero(dist <= params.threshold, axis=1)
+    counts[~valid] = 0  # invalid hypotheses get zero inliers
     best = int(np.argmax(counts))
     if counts[best] < params.min_inliers:
         raise DegenerateInput(
             f"best plane has {counts[best]} inliers, need {params.min_inliers}")
 
-    inliers = np.flatnonzero(dist[best] <= params.threshold)
+    dist = np.abs(pts @ normals[best] + offsets[best])
+    inliers = np.flatnonzero(dist <= params.threshold)
     plane = _least_squares_plane(pts[inliers])
     inliers = np.flatnonzero(plane.distances(pts) <= params.threshold)
     if len(inliers) < params.min_inliers:

@@ -18,6 +18,7 @@ from .errors import DegenerateInput, LengthMismatch, NoConsensus
 from .se3 import RigidTransform, compose, invert
 
 SAMPLE_SIZE = 3  # correspondences per minimal sample of a rigid fit
+SCORE_BLOCK = 32  # hypotheses scored per block by pose and plane RANSAC
 
 
 @dataclass
@@ -42,6 +43,8 @@ class RansacPoseParams:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
+        if not 0.0 < self.threshold < np.inf:
+            raise ValueError("threshold must be positive and finite")
 
 
 @dataclass
@@ -122,7 +125,8 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
 
     All minimal samples are drawn up front from one seeded generator, so
     the hypothesis set is fixed before any evaluation and the result
-    does not depend on evaluation order.  The best hypothesis is the one
+    does not depend on evaluation order.  Squared residuals are scored
+    SCORE_BLOCK hypotheses at a time.  The best hypothesis is the one
     with the most inliers, ties broken by lower inlier RMS and then by
     draw order; it is refit over its inliers and the inlier set is
     re-evaluated under the refit motion.
@@ -144,21 +148,18 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
     samples = distinct_samples(rng, n, params.iterations, SAMPLE_SIZE)
 
     rot, trans, valid = _fit_minimal(local[samples], pred[samples])
-    resid = np.einsum("kij,nj->kni", rot, local) + trans[:, None, :] - pred
-    resid = np.linalg.norm(resid, axis=2)
-    inlier_mask = resid <= params.threshold
+    d2 = _squared_residuals(rot, trans, local, pred)
+    inlier_mask = d2 <= params.threshold ** 2
     counts = np.where(valid, inlier_mask.sum(axis=1), 0)
 
     best_count = counts.max()
     if best_count < SAMPLE_SIZE:
         raise NoConsensus(f"best hypothesis holds {best_count} inliers, "
                           f"need {SAMPLE_SIZE}")
+    # Ties share one inlier count: least sum of squares is least RMS.
     candidates = np.flatnonzero(counts == best_count)
-    cand_rms = [
-        float(np.sqrt(np.mean(resid[c, inlier_mask[c]] ** 2)))
-        for c in candidates
-    ]
-    best = int(candidates[int(np.argmin(cand_rms))])
+    cand_ss = np.where(inlier_mask[candidates], d2[candidates], 0.0).sum(axis=1)
+    best = int(candidates[int(np.argmin(cand_ss))])
     transform = RigidTransform(rot[best], trans[best])
     inliers = np.flatnonzero(inlier_mask[best])
 
@@ -174,8 +175,25 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
             raise NoConsensus("refit collapsed the consensus set")
         rms = float(np.sqrt(np.mean(refit_res[inliers] ** 2)))
     else:
-        rms = float(np.sqrt(np.mean(resid[best, inliers] ** 2)))
+        res = np.linalg.norm(np.einsum("ij,nj->ni", rot[best], local)
+                             + trans[best] - pred, axis=1)
+        rms = float(np.sqrt(np.mean(res[inliers] ** 2)))
     return PoseEstimate(transform, inliers.astype(np.int64), rms)
+
+
+def _squared_residuals(rot: np.ndarray, trans: np.ndarray, local: np.ndarray,
+                       pred: np.ndarray) -> np.ndarray:
+    """(K, n) table of |R_k x + t_k - y|^2, SCORE_BLOCK hypotheses at a time."""
+    d2 = np.empty((len(rot), len(local)))
+    for start in range(0, len(rot), SCORE_BLOCK):
+        blk = slice(start, start + SCORE_BLOCK)
+        # One matrix product per block; row 3k + i of it is R_k[i] . x.
+        r = (rot[blk].reshape(-1, 3) @ local.T).reshape(-1, 3, len(local))
+        r += trans[blk, :, None]
+        r -= pred.T
+        r *= r
+        d2[blk] = r[:, 0] + r[:, 1] + r[:, 2]
+    return d2
 
 
 def _fit_minimal(src: np.ndarray, dst: np.ndarray

@@ -309,6 +309,16 @@ def test_unknown_perturbation_exits_2(ws, tmp_path, capsys, cmd):
     assert "jitterbug" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["rectify", "localize", "bench"])
+def test_negative_seed_exits_2(ws, tmp_path, capsys, cmd):
+    extra = {"rectify": [str(ws["cloud_path"])],
+             "localize": [str(ws["scan_path"])], "bench": []}[cmd]
+    rc = run(ws, cmd, *extra, "--seed", "-1", out=tmp_path / "o")
+    assert rc == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_out_below_a_file_exits_2(ws, tmp_path, capsys):
     blocker = tmp_path / "some_file"
     blocker.write_text("not a directory\n")

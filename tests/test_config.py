@@ -79,9 +79,24 @@ def test_bad_value_rejected():
     ("oracle.u_reliable", "1.0"),
     ("oracle.u_reliable", "1.0,2.0,3.0"),
     ("oracle.u_ambiguous", "-2.0,-10.0"),
+    ("world.seed", "-1"),
+    ("train.seed", "-1"),
+    ("bench.seed", "-1"),
+    ("pose.threshold", "0.0"),
+    ("pose.threshold", "-0.5"),
+    ("pose.threshold", "inf"),
+    ("pose.threshold", "nan"),
+    ("plane.threshold", "0.0"),
+    ("plane.threshold", "-0.1"),
+    ("plane.threshold", "inf"),
+    ("plane.threshold", "nan"),
 ], ids=["voxel_size", "plane_iterations", "pose_iterations", "scan_stride",
         "points_per_scan", "epochs", "u_one_value", "u_three_values",
-        "u_reversed"])
+        "u_reversed", "world_seed", "train_seed", "bench_seed",
+        "pose_threshold_zero", "pose_threshold_negative", "pose_threshold_inf",
+        "pose_threshold_nan", "plane_threshold_zero",
+        "plane_threshold_negative", "plane_threshold_inf",
+        "plane_threshold_nan"])
 def test_invalid_section_value_rejected(key, value):
     # Parses as the key's type but violates the section's own validation.
     lines = [f"{key} = {value}" if line.startswith(key + " = ") else line

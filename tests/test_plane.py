@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from ringloc.errors import DegenerateInput
-from ringloc.plane import (PlaneModel, RansacPlaneParams, align_normal,
+from ringloc.plane import (PlaneModel, RansacPlaneParams,
+                           _least_squares_plane, align_normal,
                            build_plane_transform, fit_plane_ransac, rectify)
+from ringloc.pose_solve import SCORE_BLOCK, distinct_samples
 from ringloc.se3 import PointCloud, apply, apply_points, rotation_about, rotation_angle_deg
 
 
@@ -71,6 +73,59 @@ def test_fit_is_deterministic_per_seed():
     np.testing.assert_array_equal(a.normal, b.normal)
     assert a.d == b.d
     np.testing.assert_array_equal(ia, ib)
+
+
+def reference_fit_plane(cloud, params):
+    """fit_plane_ransac scoring every hypothesis in one (iterations, N)
+    distance table."""
+    pts = cloud.xyz
+    rng = np.random.default_rng(params.seed)
+    triples = distinct_samples(rng, len(pts), params.iterations, 3)
+    p0 = pts[triples[:, 0]]
+    normals = np.cross(pts[triples[:, 1]] - p0, pts[triples[:, 2]] - p0)
+    lengths = np.linalg.norm(normals, axis=1)
+    valid = lengths > 1e-12
+    if not np.any(valid):
+        raise DegenerateInput("all sampled triples are collinear")
+    normals[valid] /= lengths[valid, None]
+    offsets = -np.einsum("ij,ij->i", normals, p0)
+    dist = np.abs(normals @ pts.T + offsets[:, None])
+    counts = np.where(valid, np.count_nonzero(dist <= params.threshold, axis=1), 0)
+    best = int(np.argmax(counts))
+    if counts[best] < params.min_inliers:
+        raise DegenerateInput("too few inliers")
+    inliers = np.flatnonzero(dist[best] <= params.threshold)
+    plane = _least_squares_plane(pts[inliers])
+    inliers = np.flatnonzero(plane.distances(pts) <= params.threshold)
+    if len(inliers) < params.min_inliers:
+        raise DegenerateInput("refit plane lost its consensus set")
+    return plane, inliers
+
+
+@pytest.mark.parametrize("iterations",
+                         [1, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 300])
+def test_blocked_scoring_matches_reference(iterations):
+    rng = np.random.default_rng(12)
+    ground = flat_cloud(600, seed=12)
+    ground[:, 2] += rng.normal(0.0, 0.05, len(ground))
+    t = np.linspace(-5.0, 5.0, 400)
+    line = np.column_stack([t, 0.5 * t, 2.0 + 0.1 * t])  # collinear triples
+    clutter = rng.uniform(-20.0, 20.0, (200, 3))
+    cloud = PointCloud(np.vstack([ground, line, clutter]))
+    for seed in range(4):
+        params = RansacPlaneParams(iterations=iterations, seed=seed,
+                                   min_inliers=10)
+        try:
+            want_plane, want_inliers = reference_fit_plane(cloud, params)
+        except DegenerateInput:
+            with pytest.raises(DegenerateInput):
+                fit_plane_ransac(cloud, params)
+            continue
+        plane, inliers = fit_plane_ransac(cloud, params)
+        np.testing.assert_array_equal(plane.normal, want_plane.normal)
+        assert plane.d == want_plane.d
+        np.testing.assert_array_equal(inliers, want_inliers)
+        assert inliers.dtype == want_inliers.dtype
 
 
 def test_unit_normal_enforced():

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from ringloc.errors import DegenerateInput, LengthMismatch, NoConsensus
-from ringloc.pose_solve import (PoseEstimate, RansacPoseParams,
-                                SelectionPolicy, compensate,
+from ringloc.pose_solve import (SAMPLE_SIZE, SCORE_BLOCK, PoseEstimate,
+                                RansacPoseParams, SelectionPolicy, _fit_minimal,
+                                compensate, distinct_samples,
                                 estimate_pose_ransac, kabsch, select_reliable)
 from ringloc.se3 import (RigidTransform, apply_points, compose, identity,
                          invert, orthonormalize, rotation_about, yaw)
@@ -230,6 +231,112 @@ def test_ransac_length_mismatch():
     with pytest.raises(LengthMismatch):
         estimate_pose_ransac(rng.standard_normal((5, 3)),
                              rng.standard_normal((6, 3)))
+
+
+# ------------------------------------------- blocked scoring vs reference
+
+
+def reference_scores(local, pred, params):
+    """Hypotheses, (K, n) residual norms, inlier mask and counts, scored
+    over one (K, n, 3) residual tensor in a single pass."""
+    rng = np.random.default_rng(params.seed)
+    samples = distinct_samples(rng, len(local), params.iterations, SAMPLE_SIZE)
+    rot, trans, valid = _fit_minimal(local[samples], pred[samples])
+    resid = np.einsum("kij,nj->kni", rot, local) + trans[:, None, :] - pred
+    resid = np.linalg.norm(resid, axis=2)
+    inlier_mask = resid <= params.threshold
+    counts = np.where(valid, inlier_mask.sum(axis=1), 0)
+    return rot, trans, resid, inlier_mask, counts
+
+
+def reference_pose_ransac(local, pred, params):
+    """estimate_pose_ransac with whole-table scoring and a per-candidate
+    RMS tie-break loop."""
+    rot, trans, resid, inlier_mask, counts = reference_scores(local, pred,
+                                                              params)
+    best_count = counts.max()
+    if best_count < SAMPLE_SIZE:
+        raise NoConsensus("too few inliers")
+    candidates = np.flatnonzero(counts == best_count)
+    cand_rms = [
+        float(np.sqrt(np.mean(resid[c, inlier_mask[c]] ** 2)))
+        for c in candidates
+    ]
+    best = int(candidates[int(np.argmin(cand_rms))])
+    transform = RigidTransform(rot[best], trans[best])
+    inliers = np.flatnonzero(inlier_mask[best])
+    if params.refit_on_inliers and len(inliers) >= 3:
+        try:
+            transform = kabsch(local[inliers], pred[inliers])
+        except DegenerateInput:
+            pass
+        refit_res = np.linalg.norm(
+            local @ transform.rotation.T + transform.translation - pred, axis=1)
+        inliers = np.flatnonzero(refit_res <= params.threshold)
+        if len(inliers) < SAMPLE_SIZE:
+            raise NoConsensus("refit collapsed the consensus set")
+        rms = float(np.sqrt(np.mean(refit_res[inliers] ** 2)))
+    else:
+        rms = float(np.sqrt(np.mean(resid[best, inliers] ** 2)))
+    return PoseEstimate(transform, inliers.astype(np.int64), rms)
+
+
+def noisy_instance(seed, n, outliers, sigma):
+    local, pred, _, rng = clean_instance(seed, n=n)
+    pred = corrupt(pred + sigma * rng.standard_normal(pred.shape), rng,
+                   outliers)
+    return local, pred
+
+
+def tie_break_decides(local, pred, params):
+    """True when the lowest-RMS hypothesis among those tied at the top
+    inlier count keeps other inliers than the first one drawn."""
+    _, _, resid, inlier_mask, counts = reference_scores(local, pred, params)
+    tied = np.flatnonzero(counts == counts.max())
+    rms = [np.sqrt(np.mean(resid[c, inlier_mask[c]] ** 2)) for c in tied]
+    winner = tied[int(np.argmin(rms))]
+    return not np.array_equal(inlier_mask[winner], inlier_mask[tied[0]])
+
+
+def assert_same_estimate(local, pred, params):
+    try:
+        want = reference_pose_ransac(local, pred, params)
+    except NoConsensus:
+        with pytest.raises(NoConsensus):
+            estimate_pose_ransac(local, pred, params)
+        return
+    got = estimate_pose_ransac(local, pred, params)
+    assert np.array_equal(got.transform.rotation, want.transform.rotation)
+    assert np.array_equal(got.transform.translation,
+                          want.transform.translation)
+    assert np.array_equal(got.inliers, want.inliers)
+    assert got.inliers.dtype == want.inliers.dtype
+    assert got.rms_residual == want.rms_residual
+
+
+ITERATION_COUNTS = [1, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 300]
+
+
+@pytest.mark.parametrize("iterations", ITERATION_COUNTS)
+@pytest.mark.parametrize("refit", [True, False])
+def test_blocked_scoring_matches_reference(iterations, refit):
+    for seed in range(6):
+        local, pred = noisy_instance(200 + seed, n=120, outliers=40,
+                                     sigma=0.2)
+        params = RansacPoseParams(iterations=iterations, seed=seed,
+                                  refit_on_inliers=refit)
+        assert_same_estimate(local, pred, params)
+
+
+@pytest.mark.parametrize("iterations", ITERATION_COUNTS)
+@pytest.mark.parametrize("refit", [True, False])
+def test_blocked_tie_break_matches_reference(iterations, refit):
+    # 70 % outliers and noise near the gate: hypotheses tied at the top
+    # inlier count keep different inlier sets, so the tie-break decides.
+    local, pred = noisy_instance(0, n=100, outliers=70, sigma=0.25)
+    assert tie_break_decides(local, pred, RansacPoseParams(iterations=300))
+    params = RansacPoseParams(iterations=iterations, refit_on_inliers=refit)
+    assert_same_estimate(local, pred, params)
 
 
 # -------------------------------------------------------------- compensate
