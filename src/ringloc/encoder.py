@@ -11,10 +11,11 @@ Geometry is built once and features flow through it as plain arrays.
 The geometry is a pyramid of five `Level`s, the occupied sites at each
 resolution.  `Level.halve` yields each child's parent row, which the
 stride-2 conv, the max pool and the read-back of each voxel's feature
-share.  Every conv layer is one `sparse_conv`: an im2col gather over a
-(kernel offset, site) neighbor table, zeros where a neighbor is absent,
-plus one matmul.  A table is built once per (level, offsets): a stage's
-two 3x3x3 convs share one, and the dilated stages 5 and 6 share another.
+share.  Every conv layer is one `sparse_conv` over a (kernel offset,
+site) neighbor table: per offset, the sites whose neighbor is present
+gather it and accumulate one small matmul, so absent neighbors cost
+nothing.  A table is built once per (level, offsets): a stage's two
+3x3x3 convs share one, and the dilated stages 5 and 6 share another.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def leaky_relu(x: np.ndarray) -> np.ndarray:
 
 
 def _pack(coords: np.ndarray) -> np.ndarray:
-    """Fold (ix, iy, iz) into one sortable int64 key per site.
+    """Fold (..., 3) sites (ix, iy, iz) into one sortable int64 key each.
 
     A site outside [-INDEX_BOUND, INDEX_BOUND) on any axis is a parse
     error.  Lookups from in-range sites stay in range: a stride-2 conv
@@ -55,7 +56,7 @@ def _pack(coords: np.ndarray) -> np.ndarray:
     if np.any(c < 0) or np.any(c >= 2 * INDEX_BOUND):
         raise ParseError(f"voxel coordinate outside the packable range "
                          f"[-{INDEX_BOUND}, {INDEX_BOUND - 1}]")
-    return (c[:, 0] << 42) | (c[:, 1] << 21) | c[:, 2]
+    return (c[..., 0] << 42) | (c[..., 1] << 21) | c[..., 2]
 
 
 @dataclass
@@ -88,14 +89,12 @@ class Level:
     def neighbors(self, centers: np.ndarray, offsets: np.ndarray
                   ) -> np.ndarray:
         """(V, M) row of each center's offset neighbor, -1 where absent."""
-        rows = np.empty((len(offsets), len(centers)), dtype=np.int64)
-        for k, off in enumerate(offsets):
-            nb = centers + off
-            nb[:, 0] %= self.ring_cells
-            q = _pack(nb)
-            pos = np.minimum(np.searchsorted(self.keys, q), len(self.keys) - 1)
-            rows[k] = np.where(self.keys[pos] == q, pos, -1)
-        return rows
+        axes = np.ascontiguousarray(centers.T)
+        nb = axes[:, None, :] + offsets.T[:, :, None]  # (3, V, M)
+        nb[0] %= self.ring_cells
+        q = _pack(nb.transpose(1, 2, 0))
+        pos = np.minimum(np.searchsorted(self.keys, q), len(self.keys) - 1)
+        return np.where(self.keys[pos] == q, pos, -1)
 
 
 def sparse_conv(feats: np.ndarray, neighbor_rows: np.ndarray,
@@ -103,14 +102,21 @@ def sparse_conv(feats: np.ndarray, neighbor_rows: np.ndarray,
     """One sparse conv layer; returns (M, C_out) features.
 
     neighbor_rows is a (V, M) table from `Level.neighbors` into the rows
-    of feats, weights is (V, C_in, C_out) and bias is (C_out,).  Absent
-    neighbors contribute zero.
+    of feats, weights is (V, C_in, C_out) and bias is (C_out,).  Each
+    offset k is a kernel map: the outputs whose neighbor is present add
+    that neighbor's features times weights[k], offsets in table order,
+    and the bias comes last.  An output has at most one neighbor per
+    offset, so the scattered adds never collide.
     """
-    v, m = neighbor_rows.shape
-    block = feats[neighbor_rows.clip(min=0)]
-    block[neighbor_rows < 0] = 0.0
-    block = block.transpose(1, 0, 2).reshape(m, v * feats.shape[1])
-    return block @ weights.reshape(-1, weights.shape[2]) + bias
+    out = np.zeros((neighbor_rows.shape[1], weights.shape[2]))
+    for rows, w in zip(neighbor_rows, weights):
+        present = rows >= 0
+        if present.all():
+            out += feats[rows] @ w
+        elif present.any():
+            out_rows = np.flatnonzero(present)
+            out[out_rows] += feats[rows[out_rows]] @ w
+    return out + bias
 
 
 def max_pool2(feats: np.ndarray, parent_rows: np.ndarray,
@@ -245,10 +251,23 @@ def initial_features(v: VoxelCloud) -> np.ndarray:
 def encode(v: VoxelCloud, weights: EncoderWeights) -> np.ndarray:
     """Full encoder pass; returns (len(v), output_width) features.
 
-    The voxel grid is downsampled 16x through four stride-2 stages, run
-    through two dilated stages at the coarsest ring, and each input voxel
-    reads back the fused feature of its coarse ancestor, so rows align
-    with the input voxel order.  Voxels that repeat an index share one
+    Rows align with the input voxel order: each voxel reads back the
+    fused feature of its coarse ancestor, so voxels that share an
+    ancestor get identical rows.
+    """
+    site_feats, voxel_rows = encode_sites(v, weights)
+    return site_feats[voxel_rows]
+
+
+def encode_sites(v: VoxelCloud, weights: EncoderWeights
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Full encoder pass at the coarsest sites, and each voxel's site row.
+
+    The voxel grid is downsampled 16x through four stride-2 stages and
+    run through two dilated stages at the coarsest ring.  Returns the
+    (S, output_width) features of the S distinct coarse sites and the
+    (len(v),) row of each voxel's ancestor, so `encode` is
+    site_feats[voxel_rows].  Voxels that repeat an index share one
     site, which takes the stem features of one of them.
     """
     if len(v) == 0:
@@ -287,4 +306,4 @@ def encode(v: VoxelCloud, weights: EncoderWeights) -> np.ndarray:
     up = conv("stage6.up", x, level.neighbors(level.coords, UP))
     x = leaky_relu(np.hstack([leaky_relu(up), skip4]) @ t["stage6.fuse.w"]
                    + t["stage6.fuse.b"])
-    return conv_pair("stage6", x, dilated)[voxel_rows]
+    return conv_pair("stage6", x, dilated), voxel_rows

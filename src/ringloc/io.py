@@ -140,21 +140,6 @@ def write_scan_csv(path: PathLike, cloud: PointCloud,
     write_csv(path, SCAN_HEADER, rows)
 
 
-def read_pose(path: PathLike) -> RigidTransform:
-    tokens = read_text(path).split()
-    if len(tokens) != 12:
-        raise ParseError(f"{path}: pose file must hold 12 numbers, got {len(tokens)}")
-    try:
-        vals = np.array([float(t) for t in tokens], dtype=np.float64)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    mat = vals.reshape(3, 4)
-    t = RigidTransform(mat[:, :3], mat[:, 3])
-    if not t.is_rigid(tol=1e-6):
-        raise ParseError(f"{path}: rotation block is not a proper rotation")
-    return t
-
-
 def write_pose(path: PathLike, t: RigidTransform) -> None:
     rows = ["  ".join(_cell(v) for v in row) for row in t.matrix()]
     atomic_write_text(path, "\n".join(rows) + "\n")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from .config import PipelineConfig
-from .encoder import EncoderWeights, encode
+from .encoder import EncoderWeights, encode_sites
 from .errors import ParseError, RinglocError
 from .metrics import TrajectoryResult
 from .plane import rectify
@@ -80,9 +80,10 @@ def localize_scan(scan: Scan, cfg: PipelineConfig, frame_seed: int,
     ground truth, and each voxel inherits its representative's
     prediction; the local side of a correspondence is the
     representative's exact rectified coordinate.  The regressor
-    predictor works from encoded voxel features and pairs them with the
-    voxel centers mapped back to Cartesian space, since the grid is all
-    it sees.
+    predictor regresses each distinct coarse encoder site once, hands
+    every voxel its site's prediction, and pairs them with the voxel
+    centers mapped back to Cartesian space, since the grid is all it
+    sees.
     """
     rect_cloud, t_plane, voxels = rectified_voxels(scan, cfg, frame_seed)
     src = voxels.source_index
@@ -97,8 +98,9 @@ def localize_scan(scan: Scan, cfg: PipelineConfig, frame_seed: int,
     elif predictor == "regressor":
         if encoder_weights is None or regressor_weights is None:
             raise ParseError("regressor predictor needs both weight sets")
-        feats = encode(voxels, encoder_weights)
-        pred, u = regress(feats, regressor_weights)
+        site_feats, rows = encode_sites(voxels, encoder_weights)
+        pred, u = regress(site_feats, regressor_weights)
+        pred, u = pred[rows], u[rows]
         local = recover_cartesian(voxels, cfg.projection).xyz
     else:
         raise ParseError(f"unknown predictor '{predictor}'")

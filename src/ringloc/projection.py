@@ -46,11 +46,6 @@ class ProjectionConfig:
         """Cylinder radius s that makes one turn exactly ring_cells cells."""
         return self.ring_cells * self.voxel_size / (2.0 * np.pi)
 
-    @property
-    def ring_length(self) -> float:
-        """Arc length of a full turn; equals ring_cells * voxel_size."""
-        return self.ring_cells * self.voxel_size
-
 
 @dataclass
 class VoxelCloud:

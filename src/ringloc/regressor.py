@@ -6,9 +6,11 @@ followed by layer normalization and a leaky rectifier.  A final affine
 layer emits four numbers per voxel: the predicted world coordinate and a
 raw reliability score u.
 
-Forward and backward passes are written out by hand; the max routes
-gradient to the winning head only (lowest head index on exact ties), and
-everything is plain batched matmuls.
+Forward and backward passes are written out by hand, all plain batched
+matmuls.  Inference takes the plain max over heads and keeps nothing
+for a backward pass; training's forward pass also records the winning
+head (lowest head index on exact ties), the only one the max routes
+gradient to.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def load_regressor_weights(path) -> RegressorWeights:
 def regress(features: np.ndarray, weights: RegressorWeights
             ) -> Tuple[np.ndarray, np.ndarray]:
     """Predict (coords (M, 3), reliability u (M,)) from (M, N) features."""
-    out, _ = forward(features, weights)
+    out, _ = forward(features, weights, keep_cache=False)
     return out[:, :3].copy(), out[:, 3].copy()
 
 
@@ -112,8 +114,15 @@ def regress_backward(features: np.ndarray, weights: RegressorWeights,
     return backward(weights, cache, grad_coords, grad_u)
 
 
-def forward(features: np.ndarray, weights: RegressorWeights):
-    """(M, 4) outputs, coords then u, and the cache `backward` reads."""
+def forward(features: np.ndarray, weights: RegressorWeights,
+            keep_cache: bool = True):
+    """(M, 4) outputs, coords then u, and the cache `backward` reads.
+
+    Each max layer keeps the plain elementwise max over heads.  With
+    keep_cache the winning head per output (lowest index on ties) and
+    the layer-norm intermediates are kept for `backward`; without it the
+    cache is None and no winner is computed.
+    """
     cfg = weights.config
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != cfg.width:
@@ -125,8 +134,7 @@ def forward(features: np.ndarray, weights: RegressorWeights):
     for i in range(1, cfg.layers + 1):
         z = h @ t[f"mhm{i}.w"] + t[f"mhm{i}.b"]
         zr = z.reshape(len(h), cfg.heads, cfg.width)
-        win = np.argmax(zr, axis=1)  # first max wins ties
-        mx = np.take_along_axis(zr, win[:, None, :], axis=1)[:, 0, :]
+        mx = zr.max(axis=1)
 
         mu = mx.mean(axis=1, keepdims=True)
         xc = mx - mu
@@ -134,14 +142,18 @@ def forward(features: np.ndarray, weights: RegressorWeights):
         xhat = xc * inv
         y = xhat * t[f"ln{i}.g"] + t[f"ln{i}.b"]
         a = np.where(y > 0.0, y, LEAKY_SLOPE * y)
-        layers.append((h, win, xhat, inv, y))
+        if keep_cache:
+            layers.append((h, np.argmax(zr, axis=1), xhat, inv, y))
         h = a
     out = h @ t["head.w"] + t["head.b"]
-    return out, (layers, h)
+    return out, ((layers, h) if keep_cache else None)
 
 
 def backward(weights: RegressorWeights, cache, grad_coords, grad_u):
-    """`regress_backward` on the cache of a `forward` already run."""
+    """`regress_backward` on the cache of a `forward` already run.
+
+    Each max layer routes its gradient to the winning head only.
+    """
     cfg = weights.config
     t = weights.tensors
     layers, last = cache

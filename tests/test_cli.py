@@ -1,10 +1,16 @@
-"""CLI subcommands: outputs, reruns, and exit codes, all in-process."""
+"""CLI subcommands: outputs, reruns, and exit codes, in-process unless a
+test needs a fresh interpreter."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import ringloc
 from ringloc import io
 from ringloc.cli import build_parser, main
 from ringloc.config import (KEY_DOCS, PipelineConfig, read_config,
@@ -18,6 +24,8 @@ from ringloc.projection import project_cylindrical, voxelize
 from ringloc.regressor import (init_regressor_weights, load_regressor_weights,
                                save_regressor_weights)
 from ringloc.se3 import apply_points, rotation_angle_deg
+
+from helpers import read_pose
 
 
 def trimmed_config() -> PipelineConfig:
@@ -71,7 +79,7 @@ def test_help_documents_every_config_key():
 def test_rectify_levels_the_cloud(ws, tmp_path):
     out = tmp_path / "o"
     assert run(ws, "rectify", str(ws["cloud_path"]), out=out) == 0
-    t_plane = io.read_pose(out / "t_plane.txt")
+    t_plane = read_pose(out / "t_plane.txt")
     rect = io.read_cloud_csv(out / "rectified.csv")
     src = io.read_cloud_csv(ws["cloud_path"])
     assert np.array_equal(rect.xyz, apply_points(t_plane, src.xyz))
@@ -134,7 +142,7 @@ def test_encode_rerun_is_byte_identical(ws, tmp_path):
 def test_localize_recovers_the_pose(ws, tmp_path):
     out = tmp_path / "o"
     assert run(ws, "localize", str(ws["scan_path"]), out=out) == 0
-    est = io.read_pose(out / "pose.txt")
+    est = read_pose(out / "pose.txt")
     truth = ws["pose0"]
     assert np.linalg.norm(est.translation - truth.translation) <= 0.05
     assert rotation_angle_deg(est.rotation.T @ truth.rotation) <= 0.5
@@ -154,7 +162,7 @@ def test_localize_with_yaw_flip_still_localizes(ws, tmp_path):
     out = tmp_path / "o"
     assert run(ws, "localize", str(ws["scan_path"]), "--perturb", "yaw=180",
                out=out) == 0
-    est = io.read_pose(out / "pose.txt")
+    est = read_pose(out / "pose.txt")
     truth = ws["pose0"]
     # the scan was flipped in the sensor frame, so the recovered pose
     # differs from the unperturbed truth by about a half turn
@@ -169,6 +177,39 @@ def test_localize_perturb_none_is_no_perturbation(ws, tmp_path):
                out=b) == 0
     for name in ("pose.txt", "pose.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def run_with_blas_threads(ws, threads, cmd, *extra, out):
+    """`ringloc cmd` in a fresh interpreter whose BLAS runs `threads`
+    threads; OpenBLAS reads the count only when numpy loads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    src = str(Path(ringloc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-m", "ringloc.cli", cmd, *extra,
+            "--config", str(ws["cfg_path"]), "--out", str(out)]
+    return subprocess.run(argv, env=env, timeout=300).returncode
+
+
+@pytest.mark.parametrize("cmd", ["encode", "localize"])
+def test_learned_path_is_byte_identical_across_blas_threads(ws, tmp_path,
+                                                            cmd):
+    if cmd == "encode":
+        assert run(ws, "project", str(ws["cloud_path"]), out=tmp_path) == 0
+        extra, files = [str(tmp_path / "voxels.csv")], ["features.csv"]
+    else:
+        weights = tmp_path / "reg.bin"
+        save_regressor_weights(weights, init_regressor_weights(
+            ws["cfg"].regressor, seed=0))
+        extra = [str(ws["scan_path"]), "--predictor", "regressor",
+                 "--regressor-weights", str(weights)]
+        files = ["pose.txt", "pose.json"]
+    for threads in (1, 2):
+        assert run_with_blas_threads(ws, threads, cmd, *extra,
+                                     out=tmp_path / str(threads)) == 0
+    for name in files:
+        assert ((tmp_path / "1" / name).read_bytes()
+                == (tmp_path / "2" / name).read_bytes()), name
 
 
 def test_bench_outputs_and_schema(ws, tmp_path):

@@ -151,6 +151,42 @@ def test_stride2_matches_dense_reference():
     np.testing.assert_allclose(out, want, atol=1e-12)
 
 
+def im2col_conv(feats, neighbor_rows, weights, bias):
+    """The earlier sparse conv: gather every (offset, site) slot into one
+    dense block, zeros where the neighbor is absent, and one matmul."""
+    v, m = neighbor_rows.shape
+    block = feats[neighbor_rows.clip(min=0)]
+    block[neighbor_rows < 0] = 0.0
+    block = block.transpose(1, 0, 2).reshape(m, v * feats.shape[1])
+    return block @ weights.reshape(-1, weights.shape[2]) + bias
+
+
+def seam_and_isolated_grid(seed, ring=32, cin=5):
+    """A random grid plus a wall across the ring seam and two lone sites."""
+    level, x = random_grid(ring=ring, n=60, cin=cin, seed=seed)
+    extra = [[ring - 1, 20, 0], [0, 20, 0], [1, 20, 0], [ring - 1, 21, 1],
+             [ring // 2, 40, 30], [3, -30, -20]]
+    rng = np.random.default_rng(seed + 100)
+    return make_level(np.vstack([level.coords, extra]),
+                      np.vstack([x, rng.normal(size=(len(extra), cin))]), ring)
+
+
+@pytest.mark.parametrize("offsets, stride",
+                         [(CUBE, 1), (2 * CUBE, 1), (DOWN, 2), (UP, 1)],
+                         ids=["CUBE", "2*CUBE", "DOWN", "UP"])
+def test_kernel_map_conv_matches_im2col(offsets, stride):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        level, x = seam_and_isolated_grid(seed)
+        centers = level.coords if stride == 1 else 2 * level.halve()[0].coords
+        table = level.neighbors(centers, offsets)
+        assert np.any(table < 0) and np.any(table >= 0)
+        w, b = rng.normal(size=(len(offsets), 5, 7)), rng.normal(size=7)
+        want = im2col_conv(x, table, w, b)
+        got = sparse_conv(x, table, w, b)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_stride2_site_rule():
     # Parent sites are exactly the floor-halved child sites, so negative
     # heights round toward minus infinity.

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from ringloc.errors import ParseError
-from ringloc.io import (atomic_write_text, read_cloud_csv, read_pose,
-                        read_scan_csv, read_tensors, read_voxel_csv,
-                        write_cloud_csv, write_csv, write_pose,
-                        write_scan_csv, write_tensors, write_voxel_csv)
+from ringloc.io import (atomic_write_text, read_cloud_csv, read_scan_csv,
+                        read_tensors, read_voxel_csv, write_cloud_csv,
+                        write_csv, write_pose, write_scan_csv, write_tensors,
+                        write_voxel_csv)
 from ringloc.projection import ProjectionConfig, voxelize
 from ringloc.se3 import PointCloud, RigidTransform, yaw
+
+from helpers import read_pose
 
 
 def random_cloud(n=20, seed=0):
@@ -113,25 +115,11 @@ def test_pose_round_trip(tmp_path):
     np.testing.assert_array_equal(back.translation, t.translation)
 
 
-def test_pose_rejects_non_rigid(tmp_path):
-    p = tmp_path / "pose.txt"
-    p.write_text("2 0 0 0\n0 2 0 0\n0 0 2 0\n")
-    with pytest.raises(ParseError):
-        read_pose(p)
-
-
-def test_pose_rejects_wrong_shape(tmp_path):
-    p = tmp_path / "pose.txt"
-    p.write_text("1 0 0\n0 1 0\n")
-    with pytest.raises(ParseError):
-        read_pose(p)
-
-
 def test_voxel_round_trip(tmp_path):
     cfg = ProjectionConfig(voxel_size=0.2, ring_cells=64)
     rng = np.random.default_rng(5)
     proj = PointCloud(np.column_stack([
-        rng.uniform(0, cfg.ring_length, 40),
+        rng.uniform(0, cfg.ring_cells * cfg.voxel_size, 40),
         rng.uniform(1, 8, 40), rng.uniform(-2, 2, 40)]),
         rng.uniform(0, 1, 40))
     v = voxelize(proj, cfg)

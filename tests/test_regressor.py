@@ -1,13 +1,22 @@
 """Max-head regressor forward pass and hand-derived gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ringloc.encoder import encode
 from ringloc.errors import ShapeMismatch
+from ringloc.pipeline import SEED_POSE, localize_scan, rectified_voxels
+from ringloc.pose_solve import compensate, estimate_pose_ransac, \
+    select_reliable
+from ringloc.projection import recover_cartesian
 from ringloc.regressor import (LN_EPS, RegressorConfig, RegressorWeights,
-                               init_regressor_weights, load_regressor_weights,
-                               regress, regress_backward,
-                               save_regressor_weights)
+                               forward, init_regressor_weights,
+                               load_regressor_weights, regress,
+                               regress_backward, save_regressor_weights)
+from ringloc.se3 import invert
+from ringloc.simulate import scan_seed
 
 
 def scalar_loss(feats, weights, gc, gu):
@@ -57,6 +66,29 @@ def test_head_max_hand_case():
     xhat = xc / np.sqrt((xc * xc).mean() + LN_EPS)
     want = np.where(xhat > 0, xhat, 0.01 * xhat)
     np.testing.assert_allclose(coords[0, :2], want, atol=1e-12)
+
+
+def test_tied_heads_route_gradient_to_the_lower_head():
+    # Two heads with identical weights tie on every output; the max
+    # routes the gradient to head 0 only, and inference, which keeps no
+    # cache, gives exactly the training forward pass's outputs.
+    cfg = RegressorConfig(width=6, heads=2, layers=2)
+    w = init_regressor_weights(cfg, seed=10)
+    for i in (1, 2):
+        w.tensors[f"mhm{i}.w"][:, 6:] = w.tensors[f"mhm{i}.w"][:, :6]
+        w.tensors[f"mhm{i}.b"][6:] = w.tensors[f"mhm{i}.b"][:6]
+    rng = np.random.default_rng(10)
+    f = rng.normal(size=(5, 6))
+    grads, _ = regress_backward(f, w, rng.normal(size=(5, 3)),
+                                rng.normal(size=5))
+    for i in (1, 2):
+        assert np.all(grads[f"mhm{i}.b"][:6] != 0.0)
+        assert not np.any(grads[f"mhm{i}.w"][:, 6:])
+        assert not np.any(grads[f"mhm{i}.b"][6:])
+    out, cache = forward(f, w)
+    assert cache is not None
+    coords, u = regress(f, w)
+    assert np.column_stack([coords, u]).tobytes() == out.tobytes()
 
 
 def test_single_head_degenerates_to_affine():
@@ -227,3 +259,28 @@ def test_weights_save_load_round_trip(tmp_path):
     for name, t in w.tensors.items():
         np.testing.assert_array_equal(back.tensors[name],
                                       t.astype("<f4").astype(np.float64))
+
+
+def test_localize_regresses_sites_like_every_voxel(std_cfg, sim, enc_weights,
+                                                  training):
+    # localize_scan regresses each coarse site once and gathers back;
+    # regressing every voxel row must give the same frame bit for bit.
+    _, _, scans = sim
+    weights = training[1][0]
+    for i in (0, 33, 66):
+        frame_seed = scan_seed(0, i)
+        got = localize_scan(scans[i], std_cfg, frame_seed, "regressor",
+                            enc_weights, weights)
+        _, t_plane, voxels = rectified_voxels(scans[i], std_cfg, frame_seed)
+        pred, u = regress(encode(voxels, enc_weights), weights)
+        local = recover_cartesian(voxels, std_cfg.projection).xyz
+        selected = select_reliable(u, std_cfg.selection)
+        est = estimate_pose_ransac(
+            local[selected], pred[selected],
+            replace(std_cfg.pose, seed=scan_seed(frame_seed, SEED_POSE)))
+        want = compensate(est.transform, invert(t_plane))
+        assert got.n_selected == len(selected)
+        assert np.array_equal(got.pose.inliers, est.inliers)
+        assert got.transform.rotation.tobytes() == want.rotation.tobytes()
+        assert (got.transform.translation.tobytes()
+                == want.translation.tobytes())
