@@ -26,7 +26,8 @@ from .encoder import encode, init_encoder_weights, load_encoder_weights, \
     save_encoder_weights
 from .errors import ParseError, RinglocError
 from .metrics import orientation_errors_deg, position_errors, summarize
-from .pipeline import SEED_PERTURB, localize_scan, run_bench
+from .pipeline import SEED_PERTURB, localize_scan, \
+    run_perturbed_trajectory, simulate_trajectory
 from .plane import rectify
 from .projection import project_cylindrical, recover_cartesian, voxelize
 from .regressor import load_regressor_weights, save_regressor_weights
@@ -36,9 +37,11 @@ from . import train as trainmod
 
 
 def _config_epilog() -> str:
-    lines = ["config keys (key = value per line, '#' comments):"]
-    for key, doc in cfgmod.KEY_DOCS.items():
-        lines.append(f"  {key:28s} {doc}")
+    lines = ["config keys (key = value per line, '#' comments), each with "
+             "its standard value:"]
+    for key, value in cfgmod.config_items(cfgmod.PipelineConfig()):
+        lines.append(f"  {key:28s} {cfgmod.KEY_DOCS[key]}; "
+                     f"standard {cfgmod.format_value(value)}")
     return "\n".join(lines)
 
 
@@ -54,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("input", help="input file")
         p.add_argument("--config", type=Path, default=None,
-                       help="config file (default: shipped benchmark config)")
+                       help="config file: config_version = 1 plus the keys it "
+                       "changes (default: the standard config)")
         p.add_argument("--seed", type=int, default=None,
                        help="run seed, >= 0 (default: bench.seed from the config)")
         p.add_argument("--out", type=Path, required=True,
@@ -169,8 +173,11 @@ def cmd_localize(args, cfg, out) -> int:
 def cmd_bench(args, cfg, out) -> int:
     enc_w, reg_w = _predictor_weights(args, cfg)
     text = ",".join(args.perturb) if args.perturb else cfg.bench.perturbations
-    rows = run_bench(cfg, args.seed, cfgmod.parse_perturbation_list(text),
-                     args.predictor, enc_w, reg_w)
+    perturbations = cfgmod.parse_perturbation_list(text)
+    _, poses, scans = simulate_trajectory(cfg, args.seed)
+    rows = [run_perturbed_trajectory(cfg, args.seed, poses, scans, p,
+                                     args.predictor, enc_w, reg_w)
+            for p in [None] + perturbations]
 
     baseline = rows[0].result
     io.write_csv(out / "baseline_frames.csv", "frame,pos_err_m,ori_err_deg",
@@ -225,10 +232,8 @@ COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            cfg = cfgmod.read_config(args.config)
-        else:
-            cfg = cfgmod.standard_bench_config()
+        cfg = (cfgmod.read_config(args.config) if args.config is not None
+               else cfgmod.PipelineConfig())
         if args.seed is None:
             args.seed = cfg.bench.seed
         if args.seed < 0:

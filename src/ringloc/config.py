@@ -1,17 +1,17 @@
 """Pipeline configuration: typed sections, key=value files, round-trip.
 
-A config file is plain ``section.key = value`` lines with ``#`` comments
-and a mandatory ``config_version`` guard.  Values are typed from the
-dataclass defaults (int, float, bool, str, or comma-joined tuples), and
-serialization uses shortest round-trip formatting, so write(read(x))
-reproduces x.
+The dataclass defaults are the standard configuration, the one
+``ringloc bench`` runs.  A config file is plain ``section.key = value``
+lines with ``#`` comments and a mandatory ``config_version`` guard; it
+lists only the keys it changes.  Values are typed from the defaults
+(int, float, bool, str, or comma-joined tuples), and serialization uses
+shortest round-trip formatting, so write(read(x)) reproduces x.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
 from .encoder import DOWNSAMPLE_FACTOR, EncoderConfig
@@ -149,13 +149,13 @@ def config_items(cfg: PipelineConfig) -> List[Tuple[str, object]]:
     return items
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
+        return ",".join(format_value(v) for v in value)
     return str(value)
 
 
@@ -183,7 +183,7 @@ def config_to_text(cfg: PipelineConfig) -> str:
         if section != current:
             lines.append("")
             current = section
-        lines.append(f"{key} = {_format_value(value)}")
+        lines.append(f"{key} = {format_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -245,9 +245,8 @@ def write_config(path, cfg: PipelineConfig) -> None:
 
 
 def standard_bench_config() -> PipelineConfig:
-    """The benchmark configuration shipped with the package."""
-    text = resources.files("ringloc.data").joinpath("standard_bench.cfg").read_text()
-    return parse_config_text(text, source="standard_bench.cfg")
+    """The standard benchmark configuration: every default."""
+    return PipelineConfig()
 
 
 def parse_perturbation(token: str) -> Optional[Perturbation]:

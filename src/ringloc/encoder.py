@@ -163,11 +163,10 @@ def _encoder_layout(cfg: EncoderConfig) -> List[Tuple[str, Tuple[int, ...]]]:
     ]
     prev = w1
     for i, wid in enumerate((w1, w2, w3, w4), start=1):
-        src = prev if i > 1 else w1
         layout += [
-            (f"stage{i}.down.w", (8, src, wid)),
+            (f"stage{i}.down.w", (8, prev, wid)),
             (f"stage{i}.down.b", (wid,)),
-            (f"stage{i}.a.w", (27, wid + src, wid)),
+            (f"stage{i}.a.w", (27, wid + prev, wid)),
             (f"stage{i}.a.b", (wid,)),
             (f"stage{i}.b.w", (27, wid, wid)),
             (f"stage{i}.b.b", (wid,)),

@@ -78,12 +78,13 @@ def read_text(path: PathLike) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_rows(path: Path, lines: List[str],
-                expected_header: str) -> np.ndarray:
+def _parse_rows(path: Path, lines: List[str], expected_header: str
+                ) -> Tuple[np.ndarray, List[int]]:
+    """The numeric rows under the header, and each row's line number."""
     if not lines or lines[0].strip() != expected_header:
         raise ParseError(f"{path}: expected header '{expected_header}'")
     width = expected_header.count(",") + 1
-    rows = []
+    rows, linenos = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -94,7 +95,8 @@ def _parse_rows(path: Path, lines: List[str],
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return np.array(rows, dtype=np.float64).reshape(-1, width)
+        linenos.append(lineno)
+    return np.array(rows, dtype=np.float64).reshape(-1, width), linenos
 
 
 def read_cloud_csv(path: PathLike) -> PointCloud:
@@ -113,10 +115,15 @@ def read_scan_csv(path: PathLike
     path = Path(path)
     lines = read_text(path).splitlines()
     if lines and lines[0].strip() == SCAN_HEADER:
-        data = _parse_rows(path, lines, SCAN_HEADER)
+        data, linenos = _parse_rows(path, lines, SCAN_HEADER)
         cloud = _make_cloud(path, data[:, :3], data[:, 3])
+        bad = np.flatnonzero(~np.isin(data[:, 4], (0.0, 1.0))
+                             | ~np.isfinite(data[:, 5:8]).all(axis=1))
+        if len(bad):
+            raise ParseError(f"{path}:{linenos[bad[0]]}: cls must be 0 or 1 "
+                             f"and gt_x,gt_y,gt_z finite")
         return cloud, data[:, 4].astype(np.int64), data[:, 5:8]
-    data = _parse_rows(path, lines, CLOUD_HEADER)
+    data, _ = _parse_rows(path, lines, CLOUD_HEADER)
     return _make_cloud(path, data[:, :3], data[:, 3]), None, None
 
 
@@ -150,8 +157,7 @@ def read_voxel_csv(path: PathLike, config: ProjectionConfig) -> VoxelCloud:
     each at most once."""
     path = Path(path)
     lines = read_text(path).splitlines()
-    data = _parse_rows(path, lines, VOXEL_HEADER)
-    linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+    data, linenos = _parse_rows(path, lines, VOXEL_HEADER)
     idx = data[:, :3]
     if np.any(idx != np.round(idx)):
         raise ParseError(f"{path}: voxel indices must be integers")
@@ -230,6 +236,8 @@ def read_tensors(path: PathLike) -> Dict[str, np.ndarray]:
         if len(chunk) != nbytes:
             raise ParseError(f"{path}: truncated payload for tensor '{name}'")
         out[name] = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
+        if not np.all(np.isfinite(out[name])):
+            raise ParseError(f"{path}: tensor '{name}' holds a non-finite value")
         cursor += nbytes
     if cursor != len(raw):
         raise ParseError(f"{path}: trailing bytes after last tensor")

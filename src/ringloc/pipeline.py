@@ -167,24 +167,3 @@ def run_perturbed_trajectory(cfg: PipelineConfig, run_seed: int,
         row.result.add(i, res.transform, truth)
     return row
 
-
-def run_bench(cfg: PipelineConfig, run_seed: int,
-              perturbations: List[Perturbation],
-              predictor: str = "oracle",
-              encoder_weights=None, regressor_weights=None,
-              scans: Optional[List[Scan]] = None,
-              poses: Optional[List[RigidTransform]] = None
-              ) -> List[BenchRow]:
-    """Baseline plus each perturbation over the standard trajectory.
-
-    Pass precomputed (poses, scans) to amortize simulation across calls;
-    they must have come from the same config and seed.
-    """
-    if scans is None or poses is None:
-        _, poses, scans = simulate_trajectory(cfg, run_seed)
-    rows = []
-    for p in [None] + perturbations:
-        rows.append(run_perturbed_trajectory(
-            cfg, run_seed, poses, scans, p, predictor,
-            encoder_weights, regressor_weights))
-    return rows

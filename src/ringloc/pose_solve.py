@@ -35,7 +35,7 @@ class SelectionPolicy:
 
 @dataclass
 class RansacPoseParams:
-    iterations: int = 1000
+    iterations: int = 300
     threshold: float = 0.5  # m, inlier residual
     refit_on_inliers: bool = True
     seed: int = 0
@@ -163,7 +163,7 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
     transform = RigidTransform(rot[best], trans[best])
     inliers = np.flatnonzero(inlier_mask[best])
 
-    if params.refit_on_inliers and len(inliers) >= 3:
+    if params.refit_on_inliers:
         try:
             transform = kabsch(local[inliers], pred[inliers])
         except DegenerateInput:

@@ -20,10 +20,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .encoder import LEAKY_SLOPE, leaky_relu
 from .errors import ParseError, ShapeMismatch
 from .io import read_tensors, write_tensors
 
-LEAKY_SLOPE = 0.01
 LN_EPS = 1e-5
 N_OUTPUTS = 4  # x, y, z, reliability
 
@@ -141,7 +141,7 @@ def forward(features: np.ndarray, weights: RegressorWeights,
         inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + LN_EPS)
         xhat = xc * inv
         y = xhat * t[f"ln{i}.g"] + t[f"ln{i}.b"]
-        a = np.where(y > 0.0, y, LEAKY_SLOPE * y)
+        a = leaky_relu(y)
         if keep_cache:
             layers.append((h, np.argmax(zr, axis=1), xhat, inv, y))
         h = a

@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import DegenerateInput, EmptyScan, ShapeMismatch
 
-ORTHO_TOL = 1e-9  # max |R^T R - I| entry for a transform to count as rigid
-
 
 @dataclass
 class RigidTransform:
@@ -42,11 +40,6 @@ class RigidTransform:
     def matrix(self) -> np.ndarray:
         """Return the 3x4 [R | t] matrix."""
         return np.hstack([self.rotation, self.translation[:, None]])
-
-    def is_rigid(self, tol: float = ORTHO_TOL) -> bool:
-        r = self.rotation
-        ortho = np.abs(r.T @ r - np.eye(3)).max()
-        return bool(ortho <= tol and abs(np.linalg.det(r) - 1.0) <= tol)
 
 
 @dataclass

@@ -104,6 +104,8 @@ class Perturbation:
     def __post_init__(self):
         if self.kind not in PERTURBATION_KINDS:
             raise ValueError(f"unknown perturbation kind '{self.kind}'")
+        if not np.isfinite(self.magnitude):
+            raise ValueError("magnitude must be finite")
         if self.kind == "dropout" and not 0.0 <= self.magnitude <= 0.9:
             raise ValueError("dropout probability must be in [0, 0.9]")
         if self.kind == "pitch_roll" and not 0.0 <= self.magnitude <= 15.0:
@@ -250,54 +252,44 @@ def simulate_scan(world: SyntheticWorld, pose: RigidTransform,
     return Scan(PointCloud(xyz_s, intensity), classes, gt_world)
 
 
-def perturbation_transform(p: Perturbation, seed: int = 0) -> RigidTransform:
-    """The rigid rotation a perturbation applies (identity if none)."""
-    rng = np.random.default_rng(seed)
-    if p.kind == "yaw":
-        return yaw(np.deg2rad(p.magnitude))
-    if p.kind == "random_yaw":
-        return yaw(rng.uniform(0.0, 2.0 * np.pi))
-    if p.kind == "pitch_roll":
-        m = np.deg2rad(p.magnitude)
-        roll = rotation_about(np.array([1.0, 0.0, 0.0]), rng.uniform(-m, m))
-        pitch = rotation_about(np.array([0.0, 1.0, 0.0]), rng.uniform(-m, m))
-        return RigidTransform(pitch @ roll, np.zeros(3))
-    return RigidTransform(np.eye(3), np.zeros(3))
-
-
-def _kept_indices(cloud: PointCloud, p: Perturbation, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    n = len(cloud)
-    if p.kind == "fov_limit":
-        az = np.arctan2(cloud.xyz[:, 1], cloud.xyz[:, 0])
-        return np.flatnonzero(np.abs(az) <= np.deg2rad(p.magnitude) / 2.0)
-    if p.kind == "dropout":
-        return np.flatnonzero(rng.random(n) >= p.magnitude)
-    return np.arange(n)
-
-
 def perturb_scan(scan: Scan, p: Perturbation, seed: int = 0
                  ) -> Tuple[Scan, RigidTransform]:
     """Perturb a scan, keeping classes and ground truth row-aligned.
 
-    Rotation kinds rotate the cloud, subset kinds drop rows.  The same
-    seed drives the rotation draw, the dropout mask, and the additive
-    noise, so a perturbation is reproducible from (p, seed).
+    Rotation kinds rotate the cloud, subset kinds drop rows, and
+    gaussian_noise jitters every point.  Each kind draws only from one
+    generator seeded with `seed`, so a perturbation is reproducible from
+    (p, seed).
 
-    Returns the new scan and the applied rotation; a pose that explains
-    the perturbed cloud is the original pose composed with the inverse
-    of that rotation.
+    Returns the new scan and the applied rotation (identity for the
+    kinds that do not rotate); a pose that explains the perturbed cloud
+    is the original pose composed with the inverse of that rotation.
     """
-    kept = _kept_indices(scan.cloud, p, seed)
+    rng = np.random.default_rng(seed)
+    xyz = scan.cloud.xyz
+    kept = np.arange(len(xyz))
+    rotation = np.eye(3)
+    if p.kind == "yaw":
+        rotation = yaw(np.deg2rad(p.magnitude)).rotation
+    elif p.kind == "random_yaw":
+        rotation = yaw(rng.uniform(0.0, 2.0 * np.pi)).rotation
+    elif p.kind == "pitch_roll":
+        m = np.deg2rad(p.magnitude)
+        roll = rotation_about(np.array([1.0, 0.0, 0.0]), rng.uniform(-m, m))
+        pitch = rotation_about(np.array([0.0, 1.0, 0.0]), rng.uniform(-m, m))
+        rotation = pitch @ roll
+    elif p.kind == "fov_limit":
+        az = np.arctan2(xyz[:, 1], xyz[:, 0])
+        kept = np.flatnonzero(np.abs(az) <= np.deg2rad(p.magnitude) / 2.0)
+    elif p.kind == "dropout":
+        kept = np.flatnonzero(rng.random(len(xyz)) >= p.magnitude)
+    elif p.kind == "gaussian_noise":
+        xyz = xyz + rng.normal(0.0, p.magnitude, xyz.shape)
     if len(kept) == 0:
         raise EmptyScan("perturbation removed every point")
-    t = perturbation_transform(p, seed)
-    xyz = scan.cloud.xyz[kept] @ t.rotation.T
-    if p.kind == "gaussian_noise":
-        rng = np.random.default_rng(seed)
-        xyz = xyz + rng.normal(0.0, p.magnitude, xyz.shape)
-    cloud = PointCloud(xyz, scan.cloud.intensity[kept])
-    return Scan(cloud, scan.classes[kept], scan.gt_world[kept]), t
+    cloud = PointCloud(xyz[kept] @ rotation.T, scan.cloud.intensity[kept])
+    return (Scan(cloud, scan.classes[kept], scan.gt_world[kept]),
+            RigidTransform(rotation, np.zeros(3)))
 
 
 def effective_truth(pose: RigidTransform, applied: RigidTransform

@@ -9,7 +9,7 @@ import pytest
 
 from ringloc.config import parse_perturbation_list, standard_bench_config
 from ringloc.encoder import init_encoder_weights
-from ringloc.pipeline import run_bench, simulate_trajectory
+from ringloc.pipeline import run_perturbed_trajectory, simulate_trajectory
 from ringloc.train import build_training_set, train_regressor
 
 RUN_SEED = 0
@@ -31,7 +31,8 @@ def bench_rows(std_cfg, sim):
     """Baseline plus every standard perturbation, oracle predictor."""
     _, poses, scans = sim
     perts = parse_perturbation_list(std_cfg.bench.perturbations)
-    return run_bench(std_cfg, RUN_SEED, perts, scans=scans, poses=poses)
+    return [run_perturbed_trajectory(std_cfg, RUN_SEED, poses, scans, p)
+            for p in [None] + perts]
 
 
 @pytest.fixture(scope="session")

@@ -13,13 +13,14 @@ import pytest
 import ringloc
 from ringloc import io
 from ringloc.cli import build_parser, main
-from ringloc.config import (KEY_DOCS, PipelineConfig, read_config,
-                            write_config)
+from ringloc.config import (PipelineConfig, config_items, format_value,
+                            read_config, write_config)
 from ringloc.encoder import encode, init_encoder_weights
 from ringloc.errors import ParseError
 from ringloc.metrics import (orientation_errors_deg, position_errors,
                              report_schema, summarize)
-from ringloc.pipeline import localize_scan, run_bench, simulate_trajectory
+from ringloc.pipeline import (localize_scan, run_perturbed_trajectory,
+                              simulate_trajectory)
 from ringloc.projection import project_cylindrical, voxelize
 from ringloc.regressor import (init_regressor_weights, load_regressor_weights,
                                save_regressor_weights)
@@ -71,9 +72,12 @@ def assert_rerun_identical(ws, cmd, *extra, files, tmp_path):
 
 
 def test_help_documents_every_config_key():
-    text = build_parser().format_help()
-    for key in KEY_DOCS:
-        assert key in text, key
+    lines = {line.split()[0]: line
+             for line in build_parser().format_help().splitlines()
+             if line.startswith("  ") and line.split()}
+    for key, value in config_items(PipelineConfig()):
+        assert lines[key].endswith(f"; standard {format_value(value)}"), key
+    assert lines["pose.iterations"].endswith("standard 300")
 
 
 def test_rectify_levels_the_cloud(ws, tmp_path):
@@ -231,7 +235,9 @@ def test_bench_outputs_and_schema(ws, tmp_path):
     assert len(frames) == 11
     assert (out / "failures.csv").read_text() == "label,frame,error\n"
     # The baseline files hold exactly the library's errors and summary.
-    baseline = run_bench(read_config(ws["cfg_path"]), 0, [])[0].result
+    cfg = read_config(ws["cfg_path"])
+    _, poses, scans = simulate_trajectory(cfg, 0)
+    baseline = run_perturbed_trajectory(cfg, 0, poses, scans, None).result
     cells = [row.split(",") for row in frames[1:]]
     assert [int(c[0]) for c in cells] == baseline.frames
     assert [float(c[1]) for c in cells] == list(position_errors(baseline))
@@ -305,6 +311,22 @@ def _misshapen_encoder(path):
     return _tensor_file(path, **tensors)
 
 
+def _nan_weights(path, tensors):
+    """The weight set with a NaN in its first tensor."""
+    tensors = {name: arr.copy() for name, arr in tensors.items()}
+    next(iter(tensors.values())).flat[0] = np.nan
+    return _tensor_file(path, **tensors)
+
+
+def _scan_cell(ws, d, column, value):
+    """The workspace scan with one cell of its first point replaced."""
+    lines = ws["scan_path"].read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[column] = value
+    lines[1] = ",".join(cells)
+    return _text_file(d / "scan.csv", "\n".join(lines) + "\n")
+
+
 # Each case writes one malformed input under d and returns the arguments.
 MALFORMED = {
     "csv-header": lambda ws, d: [
@@ -322,6 +344,16 @@ MALFORMED = {
     "encoder-weights-misshapen": lambda ws, d: [
         "encode", _voxel_file(ws, d), "--encoder-weights",
         _misshapen_encoder(d / "enc.bin")],
+    "encoder-weights-nan": lambda ws, d: [
+        "encode", _voxel_file(ws, d), "--encoder-weights",
+        _nan_weights(d / "enc.bin", init_encoder_weights(seed=0).tensors)],
+    "regressor-weights-nan": lambda ws, d: [
+        "localize", str(ws["scan_path"]), "--predictor", "regressor",
+        "--regressor-weights",
+        _nan_weights(d / "reg.bin", init_regressor_weights(seed=0).tensors)],
+    "scan-nan-gt": lambda ws, d: ["localize", _scan_cell(ws, d, 5, "nan")],
+    "scan-class-7": lambda ws, d: ["localize", _scan_cell(ws, d, 4, "7")],
+    "scan-class-inf": lambda ws, d: ["localize", _scan_cell(ws, d, 4, "inf")],
     "regressor-weights-foreign": lambda ws, d: [
         "localize", str(ws["scan_path"]), "--predictor", "regressor",
         "--regressor-weights", _tensor_file(d / "foo.bin", foo=np.zeros(3))],
@@ -348,6 +380,24 @@ def test_unknown_perturbation_exits_2(ws, tmp_path, capsys, cmd):
     rc = run(ws, cmd, *extra, "--perturb", "jitterbug=3", out=tmp_path / "o")
     assert rc == 2
     assert "jitterbug" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["localize-yaw-nan", "localize-noise-inf",
+                                  "bench-config-yaw-nan"])
+def test_non_finite_perturbation_exits_2(ws, tmp_path, capsys, case):
+    out = tmp_path / "o"
+    if case == "bench-config-yaw-nan":
+        cfg = _text_file(tmp_path / "nan.cfg", "config_version = 1\n"
+                         "trajectory.n_poses = 10\n"
+                         "bench.perturbations = yaw:nan\n")
+        rc = main(["bench", "--config", cfg, "--out", str(out)])
+    else:
+        perturb = {"localize-yaw-nan": "yaw=nan",
+                   "localize-noise-inf": "gaussian_noise=inf"}[case]
+        rc = run(ws, "localize", str(ws["scan_path"]), "--perturb", perturb,
+                 out=out)
+    assert rc == 2
+    assert "magnitude must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["rectify", "localize", "bench"])
@@ -377,7 +427,8 @@ def test_localize_scan_rejects_bad_predictor_calls(ws):
                       init_encoder_weights(seed=0), None)
     # A malformed call fails the whole bench, not each frame in turn.
     with pytest.raises(ParseError):
-        run_bench(cfg, 0, [], "regressor", scans=[scan], poses=[ws["pose0"]])
+        run_perturbed_trajectory(cfg, 0, [ws["pose0"]], [scan], None,
+                                 "regressor")
 
 
 @pytest.fixture(scope="module")

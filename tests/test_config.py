@@ -109,11 +109,9 @@ def test_standard_config_pins_pose_iterations():
     assert standard_bench_config().pose.iterations == 300
 
 
-def test_standard_config_matches_defaults_elsewhere():
-    std = dict(config_items(standard_bench_config()))
-    default = dict(config_items(PipelineConfig()))
-    diff = {k for k in std if std[k] != default[k]}
-    assert diff == {"pose.iterations"}
+def test_version_line_alone_is_the_standard_config():
+    assert (parse_config_text("config_version = 1\n") == PipelineConfig()
+            == standard_bench_config())
 
 
 def test_parse_perturbation_forms():

@@ -65,16 +65,13 @@ def test_apply_preserves_order_and_intensity():
                                np.linalg.norm(c.xyz, axis=1), atol=1e-12)
 
 
-def test_is_rigid_flags_scaled_matrix():
-    assert identity().is_rigid()
-    assert not RigidTransform(2.0 * np.eye(3), np.zeros(3)).is_rigid()
-
-
 def test_orthonormalize_snaps_drift():
     rng = np.random.default_rng(1)
     drifted = yaw(0.7).rotation + 1e-6 * rng.normal(size=(3, 3))
     t = orthonormalize(RigidTransform(drifted, np.zeros(3)))
-    assert t.is_rigid()
+    np.testing.assert_allclose(t.rotation.T @ t.rotation, np.eye(3),
+                               atol=1e-12)
+    assert abs(np.linalg.det(t.rotation) - 1.0) <= 1e-12
     np.testing.assert_allclose(t.rotation, yaw(0.7).rotation, atol=1e-5)
 
 

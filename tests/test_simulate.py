@@ -7,12 +7,12 @@ import pytest
 from ringloc.errors import EmptyScan, LengthMismatch
 from ringloc.se3 import (PointCloud, RigidTransform, apply_points, compose,
                          identity)
-from ringloc.simulate import (CLASS_AMBIGUOUS, CLASS_RELIABLE, OracleSpec,
+from ringloc.simulate import (CLASS_AMBIGUOUS, CLASS_RELIABLE,
+                              PERTURBATION_KINDS, OracleSpec,
                               Perturbation, Scan, SensorSpec, WorldSpec,
                               effective_truth, generate_world,
                               loop_trajectory, oracle_predict, perturb_scan,
-                              perturbation_transform, scan_seed,
-                              simulate_scan)
+                              scan_seed, simulate_scan)
 
 
 # ------------------------------------------------------------------- world
@@ -141,6 +141,13 @@ def test_perturbation_validation():
     Perturbation("fov_limit", 360.0)
 
 
+@pytest.mark.parametrize("kind", PERTURBATION_KINDS)
+def test_non_finite_magnitude_rejected(kind):
+    for magnitude in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Perturbation(kind, magnitude)
+
+
 def scan_of(xyz, intensity):
     return Scan(PointCloud(xyz, intensity),
                 np.zeros(len(xyz), dtype=np.int64), xyz.copy())
@@ -154,6 +161,10 @@ def sample_scan(seed=0, n=500):
 def perturbed_cloud(scan, p, seed=0):
     out, _ = perturb_scan(scan, p, seed=seed)
     return out.cloud
+
+
+def applied_rotation(p, seed=0):
+    return perturb_scan(sample_scan(n=10), p, seed=seed)[1]
 
 
 def test_zero_dropout_is_identity():
@@ -184,9 +195,9 @@ def test_yaw_half_turn_preserves_geometry():
 
 def test_random_yaw_rotation_comes_from_seed():
     p = Perturbation("random_yaw")
-    t1 = perturbation_transform(p, seed=4)
-    t2 = perturbation_transform(p, seed=4)
-    t3 = perturbation_transform(p, seed=5)
+    t1 = applied_rotation(p, seed=4)
+    t2 = applied_rotation(p, seed=4)
+    t3 = applied_rotation(p, seed=5)
     assert np.array_equal(t1.rotation, t2.rotation)
     assert not np.array_equal(t1.rotation, t3.rotation)
     assert np.allclose(t1.rotation[2], [0.0, 0.0, 1.0], atol=1e-12)
@@ -248,7 +259,7 @@ def test_effective_truth_with_identity_is_the_pose():
     assert np.array_equal(truth.translation, pose.translation)
     # and composing back recovers the pose
     p = Perturbation("yaw", 90.0)
-    applied = perturbation_transform(p)
+    applied = applied_rotation(p)
     again = compose(effective_truth(pose, applied), applied)
     assert np.allclose(again.rotation, pose.rotation, atol=1e-12)
     assert np.allclose(again.translation, pose.translation, atol=1e-12)
@@ -257,7 +268,7 @@ def test_effective_truth_with_identity_is_the_pose():
 def test_pitch_roll_tilt_stays_within_the_bound():
     # magnitude bounds each axis draw, so the combined tilt is under 2x it
     from ringloc.se3 import rotation_angle_deg
-    angles = [rotation_angle_deg(perturbation_transform(
+    angles = [rotation_angle_deg(applied_rotation(
         Perturbation("pitch_roll", 10.0), seed=s).rotation) for s in range(20)]
     assert all(0.0 < a <= 20.0 for a in angles)
     assert max(angles) > 5.0  # the band is actually used
