@@ -146,12 +146,18 @@ def cmd_encode(args, cfg, out) -> int:
 
 
 def _predictor_weights(args, cfg):
+    """Both weight sets of the regressor predictor, checked to fit."""
     if args.predictor != "regressor":
         return None, None
     enc = _encoder_weights(args, cfg)
     if args.regressor_weights is None:
         raise ParseError("--predictor regressor needs --regressor-weights")
-    return enc, load_regressor_weights(args.regressor_weights)
+    reg = load_regressor_weights(args.regressor_weights)
+    if reg.config.width != enc.config.output_width:
+        raise ParseError(f"{args.regressor_weights}: regressor width "
+                         f"{reg.config.width} does not match the encoder's "
+                         f"output_width {enc.config.output_width}")
+    return enc, reg
 
 
 def cmd_localize(args, cfg, out) -> int:

@@ -9,26 +9,29 @@ in multiples of 16 cells.
 
 Geometry is built once and features flow through it as plain arrays.
 The geometry is a pyramid of five `Level`s, the occupied sites at each
-resolution.  `Level.halve` yields each child's parent row, which the
-stride-2 conv, the max pool and the read-back of each voxel's feature
-share.  Every conv layer is one `sparse_conv` over a (kernel offset,
-site) neighbor table: per offset, the sites whose neighbor is present
-gather it and accumulate one small matmul, so absent neighbors cost
-nothing.  A table is built once per (level, offsets): a stage's two
-3x3x3 convs share one, and the dilated stages 5 and 6 share another.
+resolution, each kept as ascending packed keys.  Every conv layer is one
+`sparse_conv` over a `KernelMap`: per kernel offset, the output rows
+whose neighbor is present and the input rows they read, so absent
+neighbors cost nothing (the kernel maps of MinkowskiEngine, Choy et al.,
+CVPR 2019).  A stride-1 map comes from `Level.neighbors`, which looks up
+each site's key plus the offset's key delta; the stride-2 map comes from
+`Level.halve`, whose parent rows and octant codes already say which
+child feeds which parent through which tap.  Each map is built once and
+read by every conv that shares it: a stage's two 3x3x3 convs, and the
+four dilated convs of stages 5 and 6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import EmptyGrid, ParseError
 from .io import read_tensors, write_tensors
-from .projection import INDEX_BOUND, VoxelCloud
+from .projection import INDEX_BOUND, UNPACKABLE, VoxelCloud, _pack
 
 LEAKY_SLOPE = 0.01
 DOWNSAMPLE_FACTOR = 16  # product of the four stride-2 stages
@@ -40,23 +43,22 @@ DOWN = np.array(list(product((0, 1), repeat=3)), dtype=np.int64)
 UP = -DOWN  # the kernel-2 stride-1 form that reaches offsets {0, -1}
 
 
-def leaky_relu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x, LEAKY_SLOPE * x)
+def leaky_relu(x: np.ndarray, out: Optional[np.ndarray] = None
+               ) -> np.ndarray:
+    """x where x > 0, else LEAKY_SLOPE * x; out=x rectifies in place."""
+    return np.maximum(x, LEAKY_SLOPE * x, out=out)
 
 
-def _pack(coords: np.ndarray) -> np.ndarray:
-    """Fold (..., 3) sites (ix, iy, iz) into one sortable int64 key each.
+class KernelMap(NamedTuple):
+    """Which input row feeds which output row through each kernel tap.
 
-    A site outside [-INDEX_BOUND, INDEX_BOUND) on any axis is a parse
-    error.  Lookups from in-range sites stay in range: a stride-2 conv
-    reads only a parent's own children, and the coarser levels span half
-    the range or less.
+    pairs[k] is (out_rows, in_rows) for offset k: output out_rows[i]
+    reads input in_rows[i], out_rows ascending.  out_rows is None when
+    every output has that neighbor; in_rows then has one row per output.
     """
-    c = coords + INDEX_BOUND
-    if np.any(c < 0) or np.any(c >= 2 * INDEX_BOUND):
-        raise ParseError(f"voxel coordinate outside the packable range "
-                         f"[-{INDEX_BOUND}, {INDEX_BOUND - 1}]")
-    return (c[..., 0] << 42) | (c[..., 1] << 21) | c[..., 2]
+
+    n_out: int
+    pairs: List[Tuple[Optional[np.ndarray], np.ndarray]]
 
 
 @dataclass
@@ -82,41 +84,92 @@ class Level:
                                       return_inverse=True)
         return cls(coords[first], keys, ring_cells), site
 
-    def halve(self) -> Tuple["Level", np.ndarray]:
-        """The level of floor(site / 2) parents, and each site's parent row."""
-        return Level.of(self.coords >> 1, self.ring_cells // 2)
+    def halve(self) -> Tuple["Level", np.ndarray, KernelMap]:
+        """The level of floor(site / 2) parents, each site's parent row,
+        and the stride-2 `DOWN` map from these sites to their parents.
 
-    def neighbors(self, centers: np.ndarray, offsets: np.ndarray
-                  ) -> np.ndarray:
-        """(V, M) row of each center's offset neighbor, -1 where absent."""
-        axes = np.ascontiguousarray(centers.T)
-        nb = axes[:, None, :] + offsets.T[:, :, None]  # (3, V, M)
-        nb[0] %= self.ring_cells
-        q = _pack(nb.transpose(1, 2, 0))
-        pos = np.minimum(np.searchsorted(self.keys, q), len(self.keys) - 1)
-        return np.where(self.keys[pos] == q, pos, -1)
+        A site's tap is its octant code (coords & 1) in `DOWN` order.
+        Siblings ascend in key order as their codes do, so each tap's
+        children, taken in row order, have ascending parent rows.
+        """
+        parent, parent_rows = Level.of(self.coords >> 1, self.ring_cells // 2)
+        code = (self.coords & 1) @ np.array([4, 2, 1])
+        pairs = []
+        for k in range(len(DOWN)):
+            in_rows = np.flatnonzero(code == k)
+            everyone = len(in_rows) == len(parent.keys)
+            pairs.append((None if everyone else parent_rows[in_rows], in_rows))
+        return parent, parent_rows, KernelMap(len(parent.keys), pairs)
+
+    def neighbors(self, offsets: np.ndarray) -> KernelMap:
+        """The stride-1 map of these sites onto themselves over offsets.
+
+        A neighbor's key is the site's key plus the offset's key delta.
+        A ring step dx < 0 carries the prefix of sites with ring index
+        below -dx back past the seam, and dx > 0 the suffix from
+        ring_cells - dx on; both are found by bisecting the ascending
+        ring index and moved one turn.  When the offsets mirror (offset
+        V-1-k is -offset k, as in CUBE), only the first half is looked
+        up: offset -o maps the pairs of offset o the other way round.
+        A neighbor outside the packable range is a parse error.
+        """
+        n, cells = len(self.keys), self.ring_cells
+        ring = self.coords[:, 0]
+        steps = np.unique(offsets[:, 0])
+        cuts = np.searchsorted(ring, np.where(steps < 0, -steps, cells - steps))
+        cut = dict(zip(steps.tolist(), cuts.tolist()))
+        # The largest ring index each step looks up, wrapped where it wraps.
+        reach = [ring[c - 1] + dx + (cells if dx < 0 else 0)
+                 for dx, c in cut.items() if c]
+        lo, hi = self.coords[:, 1:].min(axis=0), self.coords[:, 1:].max(axis=0)
+        if (max(reach, default=0) >= INDEX_BOUND
+                or np.any(lo + offsets[:, 1:].min(axis=0) < -INDEX_BOUND)
+                or np.any(hi + offsets[:, 1:].max(axis=0) >= INDEX_BOUND)):
+            raise ParseError(UNPACKABLE)
+
+        turn = np.int64(cells) << 42
+        deltas = _pack(offsets) - _pack(np.zeros(3, dtype=np.int64))
+        v = len(offsets)
+        mirrored = np.array_equal(offsets, -offsets[::-1])
+        pairs: List = [None] * v
+        for k in range(v // 2 + 1 if mirrored else v):
+            dx = int(offsets[k, 0])
+            q = self.keys + deltas[k]
+            if dx < 0:
+                q[:cut[dx]] += turn
+            elif dx > 0:
+                q[cut[dx]:] -= turn
+            pos = np.searchsorted(self.keys, q)
+            np.minimum(pos, n - 1, out=pos)
+            out_rows = np.flatnonzero(self.keys[pos] == q)
+            in_rows = pos[out_rows]
+            everyone = len(out_rows) == n
+            pairs[k] = (None if everyone else out_rows, in_rows)
+            if mirrored and k < v - 1 - k:
+                order = np.argsort(in_rows)
+                pairs[v - 1 - k] = (None if everyone else in_rows[order],
+                                    out_rows[order])
+        return KernelMap(n, pairs)
 
 
-def sparse_conv(feats: np.ndarray, neighbor_rows: np.ndarray,
-                weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """One sparse conv layer; returns (M, C_out) features.
+def sparse_conv(feats: np.ndarray, kmap: KernelMap, weights: np.ndarray,
+                bias: np.ndarray) -> np.ndarray:
+    """One sparse conv layer; returns (kmap.n_out, C_out) features.
 
-    neighbor_rows is a (V, M) table from `Level.neighbors` into the rows
-    of feats, weights is (V, C_in, C_out) and bias is (C_out,).  Each
-    offset k is a kernel map: the outputs whose neighbor is present add
-    that neighbor's features times weights[k], offsets in table order,
-    and the bias comes last.  An output has at most one neighbor per
-    offset, so the scattered adds never collide.
+    weights is (V, C_in, C_out) in the offset order of kmap and bias is
+    (C_out,).  Per offset, the outputs whose neighbor is present add that
+    neighbor's features times weights[k], offsets in map order, and the
+    bias comes last.  An output has at most one neighbor per offset, so
+    the scattered adds never collide.
     """
-    out = np.zeros((neighbor_rows.shape[1], weights.shape[2]))
-    for rows, w in zip(neighbor_rows, weights):
-        present = rows >= 0
-        if present.all():
-            out += feats[rows] @ w
-        elif present.any():
-            out_rows = np.flatnonzero(present)
-            out[out_rows] += feats[rows[out_rows]] @ w
-    return out + bias
+    out = np.zeros((kmap.n_out, weights.shape[2]))
+    for (out_rows, in_rows), w in zip(kmap.pairs, weights):
+        if out_rows is None:
+            out += feats.take(in_rows, axis=0) @ w
+        elif len(out_rows):
+            out[out_rows] += feats.take(in_rows, axis=0) @ w
+    out += bias
+    return out
 
 
 def max_pool2(feats: np.ndarray, parent_rows: np.ndarray,
@@ -275,34 +328,36 @@ def encode_sites(v: VoxelCloud, weights: EncoderWeights
         raise ParseError(f"ring_cells must be divisible by {DOWNSAMPLE_FACTOR}")
     t = weights.tensors
 
-    def conv(name: str, x: np.ndarray, table: np.ndarray) -> np.ndarray:
-        return sparse_conv(x, table, t[name + ".w"], t[name + ".b"])
+    def rectified(y: np.ndarray) -> np.ndarray:
+        return leaky_relu(y, out=y)
 
-    def conv_pair(stage: str, x: np.ndarray, table: np.ndarray) -> np.ndarray:
-        x = leaky_relu(conv(stage + ".a", x, table))
-        return leaky_relu(conv(stage + ".b", x, table))
+    def conv(name: str, x: np.ndarray, kmap: KernelMap) -> np.ndarray:
+        return rectified(sparse_conv(x, kmap, t[name + ".w"], t[name + ".b"]))
+
+    def conv_pair(stage: str, x: np.ndarray, kmap: KernelMap) -> np.ndarray:
+        return conv(stage + ".b", conv(stage + ".a", x, kmap), kmap)
 
     feats = initial_features(v)
-    h = leaky_relu(feats @ t["stem.proj.w"] + t["stem.proj.b"]
-                   + feats @ t["stem.skip.w"])
-    h = leaky_relu(h @ t["stem.out.w"] + t["stem.out.b"])
+    h = feats @ t["stem.proj.w"]
+    h += t["stem.proj.b"]
+    h += feats @ t["stem.skip.w"]
+    h = rectified(h) @ t["stem.out.w"]
+    h += t["stem.out.b"]
     level, voxel_rows = Level.of(v.indices, v.ring_cells)
     x = np.empty((len(level.coords), h.shape[1]))
-    x[voxel_rows] = h
+    x[voxel_rows] = rectified(h)
 
     for i in range(1, 5):
-        child, (level, parent_rows) = level, level.halve()
-        down = conv(f"stage{i}.down", x,
-                    child.neighbors(2 * level.coords, DOWN))
-        x = np.hstack([leaky_relu(down),
-                       max_pool2(x, parent_rows, len(level.coords))])
-        x = conv_pair(f"stage{i}", x, level.neighbors(level.coords, CUBE))
+        level, parent_rows, down = level.halve()
+        x = np.hstack([conv(f"stage{i}.down", x, down),
+                       max_pool2(x, parent_rows, down.n_out)])
+        x = conv_pair(f"stage{i}", x, level.neighbors(CUBE))
         voxel_rows = parent_rows[voxel_rows]
 
     skip4 = x
-    dilated = level.neighbors(level.coords, 2 * CUBE)
+    dilated = level.neighbors(2 * CUBE)
     x = conv_pair("stage5", x, dilated)
-    up = conv("stage6.up", x, level.neighbors(level.coords, UP))
-    x = leaky_relu(np.hstack([leaky_relu(up), skip4]) @ t["stage6.fuse.w"]
-                   + t["stage6.fuse.b"])
-    return conv_pair("stage6", x, dilated), voxel_rows
+    x = np.hstack([conv("stage6.up", x, level.neighbors(UP)), skip4]
+                  ) @ t["stage6.fuse.w"]
+    x += t["stage6.fuse.b"]
+    return conv_pair("stage6", rectified(x), dilated), voxel_rows

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ParseError
-from .projection import INDEX_BOUND, ProjectionConfig, VoxelCloud
+from .projection import INDEX_BOUND, ProjectionConfig, VoxelCloud, _pack
 from .se3 import PointCloud, RigidTransform
 
 PathLike = Union[str, Path]
@@ -167,9 +167,9 @@ def read_voxel_csv(path: PathLike, config: ProjectionConfig) -> VoxelCloud:
         raise ParseError(f"{path}:{linenos[outside[0]]}: voxel index outside "
                          f"[-{INDEX_BOUND}, {INDEX_BOUND - 1}]")
     cells = idx.astype(np.int64)
-    _, first, site = np.unique(cells, axis=0, return_index=True,
+    _, first, site = np.unique(_pack(cells), return_index=True,
                                return_inverse=True)
-    earlier = first[site.reshape(-1)]
+    earlier = first[site]
     repeats = np.flatnonzero(earlier != np.arange(len(cells)))
     if len(repeats):
         row = repeats[0]

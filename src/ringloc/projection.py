@@ -14,13 +14,29 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyGrid, OriginPoint, ShapeMismatch
+from .errors import EmptyGrid, OriginPoint, ParseError, ShapeMismatch
 from .se3 import PointCloud
 
 # Voxel indices lie in [-INDEX_BOUND, INDEX_BOUND) on every axis, the
-# range the encoder packs into one int64 key per site; voxelize drops
-# points whose cell falls outside it.
+# range `_pack` folds into one int64 key per cell; voxelize drops points
+# whose cell falls outside it.
 INDEX_BOUND = 1 << 20
+UNPACKABLE = (f"voxel coordinate outside the packable range "
+              f"[-{INDEX_BOUND}, {INDEX_BOUND - 1}]")
+
+
+def _pack(coords: np.ndarray) -> np.ndarray:
+    """Fold (..., 3) cells (ix, iy, iz) into one int64 key each.
+
+    Keys ascend in the lexicographic order of the cells, and a key plus
+    `_pack(offset) - _pack(0)` is the key of the offset cell while every
+    axis stays in range.  A cell outside [-INDEX_BOUND, INDEX_BOUND) on
+    any axis is a parse error.
+    """
+    c = coords + INDEX_BOUND
+    if c.size and (c.min() < 0 or c.max() >= 2 * INDEX_BOUND):
+        raise ParseError(UNPACKABLE)
+    return (c[..., 0] << 42) | (c[..., 1] << 21) | c[..., 2]
 
 
 @dataclass
@@ -122,7 +138,7 @@ def voxelize(projected: PointCloud,
     idx[:, 0] %= config.ring_cells
     inside = np.flatnonzero(np.all((idx >= -INDEX_BOUND)
                                    & (idx < INDEX_BOUND), axis=1))
-    _, first = np.unique(idx[inside], axis=0, return_index=True)
+    _, first = np.unique(_pack(idx[inside]), return_index=True)
     first = inside[np.sort(first)]
     return VoxelCloud(idx[first], projected.xyz[first],
                       projected.intensity[first], first,

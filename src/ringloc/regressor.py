@@ -118,10 +118,13 @@ def forward(features: np.ndarray, weights: RegressorWeights,
             keep_cache: bool = True):
     """(M, 4) outputs, coords then u, and the cache `backward` reads.
 
-    Each max layer keeps the plain elementwise max over heads.  With
-    keep_cache the winning head per output (lowest index on ties) and
-    the layer-norm intermediates are kept for `backward`; without it the
-    cache is None and no winner is computed.
+    Each max layer keeps the plain elementwise max over heads, a running
+    maximum over the heads' column blocks.  Bias adds, layer norm and the
+    rectifier write into arrays this call made, never into features or
+    the weights.  With keep_cache each layer keeps its input, its
+    winning head per output (lowest index on ties) and the layer-norm
+    intermediates for `backward`; without it the cache is None and no
+    winner is computed.
     """
     cfg = weights.config
     features = np.asarray(features, dtype=np.float64)
@@ -129,30 +132,39 @@ def forward(features: np.ndarray, weights: RegressorWeights,
         raise ShapeMismatch(
             f"features must be (M, {cfg.width}), got {features.shape}")
     t = weights.tensors
+    n = cfg.width
     h = features
     layers = []
     for i in range(1, cfg.layers + 1):
-        z = h @ t[f"mhm{i}.w"] + t[f"mhm{i}.b"]
-        zr = z.reshape(len(h), cfg.heads, cfg.width)
-        mx = zr.max(axis=1)
+        z = h @ t[f"mhm{i}.w"]
+        z += t[f"mhm{i}.b"]
+        mx = z[:, :n].copy()
+        for k in range(1, cfg.heads):
+            np.maximum(mx, z[:, k * n:(k + 1) * n], out=mx)
 
-        mu = mx.mean(axis=1, keepdims=True)
-        xc = mx - mu
-        inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + LN_EPS)
-        xhat = xc * inv
-        y = xhat * t[f"ln{i}.g"] + t[f"ln{i}.b"]
-        a = leaky_relu(y)
+        # Layer norm over the feature axis turns mx into xhat in place.
+        mx -= mx.mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt((mx * mx).mean(axis=1, keepdims=True) + LN_EPS)
+        mx *= inv
         if keep_cache:
-            layers.append((h, np.argmax(zr, axis=1), xhat, inv, y))
-        h = a
-    out = h @ t["head.w"] + t["head.b"]
+            win = np.argmax(z.reshape(len(h), cfg.heads, n), axis=1)
+            layers.append((h, win, mx, inv))
+            y = mx * t[f"ln{i}.g"]
+        else:
+            y = np.multiply(mx, t[f"ln{i}.g"], out=mx)
+        y += t[f"ln{i}.b"]
+        h = leaky_relu(y, out=y)
+    out = h @ t["head.w"]
+    out += t["head.b"]
     return out, ((layers, h) if keep_cache else None)
 
 
 def backward(weights: RegressorWeights, cache, grad_coords, grad_u):
     """`regress_backward` on the cache of a `forward` already run.
 
-    Each max layer routes its gradient to the winning head only.
+    Each max layer routes its gradient to the winning head only.  A
+    layer's rectifier passes the gradient where its output, the next
+    layer's input, is positive: exactly where its input was.
     """
     cfg = weights.config
     t = weights.tensors
@@ -164,9 +176,11 @@ def backward(weights: RegressorWeights, cache, grad_coords, grad_u):
         "head.b": g_out.sum(axis=0),
     }
     g_h = g_out @ t["head.w"].T
+    a = last
     for i in range(cfg.layers, 0, -1):
-        h, win, xhat, inv, y = layers[i - 1]
-        g_y = g_h * np.where(y > 0.0, 1.0, LEAKY_SLOPE)
+        h, win, xhat, inv = layers[i - 1]
+        g_y = g_h * np.where(a > 0.0, 1.0, LEAKY_SLOPE)
+        a = h
 
         grads[f"ln{i}.g"] = (g_y * xhat).sum(axis=0)
         grads[f"ln{i}.b"] = g_y.sum(axis=0)

@@ -16,14 +16,14 @@ from ringloc.cli import build_parser, main
 from ringloc.config import (PipelineConfig, config_items, format_value,
                             read_config, write_config)
 from ringloc.encoder import encode, init_encoder_weights
-from ringloc.errors import ParseError
+from ringloc.errors import ParseError, RinglocError
 from ringloc.metrics import (orientation_errors_deg, position_errors,
                              report_schema, summarize)
 from ringloc.pipeline import (localize_scan, run_perturbed_trajectory,
                               simulate_trajectory)
 from ringloc.projection import project_cylindrical, voxelize
-from ringloc.regressor import (init_regressor_weights, load_regressor_weights,
-                               save_regressor_weights)
+from ringloc.regressor import (RegressorConfig, init_regressor_weights,
+                               load_regressor_weights, save_regressor_weights)
 from ringloc.se3 import apply_points, rotation_angle_deg
 
 from helpers import read_pose
@@ -466,6 +466,38 @@ def test_regressor_predictor_needs_weights(ws, tmp_path):
     rc = run(ws, "localize", str(ws["scan_path"]), "--predictor", "regressor",
              out=tmp_path / "o")
     assert rc == 2
+
+
+@pytest.mark.parametrize("cmd", ["localize", "bench"])
+def test_regressor_width_off_the_encoder_exits_2_at_load(ws, tmp_path, capsys,
+                                                         monkeypatch, cmd):
+    weights = tmp_path / "narrow.bin"
+    save_regressor_weights(weights, init_regressor_weights(
+        RegressorConfig(width=32), seed=0))
+    reached = []
+    monkeypatch.setattr(ringloc.cli, "localize_scan",
+                        lambda *a, **k: reached.append("localize_scan"))
+    monkeypatch.setattr(ringloc.cli, "run_perturbed_trajectory",
+                        lambda *a, **k: reached.append("bench frames"))
+    extra = [str(ws["scan_path"])] if cmd == "localize" else []
+    rc = run(ws, cmd, *extra, "--predictor", "regressor",
+             "--regressor-weights", str(weights), out=tmp_path / "o")
+    assert rc == 2 and reached == []
+    err = capsys.readouterr().err
+    assert "width 32" in err and "output_width 64" in err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_pipeline_error_exits_1_on_one_line(ws, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RinglocError("stage gave up")
+
+    monkeypatch.setattr(ringloc.cli, "rectify", fail)
+    rc = run(ws, "rectify", str(ws["cloud_path"]), out=tmp_path / "o")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["ringloc: error: stage gave up"]
+    assert "Traceback" not in err
 
 
 def test_train_toy_negative_epochs_exits_2(ws, tmp_path):

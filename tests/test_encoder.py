@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from ringloc.encoder import (CUBE, DOWN, UP, EncoderConfig, Level, encode,
-                             init_encoder_weights, initial_features,
-                             leaky_relu, load_encoder_weights, max_pool2,
+                             encode_sites, init_encoder_weights,
+                             initial_features, leaky_relu,
+                             load_encoder_weights, max_pool2,
                              save_encoder_weights, sparse_conv)
 from ringloc.errors import EmptyGrid, ParseError
 from ringloc.projection import INDEX_BOUND, VoxelCloud
@@ -36,7 +37,7 @@ def random_grid(ring=16, n=40, cin=3, seed=0, y_range=(0, 12), z_range=(-4, 6)):
 
 
 def stride1(level, x, offsets, weights, bias):
-    return sparse_conv(x, level.neighbors(level.coords, offsets), weights, bias)
+    return sparse_conv(x, level.neighbors(offsets), weights, bias)
 
 
 def conv_oracle(level, x, offsets, weights, bias):
@@ -66,9 +67,13 @@ def test_level_sorts_canonically_and_looks_up():
     level, site = Level.of(np.array([[3, 0, 0], [0, 1, -2], [0, 1, 5]]), 8)
     assert level.coords.tolist() == [[0, 1, -2], [0, 1, 5], [3, 0, 0]]
     assert site.tolist() == [2, 0, 1]
-    queries = np.array([[3, 0, 0], [7, 7, 7], [8, 1, 5]])  # 8 wraps to 0
-    assert level.neighbors(queries, np.zeros((1, 3), dtype=np.int64)
-                           ).tolist() == [[2, -1, 1]]
+    # The site itself, then one step forward and one back across the seam.
+    kmap = level.neighbors(np.array([[0, 0, 0], [5, 1, -2], [-5, -1, 2]]))
+    assert kmap.n_out == 3
+    (same_out, same_in), (fwd_out, fwd_in), (back_out, back_in) = kmap.pairs
+    assert same_out is None and same_in.tolist() == [0, 1, 2]
+    assert (fwd_out.tolist(), fwd_in.tolist()) == ([2], [0])  # 3+5 -> 0
+    assert (back_out.tolist(), back_in.tolist()) == ([0], [2])  # 0-5 -> 3
 
 
 def test_offsets_orderings():
@@ -133,9 +138,9 @@ def test_stride2_matches_dense_reference():
     rng = np.random.default_rng(5)
     child, x = random_grid(seed=5, cin=3, ring=16)
     w, b = rng.normal(size=(8, 3, 4)), rng.normal(size=4)
-    parent, _ = child.halve()
+    parent, _, down = child.halve()
     assert parent.ring_cells == 8
-    out = sparse_conv(x, child.neighbors(2 * parent.coords, DOWN), w, b)
+    out = sparse_conv(x, down, w, b)
 
     table = {tuple(c): f for c, f in zip(child.coords, x)}
     parents = sorted({(c[0] >> 1, c[1] >> 1, c[2] >> 1)
@@ -151,6 +156,39 @@ def test_stride2_matches_dense_reference():
     np.testing.assert_allclose(out, want, atol=1e-12)
 
 
+def dense_table(kmap):
+    """The (V, n_out) input row of each output per offset, -1 if absent."""
+    table = np.full((len(kmap.pairs), kmap.n_out), -1)
+    for k, (out_rows, in_rows) in enumerate(kmap.pairs):
+        table[k, slice(None) if out_rows is None else out_rows] = in_rows
+    return table
+
+
+def brute_force_table(level, offsets, stride):
+    """(V, n_out) table by dict lookup: the outputs are the level's own
+    sites (stride 1, ring wrapped modulo) or its halved parents (stride
+    2, reading child 2 * parent + offset)."""
+    rows = {tuple(c): r for r, c in enumerate(level.coords.tolist())}
+    if stride == 1:
+        centers = level.coords.tolist()
+    else:
+        centers = sorted({(x >> 1, y >> 1, z >> 1)
+                          for x, y, z in level.coords.tolist()})
+    table = np.full((len(offsets), len(centers)), -1)
+    for k, (dx, dy, dz) in enumerate(offsets.tolist()):
+        for r, (x, y, z) in enumerate(centers):
+            if stride == 2:
+                nb = (2 * x + dx, 2 * y + dy, 2 * z + dz)
+            else:
+                nb = ((x + dx) % level.ring_cells, y + dy, z + dz)
+            table[k, r] = rows.get(nb, -1)
+    return table
+
+
+def kernel_map(level, offsets, stride):
+    return level.neighbors(offsets) if stride == 1 else level.halve()[2]
+
+
 def im2col_conv(feats, neighbor_rows, weights, bias):
     """The earlier sparse conv: gather every (offset, site) slot into one
     dense block, zeros where the neighbor is absent, and one matmul."""
@@ -164,7 +202,8 @@ def im2col_conv(feats, neighbor_rows, weights, bias):
 def seam_and_isolated_grid(seed, ring=32, cin=5):
     """A random grid plus a wall across the ring seam and two lone sites."""
     level, x = random_grid(ring=ring, n=60, cin=cin, seed=seed)
-    extra = [[ring - 1, 20, 0], [0, 20, 0], [1, 20, 0], [ring - 1, 21, 1],
+    extra = [[ring - 2, 20, 0], [ring - 1, 20, 0], [0, 20, 0], [1, 20, 0],
+             [ring - 1, 21, 1],
              [ring // 2, 40, 30], [3, -30, -20]]
     rng = np.random.default_rng(seed + 100)
     return make_level(np.vstack([level.coords, extra]),
@@ -178,20 +217,46 @@ def test_kernel_map_conv_matches_im2col(offsets, stride):
     for seed in range(3):
         rng = np.random.default_rng(seed)
         level, x = seam_and_isolated_grid(seed)
-        centers = level.coords if stride == 1 else 2 * level.halve()[0].coords
-        table = level.neighbors(centers, offsets)
+        table = brute_force_table(level, offsets, stride)
         assert np.any(table < 0) and np.any(table >= 0)
         w, b = rng.normal(size=(len(offsets), 5, 7)), rng.normal(size=7)
         want = im2col_conv(x, table, w, b)
-        got = sparse_conv(x, table, w, b)
+        got = sparse_conv(x, kernel_map(level, offsets, stride), w, b)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("offsets, stride",
+                         [(CUBE, 1), (2 * CUBE, 1), (DOWN, 2), (UP, 1)],
+                         ids=["CUBE", "2*CUBE", "DOWN", "UP"])
+def test_kernel_map_equals_brute_force_lookup(offsets, stride):
+    for seed in range(4):
+        level, _ = seam_and_isolated_grid(seed, ring=16 << seed % 2)
+        kmap = kernel_map(level, offsets, stride)
+        want = brute_force_table(level, offsets, stride)
+        np.testing.assert_array_equal(dense_table(kmap), want)
+        for (out_rows, in_rows), rows in zip(kmap.pairs, want):
+            assert (out_rows is None) == bool(np.all(rows >= 0))
+            if out_rows is not None:
+                assert np.all(np.diff(out_rows) > 0)
+                assert len(in_rows) == len(out_rows)
+
+
+def test_dilated_map_wraps_both_ways_across_the_seam():
+    level, _ = make_level([[14, 3, 0], [15, 3, 0], [0, 3, 0], [1, 3, 0]],
+                          np.zeros((4, 1)), 16)
+    rows = {tuple(c): r for r, c in enumerate(level.coords.tolist())}
+    table = dense_table(level.neighbors(np.array([[2, 0, 0], [-2, 0, 0]])))
+    assert table[0, rows[14, 3, 0]] == rows[0, 3, 0]
+    assert table[0, rows[15, 3, 0]] == rows[1, 3, 0]
+    assert table[1, rows[0, 3, 0]] == rows[14, 3, 0]
+    assert table[1, rows[1, 3, 0]] == rows[15, 3, 0]
 
 
 def test_stride2_site_rule():
     # Parent sites are exactly the floor-halved child sites, so negative
     # heights round toward minus infinity.
     child, _ = Level.of(np.array([[3, 1, -1], [2, 0, -2]]), 8)
-    parent, parent_rows = child.halve()
+    parent, parent_rows, _ = child.halve()
     assert parent.coords.tolist() == [[1, 0, -1]]
     assert parent_rows.tolist() == [0, 0]
 
@@ -228,9 +293,40 @@ def test_sites_at_the_index_bound_encode():
         encode(make_voxels([[0, INDEX_BOUND, 0]]), init_encoder_weights(seed=0))
 
 
+B = INDEX_BOUND
+
+
+@pytest.mark.parametrize("coords, ring, offsets", [
+    ([[0, B - 1, 0], [3, 0, 0]], 64, CUBE),
+    ([[0, B - 1, 0], [3, 0, 0]], 64, UP),
+    ([[0, 0, -B], [3, 0, 0]], 64, UP),
+    ([[0, 0, -B + 1], [3, 0, 0]], 64, 2 * CUBE),
+    ([[0, 0, 0], [9, 1, 1]], 1 << 22, CUBE),
+    ([[5, 0, 0], [9, 1, 1]], 1 << 22, CUBE),
+    ([[B - 1, 0, 0]], 1 << 22, CUBE),
+    ([[B - 1, 0, 0]], 1 << 22, UP),
+    ([[1, 0, 0], [B - 3, 0, 0]], 1 << 21, 2 * CUBE),
+], ids=["y-top-cube", "y-top-up", "z-bottom-up", "z-near-bottom-dilated",
+        "wrap-past-bound", "no-wrap", "x-top-cube", "x-top-up",
+        "dilated-both-ends"])
+def test_neighbor_range_error_exactly_where_a_neighbor_leaves_the_range(
+        coords, ring, offsets):
+    level, _ = Level.of(np.array(coords), ring)
+    outside = any(not (-B <= v < B)
+                  for x, y, z in coords for dx, dy, dz in offsets.tolist()
+                  for v in ((x + dx) % ring, y + dy, z + dz))
+    if outside:
+        with pytest.raises(ParseError, match="packable range"):
+            level.neighbors(offsets)
+    else:
+        np.testing.assert_array_equal(
+            dense_table(level.neighbors(offsets)),
+            brute_force_table(level, offsets, 1))
+
+
 def test_max_pool_matches_reference():
     child, x = random_grid(seed=9, cin=3, ring=16)
-    parent, parent_rows = child.halve()
+    parent, parent_rows, _ = child.halve()
     out = max_pool2(x, parent_rows, len(parent.coords))
     assert parent.ring_cells == 8
     groups = {}
@@ -319,6 +415,24 @@ def test_encode_seam_straddle_equals_rotated_copy():
     moved_idx[:, 0] = (moved_idx[:, 0] + 16) % 64
     away = encode(make_voxels(moved_idx, inten), w)
     assert np.abs(at_seam - away).max() <= 1e-5
+
+
+def test_encode_leaves_its_inputs_and_weights_unchanged():
+    rng = np.random.default_rng(13)
+    idx = np.column_stack([rng.integers(0, 64, 80), rng.integers(-5, 30, 80),
+                           rng.integers(-4, 9, 80)])
+    v = make_voxels(idx, rng.uniform(0, 1, len(idx)))
+    w = init_encoder_weights(seed=6)
+    before = [a.copy() for a in (v.indices, v.points, v.intensity,
+                                 v.source_index)]
+    tensors = {name: t.copy() for name, t in w.tensors.items()}
+    site_feats, rows = encode_sites(v, w)
+    np.testing.assert_array_equal(encode(v, w), site_feats[rows])
+    for got, want in zip((v.indices, v.points, v.intensity, v.source_index),
+                         before):
+        np.testing.assert_array_equal(got, want)
+    for name, t in tensors.items():
+        np.testing.assert_array_equal(w.tensors[name], t)
 
 
 def test_weights_save_load_round_trip(tmp_path):

@@ -15,6 +15,8 @@ from ringloc.se3 import PointCloud, RigidTransform, yaw
 
 from helpers import read_pose
 
+CFG64 = ProjectionConfig(voxel_size=0.2, ring_cells=64)
+
 
 def random_cloud(n=20, seed=0):
     rng = np.random.default_rng(seed)
@@ -137,6 +139,37 @@ def test_voxel_rejects_fractional_index(tmp_path):
                  "0.5,1,1,0.0,0.0,0.0,0.0,0\n")
     with pytest.raises(ParseError):
         read_voxel_csv(p, ProjectionConfig(voxel_size=0.2, ring_cells=64))
+
+
+def first_repeat_by_rows(cells):
+    """(row, earlier row) of the first repeated index, found with the
+    row-wise np.unique(axis=0) read_voxel_csv used before packed keys."""
+    _, first, site = np.unique(cells, axis=0, return_index=True,
+                               return_inverse=True)
+    earlier = first[site.reshape(-1)]
+    repeats = np.flatnonzero(earlier != np.arange(len(cells)))
+    return (repeats[0], earlier[repeats[0]]) if len(repeats) else None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_voxel_repeat_check_matches_row_unique(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    span = int(rng.choice([2, 4, 40]))  # small spans repeat, large rarely
+    cells = np.column_stack([rng.integers(0, 64, n),
+                             rng.integers(-span, span, (n, 2))])
+    p = tmp_path / "vox.csv"
+    write_csv(p, "ix,iy,iz,px,py,pz,intensity,source_index",
+              ((*c, 0.0, 0.0, 0.0, 0.5, r) for r, c in enumerate(cells.tolist())))
+    want = first_repeat_by_rows(cells)
+    if want is None:
+        np.testing.assert_array_equal(read_voxel_csv(p, CFG64).indices, cells)
+        return
+    row, earlier = want  # data row r sits on line r + 2, under the header
+    with pytest.raises(ParseError) as err:
+        read_voxel_csv(p, CFG64)
+    assert str(err.value) == (f"{p}:{row + 2}: repeats the voxel index of "
+                              f"line {earlier + 2}")
 
 
 def test_tensor_round_trip_and_f32_quantization(tmp_path):

@@ -117,6 +117,38 @@ def test_voxel_order_is_ascending_source_index():
     assert np.all(np.diff(v.source_index) > 0)
 
 
+def voxelize_by_rows(projected, config):
+    """voxelize with the row-wise np.unique(axis=0) dedupe it used before
+    cells were packed into keys."""
+    idx = np.floor(projected.xyz / config.voxel_size).astype(np.int64)
+    idx[:, 0] %= config.ring_cells
+    inside = np.flatnonzero(np.all((idx >= -INDEX_BOUND)
+                                   & (idx < INDEX_BOUND), axis=1))
+    _, first = np.unique(idx[inside], axis=0, return_index=True)
+    first = inside[np.sort(first)]
+    return idx[first], first
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_packed_key_voxelize_matches_row_unique(seed):
+    # Few distinct cells (many repeats), negative heights and radii, and
+    # some points past the index bound.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    cells = rng.integers(-6, 6, size=(n, 3))
+    cells[:, 0] += 32
+    pts = (cells + rng.uniform(0.0, 1.0, size=(n, 3))) * CFG64.voxel_size
+    far = rng.random(n) < 0.05
+    pts[far, 2] = rng.choice([-1.0, 1.0], far.sum()) * INDEX_BOUND * 0.3
+    cloud = PointCloud(pts, rng.uniform(0, 1, n))
+    v = voxelize(cloud, CFG64)
+    want_idx, want_first = voxelize_by_rows(cloud, CFG64)
+    assert len(want_first) < n  # repeats were present
+    np.testing.assert_array_equal(v.indices, want_idx)
+    np.testing.assert_array_equal(v.source_index, want_first)
+    np.testing.assert_array_equal(v.points, pts[want_first])
+
+
 def test_recover_zero_angle():
     v = VoxelCloud(np.array([[0, 9, 4]]), np.zeros((1, 3)), np.zeros(1),
                    np.zeros(1), ring_cells=64, voxel_size=0.2)

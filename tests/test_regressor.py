@@ -249,6 +249,24 @@ def test_gradcheck_100_random_configurations():
     assert worst <= 1e-4
 
 
+def test_forward_leaves_inputs_unchanged_and_matches_regress():
+    cfg = RegressorConfig(width=16, heads=3, layers=3)
+    w = init_regressor_weights(cfg, seed=8)
+    f = np.random.default_rng(8).normal(size=(40, 16))
+    f_before = f.copy()
+    tensors = {name: t.copy() for name, t in w.tensors.items()}
+    coords, u = regress(f, w)
+    train_out, _ = forward(f, w, keep_cache=True)
+    infer_out, cache = forward(f, w, keep_cache=False)
+    assert cache is None
+    assert train_out[:, :3].tobytes() == coords.tobytes()
+    assert train_out[:, 3].tobytes() == u.tobytes()
+    assert infer_out.tobytes() == train_out.tobytes()
+    np.testing.assert_array_equal(f, f_before)
+    for name, t in tensors.items():
+        np.testing.assert_array_equal(w.tensors[name], t)
+
+
 def test_weights_save_load_round_trip(tmp_path):
     cfg = RegressorConfig(width=12, heads=3, layers=2)
     w = init_regressor_weights(cfg, seed=9)
