@@ -104,51 +104,34 @@ class Level:
     def neighbors(self, offsets: np.ndarray) -> KernelMap:
         """The stride-1 map of these sites onto themselves over offsets.
 
-        A neighbor's key is the site's key plus the offset's key delta.
-        A ring step dx < 0 carries the prefix of sites with ring index
-        below -dx back past the seam, and dx > 0 the suffix from
-        ring_cells - dx on; both are found by bisecting the ascending
-        ring index and moved one turn.  When the offsets mirror (offset
-        V-1-k is -offset k, as in CUBE), only the first half is looked
-        up: offset -o maps the pairs of offset o the other way round.
-        A neighbor outside the packable range is a parse error.
+        A neighbor's key is the site's key plus the offset's key delta,
+        less the whole turns its ring index (ring + dx) // ring_cells
+        went round, so the ring axis wraps modulo ring_cells for any
+        step, also one wider than the ring.  A neighbor outside the
+        packable range is a parse error.
         """
         n, cells = len(self.keys), self.ring_cells
-        ring = self.coords[:, 0]
-        steps = np.unique(offsets[:, 0])
-        cuts = np.searchsorted(ring, np.where(steps < 0, -steps, cells - steps))
-        cut = dict(zip(steps.tolist(), cuts.tolist()))
-        # The largest ring index each step looks up, wrapped where it wraps.
-        reach = [ring[c - 1] + dx + (cells if dx < 0 else 0)
-                 for dx, c in cut.items() if c]
+        turn = np.int64(cells) << 42
+        base, reach = {}, 0
+        for dx in np.unique(offsets[:, 0]).tolist():
+            turns, wrapped = np.divmod(self.coords[:, 0] + dx, cells)
+            base[dx] = self.keys - turns * turn
+            reach = max(reach, int(wrapped.max()))
         lo, hi = self.coords[:, 1:].min(axis=0), self.coords[:, 1:].max(axis=0)
-        if (max(reach, default=0) >= INDEX_BOUND
+        if (reach >= INDEX_BOUND
                 or np.any(lo + offsets[:, 1:].min(axis=0) < -INDEX_BOUND)
                 or np.any(hi + offsets[:, 1:].max(axis=0) >= INDEX_BOUND)):
             raise ParseError(UNPACKABLE)
 
-        turn = np.int64(cells) << 42
         deltas = _pack(offsets) - _pack(np.zeros(3, dtype=np.int64))
-        v = len(offsets)
-        mirrored = np.array_equal(offsets, -offsets[::-1])
-        pairs: List = [None] * v
-        for k in range(v // 2 + 1 if mirrored else v):
-            dx = int(offsets[k, 0])
-            q = self.keys + deltas[k]
-            if dx < 0:
-                q[:cut[dx]] += turn
-            elif dx > 0:
-                q[cut[dx]:] -= turn
+        pairs = []
+        for dx, delta in zip(offsets[:, 0].tolist(), deltas):
+            q = base[dx] + delta
             pos = np.searchsorted(self.keys, q)
             np.minimum(pos, n - 1, out=pos)
             out_rows = np.flatnonzero(self.keys[pos] == q)
-            in_rows = pos[out_rows]
-            everyone = len(out_rows) == n
-            pairs[k] = (None if everyone else out_rows, in_rows)
-            if mirrored and k < v - 1 - k:
-                order = np.argsort(in_rows)
-                pairs[v - 1 - k] = (None if everyone else in_rows[order],
-                                    out_rows[order])
+            pairs.append((None if len(out_rows) == n else out_rows,
+                          pos[out_rows]))
         return KernelMap(n, pairs)
 
 
@@ -172,11 +155,16 @@ def sparse_conv(feats: np.ndarray, kmap: KernelMap, weights: np.ndarray,
     return out
 
 
-def max_pool2(feats: np.ndarray, parent_rows: np.ndarray,
-              n_parents: int) -> np.ndarray:
-    """Stride-2 max pool; each parent takes the max over its children."""
-    pooled = np.full((n_parents, feats.shape[1]), -np.inf)
-    np.maximum.at(pooled, parent_rows, feats)
+def max_pool2(feats: np.ndarray, down: KernelMap) -> np.ndarray:
+    """Stride-2 max pool over the `DOWN` map of `Level.halve`; each
+    parent takes the max over its children, one running max per tap."""
+    pooled = np.full((down.n_out, feats.shape[1]), -np.inf)
+    for out_rows, in_rows in down.pairs:
+        if out_rows is None:
+            np.maximum(pooled, feats.take(in_rows, axis=0), out=pooled)
+        elif len(out_rows):
+            pooled[out_rows] = np.maximum(pooled[out_rows],
+                                          feats.take(in_rows, axis=0))
     return pooled
 
 
@@ -350,7 +338,7 @@ def encode_sites(v: VoxelCloud, weights: EncoderWeights
     for i in range(1, 5):
         level, parent_rows, down = level.halve()
         x = np.hstack([conv(f"stage{i}.down", x, down),
-                       max_pool2(x, parent_rows, down.n_out)])
+                       max_pool2(x, down)])
         x = conv_pair(f"stage{i}", x, level.neighbors(CUBE))
         voxel_rows = parent_rows[voxel_rows]
 

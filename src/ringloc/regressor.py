@@ -149,9 +149,7 @@ def forward(features: np.ndarray, weights: RegressorWeights,
         if keep_cache:
             win = np.argmax(z.reshape(len(h), cfg.heads, n), axis=1)
             layers.append((h, win, mx, inv))
-            y = mx * t[f"ln{i}.g"]
-        else:
-            y = np.multiply(mx, t[f"ln{i}.g"], out=mx)
+        y = mx * t[f"ln{i}.g"]
         y += t[f"ln{i}.b"]
         h = leaky_relu(y, out=y)
     out = h @ t["head.w"]

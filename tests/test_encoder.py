@@ -5,8 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ringloc.encoder import (CUBE, DOWN, UP, EncoderConfig, Level, encode,
-                             encode_sites, init_encoder_weights,
+from ringloc.encoder import (CUBE, DOWN, UP, EncoderConfig, KernelMap, Level,
+                             encode, encode_sites, init_encoder_weights,
                              initial_features, leaky_relu,
                              load_encoder_weights, max_pool2,
                              save_encoder_weights, sparse_conv)
@@ -229,8 +229,16 @@ def test_kernel_map_conv_matches_im2col(offsets, stride):
                          [(CUBE, 1), (2 * CUBE, 1), (DOWN, 2), (UP, 1)],
                          ids=["CUBE", "2*CUBE", "DOWN", "UP"])
 def test_kernel_map_equals_brute_force_lookup(offsets, stride):
+    # Rings of 16 and 32, each halved down to one cell: rings of 2 and
+    # 1 are narrower than the dilated +-2 steps.
+    levels = []
     for seed in range(4):
         level, _ = seam_and_isolated_grid(seed, ring=16 << seed % 2)
+        levels.append(level)
+        while level.ring_cells > 1:
+            level = level.halve()[0]
+            levels.append(level)
+    for level in levels:
         kmap = kernel_map(level, offsets, stride)
         want = brute_force_table(level, offsets, stride)
         np.testing.assert_array_equal(dense_table(kmap), want)
@@ -250,6 +258,31 @@ def test_dilated_map_wraps_both_ways_across_the_seam():
     assert table[0, rows[15, 3, 0]] == rows[1, 3, 0]
     assert table[1, rows[0, 3, 0]] == rows[14, 3, 0]
     assert table[1, rows[1, 3, 0]] == rows[15, 3, 0]
+
+
+def brute_force_neighbors(level, offsets):
+    """Level.neighbors by dict lookup, ring wrapped modulo."""
+    table = brute_force_table(level, offsets, 1)
+    pairs = []
+    for rows in table:
+        out_rows = np.flatnonzero(rows >= 0)
+        pairs.append((None if len(out_rows) == len(rows) else out_rows,
+                      rows[out_rows]))
+    return KernelMap(len(level.keys), pairs)
+
+
+def test_encode_at_the_narrowest_ring_matches_dict_lookup(monkeypatch):
+    # At ring_cells = 16 the coarsest ring is one cell, so every ring
+    # step of the dilated stages goes round the whole ring.
+    rng = np.random.default_rng(14)
+    idx = np.unique(np.column_stack([rng.integers(0, 16, 60),
+                                     rng.integers(0, 40, 60),
+                                     rng.integers(-6, 10, 60)]), axis=0)
+    v = make_voxels(idx, rng.uniform(0, 1, len(idx)), ring=16)
+    w = init_encoder_weights(seed=7)
+    got = encode(v, w)
+    monkeypatch.setattr(Level, "neighbors", brute_force_neighbors)
+    np.testing.assert_array_equal(got, encode(v, w))
 
 
 def test_stride2_site_rule():
@@ -326,8 +359,8 @@ def test_neighbor_range_error_exactly_where_a_neighbor_leaves_the_range(
 
 def test_max_pool_matches_reference():
     child, x = random_grid(seed=9, cin=3, ring=16)
-    parent, parent_rows, _ = child.halve()
-    out = max_pool2(x, parent_rows, len(parent.coords))
+    parent, _, down = child.halve()
+    out = max_pool2(x, down)
     assert parent.ring_cells == 8
     groups = {}
     for c, f in zip(child.coords, x):
