@@ -4,13 +4,16 @@ The dataclass defaults are the standard configuration, the one
 ``ringloc bench`` runs.  A config file is plain ``section.key = value``
 lines with ``#`` comments and a mandatory ``config_version`` guard; it
 lists only the keys it changes.  Values are typed from the defaults
-(int, float, bool, str, or comma-joined tuples), and serialization uses
-shortest round-trip formatting, so write(read(x)) reproduces x.
+(int, float, str, or comma-joined tuples of int or float), and
+serialization uses shortest round-trip formatting, so write(read(x))
+reproduces x.  Each changed section is rebuilt with
+``dataclasses.replace``, so its own ``__post_init__`` validates it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -59,6 +62,8 @@ class TrainConfig:
                              "least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be at least 0")
+        if not (math.isfinite(self.lr) and math.isfinite(self.decay)):
+            raise ValueError("lr and decay must be finite")
         if self.seed < 0:
             raise ValueError("seed must be at least 0")
 
@@ -91,31 +96,30 @@ class PipelineConfig:
 
 
 KEY_DOCS: Dict[str, str] = {
-    "projection.voxel_size": "cell edge of the cylindrical grid (m)",
+    "projection.voxel_size": "cell edge of the cylindrical grid (m, > 0, finite)",
     "projection.ring_cells": "cells per full turn; even, divisible by 16",
     "plane.iterations": "ground-plane RANSAC hypothesis count (>= 1)",
     "plane.threshold": "ground-plane inlier distance (m, > 0, finite)",
     "plane.min_inliers": "minimum ground consensus size",
-    "plane.seed": "ground-plane sampling seed offset",
+    "plane.seed": "unused: every ground-plane RANSAC seed derives from --seed",
     "pose.iterations": "pose RANSAC hypothesis count (>= 1)",
     "pose.threshold": "pose inlier residual (m, > 0, finite)",
-    "pose.refit_on_inliers": "refit the winner over its inliers",
-    "pose.seed": "pose sampling seed offset",
+    "pose.seed": "unused: every pose RANSAC seed derives from --seed",
     "selection.top_fraction": "share of points kept by reliability",
     "selection.min_count": "keep everything below this count",
-    "sensor.n_azimuth": "rays per sweep row",
-    "sensor.n_elevation": "sweep rows",
+    "sensor.n_azimuth": "rays per sweep row (>= 1)",
+    "sensor.n_elevation": "sweep rows (>= 1)",
     "sensor.elevation_min_deg": "lowest ray elevation (deg)",
     "sensor.elevation_max_deg": "highest ray elevation (deg)",
     "sensor.max_range": "maximum returned range (m)",
-    "sensor.range_noise": "1-sigma range noise along the ray (m)",
-    "oracle.sigma_reliable": "oracle jitter on reliable points (m)",
-    "oracle.outlier_box": "oracle scatter cube side on ambiguous points (m)",
-    "oracle.u_reliable": "oracle score range for reliable points: low,high",
-    "oracle.u_ambiguous": "oracle score range for ambiguous points: low,high",
-    "encoder.stem_width": "width of the stem's hidden projection",
-    "encoder.stage_widths": "five encoder stage widths",
-    "encoder.output_width": "fused full-resolution feature width",
+    "sensor.range_noise": "1-sigma range noise along the ray (m, >= 0, finite)",
+    "oracle.sigma_reliable": "oracle jitter on reliable points (m, >= 0, finite)",
+    "oracle.outlier_box": "oracle scatter cube side (m, >= 0, finite)",
+    "oracle.u_reliable": "oracle score range, reliable points: finite low,high",
+    "oracle.u_ambiguous": "oracle score range, ambiguous points: finite low,high",
+    "encoder.stem_width": "width of the stem's hidden projection (>= 1)",
+    "encoder.stage_widths": "five encoder stage widths (each >= 1)",
+    "encoder.output_width": "fused full-resolution feature width (>= 1)",
     "regressor.width": "regressor feature width",
     "regressor.heads": "candidate vectors per max layer",
     "regressor.layers": "stacked max layers",
@@ -126,8 +130,8 @@ KEY_DOCS: Dict[str, str] = {
     "trajectory.radius": "loop radius (m)",
     "trajectory.height": "sensor height above ground (m)",
     "train.epochs": "gradient-descent epochs (>= 0)",
-    "train.lr": "step size at epoch 0",
-    "train.decay": "per-epoch multiplicative step decay",
+    "train.lr": "step size at epoch 0 (finite)",
+    "train.decay": "per-epoch multiplicative step decay (finite)",
     "train.scan_stride": "train on every stride-th frame (>= 1)",
     "train.points_per_scan": "voxel subsample per training frame (>= 1)",
     "train.seed": "weight init and subsample seed (>= 0)",
@@ -135,23 +139,17 @@ KEY_DOCS: Dict[str, str] = {
     "bench.perturbations": "comma list of kind[:magnitude] entries",
 }
 
-def _sections(cfg: PipelineConfig) -> List[Tuple[str, object]]:
-    return [(f.name, getattr(cfg, f.name))
-            for f in dataclasses.fields(PipelineConfig)]
-
-
 def config_items(cfg: PipelineConfig) -> List[Tuple[str, object]]:
     """Flat (dotted key, value) pairs in declaration order."""
     items: List[Tuple[str, object]] = []
-    for section_name, section in _sections(cfg):
+    for s in dataclasses.fields(PipelineConfig):
+        section = getattr(cfg, s.name)
         for f in dataclasses.fields(section):
-            items.append((f"{section_name}.{f.name}", getattr(section, f.name)))
+            items.append((f"{s.name}.{f.name}", getattr(section, f.name)))
     return items
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -160,18 +158,14 @@ def format_value(value) -> str:
 
 
 def _parse_value(text: str, template) -> object:
-    text = text.strip()
-    if isinstance(template, bool):
-        if text not in ("true", "false"):
-            raise ValueError(f"expected true/false, got '{text}'")
-        return text == "true"
+    """text as the type of template; int() and float() ignore spaces."""
     if isinstance(template, int):
         return int(text)
     if isinstance(template, float):
         return float(text)
     if isinstance(template, tuple):
-        element = template[0] if len(template) else 0.0
-        return tuple(_parse_value(part, element) for part in text.split(","))
+        return tuple(_parse_value(part, template[0])
+                     for part in text.split(","))
     return text
 
 
@@ -189,9 +183,9 @@ def config_to_text(cfg: PipelineConfig) -> str:
 
 def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
     """Parse key=value lines over the defaults; unknown keys are errors."""
-    cfg = PipelineConfig()
-    lookup = {key: None for key, _ in config_items(cfg)}
-    overrides: Dict[str, str] = {}
+    defaults = PipelineConfig()
+    lookup = dict(config_items(defaults))
+    changes: Dict[str, Dict[str, object]] = {}
     saw_version = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -208,28 +202,23 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
             continue
         if key not in lookup:
             raise ParseError(f"{source}:{lineno}: unknown key '{key}'")
-        overrides[key] = raw
+        section_name, field_name = key.split(".", 1)
+        try:
+            value = _parse_value(raw, lookup[key])
+        except ValueError as exc:
+            raise ParseError(f"{source}:{lineno}: key '{key}': {exc}") from exc
+        changes.setdefault(section_name, {})[field_name] = value
     if not saw_version:
         raise ParseError(f"{source}: missing config_version")
 
-    for key, raw in overrides.items():
-        section_name, field_name = key.split(".", 1)
-        section = getattr(cfg, section_name)
-        template = getattr(section, field_name)
+    sections = {}
+    for section_name, fields in changes.items():
         try:
-            value = _parse_value(raw, template)
-        except ValueError as exc:
-            raise ParseError(f"{source}: key '{key}': {exc}") from exc
-        setattr(section, field_name, value)
-    # Re-run every section's validation against the merged values.
-    for section_name, section in _sections(cfg):
-        hook = getattr(section, "__post_init__", None)
-        if hook is None:
-            continue
-        try:
-            hook()
+            sections[section_name] = dataclasses.replace(
+                getattr(defaults, section_name), **fields)
         except ValueError as exc:
             raise ParseError(f"{source}: section '{section_name}': {exc}") from exc
+    cfg = dataclasses.replace(defaults, **sections)
     if cfg.projection.ring_cells % DOWNSAMPLE_FACTOR != 0:
         raise ParseError(f"{source}: projection.ring_cells must be divisible "
                          f"by {DOWNSAMPLE_FACTOR}, the encoder's downsampling")

@@ -184,6 +184,8 @@ class EncoderConfig:
         self.stage_widths = tuple(int(w) for w in self.stage_widths)
         if len(self.stage_widths) != 5:
             raise ValueError("exactly five stage widths required")
+        if min(self.stem_width, self.output_width, *self.stage_widths) < 1:
+            raise ValueError("every encoder width must be at least 1")
 
 
 @dataclass
@@ -267,7 +269,7 @@ def load_encoder_weights(path) -> EncoderWeights:
         stage_widths += (tensors["stage5.a.w"].shape[2],)
         config = EncoderConfig(stem_width, stage_widths,
                                tensors["stage6.fuse.w"].shape[1])
-    except (KeyError, IndexError) as exc:
+    except (KeyError, IndexError, ValueError) as exc:
         raise ParseError(f"{path}: not an encoder weight file "
                          f"({type(exc).__name__}: {exc})") from exc
     expected = {n: s for n, s in _encoder_layout(config)}

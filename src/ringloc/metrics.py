@@ -19,7 +19,7 @@ from .errors import EmptyScan, LengthMismatch
 from .se3 import RigidTransform, rotation_angle_deg
 
 SCHEMA_VERSION = 1
-DEFAULT_SUCCESS_THRESHOLDS = (0.5, 1.0, 5.0)  # m
+SUCCESS_THRESHOLDS = (0.5, 1.0, 5.0)  # m
 
 
 @dataclass
@@ -89,9 +89,7 @@ def percentile(values: Sequence[float], p: float) -> float:
     return float(np.percentile(values, p, method="linear"))
 
 
-def summarize(result: TrajectoryResult,
-              thresholds: Sequence[float] = DEFAULT_SUCCESS_THRESHOLDS
-              ) -> Dict[str, Union[int, float]]:
+def summarize(result: TrajectoryResult) -> Dict[str, Union[int, float]]:
     """Summary dict matching the shipped report schema."""
     pos = position_errors(result)
     summary: Dict[str, Union[int, float]] = {
@@ -102,7 +100,7 @@ def summarize(result: TrajectoryResult,
         "medpe_m": percentile(pos, 50.0),
         "p99_m": percentile(pos, 99.0),
     }
-    for t in thresholds:
+    for t in SUCCESS_THRESHOLDS:
         summary[f"success@{t:g}"] = success_at(result, t)
     return summary
 

@@ -37,7 +37,6 @@ class SelectionPolicy:
 class RansacPoseParams:
     iterations: int = 300
     threshold: float = 0.5  # m, inlier residual
-    refit_on_inliers: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -160,24 +159,17 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
     candidates = np.flatnonzero(counts == best_count)
     cand_ss = np.where(inlier_mask[candidates], d2[candidates], 0.0).sum(axis=1)
     best = int(candidates[int(np.argmin(cand_ss))])
-    transform = RigidTransform(rot[best], trans[best])
     inliers = np.flatnonzero(inlier_mask[best])
-
-    if params.refit_on_inliers:
-        try:
-            transform = kabsch(local[inliers], pred[inliers])
-        except DegenerateInput:
-            pass  # keep the minimal-sample motion
-        refit_res = np.linalg.norm(
-            local @ transform.rotation.T + transform.translation - pred, axis=1)
-        inliers = np.flatnonzero(refit_res <= params.threshold)
-        if len(inliers) < SAMPLE_SIZE:
-            raise NoConsensus("refit collapsed the consensus set")
-        rms = float(np.sqrt(np.mean(refit_res[inliers] ** 2)))
-    else:
-        res = np.linalg.norm(np.einsum("ij,nj->ni", rot[best], local)
-                             + trans[best] - pred, axis=1)
-        rms = float(np.sqrt(np.mean(res[inliers] ** 2)))
+    try:
+        transform = kabsch(local[inliers], pred[inliers])
+    except DegenerateInput:  # keep the minimal-sample motion
+        transform = RigidTransform(rot[best], trans[best])
+    res = np.linalg.norm(
+        local @ transform.rotation.T + transform.translation - pred, axis=1)
+    inliers = np.flatnonzero(res <= params.threshold)
+    if len(inliers) < SAMPLE_SIZE:
+        raise NoConsensus("refit collapsed the consensus set")
+    rms = float(np.sqrt(np.mean(res[inliers] ** 2)))
     return PoseEstimate(transform, inliers.astype(np.int64), rms)
 
 

@@ -44,7 +44,7 @@ class ProjectionConfig:
     """Grid geometry for the unrolled cylinder.
 
     Attributes:
-        voxel_size: cell edge delta in meters, > 0.
+        voxel_size: cell edge delta in meters, > 0 and finite.
         ring_cells: cells per full turn along x; even, at least 8.
     """
 
@@ -52,8 +52,8 @@ class ProjectionConfig:
     ring_cells: int = 1024
 
     def __post_init__(self):
-        if self.voxel_size <= 0.0:
-            raise ValueError("voxel_size must be positive")
+        if not 0.0 < self.voxel_size < np.inf:
+            raise ValueError("voxel_size must be positive and finite")
         if self.ring_cells < 8 or self.ring_cells % 2 != 0:
             raise ValueError("ring_cells must be an even integer >= 8")
 

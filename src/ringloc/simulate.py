@@ -75,6 +75,12 @@ class SensorSpec:
     max_range: float = 80.0  # m
     range_noise: float = 0.02  # m, 1-sigma along the ray
 
+    def __post_init__(self):
+        if self.n_azimuth < 1 or self.n_elevation < 1:
+            raise ValueError("n_azimuth and n_elevation must be at least 1")
+        if not 0.0 <= self.range_noise < np.inf:
+            raise ValueError("range_noise must be at least 0 and finite")
+
 
 @dataclass
 class Scan:
@@ -313,10 +319,15 @@ class OracleSpec:
     u_ambiguous: Tuple[float, float] = (-10.0, -2.0)
 
     def __post_init__(self):
+        for name in ("sigma_reliable", "outlier_box"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be at least 0 and finite")
         for name in ("u_reliable", "u_ambiguous"):
             lo_hi = getattr(self, name)
-            if len(lo_hi) != 2 or lo_hi[0] > lo_hi[1]:
-                raise ValueError(f"{name} must be two values, low <= high")
+            if (len(lo_hi) != 2 or not np.all(np.isfinite(lo_hi))
+                    or lo_hi[0] > lo_hi[1]):
+                raise ValueError(f"{name} must be two finite values, "
+                                 f"low <= high")
 
 
 def oracle_predict(gt_world: np.ndarray, classes: np.ndarray,

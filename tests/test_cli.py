@@ -311,6 +311,12 @@ def _misshapen_encoder(path):
     return _tensor_file(path, **tensors)
 
 
+def _zero_width_encoder(path):
+    tensors = dict(init_encoder_weights(seed=0).tensors)
+    tensors["stem.proj.w"] = np.zeros((3, 0))
+    return _tensor_file(path, **tensors)
+
+
 def _nan_weights(path, tensors):
     """The weight set with a NaN in its first tensor."""
     tensors = {name: arr.copy() for name, arr in tensors.items()}
@@ -344,6 +350,9 @@ MALFORMED = {
     "encoder-weights-misshapen": lambda ws, d: [
         "encode", _voxel_file(ws, d), "--encoder-weights",
         _misshapen_encoder(d / "enc.bin")],
+    "encoder-weights-zero-width": lambda ws, d: [
+        "encode", _voxel_file(ws, d), "--encoder-weights",
+        _zero_width_encoder(d / "enc.bin")],
     "encoder-weights-nan": lambda ws, d: [
         "encode", _voxel_file(ws, d), "--encoder-weights",
         _nan_weights(d / "enc.bin", init_encoder_weights(seed=0).tensors)],
@@ -542,6 +551,28 @@ def test_ring_cells_off_the_encoder_grid_exits_2(tmp_path, capsys, cmd):
     rc = main([cmd, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "projection.ring_cells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, line, named", [
+    ("encode", "encoder.stage_widths = 4,0,16,32,48", "section 'encoder'"),
+    ("bench", "sensor.n_azimuth = 0", "section 'sensor'"),
+    ("bench", "oracle.u_reliable = nan,10.0", "section 'oracle'"),
+    ("localize", "projection.voxel_size = inf", "section 'projection'"),
+    ("train-toy", "train.lr = nan", "section 'train'"),
+    ("localize", "pose.refit_on_inliers = false",
+     "unknown key 'pose.refit_on_inliers'"),
+])
+def test_invalid_config_value_exits_2_on_one_line(ws, tmp_path, capsys, cmd,
+                                                 line, named):
+    cfg = _text_file(tmp_path / "bad.cfg", f"config_version = 1\n{line}\n")
+    extra = {"encode": [str(ws["cloud_path"])],
+             "localize": [str(ws["scan_path"])]}.get(cmd, [])
+    rc = main([cmd, *extra, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ringloc: error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert named in err
 
 
 def test_missing_file_exits_2(ws, tmp_path):

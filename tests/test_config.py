@@ -4,11 +4,18 @@ import dataclasses
 
 import pytest
 
-from ringloc.config import (KEY_DOCS, PipelineConfig, config_items,
-                            config_to_text, parse_config_text,
+from ringloc.config import (KEY_DOCS, BenchConfig, PipelineConfig,
+                            TrainConfig, TrajectoryConfig, WorldConfig,
+                            config_items, config_to_text, parse_config_text,
                             parse_perturbation, parse_perturbation_list,
                             read_config, standard_bench_config, write_config)
+from ringloc.encoder import EncoderConfig
 from ringloc.errors import ParseError
+from ringloc.plane import RansacPlaneParams
+from ringloc.pose_solve import RansacPoseParams, SelectionPolicy
+from ringloc.projection import ProjectionConfig
+from ringloc.regressor import RegressorConfig
+from ringloc.simulate import OracleSpec, SensorSpec
 
 
 def test_default_round_trip():
@@ -22,6 +29,38 @@ def test_file_round_trip(tmp_path):
     p = tmp_path / "run.cfg"
     write_config(p, cfg)
     assert config_items(read_config(p)) == config_items(cfg)
+
+
+def test_every_key_round_trips_at_a_non_default_value(tmp_path):
+    cfg = PipelineConfig(
+        projection=ProjectionConfig(voxel_size=0.3, ring_cells=512),
+        plane=RansacPlaneParams(iterations=150, threshold=0.125,
+                                min_inliers=40, seed=1),
+        pose=RansacPoseParams(iterations=250, threshold=0.375, seed=2),
+        selection=SelectionPolicy(top_fraction=0.35, min_count=45),
+        sensor=SensorSpec(n_azimuth=48, n_elevation=13,
+                          elevation_min_deg=-20.5, elevation_max_deg=11.25,
+                          max_range=61.0, range_noise=0.0125),
+        oracle=OracleSpec(sigma_reliable=0.04, outlier_box=30.5,
+                          u_reliable=(3.0, 9.5), u_ambiguous=(-9.5, -3.0)),
+        encoder=EncoderConfig(stem_width=14, stage_widths=(5, 9, 17, 33, 49),
+                              output_width=56),
+        regressor=RegressorConfig(width=57, heads=3, layers=4),
+        world=WorldConfig(seed=8, n_boxes=10, n_cylinders=11),
+        trajectory=TrajectoryConfig(n_poses=50, radius=12.75, height=1.7),
+        train=TrainConfig(epochs=30, lr=0.002, decay=0.95, scan_stride=6,
+                          points_per_scan=256, seed=5),
+        bench=BenchConfig(seed=7, perturbations="yaw:90,dropout:0.25"))
+    items = config_items(cfg)
+    defaults = dict(config_items(PipelineConfig()))
+    assert all(value != defaults[key] for key, value in items)
+    assert len({value for _, value in items}) == len(items)
+    p = tmp_path / "every_key.cfg"
+    write_config(p, cfg)
+    back = read_config(p)
+    assert back == cfg
+    # repr tells 3 from 3.0, inside tuples too
+    assert repr(config_items(back)) == repr(items)
 
 
 def test_write_is_byte_stable(tmp_path):
@@ -44,7 +83,6 @@ def test_values_parse_back_typed():
     assert back.pose.iterations == 123
     assert isinstance(back.pose.iterations, int)
     assert isinstance(back.projection.voxel_size, float)
-    assert isinstance(back.pose.refit_on_inliers, bool)
     assert isinstance(back.encoder.stage_widths, tuple)
 
 
@@ -90,13 +128,31 @@ def test_bad_value_rejected():
     ("plane.threshold", "-0.1"),
     ("plane.threshold", "inf"),
     ("plane.threshold", "nan"),
+    ("encoder.stem_width", "0"),
+    ("encoder.output_width", "-1"),
+    ("encoder.stage_widths", "4,0,16,32,48"),
+    ("sensor.n_elevation", "-1"),
+    ("sensor.n_azimuth", "0"),
+    ("sensor.range_noise", "-0.1"),
+    ("oracle.sigma_reliable", "-0.1"),
+    ("oracle.outlier_box", "-1.0"),
+    ("oracle.u_reliable", "nan,10.0"),
+    ("oracle.u_ambiguous", "-inf,-2.0"),
+    ("projection.voxel_size", "nan"),
+    ("projection.voxel_size", "inf"),
+    ("train.lr", "nan"),
+    ("train.decay", "inf"),
 ], ids=["voxel_size", "plane_iterations", "pose_iterations", "scan_stride",
         "points_per_scan", "epochs", "u_one_value", "u_three_values",
         "u_reversed", "world_seed", "train_seed", "bench_seed",
         "pose_threshold_zero", "pose_threshold_negative", "pose_threshold_inf",
         "pose_threshold_nan", "plane_threshold_zero",
         "plane_threshold_negative", "plane_threshold_inf",
-        "plane_threshold_nan"])
+        "plane_threshold_nan", "stem_width_zero", "output_width_negative",
+        "stage_width_zero", "n_elevation_negative", "n_azimuth_zero",
+        "range_noise_negative", "sigma_reliable_negative",
+        "outlier_box_negative", "u_reliable_nan", "u_ambiguous_inf",
+        "voxel_size_nan", "voxel_size_inf", "lr_nan", "decay_inf"])
 def test_invalid_section_value_rejected(key, value):
     # Parses as the key's type but violates the section's own validation.
     lines = [f"{key} = {value}" if line.startswith(key + " = ") else line

@@ -112,14 +112,6 @@ def test_summary_matches_schema():
         percentile(position_errors(result), 50.0))
 
 
-def test_summary_honors_custom_thresholds():
-    result = random_result(2, n=10)
-    summary = summarize(result, thresholds=(0.25,))
-    assert "success@0.25" in summary
-    assert "success@0.5" not in summary
-    jsonschema.validate(summary, report_schema())
-
-
 def test_empty_result_is_rejected_everywhere():
     empty = TrajectoryResult()
     for fn in [mpe, moe, position_errors, orientation_errors_deg, summarize]:

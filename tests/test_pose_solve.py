@@ -181,8 +181,7 @@ def test_ransac_threshold_is_inclusive_boundary():
     local, pred, truth, _ = clean_instance(2, n=60)
     pred[0] += [0.4999, 0.0, 0.0]  # just inside the 0.5 m gate
     pred[1] += [3.0, 0.0, 0.0]
-    params = RansacPoseParams(refit_on_inliers=False)
-    est = estimate_pose_ransac(local, pred, params)
+    est = estimate_pose_ransac(local, pred)
     assert 0 in est.inliers
     assert 1 not in est.inliers
 
@@ -265,19 +264,16 @@ def reference_pose_ransac(local, pred, params):
     best = int(candidates[int(np.argmin(cand_rms))])
     transform = RigidTransform(rot[best], trans[best])
     inliers = np.flatnonzero(inlier_mask[best])
-    if params.refit_on_inliers and len(inliers) >= 3:
-        try:
-            transform = kabsch(local[inliers], pred[inliers])
-        except DegenerateInput:
-            pass
-        refit_res = np.linalg.norm(
-            local @ transform.rotation.T + transform.translation - pred, axis=1)
-        inliers = np.flatnonzero(refit_res <= params.threshold)
-        if len(inliers) < SAMPLE_SIZE:
-            raise NoConsensus("refit collapsed the consensus set")
-        rms = float(np.sqrt(np.mean(refit_res[inliers] ** 2)))
-    else:
-        rms = float(np.sqrt(np.mean(resid[best, inliers] ** 2)))
+    try:
+        transform = kabsch(local[inliers], pred[inliers])
+    except DegenerateInput:
+        pass
+    refit_res = np.linalg.norm(
+        local @ transform.rotation.T + transform.translation - pred, axis=1)
+    inliers = np.flatnonzero(refit_res <= params.threshold)
+    if len(inliers) < SAMPLE_SIZE:
+        raise NoConsensus("refit collapsed the consensus set")
+    rms = float(np.sqrt(np.mean(refit_res[inliers] ** 2)))
     return PoseEstimate(transform, inliers.astype(np.int64), rms)
 
 
@@ -318,25 +314,22 @@ ITERATION_COUNTS = [1, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 300]
 
 
 @pytest.mark.parametrize("iterations", ITERATION_COUNTS)
-@pytest.mark.parametrize("refit", [True, False])
-def test_blocked_scoring_matches_reference(iterations, refit):
+def test_blocked_scoring_matches_reference(iterations):
     for seed in range(6):
         local, pred = noisy_instance(200 + seed, n=120, outliers=40,
                                      sigma=0.2)
-        params = RansacPoseParams(iterations=iterations, seed=seed,
-                                  refit_on_inliers=refit)
+        params = RansacPoseParams(iterations=iterations, seed=seed)
         assert_same_estimate(local, pred, params)
 
 
 @pytest.mark.parametrize("iterations", ITERATION_COUNTS)
-@pytest.mark.parametrize("refit", [True, False])
-def test_blocked_tie_break_matches_reference(iterations, refit):
+def test_blocked_tie_break_matches_reference(iterations):
     # 70 % outliers and noise near the gate: hypotheses tied at the top
-    # inlier count keep different inlier sets, so the tie-break decides.
+    # inlier count keep different inlier sets, so the tie-break decides
+    # which set the winner is refit over.
     local, pred = noisy_instance(0, n=100, outliers=70, sigma=0.25)
     assert tie_break_decides(local, pred, RansacPoseParams(iterations=300))
-    params = RansacPoseParams(iterations=iterations, refit_on_inliers=refit)
-    assert_same_estimate(local, pred, params)
+    assert_same_estimate(local, pred, RansacPoseParams(iterations=iterations))
 
 
 # -------------------------------------------------------------- compensate
