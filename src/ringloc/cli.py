@@ -25,6 +25,7 @@ from . import io
 from .encoder import encode, init_encoder_weights, load_encoder_weights, \
     save_encoder_weights
 from .errors import ParseError, RinglocError
+from .keys import describe
 from .metrics import orientation_errors_deg, position_errors, summarize
 from .pipeline import SEED_PERTURB, localize_scan, \
     run_perturbed_trajectory, simulate_trajectory
@@ -38,9 +39,10 @@ from . import train as trainmod
 
 def _config_epilog() -> str:
     lines = ["config keys (key = value per line, '#' comments), each with "
-             "its standard value:"]
-    for key, value in cfgmod.config_items(cfgmod.PipelineConfig()):
-        lines.append(f"  {key:28s} {cfgmod.KEY_DOCS[key]}; "
+             "its valid range and standard value; a value outside the range "
+             "exits 2:"]
+    for key, f, value in cfgmod.config_keys(cfgmod.PipelineConfig()):
+        lines.append(f"  {key:28s} {describe(f)}; "
                      f"standard {cfgmod.format_value(value)}")
     return "\n".join(lines)
 

@@ -13,70 +13,57 @@ reproduces x.  Each changed section is rebuilt with
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .encoder import DOWNSAMPLE_FACTOR, EncoderConfig
 from .errors import ParseError
 from .io import atomic_write_text, read_text
+from .keys import Section, is_key, key
 from .plane import RansacPlaneParams
 from .pose_solve import RansacPoseParams, SelectionPolicy
 from .projection import ProjectionConfig
 from .regressor import RegressorConfig
-from .simulate import OracleSpec, Perturbation, SensorSpec
+from .simulate import PERTURBATION_KINDS, OracleSpec, Perturbation, \
+    SensorSpec
 
 CONFIG_VERSION = 1
 
 
 @dataclass
-class WorldConfig:
-    seed: int = 7
-    n_boxes: int = 12
-    n_cylinders: int = 14
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be at least 0")
+class WorldConfig(Section):
+    seed: int = key(7, "world layout seed", ge=0)
+    n_boxes: int = key(12, "building count", ge=1)
+    n_cylinders: int = key(14, "pole/trunk count", ge=0)
 
 
 @dataclass
-class TrajectoryConfig:
-    n_poses: int = 100
-    radius: float = 15.0  # m
-    height: float = 1.5  # m
+class TrajectoryConfig(Section):
+    n_poses: int = key(100, "frames on the loop", ge=1)
+    radius: float = key(15.0, "loop radius (m)", ge=0.0, le=1e3)
+    height: float = key(1.5, "sensor height above ground (m)",
+                        gt=0.0, le=1e3)
 
 
 @dataclass
-class TrainConfig:
-    epochs: int = 60
-    lr: float = 0.001  # step size at epoch 0
-    decay: float = 0.9  # multiplicative per-epoch step decay
-    scan_stride: int = 8  # train on every stride-th trajectory frame
-    points_per_scan: int = 320  # voxel subsample per training frame
-    seed: int = 3
-
-    def __post_init__(self):
-        if self.scan_stride < 1 or self.points_per_scan < 1:
-            raise ValueError("scan_stride and points_per_scan must be at "
-                             "least 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be at least 0")
-        if not (math.isfinite(self.lr) and math.isfinite(self.decay)):
-            raise ValueError("lr and decay must be finite")
-        if self.seed < 0:
-            raise ValueError("seed must be at least 0")
+class TrainConfig(Section):
+    epochs: int = key(60, "gradient-descent epochs", ge=0)
+    lr: float = key(0.001, "step size at epoch 0", gt=0.0, le=1.0)
+    decay: float = key(0.9, "per-epoch multiplicative step decay",
+                       ge=0.0, le=1.0)
+    scan_stride: int = key(8, "train on every stride-th frame", ge=1)
+    points_per_scan: int = key(320, "voxel subsample per training frame",
+                               ge=1)
+    seed: int = key(3, "weight init and subsample seed", ge=0)
 
 
 @dataclass
-class BenchConfig:
-    seed: int = 0  # base seed for per-frame derivation
-    perturbations: str = ("yaw:180,random_yaw,fov_limit:180,"
-                          "dropout:0.5,gaussian_noise:0.05,pitch_roll:10")
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be at least 0")
+class BenchConfig(Section):
+    seed: int = key(0, "base seed for per-frame derivation", ge=0)
+    perturbations: str = key(
+        "yaw:180,random_yaw,fov_limit:180,dropout:0.5,gaussian_noise:0.05,"
+        "pitch_roll:10", "comma list of kind[:magnitude], kind one of "
+        + ", ".join(PERTURBATION_KINDS))
 
 
 @dataclass
@@ -95,58 +82,21 @@ class PipelineConfig:
     bench: BenchConfig = dataclasses.field(default_factory=BenchConfig)
 
 
-KEY_DOCS: Dict[str, str] = {
-    "projection.voxel_size": "cell edge of the cylindrical grid (m, > 0, finite)",
-    "projection.ring_cells": "cells per full turn; even, divisible by 16",
-    "plane.iterations": "ground-plane RANSAC hypothesis count (>= 1)",
-    "plane.threshold": "ground-plane inlier distance (m, > 0, finite)",
-    "plane.min_inliers": "minimum ground consensus size",
-    "plane.seed": "unused: every ground-plane RANSAC seed derives from --seed",
-    "pose.iterations": "pose RANSAC hypothesis count (>= 1)",
-    "pose.threshold": "pose inlier residual (m, > 0, finite)",
-    "pose.seed": "unused: every pose RANSAC seed derives from --seed",
-    "selection.top_fraction": "share of points kept by reliability",
-    "selection.min_count": "keep everything below this count",
-    "sensor.n_azimuth": "rays per sweep row (>= 1)",
-    "sensor.n_elevation": "sweep rows (>= 1)",
-    "sensor.elevation_min_deg": "lowest ray elevation (deg)",
-    "sensor.elevation_max_deg": "highest ray elevation (deg)",
-    "sensor.max_range": "maximum returned range (m)",
-    "sensor.range_noise": "1-sigma range noise along the ray (m, >= 0, finite)",
-    "oracle.sigma_reliable": "oracle jitter on reliable points (m, >= 0, finite)",
-    "oracle.outlier_box": "oracle scatter cube side (m, >= 0, finite)",
-    "oracle.u_reliable": "oracle score range, reliable points: finite low,high",
-    "oracle.u_ambiguous": "oracle score range, ambiguous points: finite low,high",
-    "encoder.stem_width": "width of the stem's hidden projection (>= 1)",
-    "encoder.stage_widths": "five encoder stage widths (each >= 1)",
-    "encoder.output_width": "fused full-resolution feature width (>= 1)",
-    "regressor.width": "regressor feature width",
-    "regressor.heads": "candidate vectors per max layer",
-    "regressor.layers": "stacked max layers",
-    "world.seed": "world layout seed (>= 0)",
-    "world.n_boxes": "building count",
-    "world.n_cylinders": "pole/trunk count",
-    "trajectory.n_poses": "frames on the loop",
-    "trajectory.radius": "loop radius (m)",
-    "trajectory.height": "sensor height above ground (m)",
-    "train.epochs": "gradient-descent epochs (>= 0)",
-    "train.lr": "step size at epoch 0 (finite)",
-    "train.decay": "per-epoch multiplicative step decay (finite)",
-    "train.scan_stride": "train on every stride-th frame (>= 1)",
-    "train.points_per_scan": "voxel subsample per training frame (>= 1)",
-    "train.seed": "weight init and subsample seed (>= 0)",
-    "bench.seed": "base seed for per-frame derivation (>= 0)",
-    "bench.perturbations": "comma list of kind[:magnitude] entries",
-}
+def config_keys(cfg: PipelineConfig
+                ) -> List[Tuple[str, dataclasses.Field, object]]:
+    """(dotted key, field, value) for every field declared with key(),
+    in declaration order; plain section fields are not config keys."""
+    keys = []
+    for s in dataclasses.fields(PipelineConfig):
+        section = getattr(cfg, s.name)
+        keys += [(f"{s.name}.{f.name}", f, getattr(section, f.name))
+                 for f in dataclasses.fields(section) if is_key(f)]
+    return keys
+
 
 def config_items(cfg: PipelineConfig) -> List[Tuple[str, object]]:
     """Flat (dotted key, value) pairs in declaration order."""
-    items: List[Tuple[str, object]] = []
-    for s in dataclasses.fields(PipelineConfig):
-        section = getattr(cfg, s.name)
-        for f in dataclasses.fields(section):
-            items.append((f"{s.name}.{f.name}", getattr(section, f.name)))
-    return items
+    return [(name, value) for name, _, value in config_keys(cfg)]
 
 
 def format_value(value) -> str:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import EmptyGrid, ParseError
 from .io import read_tensors, write_tensors
+from .keys import Section, key
 from .projection import INDEX_BOUND, UNPACKABLE, VoxelCloud, _pack
 
 LEAKY_SLOPE = 0.01
@@ -169,23 +170,23 @@ def max_pool2(feats: np.ndarray, down: KernelMap) -> np.ndarray:
 
 
 @dataclass
-class EncoderConfig:
+class EncoderConfig(Section):
     """Widths of the encoder pyramid.
 
     stage_widths lists the five stage output widths; output_width is the
     fused full-resolution feature size.
     """
 
-    stem_width: int = 16
-    stage_widths: Tuple[int, ...] = (4, 8, 16, 32, 48)
-    output_width: int = 64
+    stem_width: int = key(16, "width of the stem's hidden projection", ge=1)
+    stage_widths: Tuple[int, ...] = key((4, 8, 16, 32, 48),
+                                        "five encoder stage widths", ge=1)
+    output_width: int = key(64, "fused full-resolution feature width", ge=1)
 
     def __post_init__(self):
         self.stage_widths = tuple(int(w) for w in self.stage_widths)
+        super().__post_init__()
         if len(self.stage_widths) != 5:
             raise ValueError("exactly five stage widths required")
-        if min(self.stem_width, self.output_width, *self.stage_widths) < 1:
-            raise ValueError("every encoder width must be at least 1")
 
 
 @dataclass

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateInput
+from .keys import Section, key
 from .pose_solve import SCORE_BLOCK, distinct_samples
 from .se3 import PointCloud, RigidTransform, apply, rotation_about
 
@@ -43,17 +44,12 @@ class PlaneModel:
 
 
 @dataclass
-class RansacPlaneParams:
-    iterations: int = 200
-    threshold: float = 0.1  # m, inlier distance
-    min_inliers: int = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if not 0.0 < self.threshold < np.inf:
-            raise ValueError("threshold must be positive and finite")
+class RansacPlaneParams(Section):
+    iterations: int = key(200, "ground-plane RANSAC hypothesis count", ge=1)
+    threshold: float = key(0.1, "ground-plane inlier distance (m)",
+                           gt=0.0, le=1e3)
+    min_inliers: int = key(50, "minimum ground consensus size", ge=3)
+    seed: int = 0  # not a config key: callers derive it from the run seed
 
 
 def _canonicalize(normal: np.ndarray, d: float) -> Tuple[np.ndarray, float]:

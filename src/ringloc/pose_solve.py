@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateInput, LengthMismatch, NoConsensus
+from .keys import Section, key
 from .se3 import RigidTransform, compose, invert
 
 SAMPLE_SIZE = 3  # correspondences per minimal sample of a rigid fit
@@ -22,28 +23,17 @@ SCORE_BLOCK = 32  # hypotheses scored per block by pose and plane RANSAC
 
 
 @dataclass
-class SelectionPolicy:
-    top_fraction: float = 0.25  # share of points kept, by reliability
-    min_count: int = 50  # below this many, keep everything
-
-    def __post_init__(self):
-        if not 0.0 < self.top_fraction <= 1.0:
-            raise ValueError("top_fraction must be in (0, 1]")
-        if self.min_count < 1:
-            raise ValueError("min_count must be positive")
+class SelectionPolicy(Section):
+    top_fraction: float = key(0.25, "share of points kept by reliability",
+                              gt=0.0, le=1.0)
+    min_count: int = key(50, "keep everything below this count", ge=1)
 
 
 @dataclass
-class RansacPoseParams:
-    iterations: int = 300
-    threshold: float = 0.5  # m, inlier residual
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if not 0.0 < self.threshold < np.inf:
-            raise ValueError("threshold must be positive and finite")
+class RansacPoseParams(Section):
+    iterations: int = key(300, "pose RANSAC hypothesis count", ge=1)
+    threshold: float = key(0.5, "pose inlier residual (m)", gt=0.0, le=1e3)
+    seed: int = 0  # not a config key: callers derive it from the run seed
 
 
 @dataclass

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyGrid, OriginPoint, ParseError, ShapeMismatch
+from .keys import Section, key
 from .se3 import PointCloud
 
 # Voxel indices lie in [-INDEX_BOUND, INDEX_BOUND) on every axis, the
@@ -40,22 +41,18 @@ def _pack(coords: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class ProjectionConfig:
-    """Grid geometry for the unrolled cylinder.
+class ProjectionConfig(Section):
+    """Grid geometry for the unrolled cylinder."""
 
-    Attributes:
-        voxel_size: cell edge delta in meters, > 0 and finite.
-        ring_cells: cells per full turn along x; even, at least 8.
-    """
-
-    voxel_size: float = 0.2
-    ring_cells: int = 1024
+    voxel_size: float = key(0.2, "cell edge of the cylindrical grid (m)",
+                            gt=0.0, le=1e3)
+    ring_cells: int = key(1024, "cells per full turn; even, divisible by 16",
+                          ge=8, le=INDEX_BOUND)
 
     def __post_init__(self):
-        if not 0.0 < self.voxel_size < np.inf:
-            raise ValueError("voxel_size must be positive and finite")
-        if self.ring_cells < 8 or self.ring_cells % 2 != 0:
-            raise ValueError("ring_cells must be an even integer >= 8")
+        super().__post_init__()
+        if self.ring_cells % 2 != 0:
+            raise ValueError("ring_cells must be even")
 
     @property
     def scale(self) -> float:

@@ -23,20 +23,17 @@ import numpy as np
 from .encoder import LEAKY_SLOPE, leaky_relu
 from .errors import ParseError, ShapeMismatch
 from .io import read_tensors, write_tensors
+from .keys import Section, key
 
 LN_EPS = 1e-5
 N_OUTPUTS = 4  # x, y, z, reliability
 
 
 @dataclass
-class RegressorConfig:
-    width: int = 64  # feature width N carried between layers
-    heads: int = 4  # candidate vectors per max layer
-    layers: int = 5
-
-    def __post_init__(self):
-        if self.width < 1 or self.heads < 1 or self.layers < 1:
-            raise ValueError("width, heads, and layers must be positive")
+class RegressorConfig(Section):
+    width: int = key(64, "feature width carried between layers", ge=1)
+    heads: int = key(4, "candidate vectors per max layer", ge=1)
+    layers: int = key(5, "stacked max layers", ge=1)
 
 
 @dataclass

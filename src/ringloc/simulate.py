@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import EmptyScan, LengthMismatch
+from .keys import Section, key
 from .se3 import PointCloud, RigidTransform, compose, invert, rotation_about, yaw
 
 CLASS_AMBIGUOUS = 0
@@ -67,19 +68,23 @@ class SyntheticWorld:
 
 
 @dataclass
-class SensorSpec:
-    n_azimuth: int = 64
-    n_elevation: int = 16
-    elevation_min_deg: float = -25.0
-    elevation_max_deg: float = 10.0
-    max_range: float = 80.0  # m
-    range_noise: float = 0.02  # m, 1-sigma along the ray
+class SensorSpec(Section):
+    n_azimuth: int = key(64, "rays per sweep row", ge=1)
+    n_elevation: int = key(16, "sweep rows", ge=1)
+    elevation_min_deg: float = key(-25.0, "lowest ray elevation (deg)",
+                                   ge=-90.0, le=90.0)
+    elevation_max_deg: float = key(10.0, "highest ray elevation (deg)",
+                                   ge=-90.0, le=90.0)
+    max_range: float = key(80.0, "maximum returned range (m)",
+                           gt=0.0, le=1e4)
+    range_noise: float = key(0.02, "1-sigma range noise along the ray (m)",
+                             ge=0.0, le=1e3)
 
     def __post_init__(self):
-        if self.n_azimuth < 1 or self.n_elevation < 1:
-            raise ValueError("n_azimuth and n_elevation must be at least 1")
-        if not 0.0 <= self.range_noise < np.inf:
-            raise ValueError("range_noise must be at least 0 and finite")
+        super().__post_init__()
+        if self.elevation_min_deg > self.elevation_max_deg:
+            raise ValueError("elevation_min_deg must not exceed "
+                             "elevation_max_deg")
 
 
 @dataclass
@@ -305,7 +310,7 @@ def effective_truth(pose: RigidTransform, applied: RigidTransform
 
 
 @dataclass
-class OracleSpec:
+class OracleSpec(Section):
     """Stand-in predictor statistics.
 
     Reliable points get near-exact coordinates and high scores;
@@ -313,21 +318,23 @@ class OracleSpec:
     side outlier_box around the truth and low scores.
     """
 
-    sigma_reliable: float = 0.05  # m
-    outlier_box: float = 40.0  # m, cube side
-    u_reliable: Tuple[float, float] = (2.0, 10.0)
-    u_ambiguous: Tuple[float, float] = (-10.0, -2.0)
+    sigma_reliable: float = key(0.05, "oracle jitter on reliable points (m)",
+                                ge=0.0, le=1e3)
+    outlier_box: float = key(40.0, "oracle scatter cube side (m)",
+                             ge=0.0, le=1e3)
+    u_reliable: Tuple[float, float] = key(
+        (2.0, 10.0), "oracle score range, reliable points: low,high",
+        ge=-1e3, le=1e3)
+    u_ambiguous: Tuple[float, float] = key(
+        (-10.0, -2.0), "oracle score range, ambiguous points: low,high",
+        ge=-1e3, le=1e3)
 
     def __post_init__(self):
-        for name in ("sigma_reliable", "outlier_box"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be at least 0 and finite")
+        super().__post_init__()
         for name in ("u_reliable", "u_ambiguous"):
             lo_hi = getattr(self, name)
-            if (len(lo_hi) != 2 or not np.all(np.isfinite(lo_hi))
-                    or lo_hi[0] > lo_hi[1]):
-                raise ValueError(f"{name} must be two finite values, "
-                                 f"low <= high")
+            if len(lo_hi) != 2 or lo_hi[0] > lo_hi[1]:
+                raise ValueError(f"{name} must be two values, low <= high")
 
 
 def oracle_predict(gt_world: np.ndarray, classes: np.ndarray,

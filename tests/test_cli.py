@@ -2,8 +2,10 @@
 test needs a fresh interpreter."""
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -25,6 +27,7 @@ from ringloc.projection import project_cylindrical, voxelize
 from ringloc.regressor import (RegressorConfig, init_regressor_weights,
                                load_regressor_weights, save_regressor_weights)
 from ringloc.se3 import apply_points, rotation_angle_deg
+from ringloc.simulate import PERTURBATION_KINDS
 
 from helpers import read_pose
 
@@ -71,13 +74,90 @@ def assert_rerun_identical(ws, cmd, *extra, files, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+# A key's valid range as --help states it: "in [1, inf)", "each in (0, 1]".
+RANGE = re.compile(r"; (?:each )?in ([\[(])(\S+), (\S+)([\])]); standard ")
+
+
+def help_lines():
+    return {line.split()[0]: line
+            for line in build_parser().format_help().splitlines()
+            if line.startswith("  ") and line.split()}
+
+
+def in_stated_range(line, value):
+    lo_bracket, lo, hi, hi_bracket = RANGE.search(line).groups()
+    lo, hi = float(lo), float(hi)
+    return ((value >= lo if lo_bracket == "[" else value > lo)
+            and (value <= hi if hi_bracket == "]" else value < hi))
+
+
 def test_help_documents_every_config_key():
-    lines = {line.split()[0]: line
-             for line in build_parser().format_help().splitlines()
-             if line.startswith("  ") and line.split()}
+    lines = help_lines()
     for key, value in config_items(PipelineConfig()):
         assert lines[key].endswith(f"; standard {format_value(value)}"), key
+        if isinstance(value, str):
+            assert all(kind in lines[key] for kind in PERTURBATION_KINDS)
+        else:
+            assert RANGE.search(lines[key]), key
+            elements = value if isinstance(value, tuple) else (value,)
+            assert all(in_stated_range(lines[key], v) for v in elements), key
     assert lines["pose.iterations"].endswith("standard 300")
+    assert len(config_items(PipelineConfig())) == 39
+
+
+HOSTILE = ("nan", "inf", "-inf", "-1", "0", "1e300")
+LEARNED = ("train.", "encoder.", "regressor.")
+
+
+def numeric_slots():
+    """(key, element index or None) for every number a config sets."""
+    for key, value in config_items(PipelineConfig()):
+        if isinstance(value, tuple):
+            yield from (pytest.param(key, i, id=f"{key}[{i}]")
+                        for i in range(len(value)))
+        elif not isinstance(value, str):
+            yield pytest.param(key, None, id=key)
+
+
+@pytest.mark.parametrize("key, index", list(numeric_slots()))
+def test_hostile_value_is_rejected_or_runs_clean(key, index, tmp_path,
+                                                  capsys):
+    # Each value either fails at load (exit 2, one error line) or runs a
+    # 2-pose bench (a tiny train-toy for the learned keys) to exit 0 or a
+    # pipeline code, with no traceback and no warning.
+    learned = key.startswith(LEARNED)
+    base = {"trajectory.n_poses": "2"}
+    base.update({"train.epochs": "1", "train.points_per_scan": "32"}
+                if learned else {"bench.perturbations": "yaw:90"})
+    standard = dict(config_items(PipelineConfig()))[key]
+    line = help_lines()[key]
+    for raw in HOSTILE:
+        if index is None:
+            text = raw
+        else:
+            parts = [format_value(v) for v in standard]
+            parts[index] = raw
+            text = ",".join(parts)
+        cfg_path = tmp_path / f"{raw}.cfg"
+        cfg_path.write_text("config_version = 1\n" + "".join(
+            f"{k} = {v}\n" for k, v in {**base, key: text}.items()))
+        try:
+            read_config(cfg_path)
+            loads = True
+        except ParseError:
+            loads = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train-toy" if learned else "bench", "--config",
+                         str(cfg_path), "--out", str(tmp_path / raw)])
+        err = capsys.readouterr().err.splitlines()
+        if loads:
+            assert in_stated_range(line, float(raw)), (key, raw)
+            assert code in (0, 3, 4, 5), (key, raw, code, err)
+        else:
+            assert code == 2, (key, raw, code)
+            assert len(err) == 1 and err[0].startswith("ringloc: error: "), \
+                (key, raw, err)
 
 
 def test_rectify_levels_the_cloud(ws, tmp_path):
