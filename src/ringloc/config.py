@@ -65,6 +65,13 @@ class BenchConfig(Section):
         "pitch_roll:10", "comma list of kind[:magnitude], kind one of "
         + ", ".join(PERTURBATION_KINDS))
 
+    def __post_init__(self):
+        super().__post_init__()
+        try:
+            parse_perturbation_list(self.perturbations)
+        except ParseError as exc:
+            raise ValueError(str(exc)) from exc
+
 
 @dataclass
 class PipelineConfig:

@@ -5,10 +5,17 @@ rectified scan frame, predicted world coordinates) plus reliability
 scores.  A fixed fraction of the most reliable points is kept, RANSAC
 over pre-drawn minimal samples finds a consensus rigid motion, and the
 final motion is compensated for the rectification applied earlier.
+
+Pose RANSAC scores its samples SCORE_BLOCK at a time and stops at the
+classic bound log(1 - p) / log(1 - w^3) (Fischler & Bolles, CACM 1981),
+with p = CONFIDENCE = 0.999 and w the best inlier ratio so far, or at
+`pose.iterations`, whichever comes first.  It never holds more than one
+SCORE_BLOCK x n residual table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -20,6 +27,7 @@ from .se3 import RigidTransform, compose, invert
 
 SAMPLE_SIZE = 3  # correspondences per minimal sample of a rigid fit
 SCORE_BLOCK = 32  # hypotheses scored per block by pose and plane RANSAC
+CONFIDENCE = 0.999  # pose RANSAC stops once an all-inlier sample is this sure
 
 
 @dataclass
@@ -113,12 +121,19 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
     """Consensus rigid motion from noisy correspondences.
 
     All minimal samples are drawn up front from one seeded generator, so
-    the hypothesis set is fixed before any evaluation and the result
-    does not depend on evaluation order.  Squared residuals are scored
-    SCORE_BLOCK hypotheses at a time.  The best hypothesis is the one
-    with the most inliers, ties broken by lower inlier RMS and then by
-    draw order; it is refit over its inliers and the inlier set is
-    re-evaluated under the refit motion.
+    the hypothesis set is fixed before any evaluation.  They are scored
+    SCORE_BLOCK at a time, in draw order, and only that block's
+    (SCORE_BLOCK, n) residual table is held.  The running best is the
+    hypothesis with the most inliers, ties broken by lower inlier RMS and
+    then by draw order.  After each block, with w the best inlier count
+    over n, the search stops once the hypotheses scored reach
+    log(1 - CONFIDENCE) / log(1 - w^3), the count at which some sample
+    is all inliers with probability CONFIDENCE; `params.iterations` caps
+    it.  w = 1 stops after the first block and w = 0 never stops early.
+    The first block is fit alone, and later ones in one batch up to the
+    block the bound reaches, so a low w fits the rest in one call.  The
+    winner is refit over its inliers and the inlier set is re-evaluated
+    under the refit motion.
 
     Raises:
         NoConsensus: fewer correspondences than a minimal sample, or the
@@ -136,24 +151,47 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
     rng = np.random.default_rng(params.seed)
     samples = distinct_samples(rng, n, params.iterations, SAMPLE_SIZE)
 
-    rot, trans, valid = _fit_minimal(local[samples], pred[samples])
-    d2 = _squared_residuals(rot, trans, local, pred)
-    inlier_mask = d2 <= params.threshold ** 2
-    counts = np.where(valid, inlier_mask.sum(axis=1), 0)
+    gate = params.threshold ** 2
+    best_count, best_ss, best = 0, np.inf, None
+    needed, fitted = SCORE_BLOCK, 0  # one block while nothing is known
+    for start in range(0, params.iterations, SCORE_BLOCK):
+        if start == fitted:
+            # Fit every block the bound reaches in one call: the bound
+            # only falls as w grows, so no later block reaches further.
+            reach = math.ceil(min(needed, params.iterations) / SCORE_BLOCK)
+            fitted = max(start + SCORE_BLOCK, reach * SCORE_BLOCK)
+            fit = samples[start:fitted]
+            rot, trans, valid = _fit_minimal(local[fit], pred[fit])
+            first = start
+        rows = slice(start - first, start - first + SCORE_BLOCK)
+        d2 = _squared_residuals(rot[rows], trans[rows], local, pred)
+        inlier_mask = d2 <= gate
+        counts = np.where(valid[rows], inlier_mask.sum(axis=1), 0)
+        top = int(counts.max())
+        if top and top >= best_count:
+            # Ties share one inlier count: least sum of squares is least
+            # RMS, and an earlier block keeps an equal one.
+            candidates = np.flatnonzero(counts == top)
+            cand_ss = np.where(inlier_mask[candidates], d2[candidates],
+                               0.0).sum(axis=1)
+            i = int(np.argmin(cand_ss))
+            if top > best_count or cand_ss[i] < best_ss:
+                c = candidates[i]
+                k = rows.start + c
+                best_count, best_ss = top, cand_ss[i]
+                best = rot[k], trans[k], np.flatnonzero(inlier_mask[c])
+        needed = _hypotheses_needed(best_count / n)
+        if start + len(d2) >= needed:
+            break
 
-    best_count = counts.max()
     if best_count < SAMPLE_SIZE:
         raise NoConsensus(f"best hypothesis holds {best_count} inliers, "
                           f"need {SAMPLE_SIZE}")
-    # Ties share one inlier count: least sum of squares is least RMS.
-    candidates = np.flatnonzero(counts == best_count)
-    cand_ss = np.where(inlier_mask[candidates], d2[candidates], 0.0).sum(axis=1)
-    best = int(candidates[int(np.argmin(cand_ss))])
-    inliers = np.flatnonzero(inlier_mask[best])
+    rot, trans, inliers = best
     try:
         transform = kabsch(local[inliers], pred[inliers])
     except DegenerateInput:  # keep the minimal-sample motion
-        transform = RigidTransform(rot[best], trans[best])
+        transform = RigidTransform(rot, trans)
     res = np.linalg.norm(
         local @ transform.rotation.T + transform.translation - pred, axis=1)
     inliers = np.flatnonzero(res <= params.threshold)
@@ -163,19 +201,26 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
     return PoseEstimate(transform, inliers.astype(np.int64), rms)
 
 
+def _hypotheses_needed(w: float) -> float:
+    """Hypotheses to score for some sample to be all inliers with
+    probability CONFIDENCE, at inlier ratio w (Fischler & Bolles 1981)."""
+    q = w ** SAMPLE_SIZE  # chance that one sample is all inliers
+    if q >= 1.0:
+        return 0.0
+    if q <= 0.0:
+        return math.inf
+    return math.log(1.0 - CONFIDENCE) / math.log1p(-q)
+
+
 def _squared_residuals(rot: np.ndarray, trans: np.ndarray, local: np.ndarray,
                        pred: np.ndarray) -> np.ndarray:
-    """(K, n) table of |R_k x + t_k - y|^2, SCORE_BLOCK hypotheses at a time."""
-    d2 = np.empty((len(rot), len(local)))
-    for start in range(0, len(rot), SCORE_BLOCK):
-        blk = slice(start, start + SCORE_BLOCK)
-        # One matrix product per block; row 3k + i of it is R_k[i] . x.
-        r = (rot[blk].reshape(-1, 3) @ local.T).reshape(-1, 3, len(local))
-        r += trans[blk, :, None]
-        r -= pred.T
-        r *= r
-        d2[blk] = r[:, 0] + r[:, 1] + r[:, 2]
-    return d2
+    """(K, n) table of |R_k x + t_k - y|^2 for one block of hypotheses."""
+    # One matrix product; row 3k + i of it is R_k[i] . x.
+    r = (rot.reshape(-1, 3) @ local.T).reshape(-1, 3, len(local))
+    r += trans[:, :, None]
+    r -= pred.T
+    r *= r
+    return r[:, 0] + r[:, 1] + r[:, 2]
 
 
 def _fit_minimal(src: np.ndarray, dst: np.ndarray

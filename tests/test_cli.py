@@ -641,11 +641,13 @@ def test_ring_cells_off_the_encoder_grid_exits_2(tmp_path, capsys, cmd):
     ("train-toy", "train.lr = nan", "section 'train'"),
     ("localize", "pose.refit_on_inliers = false",
      "unknown key 'pose.refit_on_inliers'"),
+    ("rectify", "bench.perturbations = jitterbug:3", "section 'bench'"),
 ])
 def test_invalid_config_value_exits_2_on_one_line(ws, tmp_path, capsys, cmd,
                                                  line, named):
     cfg = _text_file(tmp_path / "bad.cfg", f"config_version = 1\n{line}\n")
     extra = {"encode": [str(ws["cloud_path"])],
+             "rectify": [str(ws["cloud_path"])],
              "localize": [str(ws["scan_path"])]}.get(cmd, [])
     rc = main([cmd, *extra, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2

@@ -153,6 +153,7 @@ def test_bad_value_rejected():
     ("world.n_cylinders", "-3"),
     ("world.n_boxes", "-1"),
     ("pose.threshold", "1e300"),
+    ("bench.perturbations", "jitterbug:3"),
 ], ids=["voxel_size", "plane_iterations", "pose_iterations", "scan_stride",
         "points_per_scan", "epochs", "u_one_value", "u_three_values",
         "u_reversed", "world_seed", "train_seed", "bench_seed",
@@ -166,7 +167,8 @@ def test_bad_value_rejected():
         "voxel_size_nan", "voxel_size_inf", "lr_nan", "decay_inf",
         "height_nan", "radius_nan", "max_range_nan", "elevation_min_nan",
         "elevation_min_above_max", "n_cylinders_negative",
-        "n_boxes_negative", "pose_threshold_overflow"])
+        "n_boxes_negative", "pose_threshold_overflow",
+        "perturbation_kind_unknown"])
 def test_invalid_section_value_rejected(key, value):
     # Parses as the key's type but violates the section's own validation.
     lines = [f"{key} = {value}" if line.startswith(key + " = ") else line

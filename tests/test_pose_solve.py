@@ -1,12 +1,18 @@
 """Reliability selection, Kabsch fits, and the RANSAC pose loop."""
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from ringloc import pose_solve
 from ringloc.errors import DegenerateInput, LengthMismatch, NoConsensus
-from ringloc.pose_solve import (SAMPLE_SIZE, SCORE_BLOCK, PoseEstimate,
-                                RansacPoseParams, SelectionPolicy, _fit_minimal,
-                                compensate, distinct_samples,
-                                estimate_pose_ransac, kabsch, select_reliable)
+from ringloc.pose_solve import (CONFIDENCE, SAMPLE_SIZE, SCORE_BLOCK,
+                                PoseEstimate, RansacPoseParams,
+                                SelectionPolicy, _fit_minimal, compensate,
+                                distinct_samples, estimate_pose_ransac, kabsch,
+                                select_reliable)
 from ringloc.se3 import (RigidTransform, apply_points, compose, identity,
                          invert, orthonormalize, rotation_about, yaw)
 
@@ -235,9 +241,22 @@ def test_ransac_length_mismatch():
 # ------------------------------------------- blocked scoring vs reference
 
 
+def reference_stop(counts, n):
+    """Hypotheses the stop rule scores: whole blocks, until the count
+    scored reaches log(1 - p) / log(1 - w^3), with w the best inlier
+    ratio so far, or every hypothesis drawn."""
+    for end in range(SCORE_BLOCK, len(counts), SCORE_BLOCK):
+        w = counts[:end].max() / n
+        if w == 1.0 or (w > 0.0 and end >= math.log(1.0 - CONFIDENCE)
+                        / math.log(1.0 - w ** 3)):
+            return end
+    return len(counts)
+
+
 def reference_scores(local, pred, params):
     """Hypotheses, (K, n) residual norms, inlier mask and counts, scored
-    over one (K, n, 3) residual tensor in a single pass."""
+    over one (K, n, 3) residual tensor in a single pass, then cut to the
+    hypotheses the stop rule scores."""
     rng = np.random.default_rng(params.seed)
     samples = distinct_samples(rng, len(local), params.iterations, SAMPLE_SIZE)
     rot, trans, valid = _fit_minimal(local[samples], pred[samples])
@@ -245,12 +264,13 @@ def reference_scores(local, pred, params):
     resid = np.linalg.norm(resid, axis=2)
     inlier_mask = resid <= params.threshold
     counts = np.where(valid, inlier_mask.sum(axis=1), 0)
-    return rot, trans, resid, inlier_mask, counts
+    end = reference_stop(counts, len(local))
+    return rot[:end], trans[:end], resid[:end], inlier_mask[:end], counts[:end]
 
 
 def reference_pose_ransac(local, pred, params):
-    """estimate_pose_ransac with whole-table scoring and a per-candidate
-    RMS tie-break loop."""
+    """estimate_pose_ransac with whole-table scoring, the stop rule applied
+    to the whole table afterwards, and a per-candidate RMS tie-break loop."""
     rot, trans, resid, inlier_mask, counts = reference_scores(local, pred,
                                                               params)
     best_count = counts.max()
@@ -330,6 +350,89 @@ def test_blocked_tie_break_matches_reference(iterations):
     local, pred = noisy_instance(0, n=100, outliers=70, sigma=0.25)
     assert tie_break_decides(local, pred, RansacPoseParams(iterations=300))
     assert_same_estimate(local, pred, RansacPoseParams(iterations=iterations))
+
+
+# ----------------------------------------------------------- early stop
+
+
+@pytest.fixture
+def fitted_rows(monkeypatch):
+    """Hypotheses passed to _fit_minimal, one entry per call."""
+    rows = []
+
+    def spy(src, dst):
+        rows.append(len(src))
+        return _fit_minimal(src, dst)
+
+    monkeypatch.setattr(pose_solve, "_fit_minimal", spy)
+    return rows
+
+
+def outlier_instance(seed, n):
+    """Predictions drawn apart from the local points, a hundred times
+    farther out, so no rigid motion puts any of them inside the gate."""
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-30.0, 30.0, (n, 3)),
+            rng.uniform(-3000.0, 3000.0, (n, 3)))
+
+
+def test_clean_input_fits_one_block(fitted_rows):
+    # w = 0.95 after the first block: the bound is about 3.5 hypotheses.
+    local, pred, truth, rng = clean_instance(10, n=100)
+    pred = corrupt(pred, rng, 5)
+    est = estimate_pose_ransac(local, pred)
+    assert fitted_rows == [SCORE_BLOCK]
+    assert np.array_equal(est.inliers, np.arange(95))
+    assert np.allclose(est.transform.rotation, truth.rotation, atol=1e-9)
+
+
+def test_noiseless_input_stops_without_a_warning(fitted_rows):
+    # w = 1, where the bound's log(1 - w^3) would be log(0).
+    local, pred, truth, _ = clean_instance(11, n=60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_pose_ransac(local, pred)
+    assert fitted_rows == [SCORE_BLOCK]
+    assert np.array_equal(est.inliers, np.arange(60))
+
+
+def test_all_outliers_fit_every_hypothesis(fitted_rows):
+    # w = 0, where the bound's log(1 - w^3) would be 0: never stop early,
+    # and fit everything after the first block in one call.
+    local, pred = outlier_instance(12, n=80)
+    params = RansacPoseParams()
+    assert reference_scores(local, pred, params)[4].max() == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConsensus):
+            estimate_pose_ransac(local, pred, params)
+    assert fitted_rows == [SCORE_BLOCK, params.iterations - SCORE_BLOCK]
+
+
+def test_bound_between_blocks_stops_at_the_next_block(fitted_rows):
+    # Half the correspondences are outliers, so w = 0.5 and the bound is
+    # about 52 hypotheses: the search stops after the second block.
+    local, pred = noisy_instance(13, n=100, outliers=50, sigma=0.0)
+    params = RansacPoseParams()
+    counts = reference_scores(local, pred, params)[4]
+    assert counts.max() == 50 and len(counts) == 2 * SCORE_BLOCK
+    assert_same_estimate(local, pred, params)
+    assert fitted_rows == [SCORE_BLOCK, SCORE_BLOCK]
+
+
+def test_scoring_memory_stays_within_a_few_blocks():
+    # 27.5k all-outlier correspondences score every block; the (300, n)
+    # table of every hypothesis alone would take 66 MB.
+    local, pred = outlier_instance(14, n=27_500)
+    bound = 8 * SCORE_BLOCK * len(local) * 8  # bytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(NoConsensus):
+            estimate_pose_ransac(local, pred)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 # -------------------------------------------------------------- compensate
