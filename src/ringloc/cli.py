@@ -27,7 +27,7 @@ from .encoder import encode, init_encoder_weights, load_encoder_weights, \
 from .errors import ParseError, RinglocError
 from .keys import describe
 from .metrics import orientation_errors_deg, position_errors, summarize
-from .pipeline import SEED_PERTURB, localize_scan, \
+from .pipeline import SEED_PERTURB, SEED_PLANE, localize_scan, \
     run_perturbed_trajectory, simulate_trajectory
 from .plane import rectify
 from .projection import project_cylindrical, recover_cartesian, voxelize
@@ -113,7 +113,8 @@ def _read_scan(path) -> Scan:
 
 def cmd_rectify(args, cfg, out) -> int:
     cloud = io.read_cloud_csv(args.input)
-    rect_cloud, t_plane = rectify(cloud, replace(cfg.plane, seed=args.seed))
+    rect_cloud, t_plane = rectify(
+        cloud, replace(cfg.plane, seed=scan_seed(args.seed, SEED_PLANE)))
     io.write_cloud_csv(out / "rectified.csv", rect_cloud)
     io.write_pose(out / "t_plane.txt", t_plane)
     return 0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .keys import Section, key
-from .pose_solve import SCORE_BLOCK, distinct_samples
+from .pose_solve import consensus
 from .se3 import PointCloud, RigidTransform, apply, rotation_about
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -45,7 +45,7 @@ class PlaneModel:
 
 @dataclass
 class RansacPlaneParams(Section):
-    iterations: int = key(200, "ground-plane RANSAC hypothesis count", ge=1)
+    iterations: int = key(200, "ground-plane RANSAC hypothesis cap", ge=1)
     threshold: float = key(0.1, "ground-plane inlier distance (m)",
                            gt=0.0, le=1e3)
     min_inliers: int = key(50, "minimum ground consensus size", ge=3)
@@ -63,49 +63,41 @@ def fit_plane_ransac(cloud: PointCloud,
                      ) -> Tuple[PlaneModel, np.ndarray]:
     """Fit the dominant plane by RANSAC with a least-squares refit.
 
-    Hypotheses come from pre-drawn point triples, scored SCORE_BLOCK at a
-    time; the one with the most inliers wins (first such hypothesis on
-    ties), then the plane is refit on its consensus set and inliers are
-    recomputed against the refit.
+    `pose_solve.consensus` searches planes through point triples, scored
+    by squared point-plane distance; the plane is then refit on the
+    winner's inliers and inliers are recomputed against the refit.
 
     Returns:
         (plane, inlier_indices) with indices ascending into the cloud.
 
     Raises:
-        DegenerateInput: all sampled triples collinear, or the best
-            consensus set is smaller than min_inliers.
+        DegenerateInput: the best consensus set (none when every sampled
+            triple is collinear) is smaller than min_inliers.
     """
     params = params or RansacPlaneParams()
     pts = cloud.xyz
-    n = len(pts)
-    if n < 3:
+    if len(pts) < 3:
         raise DegenerateInput("plane fit needs at least 3 points")
-    rng = np.random.default_rng(params.seed)
-    triples = distinct_samples(rng, n, params.iterations, 3)
 
-    p0 = pts[triples[:, 0]]
-    normals = np.cross(pts[triples[:, 1]] - p0, pts[triples[:, 2]] - p0)
-    lengths = np.linalg.norm(normals, axis=1)
-    valid = lengths > 1e-12
-    if not np.any(valid):
-        raise DegenerateInput("all sampled triples are collinear")
-    normals[valid] /= lengths[valid, None]
-    offsets = -np.einsum("ij,ij->i", normals, p0)
+    def fit(triples):  # unit normals and offsets; collinear ones invalid
+        p = pts[triples]
+        normals = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        lengths = np.linalg.norm(normals, axis=1)
+        valid = lengths > 1e-12
+        normals[valid] /= lengths[valid, None]
+        return normals, -np.einsum("ij,ij->i", normals, p[:, 0]), valid
 
-    counts = np.empty(params.iterations, dtype=np.int64)
-    for start in range(0, params.iterations, SCORE_BLOCK):
-        blk = slice(start, start + SCORE_BLOCK)
-        dist = np.abs(normals[blk] @ pts.T + offsets[blk, None])
-        counts[blk] = np.count_nonzero(dist <= params.threshold, axis=1)
-    counts[~valid] = 0  # invalid hypotheses get zero inliers
-    best = int(np.argmax(counts))
-    if counts[best] < params.min_inliers:
+    def squared_distances(normals, offsets):  # one (K, n) table, in place
+        r = normals @ pts.T
+        r += offsets[:, None]
+        r *= r
+        return r
+
+    count, best = consensus(len(pts), params, fit, squared_distances)
+    if count < params.min_inliers:
         raise DegenerateInput(
-            f"best plane has {counts[best]} inliers, need {params.min_inliers}")
-
-    dist = np.abs(pts @ normals[best] + offsets[best])
-    inliers = np.flatnonzero(dist <= params.threshold)
-    plane = _least_squares_plane(pts[inliers])
+            f"best plane has {count} inliers, need {params.min_inliers}")
+    plane = _least_squares_plane(pts[best[1]])
     inliers = np.flatnonzero(plane.distances(pts) <= params.threshold)
     if len(inliers) < params.min_inliers:
         raise DegenerateInput("refit plane lost its consensus set")

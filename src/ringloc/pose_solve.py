@@ -6,18 +6,16 @@ scores.  A fixed fraction of the most reliable points is kept, RANSAC
 over pre-drawn minimal samples finds a consensus rigid motion, and the
 final motion is compensated for the rectification applied earlier.
 
-Pose RANSAC scores its samples SCORE_BLOCK at a time and stops at the
-classic bound log(1 - p) / log(1 - w^3) (Fischler & Bolles, CACM 1981),
-with p = CONFIDENCE = 0.999 and w the best inlier ratio so far, or at
-`pose.iterations`, whichever comes first.  It never holds more than one
-SCORE_BLOCK x n residual table.
+`consensus`, the one RANSAC loop, serves this pose search and the
+ground-plane fit in `plane.py`: it holds one SCORE_BLOCK x n table and
+stops at the bound of Fischler & Bolles (CACM 1981) or at its cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -25,9 +23,9 @@ from .errors import DegenerateInput, LengthMismatch, NoConsensus
 from .keys import Section, key
 from .se3 import RigidTransform, compose, invert
 
-SAMPLE_SIZE = 3  # correspondences per minimal sample of a rigid fit
+SAMPLE_SIZE = 3  # points per minimal sample of a rigid or plane fit
 SCORE_BLOCK = 32  # hypotheses scored per block by pose and plane RANSAC
-CONFIDENCE = 0.999  # pose RANSAC stops once an all-inlier sample is this sure
+CONFIDENCE = 0.999  # RANSAC stops once an all-inlier sample is this sure
 
 
 @dataclass
@@ -39,7 +37,7 @@ class SelectionPolicy(Section):
 
 @dataclass
 class RansacPoseParams(Section):
-    iterations: int = key(300, "pose RANSAC hypothesis count", ge=1)
+    iterations: int = key(300, "pose RANSAC hypothesis cap", ge=1)
     threshold: float = key(0.5, "pose inlier residual (m)", gt=0.0, le=1e3)
     seed: int = 0  # not a config key: callers derive it from the run seed
 
@@ -115,25 +113,67 @@ def distinct_samples(rng: np.random.Generator, n: int, count: int,
     return out
 
 
+def consensus(n: int, params, fit: Callable, squared_residuals: Callable
+              ) -> Tuple[int, Optional[tuple]]:
+    """Best hypothesis of a seeded RANSAC search over n data points.
+
+    `params` gives the cap (`iterations`), `threshold` and `seed`; every
+    sample of SAMPLE_SIZE indices is drawn up front.  `fit(samples)`
+    returns `(*models, valid)`, one row per sample, and
+    `squared_residuals(*block)` a block's (K, n) table.  Blocks of
+    SCORE_BLOCK are scored in draw order, holding one table.  The winner
+    has the most inliers, then the least inlier sum of squares, then the
+    earliest draw.  The search stops once the hypotheses scored reach
+    log(1 - CONFIDENCE) / log(1 - w^3), w the best inlier ratio so far
+    (w = 1 stops after one block, w = 0 never early).  Returns
+    (best_count, (best_model, inliers)), the winner's model rows and
+    ascending inlier indices, or (0, None) if no hypothesis has one.
+    """
+    rng = np.random.default_rng(params.seed)
+    samples = distinct_samples(rng, n, params.iterations, SAMPLE_SIZE)
+    gate = params.threshold ** 2
+    best_count, best_ss, best = 0, np.inf, None
+    needed, fitted = SCORE_BLOCK, 0  # one block while nothing is known
+    for start in range(0, params.iterations, SCORE_BLOCK):
+        if start == fitted:
+            # Fit every block the bound reaches in one call: the bound
+            # only falls as w grows, so no later block reaches further.
+            reach = math.ceil(min(needed, params.iterations) / SCORE_BLOCK)
+            fitted = max(start + SCORE_BLOCK, reach * SCORE_BLOCK)
+            *models, valid = fit(samples[start:fitted])
+            first = start
+        rows = slice(start - first, start - first + SCORE_BLOCK)
+        block = [m[rows] for m in models]
+        d2 = squared_residuals(*block)
+        inlier_mask = d2 <= gate
+        counts = np.where(valid[rows], inlier_mask.sum(axis=1), 0)
+        top = int(counts.max())
+        if top and top >= best_count:
+            # Ties share one inlier count: least sum of squares is least
+            # RMS, and an earlier block keeps an equal one.
+            candidates = np.flatnonzero(counts == top)
+            cand_ss = np.where(inlier_mask[candidates], d2[candidates],
+                               0.0).sum(axis=1)
+            i = int(np.argmin(cand_ss))
+            if top > best_count or cand_ss[i] < best_ss:
+                c = candidates[i]
+                best_count, best_ss = top, cand_ss[i]
+                best = (tuple(m[c] for m in block),
+                        np.flatnonzero(inlier_mask[c]))
+        needed = _hypotheses_needed(best_count / n)
+        if start + len(d2) >= needed:
+            break
+    return best_count, best
+
+
 def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
                          params: Optional[RansacPoseParams] = None
                          ) -> PoseEstimate:
     """Consensus rigid motion from noisy correspondences.
 
-    All minimal samples are drawn up front from one seeded generator, so
-    the hypothesis set is fixed before any evaluation.  They are scored
-    SCORE_BLOCK at a time, in draw order, and only that block's
-    (SCORE_BLOCK, n) residual table is held.  The running best is the
-    hypothesis with the most inliers, ties broken by lower inlier RMS and
-    then by draw order.  After each block, with w the best inlier count
-    over n, the search stops once the hypotheses scored reach
-    log(1 - CONFIDENCE) / log(1 - w^3), the count at which some sample
-    is all inliers with probability CONFIDENCE; `params.iterations` caps
-    it.  w = 1 stops after the first block and w = 0 never stops early.
-    The first block is fit alone, and later ones in one batch up to the
-    block the bound reaches, so a low w fits the rest in one call.  The
-    winner is refit over its inliers and the inlier set is re-evaluated
-    under the refit motion.
+    `consensus` searches minimal-sample Kabsch fits scored by squared
+    residual |R x + t - y|^2.  The winner is refit over its inliers and
+    the inlier set is re-evaluated under the refit motion.
 
     Raises:
         NoConsensus: fewer correspondences than a minimal sample, or the
@@ -148,46 +188,13 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
     if n < SAMPLE_SIZE:
         raise NoConsensus(f"{n} correspondences cannot fill a sample of "
                           f"{SAMPLE_SIZE}")
-    rng = np.random.default_rng(params.seed)
-    samples = distinct_samples(rng, n, params.iterations, SAMPLE_SIZE)
-
-    gate = params.threshold ** 2
-    best_count, best_ss, best = 0, np.inf, None
-    needed, fitted = SCORE_BLOCK, 0  # one block while nothing is known
-    for start in range(0, params.iterations, SCORE_BLOCK):
-        if start == fitted:
-            # Fit every block the bound reaches in one call: the bound
-            # only falls as w grows, so no later block reaches further.
-            reach = math.ceil(min(needed, params.iterations) / SCORE_BLOCK)
-            fitted = max(start + SCORE_BLOCK, reach * SCORE_BLOCK)
-            fit = samples[start:fitted]
-            rot, trans, valid = _fit_minimal(local[fit], pred[fit])
-            first = start
-        rows = slice(start - first, start - first + SCORE_BLOCK)
-        d2 = _squared_residuals(rot[rows], trans[rows], local, pred)
-        inlier_mask = d2 <= gate
-        counts = np.where(valid[rows], inlier_mask.sum(axis=1), 0)
-        top = int(counts.max())
-        if top and top >= best_count:
-            # Ties share one inlier count: least sum of squares is least
-            # RMS, and an earlier block keeps an equal one.
-            candidates = np.flatnonzero(counts == top)
-            cand_ss = np.where(inlier_mask[candidates], d2[candidates],
-                               0.0).sum(axis=1)
-            i = int(np.argmin(cand_ss))
-            if top > best_count or cand_ss[i] < best_ss:
-                c = candidates[i]
-                k = rows.start + c
-                best_count, best_ss = top, cand_ss[i]
-                best = rot[k], trans[k], np.flatnonzero(inlier_mask[c])
-        needed = _hypotheses_needed(best_count / n)
-        if start + len(d2) >= needed:
-            break
-
+    best_count, best = consensus(
+        n, params, lambda s: _fit_minimal(local[s], pred[s]),
+        lambda rot, trans: _squared_residuals(rot, trans, local, pred))
     if best_count < SAMPLE_SIZE:
         raise NoConsensus(f"best hypothesis holds {best_count} inliers, "
                           f"need {SAMPLE_SIZE}")
-    rot, trans, inliers = best
+    (rot, trans), inliers = best
     try:
         transform = kabsch(local[inliers], pred[inliers])
     except DegenerateInput:  # keep the minimal-sample motion

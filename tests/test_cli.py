@@ -21,8 +21,8 @@ from ringloc.encoder import encode, init_encoder_weights
 from ringloc.errors import ParseError, RinglocError
 from ringloc.metrics import (orientation_errors_deg, position_errors,
                              report_schema, summarize)
-from ringloc.pipeline import (localize_scan, run_perturbed_trajectory,
-                              simulate_trajectory)
+from ringloc.pipeline import (localize_scan, rectified_voxels,
+                              run_perturbed_trajectory, simulate_trajectory)
 from ringloc.projection import project_cylindrical, voxelize
 from ringloc.regressor import (RegressorConfig, init_regressor_weights,
                                load_regressor_weights, save_regressor_weights)
@@ -179,6 +179,18 @@ def test_rectify_rerun_is_byte_identical(ws, tmp_path):
                            tmp_path=tmp_path)
 
 
+def test_rectify_levels_the_scan_as_localize_does(ws, tmp_path):
+    # On this scan, plane RANSAC seeded with 5 itself finds another
+    # consensus set than the per-stage seed localize derives from 5.
+    out = tmp_path / "o"
+    assert run(ws, "rectify", str(ws["cloud_path"]), "--seed", "5",
+               out=out) == 0
+    io.write_pose(tmp_path / "want.txt",
+                  rectified_voxels(ws["scan"], ws["cfg"], 5)[1])
+    assert ((out / "t_plane.txt").read_bytes()
+            == (tmp_path / "want.txt").read_bytes())
+
+
 def test_project_matches_library_path(ws, tmp_path):
     out = tmp_path / "o"
     assert run(ws, "project", str(ws["cloud_path"]), "--recover",
@@ -263,37 +275,73 @@ def test_localize_perturb_none_is_no_perturbation(ws, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def run_with_blas_threads(ws, threads, cmd, *extra, out):
-    """`ringloc cmd` in a fresh interpreter whose BLAS runs `threads`
+def run_with_blas_threads(threads, *argv):
+    """`python *argv` in a fresh interpreter whose BLAS runs `threads`
     threads; OpenBLAS reads the count only when numpy loads."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     src = str(Path(ringloc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    argv = [sys.executable, "-m", "ringloc.cli", cmd, *extra,
-            "--config", str(ws["cfg_path"]), "--out", str(out)]
-    return subprocess.run(argv, env=env, timeout=300).returncode
+    return subprocess.run([sys.executable, *argv], env=env, timeout=300,
+                          capture_output=True, text=True)
 
 
-@pytest.mark.parametrize("cmd", ["encode", "localize"])
+# The regressor outputs `localize_scan` selects from, written whole.
+REGRESS_SCRIPT = """
+import sys
+from ringloc import io
+from ringloc.config import read_config
+from ringloc.encoder import encode_sites, init_encoder_weights
+from ringloc.pipeline import rectified_voxels
+from ringloc.regressor import load_regressor_weights, regress
+from ringloc.simulate import Scan
+cfg_path, scan_path, weights_path, out = sys.argv[1:]
+cfg = read_config(cfg_path)
+voxels = rectified_voxels(Scan(*io.read_scan_csv(scan_path)), cfg, 0)[2]
+feats, rows = encode_sites(voxels, init_encoder_weights(cfg.encoder, seed=0))
+coords, u = regress(feats, load_regressor_weights(weights_path))
+io.write_tensors(out, [("coords", coords), ("u", u), ("rows", rows)])
+"""
+
+
+def written(out):
+    """Every file under `out`, by relative path, with its bytes."""
+    return {str(f.relative_to(out)): f.read_bytes()
+            for f in sorted(Path(out).rglob("*")) if f.is_file()}
+
+
+@pytest.mark.parametrize("cmd", ["encode", "localize", "regress"])
 def test_learned_path_is_byte_identical_across_blas_threads(ws, tmp_path,
                                                             cmd):
+    # Random-init weights need not reach a consensus, so localize may exit
+    # 4; the exit code, stderr and every file written must still agree.
+    weights = tmp_path / "reg.bin"
+    save_regressor_weights(weights, init_regressor_weights(
+        ws["cfg"].regressor, seed=0))
     if cmd == "encode":
         assert run(ws, "project", str(ws["cloud_path"]), out=tmp_path) == 0
-        extra, files = [str(tmp_path / "voxels.csv")], ["features.csv"]
-    else:
-        weights = tmp_path / "reg.bin"
-        save_regressor_weights(weights, init_regressor_weights(
-            ws["cfg"].regressor, seed=0))
+        extra = [str(tmp_path / "voxels.csv")]
+    elif cmd == "localize":
         extra = [str(ws["scan_path"]), "--predictor", "regressor",
                  "--regressor-weights", str(weights)]
-        files = ["pose.txt", "pose.json"]
+    runs = {}
     for threads in (1, 2):
-        assert run_with_blas_threads(ws, threads, cmd, *extra,
-                                     out=tmp_path / str(threads)) == 0
-    for name in files:
-        assert ((tmp_path / "1" / name).read_bytes()
-                == (tmp_path / "2" / name).read_bytes()), name
+        out = tmp_path / str(threads)
+        if cmd == "regress":
+            out.mkdir()
+            argv = ["-c", REGRESS_SCRIPT, str(ws["cfg_path"]),
+                    str(ws["scan_path"]), str(weights), str(out / "t.bin")]
+        else:
+            argv = ["-m", "ringloc.cli", cmd, *extra,
+                    "--config", str(ws["cfg_path"]), "--out", str(out)]
+        proc = run_with_blas_threads(threads, *argv)
+        runs[threads] = proc.returncode, proc.stderr, written(out)
+    assert runs[1] == runs[2]
+    code, err, files = runs[1]
+    if cmd == "localize":
+        assert code in (0, 4), err
+    else:
+        assert code == 0 and files, err
 
 
 def test_bench_outputs_and_schema(ws, tmp_path):

@@ -1,16 +1,22 @@
 """Ground-plane fitting, normal alignment, and rectification."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from ringloc import plane as plane_mod
 from ringloc.errors import DegenerateInput
 from ringloc.plane import (PlaneModel, RansacPlaneParams,
                            _least_squares_plane, align_normal,
                            build_plane_transform, fit_plane_ransac, rectify)
-from ringloc.pose_solve import SCORE_BLOCK, distinct_samples
+from ringloc.pose_solve import (CONFIDENCE, SCORE_BLOCK, consensus,
+                                distinct_samples)
 from ringloc.se3 import PointCloud, apply, apply_points, rotation_about, rotation_angle_deg
+
+from helpers import reference_stop
 
 
 def flat_cloud(n=1000, z=0.0, seed=0, extent=20.0):
@@ -50,11 +56,74 @@ def test_normal_is_canonically_oriented():
     np.testing.assert_allclose(plane.normal, [1.0, 0.0, 0.0], atol=1e-6)
 
 
-def test_collinear_points_rejected():
+@pytest.fixture
+def rows(monkeypatch):
+    """Hypotheses fit_plane_ransac's consensus search fits and scores, one
+    entry per call."""
+    seen = {"fitted": [], "scored": []}
+
+    def spy(n, params, fit, squared_residuals):
+        def fit_spy(samples):
+            seen["fitted"].append(len(samples))
+            return fit(samples)
+
+        def score_spy(*block):
+            seen["scored"].append(len(block[0]))
+            return squared_residuals(*block)
+
+        return consensus(n, params, fit_spy, score_spy)
+
+    monkeypatch.setattr(plane_mod, "consensus", spy)
+    return seen
+
+
+def test_collinear_points_rejected(rows):
+    # Every triple is degenerate, so w = 0: the search never stops early,
+    # scores every sample, and raises without a warning.
     line = np.column_stack([np.linspace(0, 1, 60),
                             np.zeros(60), np.zeros(60)])
-    with pytest.raises(DegenerateInput):
-        fit_plane_ransac(PointCloud(line), RansacPlaneParams(min_inliers=3))
+    params = RansacPlaneParams(min_inliers=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInput):
+            fit_plane_ransac(PointCloud(line), params)
+    assert rows["fitted"] == [SCORE_BLOCK, params.iterations - SCORE_BLOCK]
+    assert sum(rows["scored"]) == params.iterations
+
+
+def test_planar_cloud_fits_one_block(rows):
+    # w = 1, where the bound's log(1 - w^3) would be log(0).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plane, inliers = fit_plane_ransac(PointCloud(flat_cloud(1000, z=0.5)))
+    assert rows == {"fitted": [SCORE_BLOCK], "scored": [SCORE_BLOCK]}
+    np.testing.assert_array_equal(plane.normal, [0.0, 0.0, 1.0])
+    assert plane.d == -0.5
+    np.testing.assert_array_equal(inliers, np.arange(1000))
+
+
+def test_scoring_memory_stays_within_a_few_blocks():
+    # 27.5k points, a quarter of them ground: w stays near 0.25, where the
+    # stop bound exceeds the 200-hypothesis cap, so every block is scored.
+    # A (200, n) distance table would take 44 MB; one block takes 7 MB.
+    n = 27_500
+    ground = flat_cloud(n // 4, seed=15)
+    clutter = np.random.default_rng(15).uniform(-20.0, 20.0,
+                                                (n - len(ground), 3))
+    cloud = PointCloud(np.vstack([ground, clutter]))
+    params = RansacPlaneParams()
+    bound = 2.5 * SCORE_BLOCK * n * 8  # bytes
+    tracemalloc.start()
+    try:
+        plane, inliers = fit_plane_ransac(cloud, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    w = len(inliers) / n
+    assert (math.log(1.0 - CONFIDENCE) / math.log(1.0 - w ** 3)
+            > params.iterations)
+    np.testing.assert_allclose(plane.normal, [0.0, 0.0, 1.0], atol=1e-4)
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 def test_too_few_inliers_rejected():
@@ -77,7 +146,8 @@ def test_fit_is_deterministic_per_seed():
 
 def reference_fit_plane(cloud, params):
     """fit_plane_ransac scoring every hypothesis in one (iterations, N)
-    distance table."""
+    squared-distance table, then cut to the hypotheses the stop rule
+    scores, with a per-candidate sum-of-squares tie-break loop."""
     pts = cloud.xyz
     rng = np.random.default_rng(params.seed)
     triples = distinct_samples(rng, len(pts), params.iterations, 3)
@@ -85,17 +155,18 @@ def reference_fit_plane(cloud, params):
     normals = np.cross(pts[triples[:, 1]] - p0, pts[triples[:, 2]] - p0)
     lengths = np.linalg.norm(normals, axis=1)
     valid = lengths > 1e-12
-    if not np.any(valid):
-        raise DegenerateInput("all sampled triples are collinear")
     normals[valid] /= lengths[valid, None]
     offsets = -np.einsum("ij,ij->i", normals, p0)
-    dist = np.abs(normals @ pts.T + offsets[:, None])
-    counts = np.where(valid, np.count_nonzero(dist <= params.threshold, axis=1), 0)
-    best = int(np.argmax(counts))
-    if counts[best] < params.min_inliers:
+    d2 = (normals @ pts.T + offsets[:, None]) ** 2
+    inlier_mask = d2 <= params.threshold ** 2
+    counts = np.where(valid, inlier_mask.sum(axis=1), 0)
+    counts = counts[:reference_stop(counts, len(pts))]
+    if counts.max() < params.min_inliers:
         raise DegenerateInput("too few inliers")
-    inliers = np.flatnonzero(dist[best] <= params.threshold)
-    plane = _least_squares_plane(pts[inliers])
+    tied = np.flatnonzero(counts == counts.max())
+    ss = [d2[c, inlier_mask[c]].sum() for c in tied]
+    best = tied[int(np.argmin(ss))]  # argmin: earliest draw on equal sums
+    plane = _least_squares_plane(pts[inlier_mask[best]])
     inliers = np.flatnonzero(plane.distances(pts) <= params.threshold)
     if len(inliers) < params.min_inliers:
         raise DegenerateInput("refit plane lost its consensus set")

@@ -1,5 +1,4 @@
 """Reliability selection, Kabsch fits, and the RANSAC pose loop."""
-import math
 import tracemalloc
 import warnings
 
@@ -8,13 +7,15 @@ import pytest
 
 from ringloc import pose_solve
 from ringloc.errors import DegenerateInput, LengthMismatch, NoConsensus
-from ringloc.pose_solve import (CONFIDENCE, SAMPLE_SIZE, SCORE_BLOCK,
+from ringloc.pose_solve import (SAMPLE_SIZE, SCORE_BLOCK,
                                 PoseEstimate, RansacPoseParams,
                                 SelectionPolicy, _fit_minimal, compensate,
                                 distinct_samples, estimate_pose_ransac, kabsch,
                                 select_reliable)
 from ringloc.se3 import (RigidTransform, apply_points, compose, identity,
                          invert, orthonormalize, rotation_about, yaw)
+
+from helpers import reference_stop
 
 
 def random_transform(rng) -> RigidTransform:
@@ -239,18 +240,6 @@ def test_ransac_length_mismatch():
 
 
 # ------------------------------------------- blocked scoring vs reference
-
-
-def reference_stop(counts, n):
-    """Hypotheses the stop rule scores: whole blocks, until the count
-    scored reaches log(1 - p) / log(1 - w^3), with w the best inlier
-    ratio so far, or every hypothesis drawn."""
-    for end in range(SCORE_BLOCK, len(counts), SCORE_BLOCK):
-        w = counts[:end].max() / n
-        if w == 1.0 or (w > 0.0 and end >= math.log(1.0 - CONFIDENCE)
-                        / math.log(1.0 - w ** 3)):
-            return end
-    return len(counts)
 
 
 def reference_scores(local, pred, params):
