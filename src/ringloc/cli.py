@@ -20,6 +20,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
+import numpy as np
+
 from . import config as cfgmod
 from . import io
 from .encoder import encode, init_encoder_weights, load_encoder_weights, \
@@ -166,8 +168,10 @@ def _predictor_weights(args, cfg):
 def cmd_localize(args, cfg, out) -> int:
     scan = _read_scan(args.input)
     enc_w, reg_w = _predictor_weights(args, cfg)
+    # every --perturb draws in turn from one generator, not a fresh copy
+    rng = np.random.default_rng(scan_seed(args.seed, SEED_PERTURB))
     for p in cfgmod.parse_perturbation_list(",".join(args.perturb)):
-        scan, _ = perturb_scan(scan, p, scan_seed(args.seed, SEED_PERTURB))
+        scan, _ = perturb_scan(scan, p, rng)
     result = localize_scan(scan, cfg, args.seed, args.predictor, enc_w, reg_w)
     io.write_pose(out / "pose.txt", result.transform)
     sidecar = {

@@ -15,7 +15,7 @@ with their error name and skipped, not fatal.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .config import PipelineConfig
 from .encoder import EncoderWeights, encode_sites
@@ -123,19 +123,22 @@ class BenchRow:
     failures: List[Tuple[int, str]]
 
 
-def simulate_trajectory(cfg: PipelineConfig, run_seed: int
+def simulate_trajectory(cfg: PipelineConfig, run_seed: int,
+                        frames: Optional[Sequence[int]] = None
                         ) -> Tuple[SyntheticWorld, List[RigidTransform],
                                    List[Scan]]:
-    """World, poses, and the unperturbed scan of every frame."""
+    """World, and the pose and unperturbed scan of each frame index in
+    `frames` (default: every frame of the loop)."""
     world = generate_world(world_spec_from(cfg), cfg.world.seed)
     poses = loop_trajectory(cfg.trajectory.n_poses, cfg.trajectory.radius,
                             cfg.trajectory.height)
+    frames = range(len(poses)) if frames is None else frames
     scans = [
-        simulate_scan(world, pose, cfg.sensor,
+        simulate_scan(world, poses[i], cfg.sensor,
                       seed=scan_seed(scan_seed(run_seed, i), SEED_SCAN))
-        for i, pose in enumerate(poses)
+        for i in frames
     ]
-    return world, poses, scans
+    return world, [poses[i] for i in frames], scans
 
 
 def run_perturbed_trajectory(cfg: PipelineConfig, run_seed: int,

@@ -3,7 +3,9 @@
 A scan is rectified by rotating the dominant plane's normal onto +z and
 shifting the plane itself to z = 0.  Rectification removes the sensor's
 pitch, roll, and height above ground, leaving yaw as the only unknown
-rotation for the later pose solve.
+rotation for the later pose solve.  The plane search runs
+`pose_solve.consensus`; one squared point-plane distance scores its
+hypotheses and picks the least-squares refit's inliers.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ class PlaneModel:
         if not np.isfinite(n) or abs(n - 1.0) > 1e-9:
             raise DegenerateInput("plane normal must be unit length")
 
-    def distances(self, xyz: np.ndarray) -> np.ndarray:
-        return np.abs(xyz @ self.normal + self.d)
-
 
 @dataclass
 class RansacPlaneParams(Section):
@@ -64,8 +63,9 @@ def fit_plane_ransac(cloud: PointCloud,
     """Fit the dominant plane by RANSAC with a least-squares refit.
 
     `pose_solve.consensus` searches planes through point triples, scored
-    by squared point-plane distance; the plane is then refit on the
-    winner's inliers and inliers are recomputed against the refit.
+    by squared point-plane distance; the plane is then refit by least
+    squares on the winner's inliers, and the same squared distance
+    against threshold^2 picks the refit's inliers.
 
     Returns:
         (plane, inlier_indices) with indices ascending into the cloud.
@@ -98,7 +98,8 @@ def fit_plane_ransac(cloud: PointCloud,
         raise DegenerateInput(
             f"best plane has {count} inliers, need {params.min_inliers}")
     plane = _least_squares_plane(pts[best[1]])
-    inliers = np.flatnonzero(plane.distances(pts) <= params.threshold)
+    d2 = squared_distances(plane.normal[None], np.array([plane.d]))[0]
+    inliers = np.flatnonzero(d2 <= params.threshold ** 2)
     if len(inliers) < params.min_inliers:
         raise DegenerateInput("refit plane lost its consensus set")
     return plane, inliers

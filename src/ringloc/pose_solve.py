@@ -9,6 +9,8 @@ final motion is compensated for the rectification applied earlier.
 `consensus`, the one RANSAC loop, serves this pose search and the
 ground-plane fit in `plane.py`: it holds one SCORE_BLOCK x n table and
 stops at the bound of Fischler & Bolles (CACM 1981) or at its cap.
+`_fit_minimal`, the one Kabsch (Acta Cryst. 1976), fits every
+hypothesis, the refit and `kabsch`; one squared residual scores both.
 """
 
 from __future__ import annotations
@@ -71,10 +73,9 @@ def select_reliable(u: np.ndarray,
 def kabsch(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     """Least-squares rigid motion taking src points onto dst points.
 
-    Classic SVD solution of the orthogonal Procrustes problem on the
-    centered cross-covariance, with the determinant of the candidate
-    rotation corrected through the smallest singular direction so the
-    result is a proper rotation even for planar sets.
+    `_fit_minimal` on one sample: the SVD solution of the orthogonal
+    Procrustes problem, with the determinant corrected through the
+    smallest singular direction so planar sets give a proper rotation.
 
     Raises:
         LengthMismatch: different point counts.
@@ -87,17 +88,10 @@ def kabsch(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
         raise LengthMismatch("src and dst must have matching shapes")
     if src.ndim != 2 or src.shape[1] != 3 or len(src) < 3:
         raise DegenerateInput("alignment needs at least 3 points")
-    sc = src.mean(axis=0)
-    dc = dst.mean(axis=0)
-    h = (src - sc).T @ (dst - dc)
-    u, svals, vt = np.linalg.svd(h)
-    if svals[1] <= 1e-12 * max(svals[0], 1e-300):
+    rot, trans, valid = _fit_minimal(src[None], dst[None])
+    if not valid[0]:
         raise DegenerateInput("source points are collinear")
-    v = vt.T
-    if np.linalg.det(v @ u.T) < 0.0:
-        v[:, 2] = -v[:, 2]
-    r = v @ u.T
-    return RigidTransform(r, dc - r @ sc)
+    return RigidTransform(rot[0], trans[0])
 
 
 def distinct_samples(rng: np.random.Generator, n: int, count: int,
@@ -172,8 +166,9 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
     """Consensus rigid motion from noisy correspondences.
 
     `consensus` searches minimal-sample Kabsch fits scored by squared
-    residual |R x + t - y|^2.  The winner is refit over its inliers and
-    the inlier set is re-evaluated under the refit motion.
+    residual |R x + t - y|^2.  The winner is refit by the same Kabsch
+    over its inliers, and the same squared residual against threshold^2
+    picks the final inliers and their RMS.
 
     Raises:
         NoConsensus: fewer correspondences than a minimal sample, or the
@@ -195,17 +190,16 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
         raise NoConsensus(f"best hypothesis holds {best_count} inliers, "
                           f"need {SAMPLE_SIZE}")
     (rot, trans), inliers = best
-    try:
-        transform = kabsch(local[inliers], pred[inliers])
-    except DegenerateInput:  # keep the minimal-sample motion
-        transform = RigidTransform(rot, trans)
-    res = np.linalg.norm(
-        local @ transform.rotation.T + transform.translation - pred, axis=1)
-    inliers = np.flatnonzero(res <= params.threshold)
+    r, t, valid = _fit_minimal(local[None, inliers], pred[None, inliers])
+    if valid[0]:  # a collinear inlier set keeps the minimal-sample motion
+        rot, trans = r[0], t[0]
+    d2 = _squared_residuals(rot[None], trans[None], local, pred)[0]
+    inliers = np.flatnonzero(d2 <= params.threshold ** 2)
     if len(inliers) < SAMPLE_SIZE:
         raise NoConsensus("refit collapsed the consensus set")
-    rms = float(np.sqrt(np.mean(res[inliers] ** 2)))
-    return PoseEstimate(transform, inliers.astype(np.int64), rms)
+    rms = float(np.sqrt(np.mean(d2[inliers])))
+    return PoseEstimate(RigidTransform(rot, trans), inliers.astype(np.int64),
+                        rms)
 
 
 def _hypotheses_needed(w: float) -> float:

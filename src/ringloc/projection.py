@@ -10,7 +10,6 @@ can wrap around the seam instead of truncating it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -99,7 +98,7 @@ class VoxelCloud:
 
 
 def project_cylindrical(cloud: PointCloud,
-                        config: Optional[ProjectionConfig] = None) -> PointCloud:
+                        config: ProjectionConfig) -> PointCloud:
     """Unroll a cloud onto the cylinder.
 
     Output coordinates are (arc, radius, height); intensity and point
@@ -109,7 +108,6 @@ def project_cylindrical(cloud: PointCloud,
         OriginPoint: some point lies on the vertical sensor axis, where
             azimuth is undefined.
     """
-    config = config or ProjectionConfig()
     x, y, z = cloud.xyz.T
     radius = np.hypot(x, y)
     if np.any(radius == 0.0):
@@ -120,8 +118,7 @@ def project_cylindrical(cloud: PointCloud,
     return PointCloud(np.column_stack([arc, radius, z]), cloud.intensity.copy())
 
 
-def voxelize(projected: PointCloud,
-             config: Optional[ProjectionConfig] = None) -> VoxelCloud:
+def voxelize(projected: PointCloud, config: ProjectionConfig) -> VoxelCloud:
     """Quantize a projected cloud, keeping the first point per cell.
 
     Cells are floor(coord / voxel_size); the ring index is reduced modulo
@@ -130,7 +127,6 @@ def voxelize(projected: PointCloud,
     (about 209 km out at 0.2 m cells) are dropped.  Voxels are ordered by
     their representative's position in the input.
     """
-    config = config or ProjectionConfig()
     idx = np.floor(projected.xyz / config.voxel_size).astype(np.int64)
     idx[:, 0] %= config.ring_cells
     inside = np.flatnonzero(np.all((idx >= -INDEX_BOUND)
@@ -142,14 +138,12 @@ def voxelize(projected: PointCloud,
                       config.ring_cells, config.voxel_size)
 
 
-def recover_cartesian(v: VoxelCloud,
-                      config: Optional[ProjectionConfig] = None) -> PointCloud:
+def recover_cartesian(v: VoxelCloud, config: ProjectionConfig) -> PointCloud:
     """Map voxel centers back to Cartesian sensor coordinates.
 
     Uses the cell center (i + 1/2) * voxel_size on every axis, then folds
     the arc back into an angle.  Output order matches the voxel order.
     """
-    config = config or ProjectionConfig()
     if len(v) == 0:
         raise EmptyGrid("nothing to recover from an empty grid")
     centers = (v.indices + 0.5) * config.voxel_size

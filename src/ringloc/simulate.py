@@ -11,7 +11,7 @@ point carries its exact ground-truth world hit alongside.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,28 +41,29 @@ class Cylinder:
     intensity: float
 
 
+# World layout in meters; (low, high) pairs are uniform draw bands.
+EXTENT = 50.0  # ground half-extent
+BOX_RING = (24.0, 42.0)  # box center radius
+BOX_FOOTPRINT = (4.0, 10.0)  # box side
+BOX_HEIGHT = (5.0, 14.0)
+CYLINDER_BAND = (7.0, 45.0)  # cylinder axis radius
+CYLINDER_RADIUS = (0.12, 0.3)
+CYLINDER_HEIGHT = (2.0, 4.0)
+KEEPOUT_MARGIN = 3.0  # cylinders keep this far from the trajectory ring
+GROUND_INTENSITY = 0.3
+
+
 @dataclass
 class WorldSpec:
-    """Knobs for world generation; distances in meters."""
+    """Object counts and the trajectory ring that cylinders keep clear of."""
 
     n_boxes: int = 12
     n_cylinders: int = 14
-    extent: float = 50.0  # ground half-extent
-    box_ring: Tuple[float, float] = (24.0, 42.0)  # center radius band
-    box_footprint: Tuple[float, float] = (4.0, 10.0)
-    box_height: Tuple[float, float] = (5.0, 14.0)
-    cylinder_band: Tuple[float, float] = (7.0, 45.0)
-    cylinder_radius: Tuple[float, float] = (0.12, 0.3)
-    cylinder_height: Tuple[float, float] = (2.0, 4.0)
-    keepout_radius: float = 15.0  # trajectory ring to keep clear
-    keepout_margin: float = 3.0
-    ground_intensity: float = 0.3
+    keepout_radius: float = 15.0  # m
 
 
 @dataclass
 class SyntheticWorld:
-    extent: float
-    ground_intensity: float
     boxes: List[Box]
     cylinders: List[Cylinder]
 
@@ -140,26 +141,26 @@ def generate_world(spec: Optional[WorldSpec] = None,
     rng = np.random.default_rng(seed)
     boxes = []
     for _ in range(spec.n_boxes):
-        radius = rng.uniform(*spec.box_ring)
+        radius = rng.uniform(*BOX_RING)
         angle = rng.uniform(0.0, 2.0 * np.pi)
         center = np.array([radius * np.cos(angle), radius * np.sin(angle)])
-        half = rng.uniform(*spec.box_footprint, size=2) / 2.0
-        height = rng.uniform(*spec.box_height)
+        half = rng.uniform(*BOX_FOOTPRINT, size=2) / 2.0
+        height = rng.uniform(*BOX_HEIGHT)
         lo = np.array([center[0] - half[0], center[1] - half[1], 0.0])
         hi = np.array([center[0] + half[0], center[1] + half[1], height])
         boxes.append(Box(lo, hi, float(rng.uniform(0.5, 0.9))))
     cylinders = []
     while len(cylinders) < spec.n_cylinders:
-        pos = rng.uniform(-spec.cylinder_band[1], spec.cylinder_band[1], size=2)
+        pos = rng.uniform(-CYLINDER_BAND[1], CYLINDER_BAND[1], size=2)
         r = np.linalg.norm(pos)
-        if not spec.cylinder_band[0] <= r <= spec.cylinder_band[1]:
+        if not CYLINDER_BAND[0] <= r <= CYLINDER_BAND[1]:
             continue
-        if abs(r - spec.keepout_radius) < spec.keepout_margin:
+        if abs(r - spec.keepout_radius) < KEEPOUT_MARGIN:
             continue
-        cylinders.append(Cylinder(pos, float(rng.uniform(*spec.cylinder_radius)),
-                                  float(rng.uniform(*spec.cylinder_height)),
+        cylinders.append(Cylinder(pos, float(rng.uniform(*CYLINDER_RADIUS)),
+                                  float(rng.uniform(*CYLINDER_HEIGHT)),
                                   float(rng.uniform(0.1, 0.25))))
-    return SyntheticWorld(spec.extent, spec.ground_intensity, boxes, cylinders)
+    return SyntheticWorld(boxes, cylinders)
 
 
 def loop_trajectory(n_poses: int = 100, radius: float = 15.0,
@@ -187,12 +188,12 @@ def _ray_directions(sensor: SensorSpec) -> np.ndarray:
     ])
 
 
-def _intersect_ground(world: SyntheticWorld, origin, dirs) -> np.ndarray:
+def _intersect_ground(origin, dirs) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         t = -origin[2] / dirs[:, 2]
     hit_xy = origin[:2] + t[:, None] * dirs[:, :2]
     ok = (dirs[:, 2] < 0.0) & (t > 0.0) & \
-        (np.abs(hit_xy) <= world.extent).all(axis=1)
+        (np.abs(hit_xy) <= EXTENT).all(axis=1)
     return np.where(ok, t, np.inf)
 
 
@@ -236,16 +237,16 @@ def simulate_scan(world: SyntheticWorld, pose: RigidTransform,
     dirs_w = dirs_s @ pose.rotation.T
     origin = pose.translation
 
-    t_all = [_intersect_ground(world, origin, dirs_w)]
-    meta = [(CLASS_AMBIGUOUS, world.ground_intensity)]
-    for box in world.boxes:
-        t_all.append(_intersect_box(box, origin, dirs_w))
-        meta.append((CLASS_RELIABLE, box.intensity))
-    for cyl in world.cylinders:
-        t_all.append(_intersect_cylinder(cyl, origin, dirs_w))
-        meta.append((CLASS_AMBIGUOUS, cyl.intensity))
-
-    t_stack = np.vstack(t_all)
+    # Row k is object k: the ground, then every box, then every cylinder.
+    t_stack = np.vstack(
+        [_intersect_ground(origin, dirs_w)]
+        + [_intersect_box(b, origin, dirs_w) for b in world.boxes]
+        + [_intersect_cylinder(c, origin, dirs_w) for c in world.cylinders])
+    class_of = np.repeat(np.array([CLASS_AMBIGUOUS, CLASS_RELIABLE,
+                                   CLASS_AMBIGUOUS], dtype=np.int64),
+                         [1, len(world.boxes), len(world.cylinders)])
+    intensity_of = np.array([GROUND_INTENSITY] + [
+        o.intensity for o in world.boxes + world.cylinders])
     winner = np.argmin(t_stack, axis=0)
     t_hit = t_stack[winner, np.arange(t_stack.shape[1])]
     keep = np.isfinite(t_hit) & (t_hit <= sensor.max_range)
@@ -257,20 +258,20 @@ def simulate_scan(world: SyntheticWorld, pose: RigidTransform,
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sensor.range_noise, len(t_hit))
     xyz_s = dirs_s[keep] * (t_hit + noise)[:, None]
-    classes = np.array([meta[w][0] for w in winner], dtype=np.int64)
-    intensity = np.array([meta[w][1] for w in winner])
     gt_world = origin + dirs_w[keep] * t_hit[:, None]
-    return Scan(PointCloud(xyz_s, intensity), classes, gt_world)
+    return Scan(PointCloud(xyz_s, intensity_of[winner]), class_of[winner],
+                gt_world)
 
 
-def perturb_scan(scan: Scan, p: Perturbation, seed: int = 0
+def perturb_scan(scan: Scan, p: Perturbation,
+                 seed: Union[int, np.random.Generator] = 0
                  ) -> Tuple[Scan, RigidTransform]:
     """Perturb a scan, keeping classes and ground truth row-aligned.
 
     Rotation kinds rotate the cloud, subset kinds drop rows, and
-    gaussian_noise jitters every point.  Each kind draws only from one
-    generator seeded with `seed`, so a perturbation is reproducible from
-    (p, seed).
+    gaussian_noise jitters every point.  Each kind draws only from
+    `np.random.default_rng(seed)`, so a perturbation is reproducible from
+    (p, seed), and perturbations given one Generator draw from it in turn.
 
     Returns the new scan and the applied rotation (identity for the
     kinds that do not rotate); a pose that explains the perturbed cloud

@@ -62,11 +62,11 @@ def build_training_set(cfg: PipelineConfig, encoder_weights: EncoderWeights,
     seeded voxel subsample of each, with targets taken per representative
     point.
     """
-    _, poses, scans = simulate_trajectory(cfg, run_seed)
+    frames = range(0, cfg.trajectory.n_poses, cfg.train.scan_stride)
+    _, _, scans = simulate_trajectory(cfg, run_seed, frames)
     rng = np.random.default_rng(cfg.train.seed)
     feats, targets, classes, scan_ids = [], [], [], []
-    for i in range(0, len(scans), cfg.train.scan_stride):
-        scan = scans[i]
+    for i, scan in zip(frames, scans):
         _, _, voxels = rectified_voxels(scan, cfg, scan_seed(run_seed, i))
         f = encode(voxels, encoder_weights)
         src = voxels.source_index

@@ -16,18 +16,20 @@ import ringloc
 from ringloc import io
 from ringloc.cli import build_parser, main
 from ringloc.config import (PipelineConfig, config_items, format_value,
-                            read_config, write_config)
+                            parse_perturbation_list, read_config,
+                            write_config)
 from ringloc.encoder import encode, init_encoder_weights
 from ringloc.errors import ParseError, RinglocError
 from ringloc.metrics import (orientation_errors_deg, position_errors,
                              report_schema, summarize)
-from ringloc.pipeline import (localize_scan, rectified_voxels,
+from ringloc.pipeline import (SEED_PERTURB, localize_scan, rectified_voxels,
                               run_perturbed_trajectory, simulate_trajectory)
 from ringloc.projection import project_cylindrical, voxelize
 from ringloc.regressor import (RegressorConfig, init_regressor_weights,
                                load_regressor_weights, save_regressor_weights)
 from ringloc.se3 import apply_points, rotation_angle_deg
-from ringloc.simulate import PERTURBATION_KINDS
+from ringloc.simulate import (PERTURBATION_KINDS, Scan, perturb_scan,
+                              scan_seed)
 
 from helpers import read_pose
 
@@ -273,6 +275,28 @@ def test_localize_perturb_none_is_no_perturbation(ws, tmp_path):
                out=b) == 0
     for name in ("pose.txt", "pose.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("perturbs", [["random_yaw", "random_yaw"],
+                                      ["dropout=0.5", "dropout=0.5"],
+                                      ["random_yaw", "dropout=0.5"]],
+                         ids=["yaw-yaw", "dropout-dropout", "yaw-dropout"])
+def test_repeated_perturb_draws_from_one_stream(ws, tmp_path, perturbs):
+    # Every --perturb draws in turn from one generator seeded by the run
+    # seed: a second random_yaw turns by a fresh angle, not the first
+    # one again, and a second dropout draws fresh uniforms.
+    extra = [arg for p in perturbs for arg in ("--perturb", p)]
+    assert run(ws, "localize", str(ws["scan_path"]), *extra,
+               "--seed", "3", out=tmp_path / "o") == 0
+    cloud, classes, gt = io.read_scan_csv(ws["scan_path"])
+    scan = Scan(cloud, classes, gt)
+    rng = np.random.default_rng(scan_seed(3, SEED_PERTURB))
+    for p in parse_perturbation_list(",".join(perturbs)):
+        scan, _ = perturb_scan(scan, p, rng)
+    io.write_pose(tmp_path / "want.txt",
+                  localize_scan(scan, ws["cfg"], 3).transform)
+    assert ((tmp_path / "o" / "pose.txt").read_bytes()
+            == (tmp_path / "want.txt").read_bytes())
 
 
 def run_with_blas_threads(threads, *argv):

@@ -147,7 +147,8 @@ def test_fit_is_deterministic_per_seed():
 def reference_fit_plane(cloud, params):
     """fit_plane_ransac scoring every hypothesis in one (iterations, N)
     squared-distance table, then cut to the hypotheses the stop rule
-    scores, with a per-candidate sum-of-squares tie-break loop."""
+    scores, with a per-candidate sum-of-squares tie-break loop; the refit's
+    inliers are chosen by squared distance against threshold^2."""
     pts = cloud.xyz
     rng = np.random.default_rng(params.seed)
     triples = distinct_samples(rng, len(pts), params.iterations, 3)
@@ -167,7 +168,8 @@ def reference_fit_plane(cloud, params):
     ss = [d2[c, inlier_mask[c]].sum() for c in tied]
     best = tied[int(np.argmin(ss))]  # argmin: earliest draw on equal sums
     plane = _least_squares_plane(pts[inlier_mask[best]])
-    inliers = np.flatnonzero(plane.distances(pts) <= params.threshold)
+    refit_d2 = (pts @ plane.normal + plane.d) ** 2
+    inliers = np.flatnonzero(refit_d2 <= params.threshold ** 2)
     if len(inliers) < params.min_inliers:
         raise DegenerateInput("refit plane lost its consensus set")
     return plane, inliers

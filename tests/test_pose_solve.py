@@ -9,7 +9,8 @@ from ringloc import pose_solve
 from ringloc.errors import DegenerateInput, LengthMismatch, NoConsensus
 from ringloc.pose_solve import (SAMPLE_SIZE, SCORE_BLOCK,
                                 PoseEstimate, RansacPoseParams,
-                                SelectionPolicy, _fit_minimal, compensate,
+                                SelectionPolicy, _fit_minimal,
+                                _squared_residuals, compensate,
                                 distinct_samples, estimate_pose_ransac, kabsch,
                                 select_reliable)
 from ringloc.se3 import (RigidTransform, apply_points, compose, identity,
@@ -144,6 +145,50 @@ def test_kabsch_rejects_count_mismatch():
         kabsch(rng.standard_normal((4, 3)), rng.standard_normal((5, 3)))
 
 
+def classic_kabsch(src, dst):
+    """The textbook Kabsch on one (n, 3) pair: a (3, 3) cross-covariance
+    and its SVD, the determinant corrected through the smallest singular
+    direction."""
+    sc = src.mean(axis=0)
+    dc = dst.mean(axis=0)
+    h = (src - sc).T @ (dst - dc)
+    u, svals, vt = np.linalg.svd(h)
+    if svals[1] <= 1e-12 * max(svals[0], 1e-300):
+        raise DegenerateInput("source points are collinear")
+    v = vt.T
+    if np.linalg.det(v @ u.T) < 0.0:
+        v[:, 2] = -v[:, 2]
+    r = v @ u.T
+    return RigidTransform(r, dc - r @ sc)
+
+
+def kabsch_cases():
+    """(src, dst) pairs: noisy rigid motions, planar sources, and mirror
+    images, whose best orthogonal map is a reflection that the
+    determinant correction must turn into a rotation."""
+    rng = np.random.default_rng(15)
+    mirror = np.diag([1.0, 1.0, -1.0])
+    for _ in range(10):
+        src = rng.uniform(-10.0, 10.0, (int(rng.integers(3, 40)), 3))
+        truth = random_transform(rng)
+        yield src, apply_points(truth, src) + 0.1 * rng.standard_normal(
+            src.shape)
+        planar = src.copy()
+        planar[:, 2] = 0.0
+        yield planar, apply_points(truth, planar)
+        yield src, apply_points(truth, src @ mirror)
+
+
+def test_kabsch_matches_the_classic_solution():
+    for src, dst in kabsch_cases():
+        got, want = kabsch(src, dst), classic_kabsch(src, dst)
+        np.testing.assert_allclose(got.rotation, want.rotation,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.translation, want.translation,
+                                   rtol=0, atol=1e-12)
+        assert np.linalg.det(got.rotation) > 0.0
+
+
 # ------------------------------------------------------------------ ransac
 
 
@@ -259,7 +304,9 @@ def reference_scores(local, pred, params):
 
 def reference_pose_ransac(local, pred, params):
     """estimate_pose_ransac with whole-table scoring, the stop rule applied
-    to the whole table afterwards, and a per-candidate RMS tie-break loop."""
+    to the whole table afterwards, and a per-candidate RMS tie-break loop;
+    the winner is refit on one sample and its inliers are re-chosen by
+    squared residual against threshold^2."""
     rot, trans, resid, inlier_mask, counts = reference_scores(local, pred,
                                                               params)
     best_count = counts.max()
@@ -271,19 +318,18 @@ def reference_pose_ransac(local, pred, params):
         for c in candidates
     ]
     best = int(candidates[int(np.argmin(cand_rms))])
-    transform = RigidTransform(rot[best], trans[best])
+    rot, trans = rot[best], trans[best]
     inliers = np.flatnonzero(inlier_mask[best])
-    try:
-        transform = kabsch(local[inliers], pred[inliers])
-    except DegenerateInput:
-        pass
-    refit_res = np.linalg.norm(
-        local @ transform.rotation.T + transform.translation - pred, axis=1)
-    inliers = np.flatnonzero(refit_res <= params.threshold)
+    r, t, ok = _fit_minimal(local[None, inliers], pred[None, inliers])
+    if ok[0]:
+        rot, trans = r[0], t[0]
+    refit_d2 = _squared_residuals(rot[None], trans[None], local, pred)[0]
+    inliers = np.flatnonzero(refit_d2 <= params.threshold ** 2)
     if len(inliers) < SAMPLE_SIZE:
         raise NoConsensus("refit collapsed the consensus set")
-    rms = float(np.sqrt(np.mean(refit_res[inliers] ** 2)))
-    return PoseEstimate(transform, inliers.astype(np.int64), rms)
+    rms = float(np.sqrt(np.mean(refit_d2[inliers])))
+    return PoseEstimate(RigidTransform(rot, trans), inliers.astype(np.int64),
+                        rms)
 
 
 def noisy_instance(seed, n, outliers, sigma):
@@ -346,7 +392,8 @@ def test_blocked_tie_break_matches_reference(iterations):
 
 @pytest.fixture
 def fitted_rows(monkeypatch):
-    """Hypotheses passed to _fit_minimal, one entry per call."""
+    """Samples passed to _fit_minimal, one entry per call: the hypothesis
+    blocks, then the winner's one-sample refit."""
     rows = []
 
     def spy(src, dst):
@@ -370,7 +417,7 @@ def test_clean_input_fits_one_block(fitted_rows):
     local, pred, truth, rng = clean_instance(10, n=100)
     pred = corrupt(pred, rng, 5)
     est = estimate_pose_ransac(local, pred)
-    assert fitted_rows == [SCORE_BLOCK]
+    assert fitted_rows == [SCORE_BLOCK, 1]
     assert np.array_equal(est.inliers, np.arange(95))
     assert np.allclose(est.transform.rotation, truth.rotation, atol=1e-9)
 
@@ -381,7 +428,7 @@ def test_noiseless_input_stops_without_a_warning(fitted_rows):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = estimate_pose_ransac(local, pred)
-    assert fitted_rows == [SCORE_BLOCK]
+    assert fitted_rows == [SCORE_BLOCK, 1]
     assert np.array_equal(est.inliers, np.arange(60))
 
 
@@ -406,7 +453,7 @@ def test_bound_between_blocks_stops_at_the_next_block(fitted_rows):
     counts = reference_scores(local, pred, params)[4]
     assert counts.max() == 50 and len(counts) == 2 * SCORE_BLOCK
     assert_same_estimate(local, pred, params)
-    assert fitted_rows == [SCORE_BLOCK, SCORE_BLOCK]
+    assert fitted_rows == [SCORE_BLOCK, SCORE_BLOCK, 1]
 
 
 def test_scoring_memory_stays_within_a_few_blocks():

@@ -7,8 +7,9 @@ import pytest
 from ringloc.errors import EmptyScan, LengthMismatch
 from ringloc.se3 import (PointCloud, RigidTransform, apply_points, compose,
                          identity)
-from ringloc.simulate import (CLASS_AMBIGUOUS, CLASS_RELIABLE,
-                              PERTURBATION_KINDS, OracleSpec,
+from ringloc.simulate import (BOX_HEIGHT, BOX_RING, CLASS_AMBIGUOUS,
+                              CLASS_RELIABLE, CYLINDER_BAND, GROUND_INTENSITY,
+                              KEEPOUT_MARGIN, PERTURBATION_KINDS, OracleSpec,
                               Perturbation, Scan, SensorSpec, WorldSpec,
                               effective_truth, generate_world,
                               loop_trajectory, oracle_predict, perturb_scan,
@@ -37,13 +38,13 @@ def test_world_layout_respects_spec_bands():
     world = generate_world(spec, seed=3)
     for box in world.boxes:
         center = (box.lo[:2] + box.hi[:2]) / 2.0
-        assert spec.box_ring[0] <= np.linalg.norm(center) <= spec.box_ring[1]
+        assert BOX_RING[0] <= np.linalg.norm(center) <= BOX_RING[1]
         assert box.lo[2] == 0.0
-        assert spec.box_height[0] <= box.hi[2] <= spec.box_height[1]
+        assert BOX_HEIGHT[0] <= box.hi[2] <= BOX_HEIGHT[1]
     for cyl in world.cylinders:
         r = np.linalg.norm(cyl.center)
-        assert spec.cylinder_band[0] <= r <= spec.cylinder_band[1]
-        assert abs(r - spec.keepout_radius) >= spec.keepout_margin
+        assert CYLINDER_BAND[0] <= r <= CYLINDER_BAND[1]
+        assert abs(r - spec.keepout_radius) >= KEEPOUT_MARGIN
 
 
 def test_trajectory_rides_the_loop():
@@ -72,7 +73,7 @@ def test_single_downward_ray_measures_height():
     assert np.linalg.norm(scan.cloud.xyz[0]) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(scan.gt_world[0], [3.0, -2.0, 0.0], atol=1e-12)
     assert scan.classes[0] == CLASS_AMBIGUOUS
-    assert scan.cloud.intensity[0] == world.ground_intensity
+    assert scan.cloud.intensity[0] == GROUND_INTENSITY
 
 
 def test_noiseless_scan_matches_truth_under_pose():
@@ -120,10 +121,12 @@ def test_upward_rays_over_bare_ground_hit_nothing():
 
 
 def test_range_gate_drops_far_hits():
-    world = generate_world(WorldSpec(n_boxes=0, n_cylinders=0,
-                                     extent=500.0), seed=0)
+    world = generate_world(WorldSpec(n_boxes=0, n_cylinders=0), seed=0)
+    pose = loop_trajectory()[0]
+    ungated = simulate_scan(world, pose, SensorSpec(range_noise=0.0))
+    assert np.linalg.norm(ungated.cloud.xyz, axis=1).max() > 30.0
     sensor = SensorSpec(range_noise=0.0, max_range=30.0)
-    scan = simulate_scan(world, loop_trajectory()[0], sensor)
+    scan = simulate_scan(world, pose, sensor)
     assert np.all(np.linalg.norm(scan.cloud.xyz, axis=1) <= 30.0 + 1e-9)
 
 

@@ -2,11 +2,14 @@
 import numpy as np
 import pytest
 
+from ringloc import pipeline
 from ringloc.config import PipelineConfig
+from ringloc.encoder import init_encoder_weights
 from ringloc.losses import distance_residuals
 from ringloc.regressor import init_regressor_weights, regress, \
     regress_backward
-from ringloc.simulate import CLASS_AMBIGUOUS, CLASS_RELIABLE
+from ringloc.pipeline import simulate_trajectory
+from ringloc.simulate import CLASS_AMBIGUOUS, CLASS_RELIABLE, simulate_scan
 from ringloc.train import (LOSS_KINDS, LOSSES, TrainingSet,
                            build_training_set, evaluate_quartiles,
                            quartile_errors, train_regressor)
@@ -156,6 +159,37 @@ def test_training_set_shape_and_provenance(training):
     slices = tset.scan_slices()
     assert sum(len(s) for s in slices) == p
     assert np.array_equal(np.sort(np.concatenate(slices)), np.arange(p))
+
+
+def test_trajectory_frames_match_the_full_run(std_cfg, sim):
+    _, poses, scans = sim
+    frames = [8, 0, 99]
+    _, got_poses, got_scans = simulate_trajectory(std_cfg, 0, frames)
+    for i, pose, scan in zip(frames, got_poses, got_scans):
+        assert np.array_equal(pose.rotation, poses[i].rotation)
+        assert np.array_equal(pose.translation, poses[i].translation)
+        for a, b in ((scan.cloud.xyz, scans[i].cloud.xyz),
+                     (scan.cloud.intensity, scans[i].cloud.intensity),
+                     (scan.classes, scans[i].classes),
+                     (scan.gt_world, scans[i].gt_world)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_training_set_simulates_only_its_frames(monkeypatch):
+    cfg = PipelineConfig()
+    cfg.trajectory.n_poses = 10
+    cfg.train.scan_stride = 4
+    cfg.train.points_per_scan = 64
+    simulated = []
+
+    def spy(world, pose, sensor, seed):
+        simulated.append(seed)
+        return simulate_scan(world, pose, sensor, seed)
+
+    monkeypatch.setattr(pipeline, "simulate_scan", spy)
+    tset = build_training_set(cfg, init_encoder_weights(cfg.encoder))
+    assert len(simulated) == 3
+    assert np.array_equal(np.unique(tset.scan_ids), [0, 4, 8])
 
 
 def test_training_set_is_seed_stable(std_cfg, enc_weights, training):
