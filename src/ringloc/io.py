@@ -14,6 +14,9 @@ Writes go to a temp file in the target directory followed by an atomic
 rename, so readers never observe a half-written file.  Every CSV goes
 through `write_csv`, and every float cell (CSV or pose) is serialized
 with shortest round-trip repr, which keeps reruns byte-identical.
+CSV rows are read by `np.loadtxt` in one call, with a per-row `float`
+parser as the fallback that decides what is accepted and which line a
+ParseError names (`_parse_rows`).
 """
 
 from __future__ import annotations
@@ -80,10 +83,26 @@ def read_text(path: PathLike) -> str:
 
 def _parse_rows(path: Path, lines: List[str], expected_header: str
                 ) -> Tuple[np.ndarray, List[int]]:
-    """The numeric rows under the header, and each row's line number."""
+    """The numeric rows under the header, and each row's line number.
+
+    Blank lines are skipped.  `np.loadtxt` parses the body, unless the
+    body is empty or loadtxt raises or gives another shape (a short row,
+    a cell such as ``1_0`` that only `float` reads, a whitespace-only
+    line); then `float` parses it row by row and names the first bad
+    line.
+    """
     if not lines or lines[0].strip() != expected_header:
         raise ParseError(f"{path}: expected header '{expected_header}'")
     width = expected_header.count(",") + 1
+    linenos = [i for i, line in enumerate(lines[1:], start=2) if line.strip()]
+    if linenos:
+        try:
+            data = np.loadtxt(lines[1:], delimiter=",", comments=None,
+                              ndmin=2, dtype=np.float64)
+        except ValueError:
+            data = None
+        if data is not None and data.shape == (len(linenos), width):
+            return data, linenos
     rows, linenos = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

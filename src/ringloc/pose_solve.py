@@ -56,7 +56,11 @@ def select_reliable(u: np.ndarray,
     """Indices of the ceil(top_fraction * n) highest scores, ascending.
 
     When that count would fall below min_count the whole index range is
-    returned instead.  Equal scores are broken toward the lower index.
+    returned instead.  A selection, not a sort: `np.partition`
+    (introselect, O(n)) finds the k-th highest score, every higher score
+    is kept, and the lowest-index scores equal to it fill the rest, so
+    equal scores (+0.0 and -0.0 among them) are broken toward the lower
+    index.  NaN ranks below every number, -inf included.
     """
     policy = policy or SelectionPolicy()
     u = np.asarray(u, dtype=np.float64)
@@ -66,8 +70,15 @@ def select_reliable(u: np.ndarray,
     k = int(np.ceil(policy.top_fraction * n))
     if k < policy.min_count:
         return np.arange(n, dtype=np.int64)
-    ranked = np.argsort(-u, kind="stable")  # stable: ties keep lower index
-    return np.sort(ranked[:k]).astype(np.int64)
+    neg = -u  # ascending order of neg is descending score, NaN last
+    kth = np.partition(neg, k - 1)[k - 1]
+    if np.isnan(kth):  # every number is kept, then the first NaNs
+        ties = np.isnan(neg)
+        keep = ~ties
+    else:
+        keep, ties = neg < kth, neg == kth
+    keep[np.flatnonzero(ties)[:k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def kabsch(src: np.ndarray, dst: np.ndarray) -> RigidTransform:

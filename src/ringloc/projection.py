@@ -124,15 +124,22 @@ def voxelize(projected: PointCloud, config: ProjectionConfig) -> VoxelCloud:
     Cells are floor(coord / voxel_size); the ring index is reduced modulo
     ring_cells so an arc that rounds up to the full turn stays in range.
     Points whose cell lies outside [-INDEX_BOUND, INDEX_BOUND) on any axis
-    (about 209 km out at 0.2 m cells) are dropped.  Voxels are ordered by
-    their representative's position in the input.
+    (about 209 km out at 0.2 m cells) are dropped.  One min and max over
+    the cells decide whether any is: if none is, as in every simulated
+    scan, the cells are packed as they are, without a mask or a gather.
+    Voxels are ordered by their representative's position in the input.
     """
     idx = np.floor(projected.xyz / config.voxel_size).astype(np.int64)
     idx[:, 0] %= config.ring_cells
-    inside = np.flatnonzero(np.all((idx >= -INDEX_BOUND)
-                                   & (idx < INDEX_BOUND), axis=1))
-    _, first = np.unique(_pack(idx[inside]), return_index=True)
-    first = inside[np.sort(first)]
+    if len(idx) == 0 or (idx.min() >= -INDEX_BOUND
+                         and idx.max() < INDEX_BOUND):
+        _, first = np.unique(_pack(idx), return_index=True)
+        first = np.sort(first)
+    else:
+        inside = np.flatnonzero(np.all((idx >= -INDEX_BOUND)
+                                       & (idx < INDEX_BOUND), axis=1))
+        _, first = np.unique(_pack(idx[inside]), return_index=True)
+        first = inside[np.sort(first)]
     return VoxelCloud(idx[first], projected.xyz[first],
                       projected.intensity[first], first,
                       config.ring_cells, config.voxel_size)

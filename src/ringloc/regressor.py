@@ -8,9 +8,10 @@ raw reliability score u.
 
 Forward and backward passes are written out by hand, all plain batched
 matmuls.  Inference takes the plain max over heads and keeps nothing
-for a backward pass; training's forward pass also records the winning
-head (lowest head index on exact ties), the only one the max routes
-gradient to.
+for a backward pass.  Training's forward pass also records the winning
+head inside the running max, where a head replaces the max only when it
+is strictly greater, so exact ties keep the lowest head; the max routes
+gradient to that head alone.
 """
 
 from __future__ import annotations
@@ -119,9 +120,11 @@ def forward(features: np.ndarray, weights: RegressorWeights,
     maximum over the heads' column blocks.  Bias adds, layer norm and the
     rectifier write into arrays this call made, never into features or
     the weights.  With keep_cache each layer keeps its input, its
-    winning head per output (lowest index on ties) and the layer-norm
-    intermediates for `backward`; without it the cache is None and no
-    winner is computed.
+    winning head per output and the layer-norm intermediates for
+    `backward`; without it the cache is None and no winner is computed.
+    The winner, one small unsigned integer per output, is recorded as
+    the running max moves, so for finite values it is the head
+    `np.argmax` over heads picks: the lowest on ties.
     """
     cfg = weights.config
     features = np.asarray(features, dtype=np.float64)
@@ -136,15 +139,19 @@ def forward(features: np.ndarray, weights: RegressorWeights,
         z = h @ t[f"mhm{i}.w"]
         z += t[f"mhm{i}.b"]
         mx = z[:, :n].copy()
+        if keep_cache:
+            win = np.zeros(mx.shape, dtype=np.min_scalar_type(cfg.heads - 1))
         for k in range(1, cfg.heads):
-            np.maximum(mx, z[:, k * n:(k + 1) * n], out=mx)
+            zk = z[:, k * n:(k + 1) * n]
+            if keep_cache:  # strict: a tie keeps the lower head
+                np.copyto(win, k, where=zk > mx)
+            np.maximum(mx, zk, out=mx)
 
         # Layer norm over the feature axis turns mx into xhat in place.
         mx -= mx.mean(axis=1, keepdims=True)
         inv = 1.0 / np.sqrt((mx * mx).mean(axis=1, keepdims=True) + LN_EPS)
         mx *= inv
         if keep_cache:
-            win = np.argmax(z.reshape(len(h), cfg.heads, n), axis=1)
             layers.append((h, win, mx, inv))
         y = mx * t[f"ln{i}.g"]
         y += t[f"ln{i}.b"]
@@ -157,9 +164,10 @@ def forward(features: np.ndarray, weights: RegressorWeights,
 def backward(weights: RegressorWeights, cache, grad_coords, grad_u):
     """`regress_backward` on the cache of a `forward` already run.
 
-    Each max layer routes its gradient to the winning head only.  A
-    layer's rectifier passes the gradient where its output, the next
-    layer's input, is positive: exactly where its input was.
+    Each max layer routes its gradient to the winning head only, by one
+    masked copy into each head's column block of zeros.  A layer's
+    rectifier passes the gradient where its output, the next layer's
+    input, is positive: exactly where its input was.
     """
     cfg = weights.config
     t = weights.tensors
@@ -185,9 +193,10 @@ def backward(weights: RegressorWeights, cache, grad_coords, grad_u):
         g_mx = inv * (g_xhat - g_xhat.mean(axis=1, keepdims=True)
                       - xhat * (g_xhat * xhat).mean(axis=1, keepdims=True))
 
-        g_zr = np.zeros((len(h), cfg.heads, cfg.width))
-        np.put_along_axis(g_zr, win[:, None, :], g_mx[:, None, :], axis=1)
-        g_z = g_zr.reshape(len(h), cfg.heads * cfg.width)
+        g_z = np.zeros((len(h), cfg.heads * cfg.width))
+        for k in range(cfg.heads):
+            np.copyto(g_z[:, k * cfg.width:(k + 1) * cfg.width], g_mx,
+                      where=win == k)
         grads[f"mhm{i}.w"] = h.T @ g_z
         grads[f"mhm{i}.b"] = g_z.sum(axis=0)
         g_h = g_z @ t[f"mhm{i}.w"].T

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from ringloc.errors import ParseError
-from ringloc.io import (atomic_write_text, read_cloud_csv, read_scan_csv,
-                        read_tensors, read_voxel_csv, write_cloud_csv,
-                        write_csv, write_pose, write_scan_csv, write_tensors,
-                        write_voxel_csv)
+from ringloc.io import (_parse_rows, atomic_write_text, read_cloud_csv,
+                        read_scan_csv, read_tensors, read_voxel_csv,
+                        write_cloud_csv, write_csv, write_pose, write_scan_csv,
+                        write_tensors, write_voxel_csv)
 from ringloc.projection import ProjectionConfig, voxelize
 from ringloc.se3 import PointCloud, RigidTransform, yaw
 
@@ -99,6 +99,55 @@ def test_bad_cell_is_parse_error(tmp_path):
     p.write_text("x,y,z,intensity\n1,2,three,0.5\n")
     with pytest.raises(ParseError):
         read_cloud_csv(p)
+
+
+def reference_parse_rows(path, lines, expected_header):
+    """The per-row `float` parser `_parse_rows` falls back to."""
+    if not lines or lines[0].strip() != expected_header:
+        raise ParseError(f"{path}: expected header '{expected_header}'")
+    width = expected_header.count(",") + 1
+    rows, linenos = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} fields")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        linenos.append(lineno)
+    return np.array(rows, dtype=np.float64).reshape(-1, width), linenos
+
+
+# Cells `float` reads and np.loadtxt rejects, cells both reject, and
+# cells both read; each goes into the first field of a second data row.
+CELL_CORPUS = ["1_0", "0_1", "\u0661", "\u0663.\u0665", "1__0", "_1", "1_",
+               "", " ", "1 2", "0x1p3", "1d3", "True", "1j", "--1", "1\x00",
+               "nan", "-nan", "+nan", "inf", "-Infinity", "1e500", "-1e500",
+               "4.9e-324", "1e-400", "-0", " 1.5 ", "\t2\t", "\xa01", ".5",
+               "5.", "+.5", "1E3", "01"]
+BODY_CORPUS = [[], [""], ["", "  "], ["   "], ["1,2,3,4", "   "],
+               ["1,2,3,4", "", "5,6,7,8", ""], ["\u2000"], ["1,2,3"],
+               ["1,2,3", "4,5,6"], ["1,2,3,4,"], ["1,,3,4"], ["1,2,3,4,5"],
+               ["1,2,3,4", "1,2,3"], ["1,2,3,4", "5,6,7,8,9"]]
+
+
+def parse_outcome(parse, lines):
+    try:
+        data, linenos = parse("scan.csv", lines, "x,y,z,intensity")
+    except ParseError as exc:
+        return "error", str(exc)
+    return data.dtype, data.shape, data.tobytes(), linenos
+
+
+@pytest.mark.parametrize("body", [["0.5,1,2,0.25", f"{c},1,2,0.5"]
+                                  for c in CELL_CORPUS] + BODY_CORPUS)
+def test_parse_rows_matches_the_per_row_parser(body):
+    lines = ["x,y,z,intensity"] + body
+    assert parse_outcome(_parse_rows, lines) == \
+        parse_outcome(reference_parse_rows, lines)
 
 
 def test_out_of_range_intensity_is_parse_error(tmp_path):

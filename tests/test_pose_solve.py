@@ -61,6 +61,47 @@ def test_empty_scores_give_empty_selection():
     assert len(select_reliable(np.empty(0))) == 0
 
 
+def reference_select(u, policy):
+    """The stable-sort rule select_reliable's selection replaced."""
+    u = np.asarray(u, dtype=np.float64)
+    n = len(u)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    k = int(np.ceil(policy.top_fraction * n))
+    if k < policy.min_count:
+        return np.arange(n, dtype=np.int64)
+    return np.sort(np.argsort(-u, kind="stable")[:k]).astype(np.int64)
+
+
+SPECIAL_SCORES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
+
+
+def selection_cases():
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 7, 60, 333, 4096, 30_000):
+        yield "ties", rng.integers(0, 5, n).astype(np.float64)
+        yield "special", rng.choice(SPECIAL_SCORES, n)
+        yield "normal", rng.standard_normal(n)
+    yield "all nan", np.full(500, np.nan)
+    yield "signed zeros", np.tile([0.0, -0.0], 300)
+    yield "zeros and nan", np.tile([-0.0, np.nan, 0.0], 200)
+
+
+@pytest.mark.parametrize("policy", [
+    SelectionPolicy(top_fraction=0.25, min_count=1),
+    SelectionPolicy(top_fraction=1.0, min_count=1),
+    SelectionPolicy(top_fraction=1e-9, min_count=1),  # k = 1
+    SelectionPolicy(top_fraction=0.5, min_count=1),
+    SelectionPolicy(),  # min_count 50: sets below 200 are kept whole
+], ids=["quarter", "all", "k1", "half", "standard"])
+def test_selection_matches_the_stable_sort(policy):
+    for name, u in selection_cases():
+        got = select_reliable(u, policy)
+        want = reference_select(u, policy)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), (name, len(u))
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         SelectionPolicy(top_fraction=0.0)

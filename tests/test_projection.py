@@ -108,6 +108,17 @@ def test_voxelize_drops_cells_past_the_index_bound():
                                   [0, INDEX_BOUND - 1, -INDEX_BOUND])
 
 
+@pytest.mark.parametrize("height, kept", [
+    (INDEX_BOUND * 0.2 - 0.1, True), (INDEX_BOUND * 0.2, False),
+    (-INDEX_BOUND * 0.2, True), (-INDEX_BOUND * 0.2 - 0.1, False)])
+def test_voxelize_range_check_at_each_bound(height, kept):
+    # One extreme cell beside an ordinary one: the single min/max check
+    # must send exactly the out-of-range cells to the dropping path.
+    pts = np.array([[0.05, 1.31, 0.0], [0.05, 1.31, height]])
+    v = voxelize(PointCloud(pts), CFG64)
+    np.testing.assert_array_equal(v.source_index, [0, 1] if kept else [0])
+
+
 def test_voxel_order_is_ascending_source_index():
     rng = np.random.default_rng(1)
     pts = np.column_stack([rng.uniform(0, 64 * 0.2, 200),

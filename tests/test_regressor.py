@@ -5,14 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ringloc.encoder import encode
+from ringloc.encoder import LEAKY_SLOPE, encode
 from ringloc.errors import ShapeMismatch
 from ringloc.pipeline import SEED_POSE, localize_scan, rectified_voxels
 from ringloc.pose_solve import compensate, estimate_pose_ransac, \
     select_reliable
 from ringloc.projection import recover_cartesian
 from ringloc.regressor import (LN_EPS, RegressorConfig, RegressorWeights,
-                               forward, init_regressor_weights,
+                               backward, forward, init_regressor_weights,
                                load_regressor_weights, regress,
                                regress_backward, save_regressor_weights)
 from ringloc.se3 import invert
@@ -89,6 +89,86 @@ def test_tied_heads_route_gradient_to_the_lower_head():
     assert cache is not None
     coords, u = regress(f, w)
     assert np.column_stack([coords, u]).tobytes() == out.tobytes()
+
+
+def winner_cases():
+    """(weights, features) with random values, and with exact ties."""
+    rng = np.random.default_rng(23)
+    for heads in (1, 2, 3, 5):
+        cfg = RegressorConfig(width=6, heads=heads, layers=3)
+        yield init_regressor_weights(cfg, seed=heads), \
+            rng.normal(size=(40, 6))
+        # Small integers tie exactly and often across heads.
+        w = init_regressor_weights(cfg, seed=heads)
+        for name, t in w.tensors.items():
+            if name.startswith("mhm"):
+                w.tensors[name] = rng.integers(-2, 3, t.shape).astype(float)
+        yield w, rng.integers(-2, 3, (40, 6)).astype(float)
+    # Heads 1 and 2 copy each other, so their ties fall after head 0.
+    cfg = RegressorConfig(width=6, heads=3, layers=2)
+    w = init_regressor_weights(cfg, seed=4)
+    for i in (1, 2):
+        w.tensors[f"mhm{i}.w"][:, 12:] = w.tensors[f"mhm{i}.w"][:, 6:12]
+        w.tensors[f"mhm{i}.b"][12:] = w.tensors[f"mhm{i}.b"][6:12]
+    yield w, rng.normal(size=(40, 6))
+    # Zero affine tensors tie every head everywhere.
+    w = init_regressor_weights(cfg, seed=5)
+    for name in w.tensors:
+        if name.startswith("mhm"):
+            w.tensors[name] = np.zeros_like(w.tensors[name])
+    yield w, rng.normal(size=(40, 6))
+
+
+def test_recorded_winner_is_the_lowest_argmax():
+    for w, f in winner_cases():
+        cfg, t = w.config, w.tensors
+        _, (layers, _) = forward(f, w)
+        for i, (h, win, _, _) in enumerate(layers, start=1):
+            z = h @ t[f"mhm{i}.w"] + t[f"mhm{i}.b"]
+            want = np.argmax(z.reshape(len(h), cfg.heads, cfg.width), axis=1)
+            assert win.dtype.itemsize == 1
+            np.testing.assert_array_equal(win, want)
+
+
+def reference_backward(weights, cache, grad_coords, grad_u):
+    """`backward` routing each max layer's gradient with put_along_axis
+    into an (M, heads, width) scratch, as it did before copyto."""
+    cfg, t = weights.config, weights.tensors
+    layers, last = cache
+    g_out = np.hstack([grad_coords, grad_u[:, None]])
+    grads = {"head.w": last.T @ g_out, "head.b": g_out.sum(axis=0)}
+    g_h = g_out @ t["head.w"].T
+    a = last
+    for i in range(cfg.layers, 0, -1):
+        h, win, xhat, inv = layers[i - 1]
+        g_y = g_h * np.where(a > 0.0, 1.0, LEAKY_SLOPE)
+        a = h
+        grads[f"ln{i}.g"] = (g_y * xhat).sum(axis=0)
+        grads[f"ln{i}.b"] = g_y.sum(axis=0)
+        g_xhat = g_y * t[f"ln{i}.g"]
+        g_mx = inv * (g_xhat - g_xhat.mean(axis=1, keepdims=True)
+                      - xhat * (g_xhat * xhat).mean(axis=1, keepdims=True))
+        g_zr = np.zeros((len(h), cfg.heads, cfg.width))
+        np.put_along_axis(g_zr, win[:, None, :].astype(np.int64),
+                          g_mx[:, None, :], axis=1)
+        g_z = g_zr.reshape(len(h), cfg.heads * cfg.width)
+        grads[f"mhm{i}.w"] = h.T @ g_z
+        grads[f"mhm{i}.b"] = g_z.sum(axis=0)
+        g_h = g_z @ t[f"mhm{i}.w"].T
+    return grads, g_h
+
+
+def test_backward_matches_put_along_axis_routing():
+    rng = np.random.default_rng(29)
+    for w, f in winner_cases():
+        gc, gu = rng.normal(size=(len(f), 3)), rng.normal(size=len(f))
+        _, cache = forward(f, w)
+        grads, g_f = backward(w, cache, gc, gu)
+        want, want_f = reference_backward(w, cache, gc, gu)
+        assert grads.keys() == want.keys()
+        for name in grads:
+            assert grads[name].tobytes() == want[name].tobytes(), name
+        assert g_f.tobytes() == want_f.tobytes()
 
 
 def test_single_head_degenerates_to_affine():
