@@ -92,8 +92,8 @@ def localize_scan(scan: Scan, cfg: PipelineConfig, frame_seed: int,
         coords, scores = oracle_predict(
             scan.gt_world, scan.classes, cfg.oracle,
             seed=scan_seed(frame_seed, SEED_ORACLE))
-        local = rect_cloud.xyz[src]
-        pred = coords[src]
+        local = rect_cloud.xyz.take(src, axis=0)
+        pred = coords.take(src, axis=0)
         u = scores[src]
     elif predictor == "regressor":
         if encoder_weights is None or regressor_weights is None:
@@ -107,7 +107,7 @@ def localize_scan(scan: Scan, cfg: PipelineConfig, frame_seed: int,
 
     selected = select_reliable(u, cfg.selection)
     estimate = estimate_pose_ransac(
-        local[selected], pred[selected],
+        local.take(selected, axis=0), pred.take(selected, axis=0),
         replace(cfg.pose, seed=scan_seed(frame_seed, SEED_POSE)))
     transform = compensate(estimate.transform, invert(t_plane))
     return LocalizationResult(transform, t_plane, estimate,

@@ -97,7 +97,7 @@ def fit_plane_ransac(cloud: PointCloud,
     if count < params.min_inliers:
         raise DegenerateInput(
             f"best plane has {count} inliers, need {params.min_inliers}")
-    plane = _least_squares_plane(pts[best[1]])
+    plane = _least_squares_plane(pts.take(best[1], axis=0))
     d2 = squared_distances(plane.normal[None], np.array([plane.d]))[0]
     inliers = np.flatnonzero(d2 <= params.threshold ** 2)
     if len(inliers) < params.min_inliers:

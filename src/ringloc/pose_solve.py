@@ -201,7 +201,8 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
         raise NoConsensus(f"best hypothesis holds {best_count} inliers, "
                           f"need {SAMPLE_SIZE}")
     (rot, trans), inliers = best
-    r, t, valid = _fit_minimal(local[None, inliers], pred[None, inliers])
+    r, t, valid = _fit_minimal(local.take(inliers, axis=0)[None],
+                               pred.take(inliers, axis=0)[None])
     if valid[0]:  # a collinear inlier set keeps the minimal-sample motion
         rot, trans = r[0], t[0]
     d2 = _squared_residuals(rot[None], trans[None], local, pred)[0]

@@ -122,7 +122,8 @@ def voxelize(projected: PointCloud, config: ProjectionConfig) -> VoxelCloud:
     """Quantize a projected cloud, keeping the first point per cell.
 
     Cells are floor(coord / voxel_size); the ring index is reduced modulo
-    ring_cells so an arc that rounds up to the full turn stays in range.
+    ring_cells, only when some index is outside [0, ring_cells), so an
+    arc that rounds up to the full turn, or a negative one, stays in range.
     Points whose cell lies outside [-INDEX_BOUND, INDEX_BOUND) on any axis
     (about 209 km out at 0.2 m cells) are dropped.  One min and max over
     the cells decide whether any is: if none is, as in every simulated
@@ -130,7 +131,9 @@ def voxelize(projected: PointCloud, config: ProjectionConfig) -> VoxelCloud:
     Voxels are ordered by their representative's position in the input.
     """
     idx = np.floor(projected.xyz / config.voxel_size).astype(np.int64)
-    idx[:, 0] %= config.ring_cells
+    ring = idx[:, 0]
+    if len(ring) and (ring.min() < 0 or ring.max() >= config.ring_cells):
+        ring %= config.ring_cells
     if len(idx) == 0 or (idx.min() >= -INDEX_BOUND
                          and idx.max() < INDEX_BOUND):
         _, first = np.unique(_pack(idx), return_index=True)
@@ -140,7 +143,8 @@ def voxelize(projected: PointCloud, config: ProjectionConfig) -> VoxelCloud:
                                        & (idx < INDEX_BOUND), axis=1))
         _, first = np.unique(_pack(idx[inside]), return_index=True)
         first = inside[np.sort(first)]
-    return VoxelCloud(idx[first], projected.xyz[first],
+    return VoxelCloud(idx.take(first, axis=0),
+                      projected.xyz.take(first, axis=0),
                       projected.intensity[first], first,
                       config.ring_cells, config.voxel_size)
 

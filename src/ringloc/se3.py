@@ -95,7 +95,9 @@ def apply(t: RigidTransform, cloud: PointCloud) -> PointCloud:
 
 
 def apply_points(t: RigidTransform, xyz: np.ndarray) -> np.ndarray:
-    return np.asarray(xyz, dtype=np.float64) @ t.rotation.T + t.translation
+    out = np.asarray(xyz, dtype=np.float64) @ t.rotation.T
+    out += t.translation
+    return out
 
 
 def orthonormalize(t: RigidTransform) -> RigidTransform:

@@ -5,12 +5,15 @@ scatter of thin vertical cylinders standing in for poles and trunks.
 Buildings are geometrically distinctive (class 1, reliable); ground and
 cylinders look alike from every azimuth (class 0, ambiguous).  Scans are
 ray grids intersected analytically, with optional range noise, so every
-point carries its exact ground-truth world hit alongside.
+point carries its exact ground-truth world hit alongside.  The caster
+reads the directions one axis column at a time and keeps each ray's
+nearest hit over the objects in turn, never an objects x rays table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -188,39 +191,42 @@ def _ray_directions(sensor: SensorSpec) -> np.ndarray:
     ])
 
 
-def _intersect_ground(origin, dirs) -> np.ndarray:
+def _intersect_ground(origin, dx, dy, dz) -> np.ndarray:
+    # A level ray has t = +-inf, and t * 0 = NaN along a world axis: no hit.
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = -origin[2] / dirs[:, 2]
-    hit_xy = origin[:2] + t[:, None] * dirs[:, :2]
-    ok = (dirs[:, 2] < 0.0) & (t > 0.0) & \
-        (np.abs(hit_xy) <= EXTENT).all(axis=1)
+        t = -origin[2] / dz
+        ok = (dz < 0.0) & (t > 0.0) & (np.abs(origin[0] + t * dx) <= EXTENT) \
+            & (np.abs(origin[1] + t * dy) <= EXTENT)
     return np.where(ok, t, np.inf)
 
 
-def _intersect_box(box: Box, origin, dirs) -> np.ndarray:
+def _intersect_box(box: Box, origin, columns) -> np.ndarray:
+    """Slab test (Kay & Kajiya 1986), one direction column per axis; fmax
+    and fmin fold the axes and skip NaN, the 0/0 of a ray in a face plane,
+    so the other axes decide (Williams et al., JGT 2005)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = (box.lo - origin) / dirs
-        t1 = (box.hi - origin) / dirs
-    near = np.nanmax(np.minimum(t0, t1), axis=1)
-    far = np.nanmin(np.maximum(t0, t1), axis=1)
+        t0 = [(lo - o) / d for lo, o, d in zip(box.lo, origin, columns)]
+        t1 = [(hi - o) / d for hi, o, d in zip(box.hi, origin, columns)]
+    near = reduce(np.fmax, map(np.minimum, t0, t1))
+    far = reduce(np.fmin, map(np.maximum, t0, t1))
     ok = (near <= far) & (near > 0.0)
     return np.where(ok, near, np.inf)
 
 
-def _intersect_cylinder(cyl: Cylinder, origin, dirs) -> np.ndarray:
+def _intersect_cylinder(cyl: Cylinder, origin, two_dxy, dz, a) -> np.ndarray:
+    # a = dx^2 + dy^2 and 2 (dx, dy) are the same for every cylinder.
     rel = origin[:2] - cyl.center
-    a = (dirs[:, :2] ** 2).sum(axis=1)
-    b = 2.0 * dirs[:, :2] @ rel
+    b = two_dxy @ rel
     c = rel @ rel - cyl.radius ** 2
     disc = b * b - 4.0 * a * c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        roots = np.stack([(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)])
-    z = origin[2] + roots * dirs[:, 2]
-    ok = (disc >= 0.0) & (a > 0.0) & (roots > 0.0) & \
-        (z >= 0.0) & (z <= cyl.height)
-    roots = np.where(ok, roots, np.inf)
-    return roots.min(axis=0)
+    t = np.full(len(a), np.inf)
+    rays = np.flatnonzero((disc >= 0.0) & (a > 0.0))
+    b, sq, den, dz = b[rays], np.sqrt(disc[rays]), 2.0 * a[rays], dz[rays]
+    for root in ((-b - sq) / den, (-b + sq) / den):
+        z = origin[2] + root * dz
+        ok = (root > 0.0) & (z >= 0.0) & (z <= cyl.height)
+        t[rays[ok]] = np.minimum(t[rays[ok]], root[ok])
+    return t
 
 
 def simulate_scan(world: SyntheticWorld, pose: RigidTransform,
@@ -231,34 +237,42 @@ def simulate_scan(world: SyntheticWorld, pose: RigidTransform,
     Points are range-limited, carry the surface's class and intensity,
     and are jittered along the ray by the sensor's range noise.  Ray
     order (azimuth-major) is preserved for the surviving rays.
+    Each ray keeps its nearest hit over the ground, every box and every
+    cylinder in turn; a later object takes it only when strictly nearer.
     """
     sensor = sensor or SensorSpec()
     dirs_s = _ray_directions(sensor)
     dirs_w = dirs_s @ pose.rotation.T
     origin = pose.translation
+    columns = np.ascontiguousarray(dirs_w.T)
+    dx, dy, dz = columns
+    a = dx ** 2 + dy ** 2
+    two_dxy = 2.0 * dirs_w[:, :2]
 
-    # Row k is object k: the ground, then every box, then every cylinder.
-    t_stack = np.vstack(
-        [_intersect_ground(origin, dirs_w)]
-        + [_intersect_box(b, origin, dirs_w) for b in world.boxes]
-        + [_intersect_cylinder(c, origin, dirs_w) for c in world.cylinders])
+    t_hit = _intersect_ground(origin, dx, dy, dz)
+    winner = np.zeros(len(t_hit), dtype=np.int64)
+    objects = world.boxes + world.cylinders
+    for k, obj in enumerate(objects, start=1):
+        t = (_intersect_box(obj, origin, columns) if isinstance(obj, Box)
+             else _intersect_cylinder(obj, origin, two_dxy, dz, a))
+        nearer = t < t_hit
+        np.copyto(t_hit, t, where=nearer)
+        np.copyto(winner, k, where=nearer)
     class_of = np.repeat(np.array([CLASS_AMBIGUOUS, CLASS_RELIABLE,
                                    CLASS_AMBIGUOUS], dtype=np.int64),
                          [1, len(world.boxes), len(world.cylinders)])
-    intensity_of = np.array([GROUND_INTENSITY] + [
-        o.intensity for o in world.boxes + world.cylinders])
-    winner = np.argmin(t_stack, axis=0)
-    t_hit = t_stack[winner, np.arange(t_stack.shape[1])]
-    keep = np.isfinite(t_hit) & (t_hit <= sensor.max_range)
-    if not np.any(keep):
+    intensity_of = np.array([GROUND_INTENSITY]
+                            + [o.intensity for o in objects])
+    rows = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= sensor.max_range))
+    if len(rows) == 0:
         raise EmptyScan("no ray hit anything in range")
 
-    winner = winner[keep]
-    t_hit = t_hit[keep]
+    winner = winner.take(rows)
+    t_hit = t_hit.take(rows)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sensor.range_noise, len(t_hit))
-    xyz_s = dirs_s[keep] * (t_hit + noise)[:, None]
-    gt_world = origin + dirs_w[keep] * t_hit[:, None]
+    xyz_s = dirs_s.take(rows, axis=0) * (t_hit + noise)[:, None]
+    gt_world = origin + dirs_w.take(rows, axis=0) * t_hit[:, None]
     return Scan(PointCloud(xyz_s, intensity_of[winner]), class_of[winner],
                 gt_world)
 
@@ -299,8 +313,9 @@ def perturb_scan(scan: Scan, p: Perturbation,
         xyz = xyz + rng.normal(0.0, p.magnitude, xyz.shape)
     if len(kept) == 0:
         raise EmptyScan("perturbation removed every point")
-    cloud = PointCloud(xyz[kept] @ rotation.T, scan.cloud.intensity[kept])
-    return (Scan(cloud, scan.classes[kept], scan.gt_world[kept]),
+    cloud = PointCloud(xyz.take(kept, axis=0) @ rotation.T,
+                       scan.cloud.intensity[kept])
+    return (Scan(cloud, scan.classes[kept], scan.gt_world.take(kept, axis=0)),
             RigidTransform(rotation, np.zeros(3)))
 
 
@@ -359,7 +374,7 @@ def oracle_predict(gt_world: np.ndarray, classes: np.ndarray,
                           (n, 3))
     u_rel = rng.uniform(*oracle.u_reliable, n)
     u_amb = rng.uniform(*oracle.u_ambiguous, n)
-    reliable = (classes == CLASS_RELIABLE)[:, None]
-    coords = np.where(reliable, gt_world + jitter, gt_world + scatter)
-    u = np.where(reliable[:, 0], u_rel, u_amb)
-    return coords, u
+    reliable = classes == CLASS_RELIABLE
+    np.copyto(scatter, jitter, where=reliable[:, None])  # each row's noise
+    scatter += gt_world
+    return scatter, np.where(reliable, u_rel, u_amb)

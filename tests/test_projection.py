@@ -160,6 +160,24 @@ def test_packed_key_voxelize_matches_row_unique(seed):
     np.testing.assert_array_equal(v.points, pts[want_first])
 
 
+@pytest.mark.parametrize("lo, hi, full_turn", [
+    (0.0, 12.8, False), (0.0, 12.8, True), (-12.8, 0.0, False),
+    (-12.8, 12.8, True), (12.8, 38.4, False)])
+def test_ring_wrap_matches_always_modulo_reference(lo, hi, full_turn):
+    # voxelize reduces the ring index only when some index is out of
+    # range; the reference always does.  A full turn is arc 12.8 on CFG64.
+    rng = np.random.default_rng(int(hi - lo))
+    pts = np.column_stack([rng.uniform(lo, hi, 300), rng.uniform(1, 3, 300),
+                           rng.uniform(-1, 1, 300)])
+    if full_turn:
+        pts[::50, 0] = CFG64.ring_cells * CFG64.voxel_size
+    v = voxelize(PointCloud(pts), CFG64)
+    want_idx, want_first = voxelize_by_rows(PointCloud(pts), CFG64)
+    np.testing.assert_array_equal(v.indices, want_idx)
+    np.testing.assert_array_equal(v.source_index, want_first)
+    np.testing.assert_array_equal(v.points, pts[want_first])
+
+
 def test_recover_zero_angle():
     v = VoxelCloud(np.array([[0, 9, 4]]), np.zeros((1, 3)), np.zeros(1),
                    np.zeros(1), ring_cells=64, voxel_size=0.2)

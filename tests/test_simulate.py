@@ -1,5 +1,6 @@
 """Synthetic world, ray casting, perturbations, and the oracle predictor."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from ringloc.errors import EmptyScan, LengthMismatch
 from ringloc.se3 import (PointCloud, RigidTransform, apply_points, compose,
                          identity)
 from ringloc.simulate import (BOX_HEIGHT, BOX_RING, CLASS_AMBIGUOUS,
-                              CLASS_RELIABLE, CYLINDER_BAND, GROUND_INTENSITY,
-                              KEEPOUT_MARGIN, PERTURBATION_KINDS, OracleSpec,
-                              Perturbation, Scan, SensorSpec, WorldSpec,
-                              effective_truth, generate_world,
-                              loop_trajectory, oracle_predict, perturb_scan,
-                              scan_seed, simulate_scan)
+                              CLASS_RELIABLE, CYLINDER_BAND, EXTENT,
+                              GROUND_INTENSITY, KEEPOUT_MARGIN,
+                              PERTURBATION_KINDS, Box, OracleSpec,
+                              Perturbation, Scan, SensorSpec, SyntheticWorld,
+                              WorldSpec, _ray_directions, effective_truth,
+                              generate_world, loop_trajectory, oracle_predict,
+                              perturb_scan, scan_seed, simulate_scan)
 
 
 # ------------------------------------------------------------------- world
@@ -128,6 +130,138 @@ def test_range_gate_drops_far_hits():
     sensor = SensorSpec(range_noise=0.0, max_range=30.0)
     scan = simulate_scan(world, pose, sensor)
     assert np.all(np.linalg.norm(scan.cloud.xyz, axis=1) <= 30.0 + 1e-9)
+
+
+# A reference caster: each object's hit time over the (n, 3) direction
+# rows, stacked into one objects x rays table, the nearest picked by
+# argmin (the first object on a tie).  simulate_scan must match it bit
+# for bit.
+
+
+def reference_ground(origin, dirs):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -origin[2] / dirs[:, 2]
+        hit_xy = origin[:2] + t[:, None] * dirs[:, :2]
+    ok = (dirs[:, 2] < 0.0) & (t > 0.0) & \
+        (np.abs(hit_xy) <= EXTENT).all(axis=1)
+    return np.where(ok, t, np.inf)
+
+
+def reference_box(box, origin, dirs):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = (box.lo - origin) / dirs
+        t1 = (box.hi - origin) / dirs
+    near = np.nanmax(np.minimum(t0, t1), axis=1)
+    far = np.nanmin(np.maximum(t0, t1), axis=1)
+    ok = (near <= far) & (near > 0.0)
+    return np.where(ok, near, np.inf)
+
+
+def reference_cylinder(cyl, origin, dirs):
+    rel = origin[:2] - cyl.center
+    a = (dirs[:, :2] ** 2).sum(axis=1)
+    b = 2.0 * dirs[:, :2] @ rel
+    c = rel @ rel - cyl.radius ** 2
+    disc = b * b - 4.0 * a * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        roots = np.stack([(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)])
+        z = origin[2] + roots * dirs[:, 2]
+    ok = (disc >= 0.0) & (a > 0.0) & (roots > 0.0) & \
+        (z >= 0.0) & (z <= cyl.height)
+    return np.where(ok, roots, np.inf).min(axis=0)
+
+
+def reference_scan(world, pose, sensor, seed):
+    dirs_s = _ray_directions(sensor)
+    dirs_w = dirs_s @ pose.rotation.T
+    origin = pose.translation
+    t_stack = np.vstack(
+        [reference_ground(origin, dirs_w)]
+        + [reference_box(b, origin, dirs_w) for b in world.boxes]
+        + [reference_cylinder(c, origin, dirs_w) for c in world.cylinders])
+    class_of = np.repeat([CLASS_AMBIGUOUS, CLASS_RELIABLE, CLASS_AMBIGUOUS],
+                         [1, len(world.boxes), len(world.cylinders)])
+    intensity_of = np.array([GROUND_INTENSITY] + [
+        o.intensity for o in world.boxes + world.cylinders])
+    winner = np.argmin(t_stack, axis=0)
+    t_hit = t_stack[winner, np.arange(t_stack.shape[1])]
+    keep = np.isfinite(t_hit) & (t_hit <= sensor.max_range)
+    winner, t_hit = winner[keep], t_hit[keep]
+    noise = np.random.default_rng(seed).normal(0.0, sensor.range_noise,
+                                               len(t_hit))
+    return (dirs_s[keep] * (t_hit + noise)[:, None], intensity_of[winner],
+            class_of[winner], origin + dirs_w[keep] * t_hit[:, None])
+
+
+def assert_scan_matches_reference(world, pose, sensor, seed=0):
+    scan = simulate_scan(world, pose, sensor, seed)
+    want = reference_scan(world, pose, sensor, seed)
+    got = (scan.cloud.xyz, scan.cloud.intensity, scan.classes, scan.gt_world)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    return scan
+
+
+@pytest.mark.parametrize("world_seed", [0, 7])
+@pytest.mark.parametrize("sensor", [
+    SensorSpec(),
+    SensorSpec(n_azimuth=90, n_elevation=19, elevation_min_deg=-90.0,
+               elevation_max_deg=90.0),
+], ids=["standard", "pole_to_pole"])
+def test_scan_matches_reference_caster(world_seed, sensor):
+    # The pole-to-pole grid casts straight up and down (a = dx^2 + dy^2
+    # is about 1e-33 there) and level rays (dz = 0 exactly).
+    world = generate_world(seed=world_seed)
+    for i in range(0, 100, 9):
+        assert_scan_matches_reference(world, loop_trajectory()[i], sensor, i)
+
+
+def test_dense_scan_matches_reference_caster():
+    sensor = SensorSpec(n_azimuth=1024, n_elevation=32)
+    world = generate_world(seed=3)
+    for i in (0, 50):
+        assert_scan_matches_reference(world, loop_trajectory()[i], sensor, i)
+
+
+def test_coincident_boxes_go_to_the_earlier_one():
+    lo, hi = np.array([8.0, -3.0, 0.0]), np.array([12.0, 3.0, 6.0])
+    world = SyntheticWorld([Box(lo, hi, 0.5), Box(lo.copy(), hi.copy(), 0.8)],
+                           [])
+    pose = RigidTransform(np.eye(3), np.array([0.0, 0.0, 1.5]))
+    scan = assert_scan_matches_reference(world, pose, SensorSpec(), 1)
+    on_box = scan.classes == CLASS_RELIABLE
+    assert on_box.any()
+    assert np.all(scan.cloud.intensity[on_box] == 0.5)
+
+
+def test_level_ray_at_a_box_top_grazes_it():
+    # A level ray from the height of a box top has 0/0 = NaN as its z
+    # slab time; the x and y slabs alone then decide, and it hits.
+    box = Box(np.array([10.0, -2.0, 0.0]), np.array([14.0, 2.0, 5.0]), 0.7)
+    pose = RigidTransform(np.eye(3), np.array([0.0, 0.0, 5.0]))
+    sensor = SensorSpec(n_azimuth=8, n_elevation=2, elevation_min_deg=-10.0,
+                        elevation_max_deg=0.0, range_noise=0.0)
+    scan = assert_scan_matches_reference(SyntheticWorld([box], []), pose,
+                                         sensor)
+    level = scan.gt_world[:, 2] == 5.0
+    np.testing.assert_array_equal(scan.gt_world[level], [[10.0, 0.0, 5.0]])
+    assert scan.classes[level] == CLASS_RELIABLE
+
+
+def test_scan_memory_stays_bounded():
+    # One 1024 x 32 scan: no objects x rays table.  The stacked caster
+    # peaked at 16 MB here.
+    world = generate_world(seed=0)
+    pose = loop_trajectory()[3]
+    sensor = SensorSpec(n_azimuth=1024, n_elevation=32)
+    tracemalloc.start()
+    try:
+        simulate_scan(world, pose, sensor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 # ----------------------------------------------------------- perturbations
@@ -327,6 +461,23 @@ def test_oracle_is_seed_stable():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     c = oracle_predict(gt, classes, seed=5)
     assert not np.array_equal(a[0], c[0])
+
+
+def test_oracle_matches_the_where_form():
+    scan = simulate_scan(generate_world(seed=2), loop_trajectory()[40])
+    gt, classes, oracle = scan.gt_world, scan.classes, OracleSpec()
+    coords, u = oracle_predict(gt, classes, oracle, seed=6)
+    rng = np.random.default_rng(6)
+    n = len(gt)
+    jitter = rng.normal(0.0, oracle.sigma_reliable, (n, 3))
+    scatter = rng.uniform(-oracle.outlier_box / 2.0, oracle.outlier_box / 2.0,
+                          (n, 3))
+    u_rel = rng.uniform(*oracle.u_reliable, n)
+    u_amb = rng.uniform(*oracle.u_ambiguous, n)
+    reliable = (classes == CLASS_RELIABLE)[:, None]
+    assert coords.tobytes() == np.where(reliable, gt + jitter,
+                                        gt + scatter).tobytes()
+    assert u.tobytes() == np.where(reliable[:, 0], u_rel, u_amb).tobytes()
 
 
 def test_oracle_rejects_misaligned_classes():
