@@ -7,7 +7,8 @@ names and shortest round-trip number formatting, so a rerun with the
 same inputs and seed is byte-identical.
 
 Exit codes: 2 malformed input, 3 degenerate geometry, 4 no consensus,
-5 empty scan or grid, 1 other pipeline errors.
+5 empty scan or grid (or a training set under 4 points), 1 other
+pipeline errors.
 """
 
 from __future__ import annotations

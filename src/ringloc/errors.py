@@ -26,7 +26,7 @@ class NoConsensus(RinglocError):
 
 
 class EmptyScan(RinglocError):
-    """A scan or cloud with zero points where at least one is required."""
+    """A scan, cloud or training set with fewer points than required."""
 
     exit_code = 5
 

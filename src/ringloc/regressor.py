@@ -9,9 +9,8 @@ raw reliability score u.
 Forward and backward passes are written out by hand, all plain batched
 matmuls.  Inference takes the plain max over heads and keeps nothing
 for a backward pass.  Training's forward pass also records the winning
-head inside the running max, where a head replaces the max only when it
-is strictly greater, so exact ties keep the lowest head; the max routes
-gradient to that head alone.
+head, the lowest on exact ties, and backward scatters the max's
+gradient to that head alone; neither pass selects through a mask.
 """
 
 from __future__ import annotations
@@ -28,6 +27,8 @@ from .keys import Section, key
 
 LN_EPS = 1e-5
 N_OUTPUTS = 4  # x, y, z, reliability
+# The rectifier's slope indexed by whether its output is positive.
+SLOPES = np.array([LEAKY_SLOPE, 1.0])
 
 
 @dataclass
@@ -112,19 +113,39 @@ def regress_backward(features: np.ndarray, weights: RegressorWeights,
     return backward(weights, cache, grad_coords, grad_u)
 
 
+def head_max(z: np.ndarray, heads: int, keep_winner: bool
+             ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Running elementwise max over z's `heads` column blocks, and its winner.
+
+    With keep_winner each output's winning head, a small unsigned int, is
+    the running maximum of k times `zk > mx`: every earlier winner is
+    below k, so it moves to k exactly where head k is strictly greater,
+    NaN included, and ties keep the lowest head, as `np.argmax` does on
+    finite values.  Otherwise the winner is None.
+    """
+    n = z.shape[1] // heads
+    mx = z[:, :n].copy()
+    win = (np.zeros(mx.shape, dtype=np.min_scalar_type(heads - 1))
+           if keep_winner else None)
+    for k in range(1, heads):
+        zk = z[:, k * n:(k + 1) * n]
+        if win is not None:
+            np.maximum(win, np.multiply(zk > mx, k, dtype=win.dtype),
+                       out=win)
+        np.maximum(mx, zk, out=mx)
+    return mx, win
+
+
 def forward(features: np.ndarray, weights: RegressorWeights,
             keep_cache: bool = True):
     """(M, 4) outputs, coords then u, and the cache `backward` reads.
 
-    Each max layer keeps the plain elementwise max over heads, a running
-    maximum over the heads' column blocks.  Bias adds, layer norm and the
-    rectifier write into arrays this call made, never into features or
-    the weights.  With keep_cache each layer keeps its input, its
-    winning head per output and the layer-norm intermediates for
-    `backward`; without it the cache is None and no winner is computed.
-    The winner, one small unsigned integer per output, is recorded as
-    the running max moves, so for finite values it is the head
-    `np.argmax` over heads picks: the lowest on ties.
+    Each max layer keeps the elementwise max over heads (`head_max`).
+    Bias adds, layer norm and the rectifier write into arrays this call
+    made, never into features or the weights.  With keep_cache each
+    layer keeps its input, its winning head per output and the
+    layer-norm intermediates for `backward`; without it the cache is
+    None and no winner is computed.
     """
     cfg = weights.config
     features = np.asarray(features, dtype=np.float64)
@@ -132,20 +153,12 @@ def forward(features: np.ndarray, weights: RegressorWeights,
         raise ShapeMismatch(
             f"features must be (M, {cfg.width}), got {features.shape}")
     t = weights.tensors
-    n = cfg.width
     h = features
     layers = []
     for i in range(1, cfg.layers + 1):
         z = h @ t[f"mhm{i}.w"]
         z += t[f"mhm{i}.b"]
-        mx = z[:, :n].copy()
-        if keep_cache:
-            win = np.zeros(mx.shape, dtype=np.min_scalar_type(cfg.heads - 1))
-        for k in range(1, cfg.heads):
-            zk = z[:, k * n:(k + 1) * n]
-            if keep_cache:  # strict: a tie keeps the lower head
-                np.copyto(win, k, where=zk > mx)
-            np.maximum(mx, zk, out=mx)
+        mx, win = head_max(z, cfg.heads, keep_cache)
 
         # Layer norm over the feature axis turns mx into xhat in place.
         mx -= mx.mean(axis=1, keepdims=True)
@@ -165,7 +178,7 @@ def backward(weights: RegressorWeights, cache, grad_coords, grad_u):
     """`regress_backward` on the cache of a `forward` already run.
 
     Each max layer routes its gradient to the winning head only, by one
-    masked copy into each head's column block of zeros.  A layer's
+    scatter into zeros at column win * width + j of each row.  A layer's
     rectifier passes the gradient where its output, the next layer's
     input, is positive: exactly where its input was.
     """
@@ -180,9 +193,13 @@ def backward(weights: RegressorWeights, cache, grad_coords, grad_u):
     }
     g_h = g_out @ t["head.w"].T
     a = last
+    # Flat offset of (row, head 0, j) in each layer's (M, heads * width)
+    # gradient; the winner's block adds win * width.
+    row_cols = (np.arange(len(last))[:, None] * (cfg.heads * cfg.width)
+                + np.arange(cfg.width))
     for i in range(cfg.layers, 0, -1):
         h, win, xhat, inv = layers[i - 1]
-        g_y = g_h * np.where(a > 0.0, 1.0, LEAKY_SLOPE)
+        g_y = g_h * SLOPES.take(a > 0.0)
         a = h
 
         grads[f"ln{i}.g"] = (g_y * xhat).sum(axis=0)
@@ -193,10 +210,10 @@ def backward(weights: RegressorWeights, cache, grad_coords, grad_u):
         g_mx = inv * (g_xhat - g_xhat.mean(axis=1, keepdims=True)
                       - xhat * (g_xhat * xhat).mean(axis=1, keepdims=True))
 
+        cols = np.multiply(win, cfg.width, dtype=np.intp)
+        cols += row_cols
         g_z = np.zeros((len(h), cfg.heads * cfg.width))
-        for k in range(cfg.heads):
-            np.copyto(g_z[:, k * cfg.width:(k + 1) * cfg.width], g_mx,
-                      where=win == k)
+        g_z.ravel()[cols] = g_mx
         grads[f"mhm{i}.w"] = h.T @ g_z
         grads[f"mhm{i}.b"] = g_z.sum(axis=0)
         g_h = g_z @ t[f"mhm{i}.w"].T

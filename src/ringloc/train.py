@@ -30,6 +30,7 @@ from .simulate import scan_seed
 LOSSES = {"trr": losses.reliability_loss, "mean": losses.mean_distance_loss,
           "matching": losses.matching_loss}
 LOSS_KINDS = tuple(LOSSES)
+N_QUARTILES = 4  # reliability buckets the evaluation reports
 
 
 @dataclass
@@ -60,7 +61,9 @@ def build_training_set(cfg: PipelineConfig, encoder_weights: EncoderWeights,
 
     Uses every cfg.train.scan_stride-th frame of the standard loop and a
     seeded voxel subsample of each, with targets taken per representative
-    point.
+    point.  A set with fewer points than reliability quartiles raises
+    EmptyScan here, before any training, since no quartile evaluation
+    could rank it.
     """
     frames = range(0, cfg.trajectory.n_poses, cfg.train.scan_stride)
     _, _, scans = simulate_trajectory(cfg, run_seed, frames)
@@ -78,8 +81,11 @@ def build_training_set(cfg: PipelineConfig, encoder_weights: EncoderWeights,
         targets.append(scan.gt_world[src[take]])
         classes.append(scan.classes[src[take]])
         scan_ids.append(np.full(len(take), i, dtype=np.int64))
-    if not feats:
-        raise EmptyScan("no training frames selected")
+    n_points = sum(map(len, feats))
+    if n_points < N_QUARTILES:
+        raise EmptyScan(f"training set too small: {n_points} of the "
+                        f"{N_QUARTILES} points its reliability quartiles "
+                        f"need")
     return TrainingSet(np.vstack(feats), np.vstack(targets),
                        np.concatenate(classes), np.concatenate(scan_ids))
 
@@ -126,7 +132,7 @@ def train_regressor(tset: TrainingSet, cfg: PipelineConfig, loss_kind: str,
 def quartile_errors(u: np.ndarray, errors: np.ndarray) -> np.ndarray:
     """Mean error per predicted-reliability quartile, most reliable first."""
     order = np.argsort(-np.asarray(u, dtype=np.float64), kind="stable")
-    buckets = np.array_split(order, 4)
+    buckets = np.array_split(order, N_QUARTILES)
     return np.array([float(np.mean(errors[b])) for b in buckets])
 
 

@@ -667,6 +667,24 @@ def test_train_toy_negative_epochs_exits_2(ws, tmp_path):
     assert not (tmp_path / "o" / "telemetry.csv").exists()
 
 
+def test_train_toy_under_four_points_exits_5_on_one_line(tmp_path):
+    # Three poses at stride 8 train on frame 0 alone, one point from it:
+    # too few for four reliability quartiles, so train-toy stops before
+    # the epochs instead of writing nan quartiles (a warning, and under
+    # -W error a traceback).
+    cfg = _text_file(tmp_path / "tiny.cfg", "config_version = 1\n"
+                     "trajectory.n_poses = 3\ntrain.points_per_scan = 1\n")
+    out = tmp_path / "o"
+    proc = run_with_blas_threads(1, "-W", "error", "-m", "ringloc.cli",
+                                 "train-toy", "--config", cfg,
+                                 "--out", str(out))
+    assert proc.returncode == 5
+    assert proc.stderr.startswith("ringloc: error:")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert list(out.iterdir()) == []
+
+
 def test_degenerate_geometry_exits_3(ws, tmp_path):
     line = tmp_path / "line.csv"
     t = np.linspace(0.0, 1.0, 50)

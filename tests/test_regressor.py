@@ -11,8 +11,9 @@ from ringloc.pipeline import SEED_POSE, localize_scan, rectified_voxels
 from ringloc.pose_solve import compensate, estimate_pose_ransac, \
     select_reliable
 from ringloc.projection import recover_cartesian
-from ringloc.regressor import (LN_EPS, RegressorConfig, RegressorWeights,
-                               backward, forward, init_regressor_weights,
+from ringloc.regressor import (LN_EPS, SLOPES, RegressorConfig,
+                               RegressorWeights, backward, forward,
+                               head_max, init_regressor_weights,
                                load_regressor_weights, regress,
                                regress_backward, save_regressor_weights)
 from ringloc.se3 import invert
@@ -130,9 +131,43 @@ def test_recorded_winner_is_the_lowest_argmax():
             np.testing.assert_array_equal(win, want)
 
 
-def reference_backward(weights, cache, grad_coords, grad_u):
-    """`backward` routing each max layer's gradient with put_along_axis
-    into an (M, heads, width) scratch, as it did before copyto."""
+def copyto_head_max(z, heads):
+    """`head_max` recording the winner by a masked copy of k wherever head
+    k is strictly greater, as forward did before its running maximum."""
+    n = z.shape[1] // heads
+    mx = z[:, :n].copy()
+    win = np.zeros(mx.shape, dtype=np.min_scalar_type(heads - 1))
+    for k in range(1, heads):
+        zk = z[:, k * n:(k + 1) * n]
+        np.copyto(win, k, where=zk > mx)
+        np.maximum(mx, zk, out=mx)
+    return mx, win
+
+
+def route_put_along_axis(g_mx, win, heads):
+    """Each output's gradient put along the head axis of an (M, heads,
+    width) scratch of zeros."""
+    m, width = g_mx.shape
+    g_zr = np.zeros((m, heads, width))
+    np.put_along_axis(g_zr, win[:, None, :].astype(np.int64),
+                      g_mx[:, None, :], axis=1)
+    return g_zr.reshape(m, heads * width)
+
+
+def route_copyto(g_mx, win, heads):
+    """One masked copy of the gradient into each head's block of zeros."""
+    m, width = g_mx.shape
+    g_z = np.zeros((m, heads * width))
+    for k in range(heads):
+        np.copyto(g_z[:, k * width:(k + 1) * width], g_mx, where=win == k)
+    return g_z
+
+
+def reference_backward(weights, cache, grad_coords, grad_u,
+                       route=route_put_along_axis):
+    """`backward` as it was before its scatter and slope table: the slope
+    by np.where, and each max layer's gradient routed by `route`, one of
+    the two routings it used before (put_along_axis, then copyto)."""
     cfg, t = weights.config, weights.tensors
     layers, last = cache
     g_out = np.hstack([grad_coords, grad_u[:, None]])
@@ -148,10 +183,7 @@ def reference_backward(weights, cache, grad_coords, grad_u):
         g_xhat = g_y * t[f"ln{i}.g"]
         g_mx = inv * (g_xhat - g_xhat.mean(axis=1, keepdims=True)
                       - xhat * (g_xhat * xhat).mean(axis=1, keepdims=True))
-        g_zr = np.zeros((len(h), cfg.heads, cfg.width))
-        np.put_along_axis(g_zr, win[:, None, :].astype(np.int64),
-                          g_mx[:, None, :], axis=1)
-        g_z = g_zr.reshape(len(h), cfg.heads * cfg.width)
+        g_z = route(g_mx, win, cfg.heads)
         grads[f"mhm{i}.w"] = h.T @ g_z
         grads[f"mhm{i}.b"] = g_z.sum(axis=0)
         g_h = g_z @ t[f"mhm{i}.w"].T
@@ -169,6 +201,137 @@ def test_backward_matches_put_along_axis_routing():
         for name in grads:
             assert grads[name].tobytes() == want[name].tobytes(), name
         assert g_f.tobytes() == want_f.tobytes()
+
+
+# NaN of both signs, infinities, signed zeros and subnormals.
+SPECIAL = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324,
+                    -5e-324, 2.2e-308, -1e-310])
+# Head counts and widths past the small cases: 5 x 64 puts winner columns
+# past 255 (a uint8 win * width would wrap), and 257 heads need a uint16
+# winner.
+WIDE = ((1, 3), (3, 4), (5, 64), (257, 2))
+
+
+def sprinkle(rng, x, share=0.15):
+    """x with about `share` of its entries replaced by SPECIAL values."""
+    x = x.copy()
+    hit = rng.random(x.shape) < share
+    x[hit] = rng.choice(SPECIAL, size=int(hit.sum()))
+    return x
+
+
+def special_z(rng, heads, width, m=24):
+    """Head pre-activations: small integers that tie, SPECIAL values, and
+    rows rising head by head, so the last head wins every output of row
+    0 and ties the one before it on row 1."""
+    z = sprinkle(rng, rng.integers(-2, 3, (m, heads * width)).astype(float),
+                 share=0.4)
+    z[:2] = np.repeat(np.arange(heads, dtype=float), width)
+    z[1, (heads - 1) * width:] = heads - 2
+    return z
+
+
+def test_head_max_matches_copyto_winner_on_special_values():
+    rng = np.random.default_rng(37)
+    for heads, width in WIDE:
+        for z in (special_z(rng, heads, width),
+                  rng.normal(size=(24, heads * width))):
+            with np.errstate(invalid="ignore"):
+                mx, win = head_max(z, heads, keep_winner=True)
+                plain, none = head_max(z, heads, keep_winner=False)
+                want_mx, want = copyto_head_max(z, heads)
+            assert win.dtype == want.dtype
+            assert win.tobytes() == want.tobytes(), (heads, width)
+            assert mx.tobytes() == want_mx.tobytes() == plain.tobytes()
+            assert none is None
+        assert win.dtype == np.min_scalar_type(heads - 1)
+    # The rising rows reach the last head: winner 256 fits only in uint16.
+    _, win = head_max(special_z(rng, 257, 2), 257, keep_winner=True)
+    assert win.dtype == np.uint16
+    assert np.all(win[0] == 256) and np.all(win[1] == 255)
+
+
+def test_backward_matches_copyto_routing_on_special_values():
+    # Caches built by hand put SPECIAL values in every array backward
+    # reads, and winners in every head, the last one included.
+    rng = np.random.default_rng(41)
+    for heads, width in WIDE:
+        cfg = RegressorConfig(width=width, heads=heads, layers=2)
+        w = init_regressor_weights(cfg, seed=heads)
+        m = 12
+
+        def values(*shape):
+            return sprinkle(rng, rng.normal(size=shape))
+
+        layers = []
+        for _ in range(cfg.layers):
+            win = rng.integers(0, heads, (m, width)).astype(
+                np.min_scalar_type(heads - 1))
+            win[0] = heads - 1
+            layers.append((values(m, width), win, values(m, width),
+                           values(m, 1)))
+        cache = (layers, values(m, width))
+        gc, gu = values(m, 3), values(m)
+        with np.errstate(all="ignore"):
+            grads, g_f = backward(w, cache, gc, gu)
+            for route in (route_copyto, route_put_along_axis):
+                want, want_f = reference_backward(w, cache, gc, gu, route)
+                assert grads.keys() == want.keys()
+                for name in grads:
+                    assert grads[name].tobytes() == want[name].tobytes(), \
+                        (heads, width, route.__name__, name)
+                assert g_f.tobytes() == want_f.tobytes()
+
+
+def special_cases():
+    """(weights, features) at WIDE sizes, with features carrying SPECIAL
+    values, both for random weights and for small-integer ones that tie."""
+    rng = np.random.default_rng(43)
+    for heads, width in WIDE:
+        cfg = RegressorConfig(width=width, heads=heads, layers=2)
+        yield (init_regressor_weights(cfg, seed=heads),
+               sprinkle(rng, rng.normal(size=(30, width)), share=0.05))
+        w = init_regressor_weights(cfg, seed=heads)
+        for name, t in w.tensors.items():
+            if name.startswith("mhm"):
+                w.tensors[name] = rng.integers(-2, 3, t.shape).astype(float)
+        yield w, sprinkle(rng, rng.integers(-2, 3, (30, width)).astype(float),
+                          share=0.05)
+
+
+def test_training_pass_matches_copyto_references():
+    # Through forward's own caches: each layer's winner equals the masked
+    # copy's on its pre-activations, and backward's gradients equal the
+    # copyto routing's, byte for byte.
+    rng = np.random.default_rng(47)
+    for w, f in [*winner_cases(), *special_cases()]:
+        cfg, t = w.config, w.tensors
+        gc = sprinkle(rng, rng.normal(size=(len(f), 3)), share=0.05)
+        gu = sprinkle(rng, rng.normal(size=len(f)), share=0.05)
+        with np.errstate(all="ignore"):
+            _, cache = forward(f, w)
+            for i, (h, win, _, _) in enumerate(cache[0], start=1):
+                _, want = copyto_head_max(h @ t[f"mhm{i}.w"]
+                                          + t[f"mhm{i}.b"], cfg.heads)
+                assert win.dtype == want.dtype
+                assert win.tobytes() == want.tobytes()
+            grads, g_f = backward(w, cache, gc, gu)
+            want, want_f = reference_backward(w, cache, gc, gu, route_copyto)
+        for name in grads:
+            assert grads[name].tobytes() == want[name].tobytes(), name
+        assert g_f.tobytes() == want_f.tobytes()
+
+
+def test_slope_table_matches_where_on_special_values():
+    # The rectifier's slope, read from SLOPES by a > 0, scales g_h to the
+    # same bytes as np.where's choice of 1 or LEAKY_SLOPE.
+    a_vals = np.concatenate([SPECIAL, [1.0, -1.0, 1e300, -1e300]])
+    g_vals = np.concatenate([SPECIAL, [0.5, -3.0, 1e-300]])
+    a, g_h = np.meshgrid(a_vals, g_vals)
+    with np.errstate(all="ignore"):
+        got = g_h * SLOPES.take(a > 0.0)
+        want = g_h * np.where(a > 0.0, 1.0, LEAKY_SLOPE)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_single_head_degenerates_to_affine():

@@ -5,12 +5,13 @@ import pytest
 from ringloc import pipeline
 from ringloc.config import PipelineConfig
 from ringloc.encoder import init_encoder_weights
+from ringloc.errors import EmptyScan
 from ringloc.losses import distance_residuals
 from ringloc.regressor import init_regressor_weights, regress, \
     regress_backward
 from ringloc.pipeline import simulate_trajectory
 from ringloc.simulate import CLASS_AMBIGUOUS, CLASS_RELIABLE, simulate_scan
-from ringloc.train import (LOSS_KINDS, LOSSES, TrainingSet,
+from ringloc.train import (LOSS_KINDS, LOSSES, N_QUARTILES, TrainingSet,
                            build_training_set, evaluate_quartiles,
                            quartile_errors, train_regressor)
 
@@ -190,6 +191,21 @@ def test_training_set_simulates_only_its_frames(monkeypatch):
     tset = build_training_set(cfg, init_encoder_weights(cfg.encoder))
     assert len(simulated) == 3
     assert np.array_equal(np.unique(tset.scan_ids), [0, 4, 8])
+
+
+def test_training_set_needs_a_point_per_quartile():
+    # Three poses at stride 8 give one training frame, frame 0.
+    cfg = PipelineConfig()
+    cfg.trajectory.n_poses = 3
+    enc = init_encoder_weights(cfg.encoder)
+    cfg.train.points_per_scan = N_QUARTILES - 1
+    with pytest.raises(EmptyScan, match="training set too small"):
+        build_training_set(cfg, enc)
+    cfg.train.points_per_scan = N_QUARTILES
+    tset = build_training_set(cfg, enc)
+    assert len(tset.features) == N_QUARTILES
+    weights, _ = train_regressor(tset, cfg, "trr", epochs=1)
+    assert np.all(np.isfinite(evaluate_quartiles(tset, weights)[2]))
 
 
 def test_training_set_is_seed_stable(std_cfg, enc_weights, training):
