@@ -25,8 +25,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import io
-from .encoder import encode, init_encoder_weights, load_encoder_weights, \
-    save_encoder_weights
+from .encoder import EncoderConfig, encode, init_encoder_weights
 from .errors import ParseError, RinglocError
 from .keys import describe
 from .metrics import orientation_errors_deg, position_errors, summarize
@@ -34,7 +33,7 @@ from .pipeline import SEED_PERTURB, SEED_PLANE, localize_scan, \
     run_perturbed_trajectory, simulate_trajectory
 from .plane import rectify
 from .projection import project_cylindrical, recover_cartesian, voxelize
-from .regressor import load_regressor_weights, save_regressor_weights
+from .regressor import load_regressor_weights
 from .simulate import Scan, perturb_scan, scan_seed
 from .train import build_training_set, evaluate_quartiles, train_regressor
 from . import train as trainmod
@@ -137,7 +136,8 @@ def cmd_project(args, cfg, out) -> int:
 def _encoder_weights(args, cfg):
     """--encoder-weights if given, else the run seed's random init."""
     if args.encoder_weights is not None:
-        return load_encoder_weights(args.encoder_weights)
+        return io.load_weights(args.encoder_weights, "encoder",
+                               EncoderConfig.from_tensors)
     return init_encoder_weights(cfg.encoder, seed=args.seed)
 
 
@@ -228,8 +228,8 @@ def cmd_train_toy(args, cfg, out) -> int:
                  ((e.epoch, e.loss, e.lr, e.n_clamped) for e in telemetry))
     io.write_csv(out / "quartiles.csv", "quartile,mean_err_m",
                  enumerate(quartiles, start=1))
-    save_encoder_weights(out / "encoder_weights.bin", enc_weights)
-    save_regressor_weights(out / "regressor_weights.bin", weights)
+    io.save_weights(out / "encoder_weights.bin", enc_weights)
+    io.save_weights(out / "regressor_weights.bin", weights)
     return 0
 
 

@@ -30,7 +30,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import EmptyGrid, ParseError
-from .io import read_tensors, write_tensors
+from .io import Weights, init_weights
 from .keys import Section, key
 from .projection import INDEX_BOUND, UNPACKABLE, VoxelCloud, _pack
 
@@ -188,97 +188,55 @@ class EncoderConfig(Section):
         if len(self.stage_widths) != 5:
             raise ValueError("exactly five stage widths required")
 
+    @classmethod
+    def from_tensors(cls, tensors: Dict[str, np.ndarray]) -> "EncoderConfig":
+        """The widths a weight set's tensor shapes name."""
+        widths = [tensors[f"stage{i}.down.w"].shape[2] for i in range(1, 5)]
+        return cls(tensors["stem.proj.w"].shape[1],
+                   (*widths, tensors["stage5.a.w"].shape[2]),
+                   tensors["stage6.fuse.w"].shape[1])
 
-@dataclass
-class EncoderWeights:
-    config: EncoderConfig
-    tensors: Dict[str, np.ndarray]
-
-
-def _encoder_layout(cfg: EncoderConfig) -> List[Tuple[str, Tuple[int, ...]]]:
-    """Tensor names and shapes in creation order."""
-    w1, w2, w3, w4, w5 = cfg.stage_widths
-    layout: List[Tuple[str, Tuple[int, ...]]] = [
-        ("stem.proj.w", (3, cfg.stem_width)),
-        ("stem.proj.b", (cfg.stem_width,)),
-        ("stem.skip.w", (3, cfg.stem_width)),
-        ("stem.out.w", (cfg.stem_width, w1)),
-        ("stem.out.b", (w1,)),
-    ]
-    prev = w1
-    for i, wid in enumerate((w1, w2, w3, w4), start=1):
-        layout += [
-            (f"stage{i}.down.w", (8, prev, wid)),
-            (f"stage{i}.down.b", (wid,)),
-            (f"stage{i}.a.w", (27, wid + prev, wid)),
-            (f"stage{i}.a.b", (wid,)),
-            (f"stage{i}.b.w", (27, wid, wid)),
-            (f"stage{i}.b.b", (wid,)),
+    def layout(self) -> List[Tuple[str, Tuple[int, ...]]]:
+        """Tensor names and shapes in creation order."""
+        w1, w2, w3, w4, w5 = self.stage_widths
+        layout: List[Tuple[str, Tuple[int, ...]]] = [
+            ("stem.proj.w", (3, self.stem_width)),
+            ("stem.proj.b", (self.stem_width,)),
+            ("stem.skip.w", (3, self.stem_width)),
+            ("stem.out.w", (self.stem_width, w1)),
+            ("stem.out.b", (w1,)),
         ]
-        prev = wid
-    layout += [
-        ("stage5.a.w", (27, w4, w5)),
-        ("stage5.a.b", (w5,)),
-        ("stage5.b.w", (27, w5, w5)),
-        ("stage5.b.b", (w5,)),
-        ("stage6.up.w", (8, w5, w5)),
-        ("stage6.up.b", (w5,)),
-        ("stage6.fuse.w", (w5 + w4, cfg.output_width)),
-        ("stage6.fuse.b", (cfg.output_width,)),
-        ("stage6.a.w", (27, cfg.output_width, cfg.output_width)),
-        ("stage6.a.b", (cfg.output_width,)),
-        ("stage6.b.w", (27, cfg.output_width, cfg.output_width)),
-        ("stage6.b.b", (cfg.output_width,)),
-    ]
-    return layout
+        prev = w1
+        for i, wid in enumerate((w1, w2, w3, w4), start=1):
+            layout += [
+                (f"stage{i}.down.w", (8, prev, wid)),
+                (f"stage{i}.down.b", (wid,)),
+                (f"stage{i}.a.w", (27, wid + prev, wid)),
+                (f"stage{i}.a.b", (wid,)),
+                (f"stage{i}.b.w", (27, wid, wid)),
+                (f"stage{i}.b.b", (wid,)),
+            ]
+            prev = wid
+        return layout + [
+            ("stage5.a.w", (27, w4, w5)),
+            ("stage5.a.b", (w5,)),
+            ("stage5.b.w", (27, w5, w5)),
+            ("stage5.b.b", (w5,)),
+            ("stage6.up.w", (8, w5, w5)),
+            ("stage6.up.b", (w5,)),
+            ("stage6.fuse.w", (w5 + w4, self.output_width)),
+            ("stage6.fuse.b", (self.output_width,)),
+            ("stage6.a.w", (27, self.output_width, self.output_width)),
+            ("stage6.a.b", (self.output_width,)),
+            ("stage6.b.w", (27, self.output_width, self.output_width)),
+            ("stage6.b.b", (self.output_width,)),
+        ]
 
 
 def init_encoder_weights(config: Optional[EncoderConfig] = None,
-                         seed: int = 0) -> EncoderWeights:
-    """Draw all tensors from U[-1/sqrt(fan_in), 1/sqrt(fan_in)].
-
-    fan_in counts every kernel tap times the input width.  Tensors are
-    drawn in layout order from one seeded generator, so a seed pins the
-    whole network.
-    """
-    config = config or EncoderConfig()
-    rng = np.random.default_rng(seed)
-    tensors: Dict[str, np.ndarray] = {}
-    fans: Dict[str, float] = {}
-    for name, shape in _encoder_layout(config):
-        if name.endswith(".w"):
-            fan_in = int(np.prod(shape[:-1]))
-            fans[name[:-2]] = fan_in
-        else:
-            fan_in = fans[name[:-2]]
-        bound = 1.0 / np.sqrt(fan_in)
-        tensors[name] = rng.uniform(-bound, bound, size=shape)
-    return EncoderWeights(config, tensors)
-
-
-def save_encoder_weights(path, weights: EncoderWeights) -> None:
-    write_tensors(path, [(n, weights.tensors[n])
-                         for n, _ in _encoder_layout(weights.config)])
-
-
-def load_encoder_weights(path) -> EncoderWeights:
-    tensors = read_tensors(path)
-    try:
-        stem_width = tensors["stem.proj.w"].shape[1]
-        stage_widths = tuple(tensors[f"stage{i}.down.w"].shape[2]
-                             for i in range(1, 5))
-        stage_widths += (tensors["stage5.a.w"].shape[2],)
-        config = EncoderConfig(stem_width, stage_widths,
-                               tensors["stage6.fuse.w"].shape[1])
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ParseError(f"{path}: not an encoder weight file "
-                         f"({type(exc).__name__}: {exc})") from exc
-    expected = {n: s for n, s in _encoder_layout(config)}
-    got = {n: t.shape for n, t in tensors.items()}
-    if expected != got:
-        raise ParseError(f"{path}: weight file shapes do not form a valid "
-                         f"encoder")
-    return EncoderWeights(config, tensors)
+                         seed: int = 0) -> Weights:
+    """`init_weights` of config, the default widths if None."""
+    return init_weights(config or EncoderConfig(), seed)
 
 
 def initial_features(v: VoxelCloud) -> np.ndarray:
@@ -291,7 +249,7 @@ def initial_features(v: VoxelCloud) -> np.ndarray:
     return np.column_stack([metric, v.intensity])
 
 
-def encode(v: VoxelCloud, weights: EncoderWeights) -> np.ndarray:
+def encode(v: VoxelCloud, weights: Weights) -> np.ndarray:
     """Full encoder pass; returns (len(v), output_width) features.
 
     Rows align with the input voxel order: each voxel reads back the
@@ -302,7 +260,7 @@ def encode(v: VoxelCloud, weights: EncoderWeights) -> np.ndarray:
     return site_feats[voxel_rows]
 
 
-def encode_sites(v: VoxelCloud, weights: EncoderWeights
+def encode_sites(v: VoxelCloud, weights: Weights
                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Full encoder pass at the coarsest sites, and each voxel's site row.
 

@@ -21,10 +21,12 @@ ParseError names (`_parse_rows`).
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -195,8 +197,11 @@ def read_voxel_csv(path: PathLike, config: ProjectionConfig) -> VoxelCloud:
         raise ParseError(f"{path}:{linenos[row]}: repeats the voxel index of "
                          f"line {linenos[earlier[row]]}")
     src = data[:, 7]
-    if np.any(src != np.round(src)) or np.any(src < 0):
-        raise ParseError(f"{path}: source_index must be a non-negative integer")
+    bad = np.flatnonzero((src != np.round(src)) | (src < 0)
+                         | (src >= 2.0 ** 63))
+    if len(bad):
+        raise ParseError(f"{path}:{linenos[bad[0]]}: source_index must be "
+                         f"an integer in [0, 2^63)")
     try:
         return VoxelCloud(cells, data[:, 3:6], data[:, 6],
                           src.astype(np.int64), config.ring_cells,
@@ -245,19 +250,78 @@ def read_tensors(path: PathLike) -> Dict[str, np.ndarray]:
         if not parts:
             raise ParseError(f"{path}: blank tensor header line")
         name, dims = parts[0], parts[1:]
+        if name in out:
+            raise ParseError(f"{path}: tensor '{name}' given twice")
         try:
             shape = tuple(int(d) for d in dims)
         except ValueError as exc:
             raise ParseError(f"{path}: bad shape for tensor '{name}'") from exc
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 4
+        if any(d < 0 for d in shape):
+            raise ParseError(f"{path}: negative dimension for tensor '{name}'")
+        nbytes = math.prod(shape) * 4
         chunk = raw[cursor:cursor + nbytes]
         if len(chunk) != nbytes:
             raise ParseError(f"{path}: truncated payload for tensor '{name}'")
-        out[name] = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
+        try:
+            # An empty payload can still name a shape numpy cannot hold.
+            out[name] = np.frombuffer(chunk, dtype="<f4").astype(
+                np.float64).reshape(shape)
+        except ValueError as exc:
+            raise ParseError(f"{path}: bad shape for tensor '{name}'") from exc
         if not np.all(np.isfinite(out[name])):
             raise ParseError(f"{path}: tensor '{name}' holds a non-finite value")
         cursor += nbytes
     if cursor != len(raw):
         raise ParseError(f"{path}: trailing bytes after last tensor")
     return out
+
+
+@dataclass
+class Weights:
+    """One model's weight set: its config, whose ``layout()`` lists each
+    tensor's name and shape in draw and file order, and the tensors."""
+
+    config: Any
+    tensors: Dict[str, np.ndarray]
+
+
+def init_weights(config, seed: int = 0) -> Weights:
+    """A model's tensors, drawn in layout order from one seeded generator:
+    each X.w and the X.b after it from U[-1/sqrt(fan_in), 1/sqrt(fan_in)],
+    fan_in being the product of every axis of X.w but the last (kernel
+    taps times input width); a norm's X.g starts at 1 and its X.b at 0."""
+    rng = np.random.default_rng(seed)
+    tensors: Dict[str, np.ndarray] = {}
+    bounds: Dict[str, float] = {}
+    for name, shape in config.layout():
+        layer, kind = name.rsplit(".", 1)
+        if kind == "w":
+            bounds[layer] = 1.0 / np.sqrt(math.prod(shape[:-1]))
+        if kind == "g":
+            tensors[name] = np.ones(shape)
+        elif layer in bounds:
+            tensors[name] = rng.uniform(-bounds[layer], bounds[layer],
+                                        size=shape)
+        else:
+            tensors[name] = np.zeros(shape)
+    return Weights(config, tensors)
+
+
+def save_weights(path: PathLike, weights: Weights) -> None:
+    write_tensors(path, [(n, weights.tensors[n])
+                         for n, _ in weights.config.layout()])
+
+
+def load_weights(path: PathLike, model: str, config_of) -> Weights:
+    """Read a tensor file as the weight set of `model`: config_of(tensors)
+    reads the config from their shapes, whose layout they must then be."""
+    tensors = read_tensors(path)
+    try:
+        config = config_of(tensors)
+    except (KeyError, IndexError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{path}: not a weight file of the {model} "
+                         f"({type(exc).__name__}: {exc})") from exc
+    if dict(config.layout()) != {n: t.shape for n, t in tensors.items()}:
+        raise ParseError(f"{path}: weight file shapes do not form a valid "
+                         f"{model}")
+    return Weights(config, tensors)

@@ -18,15 +18,16 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .config import PipelineConfig
-from .encoder import EncoderWeights, encode_sites
+from .encoder import encode_sites
 from .errors import ParseError, RinglocError
+from .io import Weights
 from .metrics import TrajectoryResult
 from .plane import rectify
 from .pose_solve import PoseEstimate, compensate, estimate_pose_ransac, \
     select_reliable
 from .projection import VoxelCloud, project_cylindrical, recover_cartesian, \
     voxelize
-from .regressor import RegressorWeights, regress
+from .regressor import regress
 from .se3 import PointCloud, RigidTransform, invert
 from .simulate import Perturbation, Scan, SyntheticWorld, WorldSpec, \
     effective_truth, generate_world, loop_trajectory, oracle_predict, \
@@ -71,8 +72,8 @@ def rectified_voxels(scan: Scan, cfg: PipelineConfig, frame_seed: int
 
 def localize_scan(scan: Scan, cfg: PipelineConfig, frame_seed: int,
                   predictor: str = "oracle",
-                  encoder_weights: Optional[EncoderWeights] = None,
-                  regressor_weights: Optional[RegressorWeights] = None
+                  encoder_weights: Optional[Weights] = None,
+                  regressor_weights: Optional[Weights] = None
                   ) -> LocalizationResult:
     """Localize one scan against the world.
 

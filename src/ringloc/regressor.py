@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .encoder import LEAKY_SLOPE, leaky_relu
-from .errors import ParseError, ShapeMismatch
-from .io import read_tensors, write_tensors
+from .errors import ShapeMismatch
+from .io import Weights, init_weights, load_weights, save_weights
 from .keys import Section, key
 
 LN_EPS = 1e-5
@@ -37,71 +37,48 @@ class RegressorConfig(Section):
     heads: int = key(4, "candidate vectors per max layer", ge=1)
     layers: int = key(5, "stacked max layers", ge=1)
 
+    @classmethod
+    def from_tensors(cls, tensors: Dict[str, np.ndarray]) -> "RegressorConfig":
+        """The widths and depth a weight set's tensor shapes name."""
+        width, kn = tensors["mhm1.w"].shape
+        layers = sum(n.startswith("mhm") and n.endswith(".w") for n in tensors)
+        return cls(width, kn // width, layers)
 
-@dataclass
-class RegressorWeights:
-    config: RegressorConfig
-    tensors: Dict[str, np.ndarray]
-
-
-def _regressor_layout(cfg: RegressorConfig) -> List[Tuple[str, Tuple[int, ...]]]:
-    layout: List[Tuple[str, Tuple[int, ...]]] = []
-    for i in range(1, cfg.layers + 1):
-        layout += [
-            (f"mhm{i}.w", (cfg.width, cfg.heads * cfg.width)),
-            (f"mhm{i}.b", (cfg.heads * cfg.width,)),
-            (f"ln{i}.g", (cfg.width,)),
-            (f"ln{i}.b", (cfg.width,)),
-        ]
-    layout += [("head.w", (cfg.width, N_OUTPUTS)), ("head.b", (N_OUTPUTS,))]
-    return layout
+    def layout(self) -> List[Tuple[str, Tuple[int, ...]]]:
+        """Tensor names and shapes in creation order."""
+        layout: List[Tuple[str, Tuple[int, ...]]] = []
+        for i in range(1, self.layers + 1):
+            layout += [
+                (f"mhm{i}.w", (self.width, self.heads * self.width)),
+                (f"mhm{i}.b", (self.heads * self.width,)),
+                (f"ln{i}.g", (self.width,)),
+                (f"ln{i}.b", (self.width,)),
+            ]
+        return layout + [("head.w", (self.width, N_OUTPUTS)),
+                         ("head.b", (N_OUTPUTS,))]
 
 
 def init_regressor_weights(config: Optional[RegressorConfig] = None,
-                           seed: int = 0) -> RegressorWeights:
-    """Uniform +-1/sqrt(fan_in) for affine tensors; norms start at (1, 0)."""
-    config = config or RegressorConfig()
-    rng = np.random.default_rng(seed)
-    tensors: Dict[str, np.ndarray] = {}
-    for name, shape in _regressor_layout(config):
-        if name.startswith("ln"):
-            tensors[name] = (np.ones(shape) if name.endswith(".g")
-                             else np.zeros(shape))
-            continue
-        bound = 1.0 / np.sqrt(config.width)
-        tensors[name] = rng.uniform(-bound, bound, size=shape)
-    return RegressorWeights(config, tensors)
+                           seed: int = 0) -> Weights:
+    """The seeded `init_weights` draw of config, the default if None."""
+    return init_weights(config or RegressorConfig(), seed)
 
 
-def save_regressor_weights(path, weights: RegressorWeights) -> None:
-    write_tensors(path, [(n, weights.tensors[n])
-                         for n, _ in _regressor_layout(weights.config)])
+def load_regressor_weights(path) -> Weights:
+    return load_weights(path, "regressor", RegressorConfig.from_tensors)
 
 
-def load_regressor_weights(path) -> RegressorWeights:
-    tensors = read_tensors(path)
-    layers = sum(1 for n in tensors if n.startswith("mhm") and n.endswith(".w"))
-    try:
-        width, kn = tensors["mhm1.w"].shape
-        config = RegressorConfig(width, kn // width, layers)
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{path}: not a regressor weight file "
-                         f"({type(exc).__name__}: {exc})") from exc
-    expected = {n: s for n, s in _regressor_layout(config)}
-    if expected != {n: t.shape for n, t in tensors.items()}:
-        raise ParseError(f"{path}: weight file shapes do not form a valid "
-                         f"regressor")
-    return RegressorWeights(config, tensors)
+save_regressor_weights = save_weights
 
 
-def regress(features: np.ndarray, weights: RegressorWeights
+def regress(features: np.ndarray, weights: Weights
             ) -> Tuple[np.ndarray, np.ndarray]:
     """Predict (coords (M, 3), reliability u (M,)) from (M, N) features."""
     out, _ = forward(features, weights, keep_cache=False)
     return out[:, :3].copy(), out[:, 3].copy()
 
 
-def regress_backward(features: np.ndarray, weights: RegressorWeights,
+def regress_backward(features: np.ndarray, weights: Weights,
                      grad_coords: np.ndarray, grad_u: np.ndarray
                      ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
     """Gradients of sum(grad_coords * coords) + sum(grad_u * u).
@@ -136,7 +113,7 @@ def head_max(z: np.ndarray, heads: int, keep_winner: bool
     return mx, win
 
 
-def forward(features: np.ndarray, weights: RegressorWeights,
+def forward(features: np.ndarray, weights: Weights,
             keep_cache: bool = True):
     """(M, 4) outputs, coords then u, and the cache `backward` reads.
 
@@ -174,7 +151,7 @@ def forward(features: np.ndarray, weights: RegressorWeights,
     return out, ((layers, h) if keep_cache else None)
 
 
-def backward(weights: RegressorWeights, cache, grad_coords, grad_u):
+def backward(weights: Weights, cache, grad_coords, grad_u):
     """`regress_backward` on the cache of a `forward` already run.
 
     Each max layer routes its gradient to the winning head only, by one

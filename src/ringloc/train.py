@@ -19,12 +19,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import PipelineConfig
-from .encoder import EncoderWeights, encode
+from .encoder import encode
 from .errors import EmptyScan
+from .io import Weights
 from . import losses
 from .pipeline import rectified_voxels, simulate_trajectory
-from .regressor import RegressorWeights, backward, forward, \
-    init_regressor_weights, regress
+from .regressor import backward, forward, init_regressor_weights, regress
 from .simulate import scan_seed
 
 LOSSES = {"trr": losses.reliability_loss, "mean": losses.mean_distance_loss,
@@ -55,7 +55,7 @@ class EpochStats:
     n_clamped: int  # points whose score left the clamp band
 
 
-def build_training_set(cfg: PipelineConfig, encoder_weights: EncoderWeights,
+def build_training_set(cfg: PipelineConfig, encoder_weights: Weights,
                        run_seed: int = 0) -> TrainingSet:
     """Simulate, rectify, voxelize, and encode the training frames.
 
@@ -92,7 +92,7 @@ def build_training_set(cfg: PipelineConfig, encoder_weights: EncoderWeights,
 
 def train_regressor(tset: TrainingSet, cfg: PipelineConfig, loss_kind: str,
                     epochs: Optional[int] = None
-                    ) -> Tuple[RegressorWeights, List[EpochStats]]:
+                    ) -> Tuple[Weights, List[EpochStats]]:
     """Gradient descent over the pooled frames.
 
     Losses normalize their weights within a frame, so gradients are
@@ -136,7 +136,7 @@ def quartile_errors(u: np.ndarray, errors: np.ndarray) -> np.ndarray:
     return np.array([float(np.mean(errors[b])) for b in buckets])
 
 
-def evaluate_quartiles(tset: TrainingSet, weights: RegressorWeights
+def evaluate_quartiles(tset: TrainingSet, weights: Weights
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Predicted scores, per-point errors, and the quartile means."""
     pred, u = regress(tset.features, weights)

@@ -469,6 +469,13 @@ def _zero_width_encoder(path):
     return _tensor_file(path, **tensors)
 
 
+def _twice(path, tensors, name):
+    """The weight set with tensor `name` written again at the end, zeroed."""
+    io.write_tensors(path, [*tensors.items(),
+                            (name, np.zeros_like(tensors[name]))])
+    return str(path)
+
+
 def _nan_weights(path, tensors):
     """The weight set with a NaN in its first tensor."""
     tensors = {name: arr.copy() for name, arr in tensors.items()}
@@ -492,6 +499,12 @@ MALFORMED = {
     "voxel-out-of-range": lambda ws, d: [
         "encode", _text_file(d / "vox.csv", io.VOXEL_HEADER
                              + "\n0,5000000,0,0,0,0,0.5,0\n")],
+    "voxel-source-index-inf": lambda ws, d: [
+        "encode", _text_file(d / "vox.csv", io.VOXEL_HEADER
+                             + "\n0,3,1,0,0,0,0.5,inf\n")],
+    "voxel-source-index-1e30": lambda ws, d: [
+        "encode", _text_file(d / "vox.csv", io.VOXEL_HEADER
+                             + "\n0,3,1,0,0,0,0.5,1e30\n")],
     "voxel-repeated-index": lambda ws, d: [
         "encode", _text_file(d / "vox.csv", io.VOXEL_HEADER
                              + "\n0,3,1,0,0,0,0.5,0\n5,3,1,0,0,0,0.5,1"
@@ -505,6 +518,17 @@ MALFORMED = {
     "encoder-weights-zero-width": lambda ws, d: [
         "encode", _voxel_file(ws, d), "--encoder-weights",
         _zero_width_encoder(d / "enc.bin")],
+    "encoder-weights-dims-overflow": lambda ws, d: [
+        "encode", _voxel_file(ws, d), "--encoder-weights",
+        _text_file(d / "enc.bin", io.TENSOR_MAGIC
+                   + "\nstem.proj.w 4294967296 4294967296\ndata\n")],
+    "encoder-weights-name-twice": lambda ws, d: [
+        "encode", _voxel_file(ws, d), "--encoder-weights",
+        _twice(d / "enc.bin", init_encoder_weights(seed=0).tensors,
+               "stem.proj.b")],
+    "encoder-weights-given-regressor": lambda ws, d: [
+        "encode", _voxel_file(ws, d), "--encoder-weights",
+        _tensor_file(d / "reg.bin", **init_regressor_weights(seed=0).tensors)],
     "encoder-weights-nan": lambda ws, d: [
         "encode", _voxel_file(ws, d), "--encoder-weights",
         _nan_weights(d / "enc.bin", init_encoder_weights(seed=0).tensors)],
@@ -518,6 +542,10 @@ MALFORMED = {
     "regressor-weights-foreign": lambda ws, d: [
         "localize", str(ws["scan_path"]), "--predictor", "regressor",
         "--regressor-weights", _tensor_file(d / "foo.bin", foo=np.zeros(3))],
+    "regressor-weights-given-encoder": lambda ws, d: [
+        "localize", str(ws["scan_path"]), "--predictor", "regressor",
+        "--regressor-weights",
+        _tensor_file(d / "enc.bin", **init_encoder_weights(seed=0).tensors)],
     "regressor-weights-no-heads": lambda ws, d: [
         "localize", str(ws["scan_path"]), "--predictor", "regressor",
         "--regressor-weights",

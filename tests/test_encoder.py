@@ -7,10 +7,10 @@ import pytest
 
 from ringloc.encoder import (CUBE, DOWN, UP, EncoderConfig, KernelMap, Level,
                              encode, encode_sites, init_encoder_weights,
-                             initial_features, leaky_relu,
-                             load_encoder_weights, max_pool2,
-                             save_encoder_weights, sparse_conv)
+                             initial_features, leaky_relu, max_pool2,
+                             sparse_conv)
 from ringloc.errors import EmptyGrid, ParseError
+from ringloc.io import load_weights, save_weights
 from ringloc.projection import INDEX_BOUND, VoxelCloud
 
 
@@ -471,8 +471,8 @@ def test_encode_leaves_its_inputs_and_weights_unchanged():
 def test_weights_save_load_round_trip(tmp_path):
     w = init_encoder_weights(seed=4)
     p = tmp_path / "enc.bin"
-    save_encoder_weights(p, w)
-    back = load_encoder_weights(p)
+    save_weights(p, w)
+    back = load_weights(p, "encoder", EncoderConfig.from_tensors)
     assert back.config == w.config
     for name, t in w.tensors.items():
         np.testing.assert_array_equal(back.tensors[name],

@@ -1,16 +1,22 @@
-"""File formats: CSV clouds and scans, pose text, voxel CSV, tensors."""
+"""File formats: CSV clouds and scans, pose text, voxel CSV, tensors, and
+the weight-set init rule."""
 
 import math
+import re
+from itertools import product
 
 import numpy as np
 import pytest
 
+from ringloc.encoder import EncoderConfig
 from ringloc.errors import ParseError
-from ringloc.io import (_parse_rows, atomic_write_text, read_cloud_csv,
-                        read_scan_csv, read_tensors, read_voxel_csv,
-                        write_cloud_csv, write_csv, write_pose, write_scan_csv,
-                        write_tensors, write_voxel_csv)
+from ringloc.io import (TENSOR_MAGIC, _parse_rows, atomic_write_text,
+                        init_weights, read_cloud_csv, read_scan_csv,
+                        read_tensors, read_voxel_csv, write_cloud_csv,
+                        write_csv, write_pose, write_scan_csv, write_tensors,
+                        write_voxel_csv)
 from ringloc.projection import ProjectionConfig, voxelize
+from ringloc.regressor import RegressorConfig
 from ringloc.se3 import PointCloud, RigidTransform, yaw
 
 from helpers import read_pose
@@ -190,6 +196,17 @@ def test_voxel_rejects_fractional_index(tmp_path):
         read_voxel_csv(p, ProjectionConfig(voxel_size=0.2, ring_cells=64))
 
 
+@pytest.mark.parametrize("src", ["inf", "1e30", "9.3e18", "-1", "nan", "2.5"])
+def test_voxel_rejects_source_index_int64_cannot_hold(tmp_path, src):
+    p = tmp_path / "vox.csv"
+    p.write_text("ix,iy,iz,px,py,pz,intensity,source_index\n"
+                 "0,1,1,0.0,0.0,0.0,0.0,0\n"
+                 f"1,1,1,0.0,0.0,0.0,0.0,{src}\n")
+    with pytest.raises(ParseError,
+                       match=f"^{re.escape(str(p))}:3: source_index"):
+        read_voxel_csv(p, CFG64)
+
+
 def first_repeat_by_rows(cells):
     """(row, earlier row) of the first repeated index, found with the
     row-wise np.unique(axis=0) read_voxel_csv used before packed keys."""
@@ -255,6 +272,66 @@ def test_tensor_trailing_garbage(tmp_path):
     p.write_bytes(p.read_bytes() + b"\x00\x00")
     with pytest.raises(ParseError):
         read_tensors(p)
+
+
+@pytest.mark.parametrize("header, payload", [
+    # dims whose product is 2^64, which wraps to 0 in int64
+    ("x 4294967296 4294967296", b""),
+    ("x 0 4611686018427387904", b""),
+    ("x -1 -3", bytes(12)),
+    ("x 2\nx 2", bytes(16)),
+])
+def test_tensor_bad_header_names_the_file(tmp_path, header, payload):
+    p = tmp_path / "t.bin"
+    p.write_bytes(f"{TENSOR_MAGIC}\n{header}\ndata\n".encode() + payload)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: "):
+        read_tensors(p)
+
+
+def encoder_draw(config, seed):
+    """The encoder's draw loop from before the shared init rule."""
+    rng = np.random.default_rng(seed)
+    tensors, fans = {}, {}
+    for name, shape in config.layout():
+        if name.endswith(".w"):
+            fan_in = int(np.prod(shape[:-1]))
+            fans[name[:-2]] = fan_in
+        else:
+            fan_in = fans[name[:-2]]
+        bound = 1.0 / np.sqrt(fan_in)
+        tensors[name] = rng.uniform(-bound, bound, size=shape)
+    return tensors
+
+
+def regressor_draw(config, seed):
+    """The regressor's draw loop from before the shared init rule."""
+    rng = np.random.default_rng(seed)
+    tensors = {}
+    for name, shape in config.layout():
+        if name.startswith("ln"):
+            tensors[name] = (np.ones(shape) if name.endswith(".g")
+                             else np.zeros(shape))
+            continue
+        bound = 1.0 / np.sqrt(config.width)
+        tensors[name] = rng.uniform(-bound, bound, size=shape)
+    return tensors
+
+
+WEIGHT_CONFIGS = [(cfg, encoder_draw) for cfg in (
+    EncoderConfig(), EncoderConfig(1, (1, 1, 1, 1, 1), 1),
+    EncoderConfig(3, (5, 2, 9, 1, 4), 6),
+    EncoderConfig(8, (16, 4, 4, 2, 3), 5))
+] + [(RegressorConfig(width, heads, layers), regressor_draw)
+     for heads, layers, width in product((1, 4, 7), (1, 5), (1, 3, 64))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_init_weights_matches_each_models_own_draw(seed):
+    for cfg, draw in WEIGHT_CONFIGS:
+        got, want = init_weights(cfg, seed).tensors, draw(cfg, seed)
+        assert list(got) == list(want) == [n for n, _ in cfg.layout()]
+        for name, t in want.items():
+            assert got[name].tobytes() == t.tobytes(), (cfg, name)
 
 
 def test_atomic_write_replaces_whole_file(tmp_path):

@@ -11,9 +11,8 @@ from ringloc.pipeline import SEED_POSE, localize_scan, rectified_voxels
 from ringloc.pose_solve import compensate, estimate_pose_ransac, \
     select_reliable
 from ringloc.projection import recover_cartesian
-from ringloc.regressor import (LN_EPS, SLOPES, RegressorConfig,
-                               RegressorWeights, backward, forward,
-                               head_max, init_regressor_weights,
+from ringloc.regressor import (LN_EPS, SLOPES, RegressorConfig, backward,
+                               forward, head_max, init_regressor_weights,
                                load_regressor_weights, regress,
                                regress_backward, save_regressor_weights)
 from ringloc.se3 import invert
