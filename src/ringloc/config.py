@@ -16,9 +16,9 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .encoder import DOWNSAMPLE_FACTOR, EncoderConfig
+from .encoder import EncoderConfig
 from .errors import ParseError
-from .io import atomic_write_text, read_text
+from .io import _cell, atomic_write_text, read_text
 from .keys import Section, is_key, key
 from .plane import RansacPlaneParams
 from .pose_solve import RansacPoseParams, SelectionPolicy
@@ -107,11 +107,9 @@ def config_items(cfg: PipelineConfig) -> List[Tuple[str, object]]:
 
 
 def format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, tuple):
-        return ",".join(format_value(v) for v in value)
-    return str(value)
+        return ",".join(map(_cell, value))
+    return _cell(value)
 
 
 def _parse_value(text: str, template) -> object:
@@ -175,11 +173,7 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
                 getattr(defaults, section_name), **fields)
         except ValueError as exc:
             raise ParseError(f"{source}: section '{section_name}': {exc}") from exc
-    cfg = dataclasses.replace(defaults, **sections)
-    if cfg.projection.ring_cells % DOWNSAMPLE_FACTOR != 0:
-        raise ParseError(f"{source}: projection.ring_cells must be divisible "
-                         f"by {DOWNSAMPLE_FACTOR}, the encoder's downsampling")
-    return cfg
+    return dataclasses.replace(defaults, **sections)
 
 
 def read_config(path) -> PipelineConfig:

@@ -35,7 +35,6 @@ from .keys import Section, key
 from .projection import INDEX_BOUND, UNPACKABLE, VoxelCloud, _pack
 
 LEAKY_SLOPE = 0.01
-DOWNSAMPLE_FACTOR = 16  # product of the four stride-2 stages
 
 # Kernel offsets, (V, 3), in lexicographic order; conv weights are
 # (V, C_in, C_out), offset-major in the same order.
@@ -273,8 +272,6 @@ def encode_sites(v: VoxelCloud, weights: Weights
     """
     if len(v) == 0:
         raise EmptyGrid("cannot encode an empty voxel grid")
-    if v.ring_cells % DOWNSAMPLE_FACTOR != 0:
-        raise ParseError(f"ring_cells must be divisible by {DOWNSAMPLE_FACTOR}")
     t = weights.tensors
 
     def rectified(y: np.ndarray) -> np.ndarray:

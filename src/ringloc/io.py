@@ -12,11 +12,11 @@ Formats:
 
 Writes go to a temp file in the target directory followed by an atomic
 rename, so readers never observe a half-written file.  Every CSV goes
-through `write_csv`, and every float cell (CSV or pose) is serialized
-with shortest round-trip repr, which keeps reruns byte-identical.
-CSV rows are read by `np.loadtxt` in one call, with a per-row `float`
-parser as the fallback that decides what is accepted and which line a
-ParseError names (`_parse_rows`).
+through `write_csv`, and every float (CSV, pose or config) is written
+with shortest round-trip repr (`_cell`), so reruns are byte-identical.
+CSV rows are read by `np.loadtxt` in one call (`_parse_rows`), with a
+per-row `float` parser as the fallback; a row it rejects, or one that
+breaks a format's rule (`_check_rows`), is a ParseError naming its line.
 """
 
 from __future__ import annotations
@@ -120,6 +120,14 @@ def _parse_rows(path: Path, lines: List[str], expected_header: str
     return np.array(rows, dtype=np.float64).reshape(-1, width), linenos
 
 
+def _check_rows(path: Path, linenos: List[int], bad: np.ndarray,
+                rule: str) -> None:
+    """Raise a ParseError naming the line of the first row flagged bad."""
+    rows = np.flatnonzero(bad)
+    if len(rows):
+        raise ParseError(f"{path}:{linenos[rows[0]]}: {rule}")
+
+
 def read_cloud_csv(path: PathLike) -> PointCloud:
     """Read a cloud, accepting either the plain or the simulated header."""
     cloud, _, _ = read_scan_csv(path)
@@ -138,11 +146,9 @@ def read_scan_csv(path: PathLike
     if lines and lines[0].strip() == SCAN_HEADER:
         data, linenos = _parse_rows(path, lines, SCAN_HEADER)
         cloud = _make_cloud(path, data[:, :3], data[:, 3])
-        bad = np.flatnonzero(~np.isin(data[:, 4], (0.0, 1.0))
-                             | ~np.isfinite(data[:, 5:8]).all(axis=1))
-        if len(bad):
-            raise ParseError(f"{path}:{linenos[bad[0]]}: cls must be 0 or 1 "
-                             f"and gt_x,gt_y,gt_z finite")
+        _check_rows(path, linenos, ~np.isin(data[:, 4], (0.0, 1.0))
+                    | ~np.isfinite(data[:, 5:8]).all(axis=1),
+                    "cls must be 0 or 1 and gt_x,gt_y,gt_z finite")
         return cloud, data[:, 4].astype(np.int64), data[:, 5:8]
     data, _ = _parse_rows(path, lines, CLOUD_HEADER)
     return _make_cloud(path, data[:, :3], data[:, 3]), None, None
@@ -174,19 +180,24 @@ def write_pose(path: PathLike, t: RigidTransform) -> None:
 
 
 def read_voxel_csv(path: PathLike, config: ProjectionConfig) -> VoxelCloud:
-    """Read a voxel grid: integer indices in [-INDEX_BOUND, INDEX_BOUND),
-    each at most once."""
+    """Read a voxel grid: integer indices, each at most once, the ring
+    index in [0, ring_cells) and the others in [-INDEX_BOUND, INDEX_BOUND),
+    and a source_index in [0, 2^63); a row error names its line."""
     path = Path(path)
     lines = read_text(path).splitlines()
     data, linenos = _parse_rows(path, lines, VOXEL_HEADER)
-    idx = data[:, :3]
-    if np.any(idx != np.round(idx)):
-        raise ParseError(f"{path}: voxel indices must be integers")
-    outside = np.flatnonzero(np.any((idx < -INDEX_BOUND)
-                                    | (idx >= INDEX_BOUND), axis=1))
-    if len(outside):
-        raise ParseError(f"{path}:{linenos[outside[0]]}: voxel index outside "
-                         f"[-{INDEX_BOUND}, {INDEX_BOUND - 1}]")
+    idx, src = data[:, :3], data[:, 7]
+    _check_rows(path, linenos, np.any(idx != np.round(idx), axis=1),
+                "voxel indices must be integers")
+    _check_rows(path, linenos, (idx[:, 0] < 0)
+                | (idx[:, 0] >= config.ring_cells),
+                f"ring index outside [0, {config.ring_cells - 1}]")
+    _check_rows(path, linenos, np.any((idx[:, 1:] < -INDEX_BOUND)
+                                      | (idx[:, 1:] >= INDEX_BOUND), axis=1),
+                f"voxel index outside [-{INDEX_BOUND}, {INDEX_BOUND - 1}]")
+    _check_rows(path, linenos, (src != np.round(src)) | (src < 0)
+                | (src >= 2.0 ** 63),
+                "source_index must be an integer in [0, 2^63)")
     cells = idx.astype(np.int64)
     _, first, site = np.unique(_pack(cells), return_index=True,
                                return_inverse=True)
@@ -196,18 +207,8 @@ def read_voxel_csv(path: PathLike, config: ProjectionConfig) -> VoxelCloud:
         row = repeats[0]
         raise ParseError(f"{path}:{linenos[row]}: repeats the voxel index of "
                          f"line {linenos[earlier[row]]}")
-    src = data[:, 7]
-    bad = np.flatnonzero((src != np.round(src)) | (src < 0)
-                         | (src >= 2.0 ** 63))
-    if len(bad):
-        raise ParseError(f"{path}:{linenos[bad[0]]}: source_index must be "
-                         f"an integer in [0, 2^63)")
-    try:
-        return VoxelCloud(cells, data[:, 3:6], data[:, 6],
-                          src.astype(np.int64), config.ring_cells,
-                          config.voxel_size)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return VoxelCloud(cells, data[:, 3:6], data[:, 6], src.astype(np.int64),
+                      config.ring_cells, config.voxel_size)
 
 
 def write_voxel_csv(path: PathLike, v: VoxelCloud) -> None:
@@ -217,11 +218,11 @@ def write_voxel_csv(path: PathLike, v: VoxelCloud) -> None:
     write_csv(path, VOXEL_HEADER, rows)
 
 
-def write_tensors(path: PathLike, tensors: Sequence[Tuple[str, np.ndarray]]) -> None:
-    """Serialize named float arrays: text header, then f32 payload."""
+def write_tensors(path: PathLike, tensors: Dict[str, np.ndarray]) -> None:
+    """Serialize name -> float array, in order: text header, f32 payload."""
     header = [TENSOR_MAGIC]
     blobs: List[bytes] = []
-    for name, arr in tensors:
+    for name, arr in tensors.items():
         arr = np.asarray(arr, dtype=np.float64)
         header.append(name + " " + " ".join(str(d) for d in arr.shape))
         blobs.append(arr.astype("<f4").tobytes())
@@ -308,8 +309,8 @@ def init_weights(config, seed: int = 0) -> Weights:
 
 
 def save_weights(path: PathLike, weights: Weights) -> None:
-    write_tensors(path, [(n, weights.tensors[n])
-                         for n, _ in weights.config.layout()])
+    write_tensors(path, {n: weights.tensors[n]
+                         for n, _ in weights.config.layout()})
 
 
 def load_weights(path: PathLike, model: str, config_of) -> Weights:

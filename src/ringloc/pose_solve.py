@@ -65,8 +65,6 @@ def select_reliable(u: np.ndarray,
     policy = policy or SelectionPolicy()
     u = np.asarray(u, dtype=np.float64)
     n = len(u)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     k = int(np.ceil(policy.top_fraction * n))
     if k < policy.min_count:
         return np.arange(n, dtype=np.int64)

@@ -23,6 +23,7 @@ from .se3 import PointCloud
 INDEX_BOUND = 1 << 20
 UNPACKABLE = (f"voxel coordinate outside the packable range "
               f"[-{INDEX_BOUND}, {INDEX_BOUND - 1}]")
+RING_MULTIPLE = 16  # the encoder halves the ring in four stride-2 stages
 
 
 def _pack(coords: np.ndarray) -> np.ndarray:
@@ -45,13 +46,14 @@ class ProjectionConfig(Section):
 
     voxel_size: float = key(0.2, "cell edge of the cylindrical grid (m)",
                             gt=0.0, le=1e3)
-    ring_cells: int = key(1024, "cells per full turn; even, divisible by 16",
-                          ge=8, le=INDEX_BOUND)
+    ring_cells: int = key(1024, f"cells per full turn; a multiple of "
+                          f"{RING_MULTIPLE}", ge=RING_MULTIPLE, le=INDEX_BOUND)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.ring_cells % 2 != 0:
-            raise ValueError("ring_cells must be even")
+        if self.ring_cells % RING_MULTIPLE != 0:
+            raise ValueError(f"ring_cells must be a multiple of "
+                             f"{RING_MULTIPLE}, got {self.ring_cells!r}")
 
     @property
     def scale(self) -> float:
@@ -89,6 +91,7 @@ class VoxelCloud:
             raise ShapeMismatch("indices and points must both be (M, 3)")
         if self.intensity.shape != (m,) or self.source_index.shape != (m,):
             raise ShapeMismatch("per-voxel arrays must have length M")
+        ProjectionConfig(self.voxel_size, self.ring_cells)  # a valid grid
         ring = self.indices[:, 0]
         if m and (ring.min() < 0 or ring.max() >= self.ring_cells):
             raise ValueError("ring index outside [0, ring_cells)")
@@ -125,27 +128,31 @@ def voxelize(projected: PointCloud, config: ProjectionConfig) -> VoxelCloud:
     ring_cells, only when some index is outside [0, ring_cells), so an
     arc that rounds up to the full turn, or a negative one, stays in range.
     Points whose cell lies outside [-INDEX_BOUND, INDEX_BOUND) on any axis
-    (about 209 km out at 0.2 m cells) are dropped.  One min and max over
-    the cells decide whether any is: if none is, as in every simulated
-    scan, the cells are packed as they are, without a mask or a gather.
-    Voxels are ordered by their representative's position in the input.
+    (about 209 km out at 0.2 m cells) are dropped.  Both steps run on the
+    floored floats, so no cell is cast to int64 before it is known to fit.
+    One min and max over the cells decide whether any is outside: if none
+    is, as in every simulated scan, the cells are packed as they are,
+    without a mask or a gather.  Voxels are ordered by their
+    representative's position in the input.
     """
-    idx = np.floor(projected.xyz / config.voxel_size).astype(np.int64)
-    ring = idx[:, 0]
+    with np.errstate(over="ignore"):  # a cell past float max is inf
+        cells = np.floor(projected.xyz / config.voxel_size)
+    ring = cells[:, 0]
     if len(ring) and (ring.min() < 0 or ring.max() >= config.ring_cells):
         ring %= config.ring_cells
-    if len(idx) == 0 or (idx.min() >= -INDEX_BOUND
-                         and idx.max() < INDEX_BOUND):
-        _, first = np.unique(_pack(idx), return_index=True)
-        first = np.sort(first)
-    else:
-        inside = np.flatnonzero(np.all((idx >= -INDEX_BOUND)
-                                       & (idx < INDEX_BOUND), axis=1))
-        _, first = np.unique(_pack(idx[inside]), return_index=True)
-        first = inside[np.sort(first)]
+    rows = None
+    if len(cells) and (cells.min() < -INDEX_BOUND
+                       or cells.max() >= INDEX_BOUND):
+        rows = np.flatnonzero(np.all((cells >= -INDEX_BOUND)
+                                     & (cells < INDEX_BOUND), axis=1))
+        cells = cells.take(rows, axis=0)
+    idx = cells.astype(np.int64)
+    _, first = np.unique(_pack(idx), return_index=True)
+    first = np.sort(first)
+    source = first if rows is None else rows.take(first)
     return VoxelCloud(idx.take(first, axis=0),
-                      projected.xyz.take(first, axis=0),
-                      projected.intensity[first], first,
+                      projected.xyz.take(source, axis=0),
+                      projected.intensity[source], source,
                       config.ring_cells, config.voxel_size)
 
 

@@ -107,6 +107,12 @@ def test_help_documents_every_config_key():
     assert len(config_items(PipelineConfig())) == 39
 
 
+def test_help_states_the_ring_rule():
+    assert help_lines()["projection.ring_cells"].endswith(
+        "cells per full turn; a multiple of 16; in [16, 1048576]; "
+        "standard 1024")
+
+
 HOSTILE = ("nan", "inf", "-inf", "-1", "0", "1e300")
 LEARNED = ("train.", "encoder.", "regressor.")
 
@@ -324,7 +330,7 @@ cfg = read_config(cfg_path)
 voxels = rectified_voxels(Scan(*io.read_scan_csv(scan_path)), cfg, 0)[2]
 feats, rows = encode_sites(voxels, init_encoder_weights(cfg.encoder, seed=0))
 coords, u = regress(feats, load_regressor_weights(weights_path))
-io.write_tensors(out, [("coords", coords), ("u", u), ("rows", rows)])
+io.write_tensors(out, {"coords": coords, "u": u, "rows": rows})
 """
 
 
@@ -445,7 +451,7 @@ def _text_file(path, text):
 
 
 def _tensor_file(path, **tensors):
-    io.write_tensors(path, list(tensors.items()))
+    io.write_tensors(path, tensors)
     return str(path)
 
 
@@ -470,9 +476,14 @@ def _zero_width_encoder(path):
 
 
 def _twice(path, tensors, name):
-    """The weight set with tensor `name` written again at the end, zeroed."""
-    io.write_tensors(path, [*tensors.items(),
-                            (name, np.zeros_like(tensors[name]))])
+    """The weight set with tensor `name` written again at the end, zeroed.
+    write_tensors takes a mapping, which names a tensor once, so the
+    second header line and payload are spliced in by hand."""
+    io.write_tensors(path, tensors)
+    header, payload = path.read_bytes().split(b"\ndata\n", 1)
+    shape = " ".join(str(d) for d in tensors[name].shape)
+    path.write_bytes(header + f"\n{name} {shape}\ndata\n".encode() + payload
+                     + np.zeros(tensors[name].size, "<f4").tobytes())
     return str(path)
 
 
@@ -499,6 +510,14 @@ MALFORMED = {
     "voxel-out-of-range": lambda ws, d: [
         "encode", _text_file(d / "vox.csv", io.VOXEL_HEADER
                              + "\n0,5000000,0,0,0,0,0.5,0\n")],
+    "voxel-fractional-index": lambda ws, d: [
+        "encode", _text_file(d / "vox.csv", io.VOXEL_HEADER
+                             + "\n0,3,1,0,0,0,0.5,0\n1.5,3,1,0,0,0,0.5,1\n")],
+    "voxel-ring-index-past-the-ring": lambda ws, d: [
+        "encode", _text_file(d / "vox.csv", io.VOXEL_HEADER
+                             + "\n0,3,1,0,0,0,0.5,0\n"
+                             + f"{ws['cfg'].projection.ring_cells}"
+                             + ",3,1,0,0,0,0.5,1\n")],
     "voxel-source-index-inf": lambda ws, d: [
         "encode", _text_file(d / "vox.csv", io.VOXEL_HEADER
                              + "\n0,3,1,0,0,0,0.5,inf\n")],
@@ -561,6 +580,15 @@ def test_malformed_input_exits_2(ws, tmp_path, capsys, case):
     assert "ringloc: error:" in err
     # Every case's error names the malformed file it wrote under tmp_path.
     assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize("case, line", [
+    ("voxel-out-of-range", 2), ("voxel-source-index-inf", 2),
+    ("voxel-source-index-1e30", 2), ("voxel-repeated-index", 4),
+    ("voxel-fractional-index", 3), ("voxel-ring-index-past-the-ring", 3)])
+def test_voxel_row_error_names_its_line(ws, tmp_path, capsys, case, line):
+    assert run(ws, *MALFORMED[case](ws, tmp_path), out=tmp_path / "o") == 2
+    assert f"{tmp_path / 'vox.csv'}:{line}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["localize", "bench"])
@@ -748,7 +776,9 @@ def test_ring_cells_off_the_encoder_grid_exits_2(tmp_path, capsys, cmd):
     write_config(cfg_path, cfg)
     rc = main([cmd, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "projection.ring_cells" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("ringloc: error:") and err.count("\n") == 1
+    assert "section 'projection': ring_cells must be a multiple of 16" in err
 
 
 @pytest.mark.parametrize("cmd, line, named", [
@@ -760,6 +790,9 @@ def test_ring_cells_off_the_encoder_grid_exits_2(tmp_path, capsys, cmd):
     ("localize", "pose.refit_on_inliers = false",
      "unknown key 'pose.refit_on_inliers'"),
     ("rectify", "bench.perturbations = jitterbug:3", "section 'bench'"),
+    ("bench", "projection.ring_cells = 8", "section 'projection'"),
+    ("localize", "projection.ring_cells = 24", "section 'projection'"),
+    ("train-toy", "projection.ring_cells = 1000", "section 'projection'"),
 ])
 def test_invalid_config_value_exits_2_on_one_line(ws, tmp_path, capsys, cmd,
                                                  line, named):

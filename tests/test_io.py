@@ -196,6 +196,23 @@ def test_voxel_rejects_fractional_index(tmp_path):
         read_voxel_csv(p, ProjectionConfig(voxel_size=0.2, ring_cells=64))
 
 
+@pytest.mark.parametrize("cells, rule", [
+    ("1.5,1,1", "voxel indices must be integers"),
+    ("0,nan,1", "voxel indices must be integers"),
+    ("-1,1,1", "ring index outside [0, 63]"),
+    ("64,1,1", "ring index outside [0, 63]"),
+    ("1,1,-1048577", "voxel index outside [-1048576, 1048575]"),
+    ("1,inf,1", "voxel index outside [-1048576, 1048575]")])
+def test_voxel_row_rule_names_its_line(tmp_path, cells, rule):
+    p = tmp_path / "vox.csv"
+    p.write_text("ix,iy,iz,px,py,pz,intensity,source_index\n"
+                 "0,1,1,0.0,0.0,0.0,0.0,0\n"
+                 f"{cells},0.0,0.0,0.0,0.0,1\n")
+    with pytest.raises(ParseError,
+                       match=f"^{re.escape(str(p))}:3: {re.escape(rule)}$"):
+        read_voxel_csv(p, CFG64)
+
+
 @pytest.mark.parametrize("src", ["inf", "1e30", "9.3e18", "-1", "nan", "2.5"])
 def test_voxel_rejects_source_index_int64_cannot_hold(tmp_path, src):
     p = tmp_path / "vox.csv"
@@ -240,12 +257,12 @@ def test_voxel_repeat_check_matches_row_unique(tmp_path, seed):
 
 def test_tensor_round_trip_and_f32_quantization(tmp_path):
     rng = np.random.default_rng(6)
-    tensors = [("a.w", rng.normal(size=(3, 4))), ("b", rng.normal(size=5))]
+    tensors = {"a.w": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
     p = tmp_path / "t.bin"
     write_tensors(p, tensors)
     back = read_tensors(p)
     assert list(back) == ["a.w", "b"]
-    for name, arr in tensors:
+    for name, arr in tensors.items():
         # Storage is f32; values come back rounded to that precision.
         np.testing.assert_array_equal(back[name],
                                       arr.astype("<f4").astype(np.float64))
@@ -260,7 +277,7 @@ def test_tensor_bad_magic(tmp_path):
 
 def test_tensor_truncated_payload(tmp_path):
     p = tmp_path / "t.bin"
-    write_tensors(p, [("x", np.ones((2, 2)))])
+    write_tensors(p, {"x": np.ones((2, 2))})
     p.write_bytes(p.read_bytes()[:-4])
     with pytest.raises(ParseError):
         read_tensors(p)
@@ -268,7 +285,7 @@ def test_tensor_truncated_payload(tmp_path):
 
 def test_tensor_trailing_garbage(tmp_path):
     p = tmp_path / "t.bin"
-    write_tensors(p, [("x", np.ones(3))])
+    write_tensors(p, {"x": np.ones(3)})
     p.write_bytes(p.read_bytes() + b"\x00\x00")
     with pytest.raises(ParseError):
         read_tensors(p)

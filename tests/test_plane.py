@@ -282,3 +282,20 @@ def test_rectify_applies_returned_transform():
     rect, t_plane = rectify(cloud)
     np.testing.assert_allclose(rect.xyz, apply(t_plane, cloud).xyz,
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("far", [(1e300, 0.0, 5.0), (3.0, -2.0, 1e300),
+                                 (-1e300, 1e300, -1e300)])
+def test_rectify_a_cloud_with_a_point_far_out(far):
+    # Every triple through the far point has a normal too long to square
+    # and every plane an infinite squared distance to it: the fit skips
+    # both without a warning, under a budget that samples such triples.
+    pts = np.vstack([flat_cloud(60, seed=10), [far]])
+    params = RansacPlaneParams(iterations=400, min_inliers=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rect, _ = rectify(PointCloud(pts), params)
+        plane, inliers = fit_plane_ransac(PointCloud(pts), params)
+    np.testing.assert_array_equal(inliers, np.arange(60))
+    np.testing.assert_allclose(plane.normal, [0.0, 0.0, 1.0], atol=1e-12)
+    assert np.abs(rect.xyz[:60, 2]).max() < 1e-9

@@ -1,6 +1,7 @@
 """Cylindrical projection, voxel quantization, recovery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,25 @@ def test_voxelize_range_check_at_each_bound(height, kept):
     np.testing.assert_array_equal(v.source_index, [0, 1] if kept else [0])
 
 
+@pytest.mark.parametrize("far", [(1e300, 0.0, 0.0), (1.0, 0.0, -1e300),
+                                 (-1e300, 1e300, 1e300), (1e308, 0.0, 1e308)])
+def test_voxelize_ignores_a_point_far_out(far):
+    # A cell of 5e300 fits no int64 (and 1e308 / 0.2 no float): the range
+    # check runs on the floats, so the point is dropped before any cast,
+    # without a warning, and the other points keep their cells.
+    rng = np.random.default_rng(4)
+    pts = np.column_stack([rng.uniform(1, 20, 80), rng.uniform(-20, 20, 80),
+                           rng.uniform(-2, 8, 80)])
+    base = voxelize(project(pts), CFG64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = voxelize(project(np.insert(pts, 7, far, axis=0)), CFG64)
+    np.testing.assert_array_equal(v.indices, base.indices)
+    np.testing.assert_array_equal(v.points, base.points)
+    np.testing.assert_array_equal(
+        v.source_index, base.source_index + (base.source_index >= 7))
+
+
 def test_voxel_order_is_ascending_source_index():
     rng = np.random.default_rng(1)
     pts = np.column_stack([rng.uniform(0, 64 * 0.2, 200),
@@ -190,21 +210,36 @@ def test_recover_zero_angle():
 
 
 def test_recover_quarter_turn():
-    # Cell 7 of a 30-cell ring is centered at angle (7.5/30) * 2 pi = pi/2,
-    # and cell 2 at voxel size 0.8 is centered at radius 2.
-    cfg = ProjectionConfig(voxel_size=0.8, ring_cells=30)
-    v = VoxelCloud(np.array([[7, 2, 0]]), np.zeros((1, 3)), np.zeros(1),
-                   np.zeros(1), ring_cells=30, voxel_size=0.8)
+    # Cell 8 of a 32-cell ring starts at the quarter turn and is centered
+    # half a cell past it, at angle (8.5/32) * 2 pi; cell 2 at voxel size
+    # 0.8 is centered at radius 2.
+    cfg = ProjectionConfig(voxel_size=0.8, ring_cells=32)
+    v = VoxelCloud(np.array([[8, 2, 0]]), np.zeros((1, 3)), np.zeros(1),
+                   np.zeros(1), ring_cells=32, voxel_size=0.8)
     out = recover_cartesian(v, cfg)
-    np.testing.assert_allclose(out.xyz[0], [0.0, 2.0, 0.4], atol=1e-9)
+    ang = 8.5 / 32 * 2.0 * math.pi
+    np.testing.assert_allclose(
+        out.xyz[0], [2.0 * math.cos(ang), 2.0 * math.sin(ang), 0.4],
+        atol=1e-9)
 
 
 def test_recover_empty_rejected():
     empty = VoxelCloud(np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3)),
                        np.zeros(0), np.zeros(0, dtype=np.int64),
-                       ring_cells=8, voxel_size=0.2)
+                       ring_cells=16, voxel_size=0.2)
     with pytest.raises(EmptyGrid):
         recover_cartesian(empty, CFG64)
+
+
+@pytest.mark.parametrize("ring", [0, 8, 24, 1000, -16])
+def test_ring_off_the_encoder_grid_is_no_grid(ring):
+    # The encoder halves the ring four times: a config and a voxel grid
+    # both need a positive multiple of 16 cells.
+    with pytest.raises(ValueError, match="ring_cells must be"):
+        ProjectionConfig(ring_cells=ring)
+    with pytest.raises(ValueError, match="ring_cells must be"):
+        VoxelCloud(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0),
+                   np.zeros(0), ring_cells=ring, voxel_size=0.2)
 
 
 def test_round_trip_respects_quantization_bound():
