@@ -193,10 +193,11 @@ def cmd_bench(args, cfg, out) -> int:
                                      args.predictor, enc_w, reg_w)
             for p in [None] + perturbations]
 
-    baseline = rows[0].result
+    baseline = rows[0].result  # empty when every baseline frame failed
     io.write_csv(out / "baseline_frames.csv", "frame,pos_err_m,ori_err_deg",
                  zip(baseline.frames, position_errors(baseline),
-                     orientation_errors_deg(baseline)))
+                     orientation_errors_deg(baseline))
+                 if len(baseline) else ())
     summaries = [summarize(row.result) if len(row.result) else {}
                  for row in rows]
     io.atomic_write_text(out / "baseline_summary.json",

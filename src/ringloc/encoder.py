@@ -29,10 +29,10 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import EmptyGrid, ParseError
+from .errors import EmptyGrid
 from .io import Weights, init_weights
 from .keys import Section, key
-from .projection import INDEX_BOUND, UNPACKABLE, VoxelCloud, _pack
+from .projection import VoxelCloud, _pack
 
 LEAKY_SLOPE = 0.01
 
@@ -107,22 +107,15 @@ class Level:
         A neighbor's key is the site's key plus the offset's key delta,
         less the whole turns its ring index (ring + dx) // ring_cells
         went round, so the ring axis wraps modulo ring_cells for any
-        step, also one wider than the ring.  A neighbor outside the
-        packable range is a parse error.
+        step, also one wider than the ring.  Every neighbor must pack;
+        this is not checked, as the halved levels `encode_sites` passes
+        hold it: their y and z lie within +-2^19, +-2 taps stay inside
+        +-2^20, and a ring is at most 2^19 wide.
         """
         n, cells = len(self.keys), self.ring_cells
         turn = np.int64(cells) << 42
-        base, reach = {}, 0
-        for dx in np.unique(offsets[:, 0]).tolist():
-            turns, wrapped = np.divmod(self.coords[:, 0] + dx, cells)
-            base[dx] = self.keys - turns * turn
-            reach = max(reach, int(wrapped.max()))
-        lo, hi = self.coords[:, 1:].min(axis=0), self.coords[:, 1:].max(axis=0)
-        if (reach >= INDEX_BOUND
-                or np.any(lo + offsets[:, 1:].min(axis=0) < -INDEX_BOUND)
-                or np.any(hi + offsets[:, 1:].max(axis=0) >= INDEX_BOUND)):
-            raise ParseError(UNPACKABLE)
-
+        base = {dx: self.keys - (self.coords[:, 0] + dx) // cells * turn
+                for dx in np.unique(offsets[:, 0]).tolist()}
         deltas = _pack(offsets) - _pack(np.zeros(3, dtype=np.int64))
         pairs = []
         for dx, delta in zip(offsets[:, 0].tolist(), deltas):

@@ -17,6 +17,8 @@ with shortest round-trip repr (`_cell`), so reruns are byte-identical.
 CSV rows are read by `np.loadtxt` in one call (`_parse_rows`), with a
 per-row `float` parser as the fallback; a row it rejects, or one that
 breaks a format's rule (`_check_rows`), is a ParseError naming its line.
+Point rows are checked here, once (`_check_points`), so no later stage
+meets a coordinate whose square overflows.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ CLOUD_HEADER = "x,y,z,intensity"
 SCAN_HEADER = "x,y,z,intensity,cls,gt_x,gt_y,gt_z"
 VOXEL_HEADER = "ix,iy,iz,px,py,pz,intensity,source_index"
 TENSOR_MAGIC = "ringloc-tensors 1"
+# Beyond every grid a config can build (2^20 cells of at most 1e3 m) and
+# far enough below float max that no square a fit takes can overflow.
+COORD_BOUND = 1e12  # m
 
 
 def _cell(x) -> str:
@@ -128,6 +133,16 @@ def _check_rows(path: Path, linenos: List[int], bad: np.ndarray,
         raise ParseError(f"{path}:{linenos[rows[0]]}: {rule}")
 
 
+def _check_points(path: Path, linenos: List[int], xyz: np.ndarray,
+                  intensity: np.ndarray) -> None:
+    """Every coordinate of a cloud, scan (gt_x,gt_y,gt_z too) or voxel row
+    within +-COORD_BOUND and its intensity in [0, 1]; NaN breaks either."""
+    _check_rows(path, linenos, ~np.all(np.abs(xyz) <= COORD_BOUND, axis=1),
+                f"coordinate outside [-{COORD_BOUND:g}, {COORD_BOUND:g}] m")
+    _check_rows(path, linenos, ~((intensity >= 0.0) & (intensity <= 1.0)),
+                "intensity outside [0, 1]")
+
+
 def read_cloud_csv(path: PathLike) -> PointCloud:
     """Read a cloud, accepting either the plain or the simulated header."""
     cloud, _, _ = read_scan_csv(path)
@@ -143,22 +158,17 @@ def read_scan_csv(path: PathLike
     """
     path = Path(path)
     lines = read_text(path).splitlines()
-    if lines and lines[0].strip() == SCAN_HEADER:
-        data, linenos = _parse_rows(path, lines, SCAN_HEADER)
-        cloud = _make_cloud(path, data[:, :3], data[:, 3])
-        _check_rows(path, linenos, ~np.isin(data[:, 4], (0.0, 1.0))
-                    | ~np.isfinite(data[:, 5:8]).all(axis=1),
-                    "cls must be 0 or 1 and gt_x,gt_y,gt_z finite")
-        return cloud, data[:, 4].astype(np.int64), data[:, 5:8]
-    data, _ = _parse_rows(path, lines, CLOUD_HEADER)
-    return _make_cloud(path, data[:, :3], data[:, 3]), None, None
-
-
-def _make_cloud(path: Path, xyz: np.ndarray, intensity: np.ndarray) -> PointCloud:
-    try:
-        return PointCloud(xyz, intensity)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    scan = bool(lines) and lines[0].strip() == SCAN_HEADER
+    data, linenos = _parse_rows(path, lines,
+                                SCAN_HEADER if scan else CLOUD_HEADER)
+    xyz = data[:, [0, 1, 2, 5, 6, 7]] if scan else data[:, :3]
+    _check_points(path, linenos, xyz, data[:, 3])
+    cloud = PointCloud(data[:, :3], data[:, 3])
+    if not scan:
+        return cloud, None, None
+    _check_rows(path, linenos, ~np.isin(data[:, 4], (0.0, 1.0)),
+                "cls must be 0 or 1")
+    return cloud, data[:, 4].astype(np.int64), data[:, 5:8]
 
 
 def write_cloud_csv(path: PathLike, cloud: PointCloud) -> None:
@@ -180,13 +190,14 @@ def write_pose(path: PathLike, t: RigidTransform) -> None:
 
 
 def read_voxel_csv(path: PathLike, config: ProjectionConfig) -> VoxelCloud:
-    """Read a voxel grid: integer indices, each at most once, the ring
-    index in [0, ring_cells) and the others in [-INDEX_BOUND, INDEX_BOUND),
-    and a source_index in [0, 2^63); a row error names its line."""
+    """Read a voxel grid: checked points, integer indices, each at most once,
+    the ring index in [0, ring_cells), the others in [-INDEX_BOUND,
+    INDEX_BOUND), source_index in [0, 2^63); a row error names its line."""
     path = Path(path)
     lines = read_text(path).splitlines()
     data, linenos = _parse_rows(path, lines, VOXEL_HEADER)
     idx, src = data[:, :3], data[:, 7]
+    _check_points(path, linenos, data[:, 3:6], data[:, 6])
     _check_rows(path, linenos, np.any(idx != np.round(idx), axis=1),
                 "voxel indices must be integers")
     _check_rows(path, linenos, (idx[:, 0] < 0)

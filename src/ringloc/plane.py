@@ -81,21 +81,16 @@ def fit_plane_ransac(cloud: PointCloud,
 
     def fit(triples):  # unit normals and offsets; collinear ones invalid
         p = pts[triples]
-        with np.errstate(over="ignore", invalid="ignore"):
-            normals = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-            lengths = np.linalg.norm(normals, axis=1)
-        # So is a triple through a far point, whose normal is too long to
-        # square; zeroed, an invalid normal is scored without overflow.
-        valid = np.isfinite(lengths) & (lengths > 1e-12)
+        normals = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        lengths = np.linalg.norm(normals, axis=1)
+        valid = lengths > 1e-12
         normals[valid] /= lengths[valid, None]
-        normals[~valid] = 0.0
         return normals, -np.einsum("ij,ij->i", normals, p[:, 0]), valid
 
     def squared_distances(normals, offsets):  # one (K, n) table, in place
         r = normals @ pts.T
         r += offsets[:, None]
-        with np.errstate(over="ignore"):  # a far point's square is inf
-            r *= r
+        r *= r
         return r
 
     count, best = consensus(len(pts), params, fit, squared_distances)

@@ -21,8 +21,6 @@ from .se3 import PointCloud
 # range `_pack` folds into one int64 key per cell; voxelize drops points
 # whose cell falls outside it.
 INDEX_BOUND = 1 << 20
-UNPACKABLE = (f"voxel coordinate outside the packable range "
-              f"[-{INDEX_BOUND}, {INDEX_BOUND - 1}]")
 RING_MULTIPLE = 16  # the encoder halves the ring in four stride-2 stages
 
 
@@ -36,7 +34,8 @@ def _pack(coords: np.ndarray) -> np.ndarray:
     """
     c = coords + INDEX_BOUND
     if c.size and (c.min() < 0 or c.max() >= 2 * INDEX_BOUND):
-        raise ParseError(UNPACKABLE)
+        raise ParseError(f"voxel coordinate outside the packable range "
+                         f"[-{INDEX_BOUND}, {INDEX_BOUND - 1}]")
     return (c[..., 0] << 42) | (c[..., 1] << 21) | c[..., 2]
 
 

@@ -67,8 +67,8 @@ class PointCloud:
             raise ShapeMismatch("intensity length does not match xyz")
         if not np.all(np.isfinite(self.xyz)):
             raise ValueError("non-finite coordinate in point cloud")
-        if np.any(self.intensity < 0.0) or np.any(self.intensity > 1.0):
-            raise ValueError("intensity outside [0, 1]")
+        if not (self.intensity.min() >= 0.0 and self.intensity.max() <= 1.0):
+            raise ValueError("intensity outside [0, 1]")  # NaN fails too
 
     def __len__(self) -> int:
         return len(self.xyz)

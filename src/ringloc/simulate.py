@@ -125,8 +125,8 @@ class Perturbation:
             raise ValueError("dropout probability must be in [0, 0.9]")
         if self.kind == "pitch_roll" and not 0.0 <= self.magnitude <= 15.0:
             raise ValueError("pitch_roll magnitude must be in [0, 15] degrees")
-        if self.kind == "gaussian_noise" and self.magnitude < 0.0:
-            raise ValueError("noise sigma must be non-negative")
+        if self.kind == "gaussian_noise" and not 0.0 <= self.magnitude <= 1e3:
+            raise ValueError("noise sigma must be in [0, 1000] m")
         if self.kind == "fov_limit" and not 0.0 < self.magnitude <= 360.0:
             raise ValueError("fov width must be in (0, 360] degrees")
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from itertools import product
 from pathlib import Path
 
 import jsonschema
@@ -617,6 +618,20 @@ def test_non_finite_perturbation_exits_2(ws, tmp_path, capsys, case):
     assert "magnitude must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["localize", "bench"])
+def test_noise_past_1000_m_exits_2_on_one_line(ws, tmp_path, capsys, cmd):
+    if cmd == "bench":
+        cfg = _text_file(tmp_path / "noise.cfg", "config_version = 1\n"
+                         "bench.perturbations = gaussian_noise:1001\n")
+        rc = main(["bench", "--config", cfg, "--out", str(tmp_path / "o")])
+    else:
+        rc = run(ws, "localize", str(ws["scan_path"]), "--perturb",
+                 "gaussian_noise=1001", out=tmp_path / "o")
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "noise sigma must be in [0, 1000] m" in err[0]
+
+
 @pytest.mark.parametrize("cmd", ["rectify", "localize", "bench"])
 def test_negative_seed_exits_2(ws, tmp_path, capsys, cmd):
     extra = {"rectify": [str(ws["cloud_path"])],
@@ -672,6 +687,54 @@ def test_far_point_project_then_encode(ws, far_scan_path, tmp_path):
     vox = tmp_path / "v"
     assert run(ws, "project", str(far_scan_path), out=vox) == 0
     assert run(ws, "encode", str(vox / "voxels.csv"), out=tmp_path / "e") == 0
+
+
+# Each reads the workspace scan plus the rows a test appends.
+READERS = {
+    "project": ["project", "--recover"],
+    "rectify": ["rectify"],
+    "localize": ["localize"],
+    "localize-pitch-roll": ["localize", "--perturb", "pitch_roll=10"],
+}
+
+
+def _scan_plus(ws, path, rows):
+    """The workspace scan with rows appended; returns the path and the
+    line number of the first appended row."""
+    text = ws["scan_path"].read_text()
+    path.write_text(text + "".join(row + "\n" for row in rows))
+    return str(path), text.count("\n") + 1
+
+
+def _run_as_errors(ws, reader, path, out):
+    """Run a READERS command on path with warnings as errors."""
+    cmd, *extra = READERS[reader]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(ws, cmd, path, *extra, out=out)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_points_on_the_coordinate_bound_run_clean(ws, tmp_path, reader):
+    corners = [",".join(map(repr, [*c, 0.5, 0, *c]))
+               for c in product((-io.COORD_BOUND, io.COORD_BOUND), repeat=3)]
+    path, _ = _scan_plus(ws, tmp_path / "edge.csv", corners)
+    assert _run_as_errors(ws, reader, path, tmp_path / "o") in (0, 3, 4, 5)
+
+
+@pytest.mark.parametrize("row, rule", [
+    ("1.7e308,1.7e308,1.7e308,0.5,0,1.0,1.0,1.0",
+     "coordinate outside [-1e+12, 1e+12] m"),
+    ("1.0,2.0,0.5,nan,0,1.0,2.0,0.5", "intensity outside [0, 1]"),
+    ("1.0,2.0,0.5,2.0,0,1.0,2.0,0.5", "intensity outside [0, 1]"),
+], ids=["far", "nan-intensity", "intensity-2"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_bad_point_row_exits_2_naming_its_line(ws, tmp_path, capsys, reader,
+                                                row, rule):
+    path, line = _scan_plus(ws, tmp_path / "bad.csv", [row])
+    assert _run_as_errors(ws, reader, path, tmp_path / "o") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"ringloc: error: {path}:{line}: {rule}"]
 
 
 def test_localize_needs_scan_format(ws, tmp_path):
@@ -759,6 +822,22 @@ def test_no_consensus_exits_4(ws, tmp_path):
     rc = main(["localize", str(ws["scan_path"]), "--config", str(cfg_path),
                "--out", str(tmp_path / "o")])
     assert rc == 4
+
+
+def test_bench_with_no_localized_baseline_frame_completes(tmp_path):
+    cfg = _text_file(tmp_path / "strict.cfg", "config_version = 1\n"
+                     "trajectory.n_poses = 3\npose.threshold = 1e-300\n"
+                     "bench.perturbations = yaw:90\n")
+    out = tmp_path / "o"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+    assert ((out / "baseline_frames.csv").read_text()
+            == "frame,pos_err_m,ori_err_deg\n")
+    assert json.loads((out / "baseline_summary.json").read_text()) == {}
+    assert (out / "perturbations.csv").read_text().splitlines()[1:] == [
+        "baseline,0,3,nan,nan,nan", "yaw:90,0,3,nan,nan,nan"]
+    assert (out / "failures.csv").read_text().splitlines()[1:] == [
+        f"{label},{frame},NoConsensus"
+        for label in ("baseline", "yaw:90") for frame in range(3)]
 
 
 def test_empty_input_exits_5(ws, tmp_path):

@@ -330,31 +330,16 @@ B = INDEX_BOUND
 
 
 @pytest.mark.parametrize("coords, ring, offsets", [
-    ([[0, B - 1, 0], [3, 0, 0]], 64, CUBE),
     ([[0, B - 1, 0], [3, 0, 0]], 64, UP),
-    ([[0, 0, -B], [3, 0, 0]], 64, UP),
-    ([[0, 0, -B + 1], [3, 0, 0]], 64, 2 * CUBE),
-    ([[0, 0, 0], [9, 1, 1]], 1 << 22, CUBE),
     ([[5, 0, 0], [9, 1, 1]], 1 << 22, CUBE),
-    ([[B - 1, 0, 0]], 1 << 22, CUBE),
     ([[B - 1, 0, 0]], 1 << 22, UP),
-    ([[1, 0, 0], [B - 3, 0, 0]], 1 << 21, 2 * CUBE),
-], ids=["y-top-cube", "y-top-up", "z-bottom-up", "z-near-bottom-dilated",
-        "wrap-past-bound", "no-wrap", "x-top-cube", "x-top-up",
-        "dilated-both-ends"])
-def test_neighbor_range_error_exactly_where_a_neighbor_leaves_the_range(
-        coords, ring, offsets):
+], ids=["y-top-up", "no-wrap", "x-top-up"])
+def test_neighbor_table_at_the_range_edge(coords, ring, offsets):
+    # Every neighbor stays in the packable range, the precondition of
+    # Level.neighbors, which it does not check.
     level, _ = Level.of(np.array(coords), ring)
-    outside = any(not (-B <= v < B)
-                  for x, y, z in coords for dx, dy, dz in offsets.tolist()
-                  for v in ((x + dx) % ring, y + dy, z + dz))
-    if outside:
-        with pytest.raises(ParseError, match="packable range"):
-            level.neighbors(offsets)
-    else:
-        np.testing.assert_array_equal(
-            dense_table(level.neighbors(offsets)),
-            brute_force_table(level, offsets, 1))
+    np.testing.assert_array_equal(dense_table(level.neighbors(offsets)),
+                                  brute_force_table(level, offsets, 1))
 
 
 def test_max_pool_matches_reference():

@@ -10,7 +10,8 @@ import pytest
 
 from ringloc.encoder import EncoderConfig
 from ringloc.errors import ParseError
-from ringloc.io import (TENSOR_MAGIC, _parse_rows, atomic_write_text,
+from ringloc.io import (CLOUD_HEADER, COORD_BOUND, SCAN_HEADER, TENSOR_MAGIC,
+                        VOXEL_HEADER, _parse_rows, atomic_write_text,
                         init_weights, read_cloud_csv, read_scan_csv,
                         read_tensors, read_voxel_csv, write_cloud_csv,
                         write_csv, write_pose, write_scan_csv, write_tensors,
@@ -161,6 +162,61 @@ def test_out_of_range_intensity_is_parse_error(tmp_path):
     p.write_text("x,y,z,intensity\n1,2,3,1.5\n")
     with pytest.raises(ParseError):
         read_cloud_csv(p)
+
+
+# Per format: two good rows, then which columns hold coordinates and
+# which the intensity.
+POINT_FORMATS = {
+    "cloud": (CLOUD_HEADER, ["1,2,3,0.5", "4,5,6,0.25"], (0, 1, 2), 3),
+    "scan": (SCAN_HEADER, ["1,2,3,0.5,0,1,2,3", "4,5,6,0.25,1,4,5,6"],
+             (0, 1, 2, 5, 6, 7), 3),
+    "voxel": (VOXEL_HEADER, ["0,1,1,1,2,3,0.5,0", "1,1,1,4,5,6,0.25,1"],
+              (3, 4, 5), 6),
+}
+BAD_COORDS = ("nan", "inf", "1.7e308", "-1.7e308", "1.000001e12")
+BAD_INTENSITIES = ("nan", "-0.5", "2")
+COORD_RULE = "coordinate outside [-1e+12, 1e+12] m"
+INTENSITY_RULE = "intensity outside [0, 1]"
+
+
+def read_points(kind, path):
+    return read_voxel_csv(path, CFG64) if kind == "voxel" else \
+        read_scan_csv(path)
+
+
+def point_row_cases():
+    for kind, (_, _, coord_columns, intensity_column) in POINT_FORMATS.items():
+        for column, value in product(coord_columns, BAD_COORDS):
+            yield pytest.param(kind, column, value, COORD_RULE,
+                               id=f"{kind}-col{column}-{value}")
+        for value in BAD_INTENSITIES:
+            yield pytest.param(kind, intensity_column, value, INTENSITY_RULE,
+                               id=f"{kind}-intensity-{value}")
+
+
+@pytest.mark.parametrize("kind, column, value, rule", list(point_row_cases()))
+def test_point_row_rule_names_its_line(tmp_path, kind, column, value, rule):
+    header, (first, second), _, _ = POINT_FORMATS[kind]
+    cells = second.split(",")
+    cells[column] = value
+    p = tmp_path / f"{kind}.csv"
+    p.write_text(f"{header}\n{first}\n\n{','.join(cells)}\n")
+    with pytest.raises(ParseError,
+                       match=f"^{re.escape(str(p))}:4: {re.escape(rule)}$"):
+        read_points(kind, p)
+
+
+@pytest.mark.parametrize("kind", sorted(POINT_FORMATS))
+def test_point_rows_on_the_bound_read(tmp_path, kind):
+    header, (first, second), coord_columns, intensity_column = \
+        POINT_FORMATS[kind]
+    cells = second.split(",")
+    for sign, column in zip((1, -1, 1, -1, 1, -1), coord_columns):
+        cells[column] = repr(sign * COORD_BOUND)
+    cells[intensity_column] = "1"
+    p = tmp_path / f"{kind}.csv"
+    p.write_text(f"{header}\n{first}\n{','.join(cells)}\n")
+    read_points(kind, p)
 
 
 def test_pose_round_trip(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 from ringloc import plane as plane_mod
 from ringloc.errors import DegenerateInput
+from ringloc.io import COORD_BOUND
 from ringloc.plane import (PlaneModel, RansacPlaneParams,
                            _least_squares_plane, align_normal,
                            build_plane_transform, fit_plane_ransac, rectify)
@@ -284,12 +285,15 @@ def test_rectify_applies_returned_transform():
                                atol=1e-12)
 
 
-@pytest.mark.parametrize("far", [(1e300, 0.0, 5.0), (3.0, -2.0, 1e300),
-                                 (-1e300, 1e300, -1e300)])
+B = COORD_BOUND
+
+
+@pytest.mark.parametrize("far", [(B, 0.0, B), (3.0, -2.0, B), (-B, B, -B)])
 def test_rectify_a_cloud_with_a_point_far_out(far):
-    # Every triple through the far point has a normal too long to square
-    # and every plane an infinite squared distance to it: the fit skips
-    # both without a warning, under a budget that samples such triples.
+    # A point off the ground at the bound every file row is read under:
+    # each triple through it, and each plane's squared distance to it,
+    # stays finite, so the fit rejects it without a warning, under a
+    # budget that samples such triples.
     pts = np.vstack([flat_cloud(60, seed=10), [far]])
     params = RansacPlaneParams(iterations=400, min_inliers=20)
     with warnings.catch_warnings():

@@ -110,6 +110,11 @@ def test_bad_intensity_rejected():
         PointCloud(np.zeros((1, 3)), np.array([1.5]))
 
 
+def test_nan_intensity_rejected():
+    with pytest.raises(ValueError, match="intensity outside"):
+        PointCloud(np.zeros((2, 3)), np.array([0.5, np.nan]))
+
+
 def test_pairwise_distances_invariant_under_apply():
     rng = np.random.default_rng(3)
     pts = rng.normal(scale=5.0, size=(20, 3))

@@ -270,12 +270,14 @@ def test_scan_memory_stays_bounded():
 def test_perturbation_validation():
     for bad in [("wobble", 1.0), ("dropout", 2.0), ("dropout", -0.1),
                 ("pitch_roll", 20.0), ("gaussian_noise", -1.0),
-                ("fov_limit", 0.0), ("fov_limit", 400.0)]:
+                ("gaussian_noise", 1000.5), ("fov_limit", 0.0),
+                ("fov_limit", 400.0)]:
         with pytest.raises(ValueError):
             Perturbation(*bad)
     Perturbation("yaw", 180.0)
     Perturbation("dropout", 0.9)
     Perturbation("fov_limit", 360.0)
+    Perturbation("gaussian_noise", 1000.0)
 
 
 @pytest.mark.parametrize("kind", PERTURBATION_KINDS)
