@@ -152,8 +152,14 @@ def cmd_encode(args, cfg, out) -> int:
 
 
 def _predictor_weights(args, cfg):
-    """Both weight sets of the regressor predictor, checked to fit."""
+    """Both weight sets of the regressor predictor, checked to fit; the
+    oracle reads none, so a weight file given with it is an error."""
     if args.predictor != "regressor":
+        for flag, path in (("--encoder-weights", args.encoder_weights),
+                           ("--regressor-weights", args.regressor_weights)):
+            if path is not None:
+                raise ParseError(f"{path}: {flag} is read only with "
+                                 "--predictor regressor")
         return None, None
     enc = _encoder_weights(args, cfg)
     if args.regressor_weights is None:

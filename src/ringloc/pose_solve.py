@@ -7,8 +7,10 @@ over pre-drawn minimal samples finds a consensus rigid motion, and the
 final motion is compensated for the rectification applied earlier.
 
 `consensus`, the one RANSAC loop, serves this pose search and the
-ground-plane fit in `plane.py`: it holds one SCORE_BLOCK x n table and
-stops at the bound of Fischler & Bolles (CACM 1981) or at its cap.
+ground-plane fit in `plane.py`: it scores a first block of FIRST_BLOCK
+hypotheses, then blocks of at most SCORE_BLOCK that end at the bound of
+Fischler & Bolles (CACM 1981), holding one block x n table, and stops
+at that bound or at its cap.
 `_fit_minimal`, the one Kabsch (Acta Cryst. 1976), fits every
 hypothesis, the refit and `kabsch`; one squared residual scores both.
 """
@@ -26,7 +28,8 @@ from .keys import Section, key
 from .se3 import RigidTransform, compose, invert
 
 SAMPLE_SIZE = 3  # points per minimal sample of a rigid or plane fit
-SCORE_BLOCK = 32  # hypotheses scored per block by pose and plane RANSAC
+FIRST_BLOCK = 8  # hypotheses scored before the stop bound is known
+SCORE_BLOCK = 32  # most hypotheses scored per later block
 CONFIDENCE = 0.999  # RANSAC stops once an all-inlier sample is this sure
 
 
@@ -123,29 +126,31 @@ def consensus(n: int, params, fit: Callable, squared_residuals: Callable
     `params` gives the cap (`iterations`), `threshold` and `seed`; every
     sample of SAMPLE_SIZE indices is drawn up front.  `fit(samples)`
     returns `(*models, valid)`, one row per sample, and
-    `squared_residuals(*block)` a block's (K, n) table.  Blocks of
-    SCORE_BLOCK are scored in draw order, holding one table.  The winner
-    has the most inliers, then the least inlier sum of squares, then the
-    earliest draw.  The search stops once the hypotheses scored reach
-    log(1 - CONFIDENCE) / log(1 - w^3), w the best inlier ratio so far
-    (w = 1 stops after one block, w = 0 never early).  Returns
-    (best_count, (best_model, inliers)), the winner's model rows and
-    ascending inlier indices, or (0, None) if no hypothesis has one.
+    `squared_residuals(*block)` a block's (K, n) table.  Blocks are scored
+    in draw order, holding one table: a first of FIRST_BLOCK, then blocks
+    of up to SCORE_BLOCK, each ending no later than the stop bound
+    log(1 - CONFIDENCE) / log(1 - w^3), w the best inlier ratio so far.
+    The search stops once the hypotheses scored reach that bound (w = 1
+    stops after the first block, w = 0 never early).  The winner has the
+    most inliers, then the least inlier sum of squares, then the earliest
+    draw.  Returns (best_count, (best_model, inliers)), the winner's model
+    rows and ascending inlier indices, or (0, None) if no hypothesis has
+    one.
     """
     rng = np.random.default_rng(params.seed)
-    samples = distinct_samples(rng, n, params.iterations, SAMPLE_SIZE)
+    cap = params.iterations
+    samples = distinct_samples(rng, n, cap, SAMPLE_SIZE)
     gate = params.threshold ** 2
     best_count, best_ss, best = 0, np.inf, None
-    needed, fitted = SCORE_BLOCK, 0  # one block while nothing is known
-    for start in range(0, params.iterations, SCORE_BLOCK):
+    start, fitted, reach = 0, 0, min(FIRST_BLOCK, cap)
+    while start < cap:
         if start == fitted:
-            # Fit every block the bound reaches in one call: the bound
-            # only falls as w grows, so no later block reaches further.
-            reach = math.ceil(min(needed, params.iterations) / SCORE_BLOCK)
-            fitted = max(start + SCORE_BLOCK, reach * SCORE_BLOCK)
-            *models, valid = fit(samples[start:fitted])
-            first = start
-        rows = slice(start - first, start - first + SCORE_BLOCK)
+            # Fit up to the bound in one call: the bound only falls as w
+            # grows, so no later block reaches further.
+            fitted, first = reach, start
+            *models, valid = fit(samples[first:fitted])
+        end = min(start + SCORE_BLOCK, fitted)
+        rows = slice(start - first, end - first)
         block = [m[rows] for m in models]
         d2 = squared_residuals(*block)
         inlier_mask = d2 <= gate
@@ -164,8 +169,10 @@ def consensus(n: int, params, fit: Callable, squared_residuals: Callable
                 best = (tuple(m[c] for m in block),
                         np.flatnonzero(inlier_mask[c]))
         needed = _hypotheses_needed(best_count / n)
-        if start + len(d2) >= needed:
+        if end >= needed:
             break
+        start = end
+        reach = math.ceil(min(needed, cap))
     return best_count, best
 
 

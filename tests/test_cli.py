@@ -566,6 +566,12 @@ MALFORMED = {
         "localize", str(ws["scan_path"]), "--predictor", "regressor",
         "--regressor-weights",
         _tensor_file(d / "enc.bin", **init_encoder_weights(seed=0).tensors)],
+    "localize-oracle-regressor-weights": lambda ws, d: [
+        "localize", str(ws["scan_path"]), "--regressor-weights",
+        str(d / "reg.bin")],
+    "bench-oracle-encoder-weights": lambda ws, d: [
+        "bench", "--predictor", "oracle", "--encoder-weights",
+        str(d / "enc.bin")],
     "regressor-weights-no-heads": lambda ws, d: [
         "localize", str(ws["scan_path"]), "--predictor", "regressor",
         "--regressor-weights",
@@ -581,6 +587,16 @@ def test_malformed_input_exits_2(ws, tmp_path, capsys, case):
     assert "ringloc: error:" in err
     # Every case's error names the malformed file it wrote under tmp_path.
     assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize("case, flag", [
+    ("localize-oracle-regressor-weights", "--regressor-weights"),
+    ("bench-oracle-encoder-weights", "--encoder-weights")])
+def test_weights_with_the_oracle_exit_2_naming_the_flag(ws, tmp_path, capsys,
+                                                        case, flag):
+    assert run(ws, *MALFORMED[case](ws, tmp_path), out=tmp_path / "o") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and flag in err[0]
 
 
 @pytest.mark.parametrize("case, line", [

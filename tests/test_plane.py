@@ -13,11 +13,11 @@ from ringloc.io import COORD_BOUND
 from ringloc.plane import (PlaneModel, RansacPlaneParams,
                            _least_squares_plane, align_normal,
                            build_plane_transform, fit_plane_ransac, rectify)
-from ringloc.pose_solve import (CONFIDENCE, SCORE_BLOCK, consensus,
+from ringloc.pose_solve import (CONFIDENCE, FIRST_BLOCK, SCORE_BLOCK,
                                 distinct_samples)
 from ringloc.se3 import PointCloud, apply, apply_points, rotation_about, rotation_angle_deg
 
-from helpers import reference_stop
+from helpers import reference_stop, spy_consensus
 
 
 def flat_cloud(n=1000, z=0.0, seed=0, extent=20.0):
@@ -61,21 +61,7 @@ def test_normal_is_canonically_oriented():
 def rows(monkeypatch):
     """Hypotheses fit_plane_ransac's consensus search fits and scores, one
     entry per call."""
-    seen = {"fitted": [], "scored": []}
-
-    def spy(n, params, fit, squared_residuals):
-        def fit_spy(samples):
-            seen["fitted"].append(len(samples))
-            return fit(samples)
-
-        def score_spy(*block):
-            seen["scored"].append(len(block[0]))
-            return squared_residuals(*block)
-
-        return consensus(n, params, fit_spy, score_spy)
-
-    monkeypatch.setattr(plane_mod, "consensus", spy)
-    return seen
+    return spy_consensus(monkeypatch, plane_mod)
 
 
 def test_collinear_points_rejected(rows):
@@ -88,8 +74,11 @@ def test_collinear_points_rejected(rows):
         warnings.simplefilter("error")
         with pytest.raises(DegenerateInput):
             fit_plane_ransac(PointCloud(line), params)
-    assert rows["fitted"] == [SCORE_BLOCK, params.iterations - SCORE_BLOCK]
-    assert sum(rows["scored"]) == params.iterations
+    # The first block, then the other 192 fitted in one call and scored
+    # in six full blocks.
+    assert params.iterations == 200
+    assert rows["fitted"] == [FIRST_BLOCK, 192]
+    assert rows["scored"] == [FIRST_BLOCK] + [SCORE_BLOCK] * 6
 
 
 def test_planar_cloud_fits_one_block(rows):
@@ -97,7 +86,7 @@ def test_planar_cloud_fits_one_block(rows):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         plane, inliers = fit_plane_ransac(PointCloud(flat_cloud(1000, z=0.5)))
-    assert rows == {"fitted": [SCORE_BLOCK], "scored": [SCORE_BLOCK]}
+    assert rows["fitted"] == rows["scored"] == [FIRST_BLOCK]
     np.testing.assert_array_equal(plane.normal, [0.0, 0.0, 1.0])
     assert plane.d == -0.5
     np.testing.assert_array_equal(inliers, np.arange(1000))
@@ -177,7 +166,8 @@ def reference_fit_plane(cloud, params):
 
 
 @pytest.mark.parametrize("iterations",
-                         [1, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 300])
+                         [1, FIRST_BLOCK - 1, FIRST_BLOCK, FIRST_BLOCK + 1,
+                          SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 300])
 def test_blocked_scoring_matches_reference(iterations):
     rng = np.random.default_rng(12)
     ground = flat_cloud(600, seed=12)

@@ -1,22 +1,27 @@
 """Reliability selection, Kabsch fits, and the RANSAC pose loop."""
+import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ringloc import pose_solve
+from ringloc import plane, pose_solve
+from ringloc.config import standard_bench_config
 from ringloc.errors import DegenerateInput, LengthMismatch, NoConsensus
-from ringloc.pose_solve import (SAMPLE_SIZE, SCORE_BLOCK,
+from ringloc.pose_solve import (FIRST_BLOCK, SAMPLE_SIZE, SCORE_BLOCK,
                                 PoseEstimate, RansacPoseParams,
                                 SelectionPolicy, _fit_minimal,
-                                _squared_residuals, compensate,
+                                _hypotheses_needed, _squared_residuals,
+                                compensate,
                                 distinct_samples, estimate_pose_ransac, kabsch,
                                 select_reliable)
+from ringloc.pipeline import localize_scan, simulate_trajectory
 from ringloc.se3 import (RigidTransform, apply_points, compose, identity,
                          invert, orthonormalize, rotation_about, yaw)
 
-from helpers import reference_stop
+from helpers import reference_stop, spy_consensus
 
 
 def random_transform(rng) -> RigidTransform:
@@ -406,7 +411,8 @@ def assert_same_estimate(local, pred, params):
     assert got.rms_residual == want.rms_residual
 
 
-ITERATION_COUNTS = [1, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 300]
+ITERATION_COUNTS = [1, FIRST_BLOCK - 1, FIRST_BLOCK, FIRST_BLOCK + 1,
+                    SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 300]
 
 
 @pytest.mark.parametrize("iterations", ITERATION_COUNTS)
@@ -458,7 +464,7 @@ def test_clean_input_fits_one_block(fitted_rows):
     local, pred, truth, rng = clean_instance(10, n=100)
     pred = corrupt(pred, rng, 5)
     est = estimate_pose_ransac(local, pred)
-    assert fitted_rows == [SCORE_BLOCK, 1]
+    assert fitted_rows == [FIRST_BLOCK, 1]
     assert np.array_equal(est.inliers, np.arange(95))
     assert np.allclose(est.transform.rotation, truth.rotation, atol=1e-9)
 
@@ -469,7 +475,7 @@ def test_noiseless_input_stops_without_a_warning(fitted_rows):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = estimate_pose_ransac(local, pred)
-    assert fitted_rows == [SCORE_BLOCK, 1]
+    assert fitted_rows == [FIRST_BLOCK, 1]
     assert np.array_equal(est.inliers, np.arange(60))
 
 
@@ -483,18 +489,72 @@ def test_all_outliers_fit_every_hypothesis(fitted_rows):
         warnings.simplefilter("error")
         with pytest.raises(NoConsensus):
             estimate_pose_ransac(local, pred, params)
-    assert fitted_rows == [SCORE_BLOCK, params.iterations - SCORE_BLOCK]
+    assert fitted_rows == [FIRST_BLOCK, params.iterations - FIRST_BLOCK]
 
 
-def test_bound_between_blocks_stops_at_the_next_block(fitted_rows):
-    # Half the correspondences are outliers, so w = 0.5 and the bound is
-    # about 52 hypotheses: the search stops after the second block.
+def test_bound_between_blocks_ends_a_block_at_the_bound(monkeypatch,
+                                                        fitted_rows):
+    # Half the correspondences are outliers, and the first block finds
+    # w = 0.5: the bound is 51.7 hypotheses, so the search fits up to 52
+    # in one call and scores a full block, then one that ends at 52.
     local, pred = noisy_instance(13, n=100, outliers=50, sigma=0.0)
     params = RansacPoseParams()
     counts = reference_scores(local, pred, params)[4]
-    assert counts.max() == 50 and len(counts) == 2 * SCORE_BLOCK
+    assert counts[:FIRST_BLOCK].max() == 50 and len(counts) == 52
+    seen = spy_consensus(monkeypatch, pose_solve)
     assert_same_estimate(local, pred, params)
-    assert fitted_rows == [SCORE_BLOCK, SCORE_BLOCK, 1]
+    assert fitted_rows == [FIRST_BLOCK, 52 - FIRST_BLOCK, 1]
+    assert seen["scored"] == [FIRST_BLOCK, SCORE_BLOCK, 12]
+
+
+def test_three_quarters_inliers_score_to_the_bound(monkeypatch):
+    # w = 0.75 after the first block: the bound is 12.6 hypotheses, so
+    # the search scores 8 and then 5, where one block of 32 scored 32.
+    seen = spy_consensus(monkeypatch, pose_solve)
+    local, pred = noisy_instance(16, n=100, outliers=25, sigma=0.0)
+    est = estimate_pose_ransac(local, pred)
+    assert seen["scored"] == [FIRST_BLOCK, 5]
+    assert seen["best"] == [(75, 100)]
+    assert np.array_equal(est.inliers, np.arange(75))
+
+
+@pytest.mark.parametrize("first, block", [(1, 1), (32, 32), (300, 300)])
+def test_block_sizes_leave_a_full_search_unchanged(monkeypatch, first,
+                                                    block):
+    # At w = 0.12 the bound exceeds the 300-hypothesis cap, so every
+    # hypothesis is scored, and the tie-break decides the winner; the
+    # winner rule does not see where one block ends.
+    local, pred = noisy_instance(2, n=100, outliers=78, sigma=0.15)
+    assert tie_break_decides(local, pred, RansacPoseParams())
+    seen = spy_consensus(monkeypatch, pose_solve)
+    want = estimate_pose_ransac(local, pred)
+    assert seen["scored"] == [FIRST_BLOCK] + [SCORE_BLOCK] * 9 + [4]
+    monkeypatch.setattr(pose_solve, "FIRST_BLOCK", first)
+    monkeypatch.setattr(pose_solve, "SCORE_BLOCK", block)
+    got = estimate_pose_ransac(local, pred)
+    assert np.array_equal(got.transform.rotation, want.transform.rotation)
+    assert np.array_equal(got.transform.translation,
+                          want.transform.translation)
+    assert np.array_equal(got.inliers, want.inliers)
+    assert got.rms_residual == want.rms_residual
+
+
+def test_dense_oracle_frame_scores_only_what_the_bound_asks(monkeypatch):
+    # One 1024x32 frame: the plane search (w = 0.74) and the pose search
+    # (w = 1) each stop at the first block end that reaches the bound,
+    # where a first block of SCORE_BLOCK scored 32 each.
+    cfg = standard_bench_config()
+    cfg = replace(cfg, sensor=replace(cfg.sensor, n_azimuth=1024,
+                                      n_elevation=32))
+    scan = simulate_trajectory(cfg, 0, [0])[2][0]
+    searches = {"plane": spy_consensus(monkeypatch, plane),
+                "pose": spy_consensus(monkeypatch, pose_solve)}
+    localize_scan(scan, cfg, 0)
+    for name, seen in searches.items():
+        [(count, n)] = seen["best"]
+        bound = math.ceil(_hypotheses_needed(count / n))
+        assert sum(seen["scored"]) <= max(FIRST_BLOCK, bound), name
+        assert sum(seen["scored"]) < SCORE_BLOCK, name
 
 
 def test_scoring_memory_stays_within_a_few_blocks():
