@@ -1,0 +1,90 @@
+#!/usr/bin/env bash
+# Check the installed ringloc package from outside the checkout:
+#
+#   ci/installed.sh DIR
+#
+# Every run writes into DIR (created if missing).  Tier-1 imports ringloc
+# from src/; this checks the installed copy: the console script, the
+# standard config built from the defaults (bench reads no data file), a
+# config value outside its range exiting 2 at load, and the shipped
+# report schema.  `twice NAME ARGS` runs `ringloc ARGS` at one and at two
+# BLAS threads into NAME1 and NAME2; both must exit alike, with a code
+# that EXIT_OK accepts (0 unless set), and write the same bytes.  It
+# reruns train-toy under each of its three losses, which share one
+# backward; one localize rerun stacks two --perturb flags, which draw in
+# turn from one generator.  Both bench runs and both rectify runs go with
+# warnings as errors: pose and plane RANSAC share one stop rule, whose
+# edge an inlier ratio of 1 meets (oracle pose frames do), and rectify
+# runs that rule on the ground plane alone.  The dense bench is the one
+# run at a real sensor's scale (1024x32 rays, ~27k points), where
+# reliability selection and voxelize work on tens of thousands of rows.
+# The pole-to-pole bench casts level rays (dz = 0, so the slab test
+# divides by zero) and straight up and down (a = dx^2 + dy^2 near 0),
+# with warnings as errors.  A scan row past the coordinate bound
+# (1.7e308 m) exits 2 at the reader, with warnings as errors.  A bench
+# whose every frame fails (a pose threshold nothing meets) still exits 0
+# and lists each frame in failures.csv.  The README's quick-start
+# localize loads both saved weight files; it may exit 0 or 4 (no
+# consensus), but both thread counts must exit alike and write the same
+# bytes.
+#
+# It runs the `ringloc` on PATH, or, when there is none, `python -m
+# ringloc.cli` from this checkout's src/ (then the `python -c` lines
+# import that copy too).  Like a workflow `run:` step, it stops at the
+# first failing command (`set -e`).
+set -e
+
+dir=${1:?usage: ci/installed.sh DIR}
+src=$(cd "$(dirname "$0")/../src" && pwd)
+if command -v ringloc >/dev/null 2>&1; then
+  ringloc_cmd=(ringloc)
+else
+  export PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}"
+  ringloc_cmd=(python -m ringloc.cli)
+fi
+mkdir -p "$dir"
+cd "$dir"
+
+twice() {
+  name=$1; shift
+  for n in 1 2; do
+    status=0
+    OPENBLAS_NUM_THREADS=$n "${ringloc_cmd[@]}" "$@" --out "$name$n" || status=$?
+    echo "$status" > "$name$n.status"
+  done
+  grep -qxE "${EXIT_OK:-0}" "${name}1.status"
+  diff "${name}1.status" "${name}2.status"
+  diff -r "${name}1" "${name}2"
+}
+PYTHONWARNINGS=error twice bench bench
+test -f bench1/perturbations.csv
+printf 'config_version = 1\ntrajectory.n_poses = 10\n' > short.cfg
+"${ringloc_cmd[@]}" bench --config short.cfg --out short
+test "$(wc -l < short/baseline_frames.csv)" -eq 11
+"${ringloc_cmd[@]}" --help | grep -E '^  pose\.iterations +.*; standard 300$'
+printf 'config_version = 1\ntrajectory.height = nan\n' > nan.cfg
+status=0; "${ringloc_cmd[@]}" bench --config nan.cfg --out nan || status=$?
+test "$status" -eq 2
+twice train train-toy
+for loss in mean matching; do
+  twice $loss train-toy --loss $loss --epochs 5
+done
+python -c "from ringloc import io; from ringloc.config import standard_bench_config as c; from ringloc.pipeline import simulate_trajectory as s; x = s(c(), 0)[2][0]; io.write_scan_csv('scan.csv', x.cloud, x.classes, x.gt_world)"
+twice localize localize scan.csv --predictor regressor \
+  --regressor-weights train1/regressor_weights.bin
+EXIT_OK='0|4' twice quick localize scan.csv --predictor regressor \
+  --encoder-weights train1/encoder_weights.bin \
+  --regressor-weights train1/regressor_weights.bin
+twice perturb localize scan.csv --perturb random_yaw --perturb dropout=0.5
+PYTHONWARNINGS=error twice rectify rectify scan.csv
+cp scan.csv far.csv
+echo '1.7e308,1.7e308,1.7e308,0.5,0,0.0,0.0,0.0' >> far.csv
+PYTHONWARNINGS=error EXIT_OK=2 twice far localize far.csv
+printf 'config_version = 1\ntrajectory.n_poses = 3\npose.threshold = 1e-300\nbench.perturbations = yaw:90\n' > allfail.cfg
+"${ringloc_cmd[@]}" bench --config allfail.cfg --out allfail
+test "$(grep -c ',NoConsensus$' allfail/failures.csv)" -eq 6
+printf 'config_version = 1\nsensor.n_azimuth = 1024\nsensor.n_elevation = 32\ntrajectory.n_poses = 2\n' > dense.cfg
+PYTHONWARNINGS=error twice dense bench --config dense.cfg
+printf 'config_version = 1\nsensor.elevation_min_deg = -90\nsensor.elevation_max_deg = 90\nsensor.n_elevation = 19\ntrajectory.n_poses = 2\n' > poles.cfg
+PYTHONWARNINGS=error twice poles bench --config poles.cfg
+python -c "from ringloc.metrics import report_schema; report_schema()"

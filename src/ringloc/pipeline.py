@@ -31,7 +31,7 @@ from .regressor import regress
 from .se3 import PointCloud, RigidTransform, invert
 from .simulate import Perturbation, Scan, SyntheticWorld, WorldSpec, \
     effective_truth, generate_world, loop_trajectory, oracle_predict, \
-    perturb_scan, scan_seed, simulate_scan
+    perturb_scan, scan_seed, simulate_scans
 
 # Stage tags for per-frame seed derivation.
 SEED_SCAN = 0
@@ -129,17 +129,15 @@ def simulate_trajectory(cfg: PipelineConfig, run_seed: int,
                         ) -> Tuple[SyntheticWorld, List[RigidTransform],
                                    List[Scan]]:
     """World, and the pose and unperturbed scan of each frame index in
-    `frames` (default: every frame of the loop)."""
+    `frames` (default: every frame of the loop), cast in one batch."""
     world = generate_world(world_spec_from(cfg), cfg.world.seed)
     poses = loop_trajectory(cfg.trajectory.n_poses, cfg.trajectory.radius,
                             cfg.trajectory.height)
     frames = range(len(poses)) if frames is None else frames
-    scans = [
-        simulate_scan(world, poses[i], cfg.sensor,
-                      seed=scan_seed(scan_seed(run_seed, i), SEED_SCAN))
-        for i in frames
-    ]
-    return world, [poses[i] for i in frames], scans
+    poses = [poses[i] for i in frames]
+    seeds = [scan_seed(scan_seed(run_seed, i), SEED_SCAN) for i in frames]
+    return world, poses, simulate_scans(world, poses, cfg.sensor, seeds,
+                                        frames)
 
 
 def run_perturbed_trajectory(cfg: PipelineConfig, run_seed: int,

@@ -51,6 +51,15 @@ class RansacPlaneParams(Section):
     seed: int = 0  # not a config key: callers derive it from the run seed
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v over the last axis, by the products and differences np.cross
+    forms, so the bits match (signed zeros too), without its moveaxis."""
+    (u0, u1, u2), (v0, v1, v2) = u.T, v.T
+    out = np.empty(u.shape)
+    out.T[...] = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+    return out
+
+
 def _canonicalize(normal: np.ndarray, d: float) -> Tuple[np.ndarray, float]:
     a, b, c = normal
     flip = c < 0.0 or (c == 0.0 and (b < 0.0 or (b == 0.0 and a < 0.0)))
@@ -81,7 +90,7 @@ def fit_plane_ransac(cloud: PointCloud,
 
     def fit(triples):  # unit normals and offsets; collinear ones invalid
         p = pts[triples]
-        normals = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        normals = _cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         lengths = np.linalg.norm(normals, axis=1)
         valid = lengths > 1e-12
         normals[valid] /= lengths[valid, None]
@@ -125,7 +134,7 @@ def align_normal(normal: np.ndarray) -> np.ndarray:
     n = np.asarray(normal, dtype=np.float64)
     if abs(np.linalg.norm(n) - 1.0) > 1e-9:
         raise DegenerateInput("align_normal expects a unit vector")
-    axis = np.cross(n, EZ)
+    axis = _cross(n, EZ)
     s = np.linalg.norm(axis)
     c = float(np.clip(n @ EZ, -1.0, 1.0))
     if s < 1e-12:

@@ -856,6 +856,36 @@ def test_bench_with_no_localized_baseline_frame_completes(tmp_path):
         for label in ("baseline", "yaw:90") for frame in range(3)]
 
 
+@pytest.mark.parametrize("cmd", ["bench", "train-toy"])
+def test_nothing_in_range_exits_5_naming_frame_and_limit(tmp_path, capsys,
+                                                         cmd):
+    # No ray reaches the ground within 0.5 m of a sensor 1.3 m up or more.
+    cfg = _text_file(tmp_path / "near.cfg",
+                     "config_version = 1\nsensor.max_range = 0.5\n")
+    out = tmp_path / "o"
+    assert main([cmd, "--config", cfg, "--out", str(out)]) == 5
+    assert capsys.readouterr().err.splitlines() == [
+        "ringloc: error: frame 0: no ray hit anything within "
+        "sensor.max_range = 0.5 m"]
+    assert list(out.iterdir()) == []
+
+
+def test_bench_derives_each_seed_once(tmp_path, monkeypatch):
+    # 100 frames x (frame, scan, plane, oracle, pose, perturbation seed)
+    # are 600 distinct seeds; the 7 conditions ask for them 3,600 times.
+    built = []
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    scan_seed.cache_clear()
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    assert main(["bench", "--out", str(tmp_path / "o")]) == 0
+    assert 0 < len(built) <= 600
+
+
 def test_empty_input_exits_5(ws, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("x,y,z,intensity\n")

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -195,6 +196,38 @@ def test_blocked_scoring_matches_reference(iterations):
 def test_unit_normal_enforced():
     with pytest.raises(DegenerateInput):
         PlaneModel(np.array([0.0, 0.0, 2.0]), 0.0)
+
+
+# The written-out cross product must match np.cross bit for bit.
+
+
+def cross_pairs():
+    rng = np.random.default_rng(8)
+    p = rng.normal(size=(3, 64, 3)) * 10.0
+    t = rng.uniform(-2.0, 2.0, size=(64, 1))
+    signed = np.array(list(product([-0.0, 0.0, 1.0, -2.5], repeat=3)))
+    far = 1e12 + rng.uniform(-1.0, 1.0, size=(3, 64, 3))
+    return {
+        "random": (p[1] - p[0], p[2] - p[0]),
+        "collinear": (p[1] - p[0], t * (p[1] - p[0])),
+        "signed_zeros": (np.repeat(signed, len(signed), axis=0),
+                         np.tile(signed, (len(signed), 1))),
+        "at_1e12": (far[1] - far[0], far[2] - far[0]),
+        "raw_1e12": (far[0], far[1]),
+    }
+
+
+@pytest.mark.parametrize("case", ["random", "collinear", "signed_zeros",
+                                  "at_1e12", "raw_1e12"])
+def test_cross_matches_numpy_bit_for_bit(case):
+    u, v = cross_pairs()[case]
+    got = plane_mod._cross(u, v)
+    assert got.flags.c_contiguous and got.dtype == np.float64
+    assert got.tobytes() == np.cross(u, v).tobytes()
+    for a, b in zip(u, v):  # one vector at a time, as align_normal calls it
+        assert plane_mod._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+        assert (plane_mod._cross(a, plane_mod.EZ).tobytes()
+                == np.cross(a, plane_mod.EZ).tobytes())
 
 
 def test_align_normal_x_axis():

@@ -1,21 +1,25 @@
 """Synthetic world, ray casting, perturbations, and the oracle predictor."""
 import math
 import tracemalloc
+import warnings
+from itertools import product
 
 import numpy as np
 import pytest
 
 from ringloc.errors import EmptyScan, LengthMismatch
+from ringloc.pipeline import SEED_SCAN, simulate_trajectory
 from ringloc.se3 import (PointCloud, RigidTransform, apply_points, compose,
                          identity)
 from ringloc.simulate import (BOX_HEIGHT, BOX_RING, CLASS_AMBIGUOUS,
                               CLASS_RELIABLE, CYLINDER_BAND, EXTENT,
                               GROUND_INTENSITY, KEEPOUT_MARGIN,
-                              PERTURBATION_KINDS, Box, OracleSpec,
+                              PERTURBATION_KINDS, RAY_BLOCK, Box, OracleSpec,
                               Perturbation, Scan, SensorSpec, SyntheticWorld,
                               WorldSpec, _ray_directions, effective_truth,
                               generate_world, loop_trajectory, oracle_predict,
-                              perturb_scan, scan_seed, simulate_scan)
+                              perturb_scan, scan_seed, simulate_scan,
+                              simulate_scans)
 
 
 # ------------------------------------------------------------------- world
@@ -247,6 +251,91 @@ def test_level_ray_at_a_box_top_grazes_it():
     level = scan.gt_world[:, 2] == 5.0
     np.testing.assert_array_equal(scan.gt_world[level], [[10.0, 0.0, 5.0]])
     assert scan.classes[level] == CLASS_RELIABLE
+
+
+# A trajectory is cast in blocks of whole poses; every scan must be bit
+# for bit the scan its pose gives cast alone.
+
+
+def assert_same_scan(got, want):
+    for g, w in ((got.cloud.xyz, want.cloud.xyz),
+                 (got.cloud.intensity, want.cloud.intensity),
+                 (got.classes, want.classes), (got.gt_world, want.gt_world)):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def assert_batch_matches_lone(world, poses, sensor, seeds):
+    scans = simulate_scans(world, poses, sensor, seeds)
+    assert len(scans) == len(poses)
+    for scan, pose, seed in zip(scans, poses, seeds):
+        assert_same_scan(scan, simulate_scan(world, pose, sensor, seed))
+
+
+def test_trajectory_matches_lone_casts(std_cfg, sim):
+    world, poses, scans = sim
+    assert len(scans) == 100
+    for i, (pose, scan) in enumerate(zip(poses, scans)):
+        seed = scan_seed(scan_seed(0, i), SEED_SCAN)
+        assert_same_scan(scan, simulate_scan(world, pose, std_cfg.sensor,
+                                             seed))
+    frames = [8, 0, 99]
+    _, got_poses, got = simulate_trajectory(std_cfg, 0, frames)
+    for i, pose, scan in zip(frames, got_poses, got):
+        seed = scan_seed(scan_seed(0, i), SEED_SCAN)
+        assert_same_scan(scan, simulate_scan(world, pose, std_cfg.sensor,
+                                             seed))
+
+
+def test_partial_last_block_matches_lone_casts():
+    sensor = SensorSpec()
+    per_block = RAY_BLOCK // (sensor.n_azimuth * sensor.n_elevation)
+    n = 2 * per_block + 3
+    assert per_block > 1
+    assert_batch_matches_lone(generate_world(seed=5), loop_trajectory()[:n],
+                              sensor, list(range(n)))
+
+
+def test_dense_poses_cast_alone_match():
+    # 1024 x 32 rays outnumber a block, so each pose is its own block.
+    sensor = SensorSpec(n_azimuth=1024, n_elevation=32)
+    assert sensor.n_azimuth * sensor.n_elevation > RAY_BLOCK
+    poses = loop_trajectory()
+    assert_batch_matches_lone(generate_world(seed=3), [poses[0], poses[50]],
+                              sensor, [0, 50])
+
+
+def test_pole_to_pole_batch_matches_lone_casts_without_warnings():
+    # Level rays divide by zero in the ground and slab tests; the casts
+    # must keep that inside their errstate.
+    sensor = SensorSpec(n_azimuth=90, n_elevation=19, elevation_min_deg=-90.0,
+                        elevation_max_deg=90.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_batch_matches_lone(generate_world(seed=7),
+                                  loop_trajectory()[::9], sensor,
+                                  list(range(12)))
+
+
+def test_empty_pose_names_its_frame_and_the_limit():
+    world = generate_world(seed=0)
+    sensor = SensorSpec(max_range=0.5)
+    poses = loop_trajectory()[:3]
+    with pytest.raises(EmptyScan, match=r"^frame 7: .*max_range = 0\.5 m$"):
+        simulate_scans(world, poses, sensor, [0, 1, 2], frames=[7, 8, 9])
+
+
+def test_batched_cast_memory_stays_bounded():
+    # The block, not the pose count, sets the working set over the scans
+    # kept: 1.5 MB at 8,192 rays here, where 65,536-ray blocks took 8.7 MB.
+    world = generate_world(seed=0)
+    tracemalloc.start()
+    try:
+        scans = simulate_scans(world, loop_trajectory()[:64], SensorSpec(),
+                               list(range(64)))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scans) == 64 and peak - kept <= 3e6
 
 
 def test_scan_memory_stays_bounded():
@@ -497,3 +586,20 @@ def test_scan_seed_is_stable_and_spread():
     seeds = {scan_seed(0, i) for i in range(100)} | \
         {scan_seed(1, i) for i in range(100)}
     assert len(seeds) == 200
+
+
+@pytest.mark.parametrize("numpy_first", [False, True])
+def test_scan_seed_matches_seed_sequence_for_any_int_type(numpy_first):
+    # The cache treats equal Python and numpy ints as one key, so either
+    # may fill it; both must give the SeedSequence value.
+    values = [0, 1, 2**32, 2**63]
+    scan_seed.cache_clear()
+    for a, b in product(values, values):
+        want = int(np.random.SeedSequence([a, b]).generate_state(1)[0])
+        as_numpy = (np.uint64(a), np.uint64(b))
+        for args in ((as_numpy, (a, b)) if numpy_first
+                     else ((a, b), as_numpy)):
+            got = scan_seed(*args)
+            assert type(got) is int and got == want
+    assert scan_seed(np.int64(2**32), np.int32(7)) == int(
+        np.random.SeedSequence([2**32, 7]).generate_state(1)[0])

@@ -10,7 +10,7 @@ from ringloc.losses import distance_residuals
 from ringloc.regressor import init_regressor_weights, regress, \
     regress_backward
 from ringloc.pipeline import simulate_trajectory
-from ringloc.simulate import CLASS_AMBIGUOUS, CLASS_RELIABLE, simulate_scan
+from ringloc.simulate import CLASS_AMBIGUOUS, CLASS_RELIABLE, simulate_scans
 from ringloc.train import (LOSS_KINDS, LOSSES, N_QUARTILES, TrainingSet,
                            build_training_set, evaluate_quartiles,
                            quartile_errors, train_regressor)
@@ -183,11 +183,11 @@ def test_training_set_simulates_only_its_frames(monkeypatch):
     cfg.train.points_per_scan = 64
     simulated = []
 
-    def spy(world, pose, sensor, seed):
-        simulated.append(seed)
-        return simulate_scan(world, pose, sensor, seed)
+    def spy(world, poses, sensor, seeds, frames):
+        simulated.extend(seeds)
+        return simulate_scans(world, poses, sensor, seeds, frames)
 
-    monkeypatch.setattr(pipeline, "simulate_scan", spy)
+    monkeypatch.setattr(pipeline, "simulate_scans", spy)
     tset = build_training_set(cfg, init_encoder_weights(cfg.encoder))
     assert len(simulated) == 3
     assert np.array_equal(np.unique(tset.scan_ids), [0, 4, 8])
