@@ -7,43 +7,60 @@
 # from src/; this checks the installed copy: the console script, the
 # standard config built from the defaults (bench reads no data file), a
 # config value outside its range exiting 2 at load, and the shipped
-# report schema.  `twice NAME ARGS` runs `ringloc ARGS` at one and at two
-# BLAS threads into NAME1 and NAME2; both must exit alike, with a code
-# that EXIT_OK accepts (0 unless set), and write the same bytes.  It
-# reruns train-toy under each of its three losses, which share one
-# backward; one localize rerun stacks two --perturb flags, which draw in
-# turn from one generator.  Both bench runs and both rectify runs go with
-# warnings as errors: pose and plane RANSAC share one stop rule, whose
-# edge an inlier ratio of 1 meets (oracle pose frames do), and rectify
-# runs that rule on the ground plane alone.  The dense bench is the one
-# run at a real sensor's scale (1024x32 rays, ~27k points), where
-# reliability selection and voxelize work on tens of thousands of rows.
-# The pole-to-pole bench casts level rays (dz = 0, so the slab test
-# divides by zero) and straight up and down (a = dx^2 + dy^2 near 0),
-# with warnings as errors.  A scan row past the coordinate bound
-# (1.7e308 m) exits 2 at the reader, with warnings as errors.  A bench
-# whose every frame fails (a pose threshold nothing meets) still exits 0
-# and lists each frame in failures.csv.  The README's quick-start
-# localize loads both saved weight files; it may exit 0 or 4 (no
-# consensus), but both thread counts must exit alike and write the same
-# bytes.
+# report schema.
+#
+# The standard runs are ci/outputs.sh's, and only there: this script runs
+# it into DIR/std1 at one BLAS thread and into DIR/std2 at two, both with
+# warnings as errors, then requires every run to exit 0 and the two trees
+# to hold the same bytes.  That covers the standard bench, train-toy under
+# each of its three losses (which share one backward), oracle localize
+# plain and under --perturb yaw=90, regressor localize, rectify, project
+# --recover and encode.  Warnings as errors matter for bench and rectify:
+# pose and plane RANSAC share one stop rule, whose edge an inlier ratio of
+# 1 meets (oracle pose frames do), and rectify runs that rule on the
+# ground plane alone.
+#
+# Its own legs read std1's scan (std1/scan.csv) and trained weights
+# (std1/train/*.bin).  `twice NAME ARGS` runs `ringloc ARGS` at one and at
+# two BLAS threads into NAME1 and NAME2; both must exit alike, with a code
+# that EXIT_OK accepts (0 unless set), and write the same bytes.  The
+# README's quick-start localize loads both saved weight files; it may exit
+# 0 or 4 (no consensus).  One localize stacks two --perturb flags, which
+# draw in turn from one generator.  A scan row past the coordinate bound
+# (1.7e308 m) exits 2 at the reader, with warnings as errors.  The dense
+# bench is the one run at a real sensor's scale (1024x32 rays, ~27k
+# points), where reliability selection and voxelize work on tens of
+# thousands of rows.  The pole-to-pole bench casts level rays (dz = 0, so
+# the slab test divides by zero) and straight up and down (a = dx^2 + dy^2
+# near 0), with warnings as errors.  A bench whose every frame fails (a
+# pose threshold nothing meets) still exits 0 and lists each frame in
+# failures.csv.
 #
 # It runs the `ringloc` on PATH, or, when there is none, `python -m
-# ringloc.cli` from this checkout's src/ (then the `python -c` lines
-# import that copy too).  Like a workflow `run:` step, it stops at the
-# first failing command (`set -e`).
+# ringloc.cli` from this checkout's src/ (then the `python -c` line imports
+# that copy too).  Like a workflow `run:` step, it stops at the first
+# failing command (`set -e`).
 set -e
 
 dir=${1:?usage: ci/installed.sh DIR}
-src=$(cd "$(dirname "$0")/../src" && pwd)
+ci=$(cd "$(dirname "$0")" && pwd)
 if command -v ringloc >/dev/null 2>&1; then
   ringloc_cmd=(ringloc)
 else
-  export PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}"
+  export PYTHONPATH="$ci/../src${PYTHONPATH:+:$PYTHONPATH}"
   ringloc_cmd=(python -m ringloc.cli)
 fi
 mkdir -p "$dir"
 cd "$dir"
+
+for n in 1 2; do
+  OPENBLAS_NUM_THREADS=$n PYTHONWARNINGS=error bash "$ci/outputs.sh" "std$n"
+done
+diff -r std1 std2
+for status in std1/*.status; do
+  grep -qx 0 "$status" || { echo "$status: exit $(cat "$status")" >&2; exit 1; }
+done
+test -f std1/bench/perturbations.csv
 
 twice() {
   name=$1; shift
@@ -56,8 +73,6 @@ twice() {
   diff "${name}1.status" "${name}2.status"
   diff -r "${name}1" "${name}2"
 }
-PYTHONWARNINGS=error twice bench bench
-test -f bench1/perturbations.csv
 printf 'config_version = 1\ntrajectory.n_poses = 10\n' > short.cfg
 "${ringloc_cmd[@]}" bench --config short.cfg --out short
 test "$(wc -l < short/baseline_frames.csv)" -eq 11
@@ -65,19 +80,11 @@ test "$(wc -l < short/baseline_frames.csv)" -eq 11
 printf 'config_version = 1\ntrajectory.height = nan\n' > nan.cfg
 status=0; "${ringloc_cmd[@]}" bench --config nan.cfg --out nan || status=$?
 test "$status" -eq 2
-twice train train-toy
-for loss in mean matching; do
-  twice $loss train-toy --loss $loss --epochs 5
-done
-python -c "from ringloc import io; from ringloc.config import standard_bench_config as c; from ringloc.pipeline import simulate_trajectory as s; x = s(c(), 0)[2][0]; io.write_scan_csv('scan.csv', x.cloud, x.classes, x.gt_world)"
-twice localize localize scan.csv --predictor regressor \
-  --regressor-weights train1/regressor_weights.bin
-EXIT_OK='0|4' twice quick localize scan.csv --predictor regressor \
-  --encoder-weights train1/encoder_weights.bin \
-  --regressor-weights train1/regressor_weights.bin
-twice perturb localize scan.csv --perturb random_yaw --perturb dropout=0.5
-PYTHONWARNINGS=error twice rectify rectify scan.csv
-cp scan.csv far.csv
+EXIT_OK='0|4' twice quick localize std1/scan.csv --predictor regressor \
+  --encoder-weights std1/train/encoder_weights.bin \
+  --regressor-weights std1/train/regressor_weights.bin
+twice perturb localize std1/scan.csv --perturb random_yaw --perturb dropout=0.5
+cp std1/scan.csv far.csv
 echo '1.7e308,1.7e308,1.7e308,0.5,0,0.0,0.0,0.0' >> far.csv
 PYTHONWARNINGS=error EXIT_OK=2 twice far localize far.csv
 printf 'config_version = 1\ntrajectory.n_poses = 3\npose.threshold = 1e-300\nbench.perturbations = yaw:90\n' > allfail.cfg

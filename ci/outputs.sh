@@ -13,8 +13,13 @@
 # and encode of the voxels that project wrote.  project and encode read
 # the raw scan, so RANSAC changes leave them alone.
 #
-# Comparing two trees: run the script from each checkout into its own
-# directory and `diff -r` the two.  It runs the `ringloc` on PATH, or,
+# This is the one list of standard runs outside the test suite (criterion
+# 10 is the one inside it).  Comparing two trees: run the script from each
+# checkout into its own directory and `diff -r` the two.  CI's
+# ci/installed.sh runs it at one and at two BLAS threads with warnings as
+# errors, requires every status to read 0 and `diff -r`s the two, then
+# runs its own legs on this set's scan and trained weights.  A new
+# standard run is added here, once.  It runs the `ringloc` on PATH, or,
 # when there is none, `python -m ringloc.cli` from this checkout's src/.
 set -euo pipefail
 

@@ -6,9 +6,9 @@ plus the synthetic benchmark (bench) and the toy training run
 names and shortest round-trip number formatting, so a rerun with the
 same inputs and seed is byte-identical.
 
-Exit codes: 2 malformed input, 3 degenerate geometry, 4 no consensus,
-5 empty scan or grid (or a training set under 4 points), 1 other
-pipeline errors.
+Exit codes: 2 malformed input or an output that cannot be written,
+3 degenerate geometry, 4 no consensus, 5 empty scan or grid (or a
+training set under 4 points), 1 other pipeline errors.
 """
 
 from __future__ import annotations

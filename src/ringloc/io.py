@@ -11,7 +11,8 @@ Formats:
                 little-endian float32 payloads in header order.
 
 Writes go to a temp file in the target directory followed by an atomic
-rename, so readers never observe a half-written file.  Every CSV goes
+rename, so readers never observe a half-written file, and a failed write
+is a ParseError naming its file that leaves no temp file.  Every CSV goes
 through `write_csv`, and every float (CSV, pose or config) is written
 with shortest round-trip repr (`_cell`), so reruns are byte-identical.
 CSV rows are read by `np.loadtxt` in one call (`_parse_rows`), with a
@@ -68,16 +69,17 @@ def atomic_write_text(path: PathLike, text: str) -> None:
 
 
 def atomic_write_bytes(path: PathLike, payload: bytes) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    path, tmp = Path(path), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def read_text(path: PathLike) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .keys import Section, key
-from .pose_solve import consensus
+from .pose_solve import ITERATIONS_BOUND, consensus
 from .se3 import PointCloud, RigidTransform, apply, rotation_about
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -44,7 +44,8 @@ class PlaneModel:
 
 @dataclass
 class RansacPlaneParams(Section):
-    iterations: int = key(200, "ground-plane RANSAC hypothesis cap", ge=1)
+    iterations: int = key(200, "ground-plane RANSAC hypothesis cap", ge=1,
+                          le=ITERATIONS_BOUND)
     threshold: float = key(0.1, "ground-plane inlier distance (m)",
                            gt=0.0, le=1e3)
     min_inliers: int = key(50, "minimum ground consensus size", ge=3)

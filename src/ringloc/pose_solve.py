@@ -31,6 +31,7 @@ SAMPLE_SIZE = 3  # points per minimal sample of a rigid or plane fit
 FIRST_BLOCK = 8  # hypotheses scored before the stop bound is known
 SCORE_BLOCK = 32  # most hypotheses scored per later block
 CONFIDENCE = 0.999  # RANSAC stops once an all-inlier sample is this sure
+ITERATIONS_BOUND = 100_000  # top of each cap; a pose search at it peaks ~60 MB
 
 
 @dataclass
@@ -42,7 +43,8 @@ class SelectionPolicy(Section):
 
 @dataclass
 class RansacPoseParams(Section):
-    iterations: int = key(300, "pose RANSAC hypothesis cap", ge=1)
+    iterations: int = key(300, "pose RANSAC hypothesis cap", ge=1,
+                          le=ITERATIONS_BOUND)
     threshold: float = key(0.5, "pose inlier residual (m)", gt=0.0, le=1e3)
     seed: int = 0  # not a config key: callers derive it from the run seed
 

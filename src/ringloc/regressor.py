@@ -33,7 +33,7 @@ SLOPES = np.array([LEAKY_SLOPE, 1.0])
 
 @dataclass
 class RegressorConfig(Section):
-    width: int = key(64, "feature width carried between layers", ge=1)
+    width: int = 64  # not a config key: training takes encoder.output_width
     heads: int = key(4, "candidate vectors per max layer", ge=1)
     layers: int = key(5, "stacked max layers", ge=1)
 

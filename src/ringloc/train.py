@@ -13,7 +13,7 @@ points above ground, which is what the quartile evaluation checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -97,14 +97,16 @@ def train_regressor(tset: TrainingSet, cfg: PipelineConfig, loss_kind: str,
 
     Losses normalize their weights within a frame, so gradients are
     computed frame by frame and averaged: one regressor forward pass per
-    frame, whose cache the loss's gradients flow back through.  epochs=0
-    returns the seeded initialization untouched.
+    frame, whose cache the loss's gradients flow back through.  The
+    regressor takes the encoder's output_width; epochs=0 returns its
+    seeded initialization untouched.
     """
     if loss_kind not in LOSSES:
         raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
     loss_fn = LOSSES[loss_kind]
     epochs = cfg.train.epochs if epochs is None else epochs
-    weights = init_regressor_weights(cfg.regressor, seed=cfg.train.seed)
+    reg = replace(cfg.regressor, width=cfg.encoder.output_width)
+    weights = init_regressor_weights(reg, seed=cfg.train.seed)
     slices = tset.scan_slices()
     telemetry: List[EpochStats] = []
     lr = cfg.train.lr

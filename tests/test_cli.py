@@ -1,5 +1,6 @@
-"""CLI subcommands: outputs, reruns, and exit codes, in-process unless a
-test needs a fresh interpreter."""
+"""CLI subcommands: outputs, reruns across BLAS thread counts, and exit
+codes, in-process unless a test needs a fresh interpreter.  Plain reruns
+of each subcommand are criterion 10's."""
 import json
 import os
 import re
@@ -69,14 +70,6 @@ def run(ws, cmd, *extra, out):
     return main(argv)
 
 
-def assert_rerun_identical(ws, cmd, *extra, files, tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run(ws, cmd, *extra, out=a) == 0
-    assert run(ws, cmd, *extra, out=b) == 0
-    for name in files:
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
-
 # A key's valid range as --help states it: "in [1, inf)", "each in (0, 1]".
 RANGE = re.compile(r"; (?:each )?in ([\[(])(\S+), (\S+)([\])]); standard ")
 
@@ -105,7 +98,7 @@ def test_help_documents_every_config_key():
             elements = value if isinstance(value, tuple) else (value,)
             assert all(in_stated_range(lines[key], v) for v in elements), key
     assert lines["pose.iterations"].endswith("standard 300")
-    assert len(config_items(PipelineConfig())) == 39
+    assert len(config_items(PipelineConfig())) == 38
 
 
 def test_help_states_the_ring_rule():
@@ -182,12 +175,6 @@ def test_rectify_levels_the_cloud(ws, tmp_path):
     assert np.std(ground) < 0.2
 
 
-def test_rectify_rerun_is_byte_identical(ws, tmp_path):
-    assert_rerun_identical(ws, "rectify", str(ws["cloud_path"]),
-                           files=["rectified.csv", "t_plane.txt"],
-                           tmp_path=tmp_path)
-
-
 def test_rectify_levels_the_scan_as_localize_does(ws, tmp_path):
     # On this scan, plane RANSAC seeded with 5 itself finds another
     # consensus set than the per-stage seed localize derives from 5.
@@ -215,12 +202,6 @@ def test_project_matches_library_path(ws, tmp_path):
     assert len(recovered) == len(want.indices)
 
 
-def test_project_rerun_is_byte_identical(ws, tmp_path):
-    assert_rerun_identical(ws, "project", str(ws["cloud_path"]), "--recover",
-                           files=["voxels.csv", "recovered.csv"],
-                           tmp_path=tmp_path)
-
-
 def test_encode_writes_feature_rows(ws, tmp_path):
     out = tmp_path / "o"
     vox_out = tmp_path / "v"
@@ -237,13 +218,6 @@ def test_encode_writes_feature_rows(ws, tmp_path):
     assert np.array_equal(first, want[0])
 
 
-def test_encode_rerun_is_byte_identical(ws, tmp_path):
-    vox_out = tmp_path / "v"
-    assert run(ws, "project", str(ws["cloud_path"]), out=vox_out) == 0
-    assert_rerun_identical(ws, "encode", str(vox_out / "voxels.csv"),
-                           files=["features.csv"], tmp_path=tmp_path)
-
-
 def test_localize_recovers_the_pose(ws, tmp_path):
     out = tmp_path / "o"
     assert run(ws, "localize", str(ws["scan_path"]), out=out) == 0
@@ -255,12 +229,6 @@ def test_localize_recovers_the_pose(ws, tmp_path):
     assert set(sidecar) == {"inlier_count", "rms_residual", "seed"}
     assert sidecar["seed"] == 0
     assert sidecar["inlier_count"] >= 3
-
-
-def test_localize_rerun_is_byte_identical(ws, tmp_path):
-    assert_rerun_identical(ws, "localize", str(ws["scan_path"]),
-                           files=["pose.txt", "pose.json"],
-                           tmp_path=tmp_path)
 
 
 def test_localize_with_yaw_flip_still_localizes(ws, tmp_path):
@@ -405,14 +373,6 @@ def test_bench_outputs_and_schema(ws, tmp_path):
     assert summary == summarize(baseline)
 
 
-def test_bench_rerun_is_byte_identical(ws, tmp_path):
-    assert_rerun_identical(
-        ws, "bench",
-        files=["baseline_frames.csv", "baseline_summary.json",
-               "perturbations.csv", "failures.csv"],
-        tmp_path=tmp_path)
-
-
 def test_bench_cli_perturb_overrides_config(ws, tmp_path):
     out = tmp_path / "o"
     assert run(ws, "bench", "--perturb", "dropout=0.3", out=out) == 0
@@ -433,14 +393,6 @@ def test_train_toy_outputs(ws, tmp_path):
     weights = load_regressor_weights(out / "regressor_weights.bin")
     assert weights.tensors  # loadable, non-empty
     assert (out / "encoder_weights.bin").exists()
-
-
-def test_train_toy_rerun_is_byte_identical(ws, tmp_path):
-    assert_rerun_identical(
-        ws, "train-toy", "--epochs", "2",
-        files=["telemetry.csv", "quartiles.csv", "encoder_weights.bin",
-               "regressor_weights.bin"],
-        tmp_path=tmp_path)
 
 
 # -------------------------------------------------------------- exit codes
@@ -666,6 +618,21 @@ def test_out_below_a_file_exits_2(ws, tmp_path, capsys):
     assert "some_file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, name", [("localize", "pose.txt"),
+                                       ("bench", "perturbations.csv")])
+def test_unwritable_output_exits_2_leaving_no_temp_file(ws, tmp_path, capsys,
+                                                        cmd, name):
+    # A directory where an output file goes: the rename onto it fails.
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    extra = [str(ws["scan_path"])] if cmd == "localize" else []
+    assert run(ws, cmd, *extra, out=out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"ringloc: error: cannot write {out / name}: ")
+    assert list(out.glob("*.tmp")) == []
+
+
 def test_localize_scan_rejects_bad_predictor_calls(ws):
     cfg, scan = ws["cfg"], ws["scan"]
     with pytest.raises(ParseError):
@@ -796,6 +763,16 @@ def test_pipeline_error_exits_1_on_one_line(ws, tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_train_toy_builds_the_regressor_at_the_encoder_width(tmp_path):
+    cfg = _text_file(tmp_path / "w32.cfg", "config_version = 1\n"
+                     "trajectory.n_poses = 2\ntrain.epochs = 1\n"
+                     "train.points_per_scan = 32\nencoder.output_width = 32\n")
+    out = tmp_path / "o"
+    assert main(["train-toy", "--config", cfg, "--out", str(out)]) == 0
+    weights = load_regressor_weights(out / "regressor_weights.bin")
+    assert weights.config.width == 32
+
+
 def test_train_toy_negative_epochs_exits_2(ws, tmp_path):
     rc = run(ws, "train-toy", "--epochs", "-1", out=tmp_path / "o")
     assert rc == 2
@@ -918,6 +895,9 @@ def test_ring_cells_off_the_encoder_grid_exits_2(tmp_path, capsys, cmd):
     ("bench", "projection.ring_cells = 8", "section 'projection'"),
     ("localize", "projection.ring_cells = 24", "section 'projection'"),
     ("train-toy", "projection.ring_cells = 1000", "section 'projection'"),
+    ("localize", "pose.iterations = 100001", "section 'pose'"),
+    ("rectify", "plane.iterations = 100001", "section 'plane'"),
+    ("train-toy", "regressor.width = 32", "unknown key 'regressor.width'"),
 ])
 def test_invalid_config_value_exits_2_on_one_line(ws, tmp_path, capsys, cmd,
                                                  line, named):

@@ -45,7 +45,7 @@ def test_every_key_round_trips_at_a_non_default_value(tmp_path):
                           u_reliable=(3.0, 9.5), u_ambiguous=(-9.5, -3.0)),
         encoder=EncoderConfig(stem_width=14, stage_widths=(5, 9, 17, 33, 49),
                               output_width=56),
-        regressor=RegressorConfig(width=57, heads=3, layers=4),
+        regressor=RegressorConfig(heads=3, layers=4),
         world=WorldConfig(seed=8, n_boxes=10, n_cylinders=11),
         trajectory=TrajectoryConfig(n_poses=50, radius=12.75, height=1.7),
         train=TrainConfig(epochs=30, lr=0.002, decay=0.95, scan_stride=6,
