@@ -6,8 +6,9 @@
 # Every run writes into DIR (created if missing).  Tier-1 imports ringloc
 # from src/; this checks the installed copy: the console script, the
 # standard config built from the defaults (bench reads no data file), a
-# config value outside its range exiting 2 at load, and the shipped
-# report schema.
+# config value outside its range exiting 2 at load, a flag that sets a
+# key (--epochs) outside that key's range exiting 2 before --out is
+# created, --help stating the ranges, and the shipped report schema.
 #
 # The standard runs are ci/outputs.sh's, and only there: this script runs
 # it into DIR/std1 at one BLAS thread and into DIR/std2 at two, both with
@@ -76,10 +77,16 @@ twice() {
 printf 'config_version = 1\ntrajectory.n_poses = 10\n' > short.cfg
 "${ringloc_cmd[@]}" bench --config short.cfg --out short
 test "$(wc -l < short/baseline_frames.csv)" -eq 11
-"${ringloc_cmd[@]}" --help | grep -E '^  pose\.iterations +.*; standard 300$'
+"${ringloc_cmd[@]}" --help > help.txt
+grep -E '^  pose\.iterations +.*; standard 300$' help.txt
+grep -E '^  bench\.perturbations +.*dropout in \[0, 0\.9\]' help.txt
+grep -E '^  sensor\.n_azimuth +.*; in \[1, 4096\]; standard 64$' help.txt
 printf 'config_version = 1\ntrajectory.height = nan\n' > nan.cfg
 status=0; "${ringloc_cmd[@]}" bench --config nan.cfg --out nan || status=$?
 test "$status" -eq 2
+status=0; "${ringloc_cmd[@]}" train-toy --epochs -1 --out eneg || status=$?
+test "$status" -eq 2
+test ! -e eneg
 EXIT_OK='0|4' twice quick localize std1/scan.csv --predictor regressor \
   --encoder-weights std1/train/encoder_weights.bin \
   --regressor-weights std1/train/regressor_weights.bin

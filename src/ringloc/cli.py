@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="config file: config_version = 1 plus the keys it "
                        "changes (default: the standard config)")
         p.add_argument("--seed", type=int, default=None,
-                       help="run seed, >= 0 (default: bench.seed from the config)")
+                       help="set bench.seed, the run seed")
         p.add_argument("--out", type=Path, required=True,
                        help="output directory")
 
@@ -81,27 +81,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoder-weights", type=Path, default=None,
                    help="weight file (default: seeded random init)")
 
-    def predicting(p, perturb_help):
+    def predicting(p, perturb_dest, perturb_help):
         p.add_argument("--predictor", choices=("oracle", "regressor"),
                        default="oracle")
-        p.add_argument("--perturb", action="append", default=[],
+        p.add_argument("--perturb", action="append", dest=perturb_dest,
                        metavar="KIND=VALUE", help=perturb_help)
         p.add_argument("--encoder-weights", type=Path, default=None)
         p.add_argument("--regressor-weights", type=Path, default=None)
 
     p = sub.add_parser("localize", help="full pose estimate for one scan")
     common(p, needs_input=True)
-    predicting(p, "corrupt the scan first (KIND:VALUE also accepted)")
+    predicting(p, "perturb", "corrupt the scan first (or KIND:VALUE)")
 
     p = sub.add_parser("bench", help="run the synthetic benchmark")
     common(p)
-    predicting(p, "override the config's perturbation list")
+    predicting(p, "perturbations", "set bench.perturbations, one per flag")
 
     p = sub.add_parser("train-toy", help="train the regressor at toy scale")
     common(p)
     p.add_argument("--loss", choices=trainmod.LOSS_KINDS, default="trr")
     p.add_argument("--epochs", type=int, default=None,
-                   help="override train.epochs (>= 0; 0 keeps the init)")
+                   help="set train.epochs (0 keeps the init)")
     return parser
 
 
@@ -116,7 +116,7 @@ def _read_scan(path) -> Scan:
 def cmd_rectify(args, cfg, out) -> int:
     cloud = io.read_cloud_csv(args.input)
     rect_cloud, t_plane = rectify(
-        cloud, replace(cfg.plane, seed=scan_seed(args.seed, SEED_PLANE)))
+        cloud, replace(cfg.plane, seed=scan_seed(cfg.bench.seed, SEED_PLANE)))
     io.write_cloud_csv(out / "rectified.csv", rect_cloud)
     io.write_pose(out / "t_plane.txt", t_plane)
     return 0
@@ -138,7 +138,7 @@ def _encoder_weights(args, cfg):
     if args.encoder_weights is not None:
         return io.load_weights(args.encoder_weights, "encoder",
                                EncoderConfig.from_tensors)
-    return init_encoder_weights(cfg.encoder, seed=args.seed)
+    return init_encoder_weights(cfg.encoder, seed=cfg.bench.seed)
 
 
 def cmd_encode(args, cfg, out) -> int:
@@ -175,16 +175,17 @@ def _predictor_weights(args, cfg):
 def cmd_localize(args, cfg, out) -> int:
     scan = _read_scan(args.input)
     enc_w, reg_w = _predictor_weights(args, cfg)
+    seed = cfg.bench.seed
     # every --perturb draws in turn from one generator, not a fresh copy
-    rng = np.random.default_rng(scan_seed(args.seed, SEED_PERTURB))
-    for p in cfgmod.parse_perturbation_list(",".join(args.perturb)):
+    rng = np.random.default_rng(scan_seed(seed, SEED_PERTURB))
+    for p in cfgmod.parse_perturbation_list(",".join(args.perturb or ())):
         scan, _ = perturb_scan(scan, p, rng)
-    result = localize_scan(scan, cfg, args.seed, args.predictor, enc_w, reg_w)
+    result = localize_scan(scan, cfg, seed, args.predictor, enc_w, reg_w)
     io.write_pose(out / "pose.txt", result.transform)
     sidecar = {
         "inlier_count": int(len(result.pose.inliers)),
         "rms_residual": float(result.pose.rms_residual),
-        "seed": int(args.seed),
+        "seed": seed,
     }
     io.atomic_write_text(out / "pose.json", json.dumps(sidecar, indent=2) + "\n")
     return 0
@@ -192,10 +193,9 @@ def cmd_localize(args, cfg, out) -> int:
 
 def cmd_bench(args, cfg, out) -> int:
     enc_w, reg_w = _predictor_weights(args, cfg)
-    text = ",".join(args.perturb) if args.perturb else cfg.bench.perturbations
-    perturbations = cfgmod.parse_perturbation_list(text)
-    _, poses, scans = simulate_trajectory(cfg, args.seed)
-    rows = [run_perturbed_trajectory(cfg, args.seed, poses, scans, p,
+    perturbations = cfgmod.parse_perturbation_list(cfg.bench.perturbations)
+    _, poses, scans = simulate_trajectory(cfg, cfg.bench.seed)
+    rows = [run_perturbed_trajectory(cfg, cfg.bench.seed, poses, scans, p,
                                      args.predictor, enc_w, reg_w)
             for p in [None] + perturbations]
 
@@ -224,12 +224,9 @@ def cmd_bench(args, cfg, out) -> int:
 
 
 def cmd_train_toy(args, cfg, out) -> int:
-    if args.epochs is not None and args.epochs < 0:
-        raise ParseError(f"--epochs must be at least 0, got {args.epochs}")
-    enc_weights = init_encoder_weights(cfg.encoder, seed=args.seed)
-    tset = build_training_set(cfg, enc_weights, run_seed=args.seed)
-    weights, telemetry = train_regressor(tset, cfg, args.loss,
-                                         epochs=args.epochs)
+    enc_weights = init_encoder_weights(cfg.encoder, seed=cfg.bench.seed)
+    tset = build_training_set(cfg, enc_weights, run_seed=cfg.bench.seed)
+    weights, telemetry = train_regressor(tset, cfg, args.loss)
     _, _, quartiles = evaluate_quartiles(tset, weights)
     io.write_csv(out / "telemetry.csv", "epoch,loss,lr,n_clamped",
                  ((e.epoch, e.loss, e.lr, e.n_clamped) for e in telemetry))
@@ -255,10 +252,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = (cfgmod.read_config(args.config) if args.config is not None
                else cfgmod.PipelineConfig())
-        if args.seed is None:
-            args.seed = cfg.bench.seed
-        if args.seed < 0:
-            raise ParseError(f"--seed must be at least 0, got {args.seed}")
+        # Flags that set a key, checked by its range before --out exists.
+        perturbations = getattr(args, "perturbations", None)
+        for flag, section, name, value in (
+                ("--seed", "bench", "seed", args.seed),
+                ("--epochs", "train", "epochs", getattr(args, "epochs", None)),
+                ("--perturb", "bench", "perturbations",
+                 perturbations and ",".join(perturbations))):
+            if value is not None:
+                cfg = cfgmod.set_keys(cfg, {section: {name: value}}, flag)
         try:
             args.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -19,13 +19,12 @@ from typing import Dict, List, Optional, Tuple
 from .encoder import EncoderConfig
 from .errors import ParseError
 from .io import _cell, atomic_write_text, read_text
-from .keys import Section, is_key, key
+from .keys import Section, is_key, key, range_text
 from .plane import RansacPlaneParams
 from .pose_solve import RansacPoseParams, SelectionPolicy
 from .projection import ProjectionConfig
 from .regressor import RegressorConfig
-from .simulate import PERTURBATION_KINDS, OracleSpec, Perturbation, \
-    SensorSpec
+from .simulate import MAGNITUDES, OracleSpec, Perturbation, SensorSpec
 
 CONFIG_VERSION = 1
 
@@ -33,13 +32,13 @@ CONFIG_VERSION = 1
 @dataclass
 class WorldConfig(Section):
     seed: int = key(7, "world layout seed", ge=0)
-    n_boxes: int = key(12, "building count", ge=1)
-    n_cylinders: int = key(14, "pole/trunk count", ge=0)
+    n_boxes: int = key(12, "building count", ge=1, le=1000)
+    n_cylinders: int = key(14, "pole/trunk count", ge=0, le=1000)
 
 
 @dataclass
 class TrajectoryConfig(Section):
-    n_poses: int = key(100, "frames on the loop", ge=1)
+    n_poses: int = key(100, "frames on the loop", ge=1, le=1000)
     radius: float = key(15.0, "loop radius (m)", ge=0.0, le=1e3)
     height: float = key(1.5, "sensor height above ground (m)",
                         gt=0.0, le=1e3)
@@ -63,7 +62,8 @@ class BenchConfig(Section):
     perturbations: str = key(
         "yaw:180,random_yaw,fov_limit:180,dropout:0.5,gaussian_noise:0.05,"
         "pitch_roll:10", "comma list of kind[:magnitude], kind one of "
-        + ", ".join(PERTURBATION_KINDS))
+        + ", ".join(f"{kind} {range_text(f)}".strip()
+                    for kind, f in MAGNITUDES.items()))
 
     def __post_init__(self):
         super().__post_init__()
@@ -165,15 +165,21 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
         changes.setdefault(section_name, {})[field_name] = value
     if not saw_version:
         raise ParseError(f"{source}: missing config_version")
+    return set_keys(defaults, changes, source)
 
+
+def set_keys(cfg: PipelineConfig, changes: Dict[str, Dict[str, object]],
+             source: str) -> PipelineConfig:
+    """cfg with {section: {key: value}} changes, each section rebuilt so
+    its check runs; a rejected value is a ParseError naming source."""
     sections = {}
     for section_name, fields in changes.items():
         try:
             sections[section_name] = dataclasses.replace(
-                getattr(defaults, section_name), **fields)
+                getattr(cfg, section_name), **fields)
         except ValueError as exc:
             raise ParseError(f"{source}: section '{section_name}': {exc}") from exc
-    return dataclasses.replace(defaults, **sections)
+    return dataclasses.replace(cfg, **sections)
 
 
 def read_config(path) -> PipelineConfig:

@@ -169,10 +169,13 @@ class EncoderConfig(Section):
     fused full-resolution feature size.
     """
 
-    stem_width: int = key(16, "width of the stem's hidden projection", ge=1)
+    stem_width: int = key(16, "width of the stem's hidden projection",
+                          ge=1, le=256)
     stage_widths: Tuple[int, ...] = key((4, 8, 16, 32, 48),
-                                        "five encoder stage widths", ge=1)
-    output_width: int = key(64, "fused full-resolution feature width", ge=1)
+                                        "five encoder stage widths",
+                                        ge=1, le=256)
+    output_width: int = key(64, "fused full-resolution feature width",
+                            ge=1, le=256)
 
     def __post_init__(self):
         self.stage_widths = tuple(int(w) for w in self.stage_widths)

@@ -1,7 +1,10 @@
 """Config keys declared once: each key's default, doc and valid range sit
 on its dataclass field, where the config file, ``--help`` and the Section
-check all read them.  NaN fails every comparison, so it lies outside
-every range, and a finite bound also rejects the infinity on its side."""
+check all read them.  The same rule covers the command-line flags that
+set a key (``--seed``, ``--epochs``, bench's ``--perturb``) and each
+perturbation kind's magnitude, which is declared with key() too.  NaN
+fails every comparison, so it lies outside every range, and a finite
+bound also rejects the infinity on its side."""
 
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ import dataclasses
 
 def key(default, doc: str, *, ge=None, gt=None, le=None):
     """A config key: a dataclass field with its doc and valid range.  A key
-    without a lower bound (a text key) has no range."""
+    without a lower bound (a text key, a yaw angle) has no range."""
     low = (ge, "[") if gt is None else (gt, "(")
     return dataclasses.field(default=default,
                              metadata={"doc": doc, "low": low, "high": le})
@@ -35,19 +38,22 @@ def describe(f: dataclasses.Field) -> str:
     return "; ".join(filter(None, (f.metadata["doc"], range_text(f))))
 
 
+def check(f: dataclasses.Field, name: str, value) -> None:
+    """Raise ValueError naming `name` if value, or an element of a tuple
+    value, lies outside f's range."""
+    low, bracket = f.metadata.get("low", (None, None))
+    if low is None:
+        return
+    high = f.metadata["high"]
+    for v in value if isinstance(value, tuple) else (value,):
+        if not ((v >= low if bracket == "[" else v > low)
+                and (high is None or v <= high)):
+            raise ValueError(f"{name} must be {range_text(f)}, got {v!r}")
+
+
 class Section:
-    """Base of a config section: construction checks each key's range,
-    element by element for tuples, and raises ValueError naming the first
-    key outside it."""
+    """Base of a config section: construction checks every key's range."""
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            low, bracket = f.metadata.get("low", (None, None))
-            if low is None:
-                continue
-            high, value = f.metadata["high"], getattr(self, f.name)
-            for v in value if isinstance(value, tuple) else (value,):
-                if not ((v >= low if bracket == "[" else v > low)
-                        and (high is None or v <= high)):
-                    raise ValueError(f"{f.name} must be {range_text(f)}, "
-                                     f"got {v!r}")
+            check(f, f.name, getattr(self, f.name))

@@ -34,8 +34,8 @@ SLOPES = np.array([LEAKY_SLOPE, 1.0])
 @dataclass
 class RegressorConfig(Section):
     width: int = 64  # not a config key: training takes encoder.output_width
-    heads: int = key(4, "candidate vectors per max layer", ge=1)
-    layers: int = key(5, "stacked max layers", ge=1)
+    heads: int = key(4, "candidate vectors per max layer", ge=1, le=64)
+    layers: int = key(5, "stacked max layers", ge=1, le=64)
 
     @classmethod
     def from_tensors(cls, tensors: Dict[str, np.ndarray]) -> "RegressorConfig":

@@ -21,14 +21,22 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import EmptyScan, LengthMismatch
-from .keys import Section, key
+from .keys import Section, check, key
 from .se3 import PointCloud, RigidTransform, compose, invert, rotation_about, yaw
 
 CLASS_AMBIGUOUS = 0
 CLASS_RELIABLE = 1
 
-PERTURBATION_KINDS = ("yaw", "random_yaw", "fov_limit", "dropout",
-                      "gaussian_noise", "pitch_roll")
+# Each perturbation kind's magnitude, declared as a config key is; a bare
+# kind means magnitude 0.
+MAGNITUDES = {
+    "yaw": key(0.0, "rotation about the sensor's z axis (deg)"),
+    "random_yaw": key(0.0, "ignored: the yaw is drawn from the seed"),
+    "fov_limit": key(0.0, "kept field of view (deg)", gt=0.0, le=360.0),
+    "dropout": key(0.0, "per-point removal probability", ge=0.0, le=0.9),
+    "gaussian_noise": key(0.0, "1-sigma point jitter (m)", ge=0.0, le=1e3),
+    "pitch_roll": key(0.0, "pitch and roll bound (deg)", ge=0.0, le=15.0),
+}
 
 
 @dataclass
@@ -79,8 +87,8 @@ class SyntheticWorld:
 
 @dataclass
 class SensorSpec(Section):
-    n_azimuth: int = key(64, "rays per sweep row", ge=1)
-    n_elevation: int = key(16, "sweep rows", ge=1)
+    n_azimuth: int = key(64, "rays per sweep row", ge=1, le=4096)
+    n_elevation: int = key(16, "sweep rows", ge=1, le=128)
     elevation_min_deg: float = key(-25.0, "lowest ray elevation (deg)",
                                    ge=-90.0, le=90.0)
     elevation_max_deg: float = key(10.0, "highest ray elevation (deg)",
@@ -112,29 +120,17 @@ class Scan:
 
 @dataclass
 class Perturbation:
-    """A named corruption with one magnitude.
-
-    Magnitudes: yaw / pitch_roll / fov_limit in degrees, dropout as a
-    removal probability, gaussian_noise as a 1-sigma in meters.
-    random_yaw ignores its magnitude and draws from the seed.
-    """
+    """A named corruption; MAGNITUDES declares each kind's magnitude."""
 
     kind: str
     magnitude: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in PERTURBATION_KINDS:
+        if self.kind not in MAGNITUDES:
             raise ValueError(f"unknown perturbation kind '{self.kind}'")
         if not np.isfinite(self.magnitude):
             raise ValueError("magnitude must be finite")
-        if self.kind == "dropout" and not 0.0 <= self.magnitude <= 0.9:
-            raise ValueError("dropout probability must be in [0, 0.9]")
-        if self.kind == "pitch_roll" and not 0.0 <= self.magnitude <= 15.0:
-            raise ValueError("pitch_roll magnitude must be in [0, 15] degrees")
-        if self.kind == "gaussian_noise" and not 0.0 <= self.magnitude <= 1e3:
-            raise ValueError("noise sigma must be in [0, 1000] m")
-        if self.kind == "fov_limit" and not 0.0 < self.magnitude <= 360.0:
-            raise ValueError("fov width must be in (0, 360] degrees")
+        check(MAGNITUDES[self.kind], f"{self.kind} magnitude", self.magnitude)
 
 
 @lru_cache(maxsize=4096)

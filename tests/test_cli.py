@@ -30,7 +30,7 @@ from ringloc.projection import project_cylindrical, voxelize
 from ringloc.regressor import (RegressorConfig, init_regressor_weights,
                                load_regressor_weights, save_regressor_weights)
 from ringloc.se3 import apply_points, rotation_angle_deg
-from ringloc.simulate import (PERTURBATION_KINDS, Scan, perturb_scan,
+from ringloc.simulate import (MAGNITUDES, Perturbation, Scan, perturb_scan,
                               scan_seed)
 
 from helpers import read_pose
@@ -92,13 +92,65 @@ def test_help_documents_every_config_key():
     for key, value in config_items(PipelineConfig()):
         assert lines[key].endswith(f"; standard {format_value(value)}"), key
         if isinstance(value, str):
-            assert all(kind in lines[key] for kind in PERTURBATION_KINDS)
+            assert all(kind in lines[key] for kind in MAGNITUDES)
         else:
             assert RANGE.search(lines[key]), key
             elements = value if isinstance(value, tuple) else (value,)
             assert all(in_stated_range(lines[key], v) for v in elements), key
     assert lines["pose.iterations"].endswith("standard 300")
     assert len(config_items(PipelineConfig())) == 38
+
+
+# A ranged perturbation kind as the bench.perturbations line states it.
+KIND_RANGE = re.compile(r"(\w+) in ([\[(])([^,]+), ([^\])]+)([\])])")
+
+
+def test_help_states_each_perturbation_range_that_perturbation_checks():
+    ranges = KIND_RANGE.findall(help_lines()["bench.perturbations"])
+    assert [r[0] for r in ranges] == ["fov_limit", "dropout",
+                                      "gaussian_noise", "pitch_roll"]
+    for kind, lo_bracket, lo, hi, hi_bracket in ranges:
+        lo, hi = float(lo), float(hi)
+        assert hi_bracket == "]"
+        Perturbation(kind, hi)
+        if lo_bracket == "[":
+            Perturbation(kind, lo)
+        else:
+            with pytest.raises(ValueError):
+                Perturbation(kind, lo)
+        for past in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
+            with pytest.raises(ValueError, match=f"{kind} magnitude"):
+                Perturbation(kind, float(past))
+
+
+# Count keys that allocate or loop, each bounded so a run at the bound
+# finishes; bound + 1 is rejected at load.
+COUNT_BOUNDS = {
+    "sensor.n_azimuth": 4096, "sensor.n_elevation": 128,
+    "trajectory.n_poses": 1000, "world.n_boxes": 1000,
+    "world.n_cylinders": 1000, "encoder.stem_width": 256,
+    "encoder.stage_widths": 256, "encoder.output_width": 256,
+    "regressor.heads": 64, "regressor.layers": 64,
+}
+
+
+@pytest.mark.parametrize("key, bound", COUNT_BOUNDS.items())
+def test_count_key_past_its_bound_is_rejected_at_load(key, bound, tmp_path):
+    section = key.split(".")[0]
+    standard = dict(config_items(PipelineConfig()))[key]
+    assert help_lines()[key].endswith(
+        f", {bound}]; standard {format_value(standard)}")
+
+    def load(value):
+        if isinstance(standard, tuple):
+            value = format_value(standard[:-1] + (value,))
+        path = tmp_path / f"{value}.cfg"
+        path.write_text(f"config_version = 1\n{key} = {value}\n")
+        return read_config(path)
+
+    load(bound)
+    with pytest.raises(ParseError, match=f"section '{section}'"):
+        load(bound + 1)
 
 
 def test_help_states_the_ring_rule():
@@ -597,7 +649,17 @@ def test_noise_past_1000_m_exits_2_on_one_line(ws, tmp_path, capsys, cmd):
                  "gaussian_noise=1001", out=tmp_path / "o")
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "noise sigma must be in [0, 1000] m" in err[0]
+    assert len(err) == 1 and ("gaussian_noise magnitude must be in [0, 1000], "
+                              "got 1001.0") in err[0]
+
+
+def assert_flag_error_before_out(capsys, out, flag, section):
+    """One error line naming the flag and the section of the key it sets,
+    and no --out: the flag is checked before --out is created."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"ringloc: error: {flag}: section '{section}': ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", ["rectify", "localize", "bench"])
@@ -606,8 +668,7 @@ def test_negative_seed_exits_2(ws, tmp_path, capsys, cmd):
              "localize": [str(ws["scan_path"])], "bench": []}[cmd]
     rc = run(ws, cmd, *extra, "--seed", "-1", out=tmp_path / "o")
     assert rc == 2
-    assert "--seed" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert_flag_error_before_out(capsys, tmp_path / "o", "--seed", "bench")
 
 
 def test_out_below_a_file_exits_2(ws, tmp_path, capsys):
@@ -773,10 +834,16 @@ def test_train_toy_builds_the_regressor_at_the_encoder_width(tmp_path):
     assert weights.config.width == 32
 
 
-def test_train_toy_negative_epochs_exits_2(ws, tmp_path):
+def test_train_toy_negative_epochs_exits_2(ws, tmp_path, capsys):
     rc = run(ws, "train-toy", "--epochs", "-1", out=tmp_path / "o")
     assert rc == 2
-    assert not (tmp_path / "o" / "telemetry.csv").exists()
+    assert_flag_error_before_out(capsys, tmp_path / "o", "--epochs", "train")
+
+
+def test_bench_perturb_past_its_range_exits_2(ws, tmp_path, capsys):
+    rc = run(ws, "bench", "--perturb", "dropout=2", out=tmp_path / "o")
+    assert rc == 2
+    assert_flag_error_before_out(capsys, tmp_path / "o", "--perturb", "bench")
 
 
 def test_train_toy_under_four_points_exits_5_on_one_line(tmp_path):
@@ -898,6 +965,8 @@ def test_ring_cells_off_the_encoder_grid_exits_2(tmp_path, capsys, cmd):
     ("localize", "pose.iterations = 100001", "section 'pose'"),
     ("rectify", "plane.iterations = 100001", "section 'plane'"),
     ("train-toy", "regressor.width = 32", "unknown key 'regressor.width'"),
+    ("bench", "sensor.n_azimuth = 1000000000000", "section 'sensor'"),
+    ("encode", "encoder.output_width = 1000000", "section 'encoder'"),
 ])
 def test_invalid_config_value_exits_2_on_one_line(ws, tmp_path, capsys, cmd,
                                                  line, named):

@@ -206,9 +206,10 @@ def test_backward_matches_put_along_axis_routing():
 SPECIAL = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324,
                     -5e-324, 2.2e-308, -1e-310])
 # Head counts and widths past the small cases: 5 x 64 puts winner columns
-# past 255 (a uint8 win * width would wrap), and 257 heads need a uint16
-# winner.
-WIDE = ((1, 3), (3, 4), (5, 64), (257, 2))
+# past 255 (a uint8 win * width would wrap), and 64 heads is the bound of
+# regressor.heads.  head_max alone also takes 257 heads, whose winner
+# needs a uint16.
+WIDE = ((1, 3), (3, 4), (5, 64), (64, 2))
 
 
 def sprinkle(rng, x, share=0.15):

@@ -14,7 +14,7 @@ from ringloc.se3 import (PointCloud, RigidTransform, apply_points, compose,
 from ringloc.simulate import (BOX_HEIGHT, BOX_RING, CLASS_AMBIGUOUS,
                               CLASS_RELIABLE, CYLINDER_BAND, EXTENT,
                               GROUND_INTENSITY, KEEPOUT_MARGIN,
-                              PERTURBATION_KINDS, RAY_BLOCK, Box, OracleSpec,
+                              MAGNITUDES, RAY_BLOCK, Box, OracleSpec,
                               Perturbation, Scan, SensorSpec, SyntheticWorld,
                               WorldSpec, _ray_directions, effective_truth,
                               generate_world, loop_trajectory, oracle_predict,
@@ -369,7 +369,7 @@ def test_perturbation_validation():
     Perturbation("gaussian_noise", 1000.0)
 
 
-@pytest.mark.parametrize("kind", PERTURBATION_KINDS)
+@pytest.mark.parametrize("kind", MAGNITUDES)
 def test_non_finite_magnitude_rejected(kind):
     for magnitude in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
