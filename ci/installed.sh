@@ -7,8 +7,10 @@
 # from src/; this checks the installed copy: the console script, the
 # standard config built from the defaults (bench reads no data file), a
 # config value outside its range exiting 2 at load, a flag that sets a
-# key (--epochs) outside that key's range exiting 2 before --out is
-# created, --help stating the ranges, and the shipped report schema.
+# key (--epochs) outside that key's range and a localize --perturb
+# magnitude outside its kind's range (fov_limit=0) each exiting 2 before
+# --out is created, --help stating the ranges, and the shipped report
+# schema.
 #
 # The standard runs are ci/outputs.sh's, and only there: this script runs
 # it into DIR/std1 at one BLAS thread and into DIR/std2 at two, both with
@@ -87,6 +89,9 @@ test "$status" -eq 2
 status=0; "${ringloc_cmd[@]}" train-toy --epochs -1 --out eneg || status=$?
 test "$status" -eq 2
 test ! -e eneg
+status=0; "${ringloc_cmd[@]}" localize std1/scan.csv --perturb fov_limit=0 --out pneg || status=$?
+test "$status" -eq 2
+test ! -e pneg
 EXIT_OK='0|4' twice quick localize std1/scan.csv --predictor regressor \
   --encoder-weights std1/train/encoder_weights.bin \
   --regressor-weights std1/train/regressor_weights.bin

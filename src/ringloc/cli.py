@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional
 
@@ -49,7 +50,10 @@ def _config_epilog() -> str:
     return "\n".join(lines)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args keeps no
+    state in it, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="ringloc",
         description="Yaw-robust LiDAR relocalization on a cylindrical grid.",
@@ -178,7 +182,7 @@ def cmd_localize(args, cfg, out) -> int:
     seed = cfg.bench.seed
     # every --perturb draws in turn from one generator, not a fresh copy
     rng = np.random.default_rng(scan_seed(seed, SEED_PERTURB))
-    for p in cfgmod.parse_perturbation_list(",".join(args.perturb or ())):
+    for p in args.perturb:
         scan, _ = perturb_scan(scan, p, rng)
     result = localize_scan(scan, cfg, seed, args.predictor, enc_w, reg_w)
     io.write_pose(out / "pose.txt", result.transform)
@@ -252,7 +256,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = (cfgmod.read_config(args.config) if args.config is not None
                else cfgmod.PipelineConfig())
-        # Flags that set a key, checked by its range before --out exists.
+        # Flags are checked before --out exists: each that sets a key by
+        # that key's range, localize's --perturb list by each kind's.
         perturbations = getattr(args, "perturbations", None)
         for flag, section, name, value in (
                 ("--seed", "bench", "seed", args.seed),
@@ -261,6 +266,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                  perturbations and ",".join(perturbations))):
             if value is not None:
                 cfg = cfgmod.set_keys(cfg, {section: {name: value}}, flag)
+        if args.command == "localize":
+            args.perturb = cfgmod.parse_perturbation_list(
+                ",".join(args.perturb or ()))
         try:
             args.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -24,6 +24,7 @@ four dilated convs of stages 5 and 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -228,10 +229,24 @@ class EncoderConfig(Section):
         ]
 
 
+@lru_cache(maxsize=4)
+def _seeded_draw(widths: Tuple, seed: int) -> Dict[str, np.ndarray]:
+    tensors = init_weights(EncoderConfig(*widths), seed).tensors
+    for t in tensors.values():
+        t.flags.writeable = False  # shared by every caller of this key
+    return tensors
+
+
 def init_encoder_weights(config: Optional[EncoderConfig] = None,
                          seed: int = 0) -> Weights:
-    """`init_weights` of config, the default widths if None."""
-    return init_weights(config or EncoderConfig(), seed)
+    """`init_weights` of config, the default widths if None.
+
+    The draw is made once per (widths, seed) and its tensors are shared
+    read-only; each call gets its own dict, so a caller rebinds a tensor
+    or copies it before editing."""
+    config = config or EncoderConfig()
+    return Weights(config, dict(_seeded_draw(
+        (config.stem_width, config.stage_widths, config.output_width), seed)))
 
 
 def initial_features(v: VoxelCloud) -> np.ndarray:

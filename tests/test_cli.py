@@ -326,6 +326,37 @@ def test_repeated_perturb_draws_from_one_stream(ws, tmp_path, perturbs):
             == (tmp_path / "want.txt").read_bytes())
 
 
+def test_one_process_localizes_each_call_by_its_own_seed_and_flags(ws,
+                                                                   tmp_path):
+    # main shares one parser across calls and init_encoder_weights one draw
+    # per (widths, seed): each call must still draw its own seed's encoder,
+    # and an append flag (--perturb) must not carry over to the next parse.
+    cfg = ws["cfg"]
+    weights = tmp_path / "reg.bin"
+    save_regressor_weights(weights, init_regressor_weights(cfg.regressor,
+                                                           seed=1))
+    for k, (seed, perturbs) in enumerate([(1, []), (2, ["yaw=90"]),
+                                          (1, [])]):
+        out = tmp_path / str(k)
+        extra = [arg for p in perturbs for arg in ("--perturb", p)]
+        assert run(ws, "localize", str(ws["scan_path"]), "--predictor",
+                   "regressor", "--regressor-weights", str(weights),
+                   "--seed", str(seed), *extra, out=out) == 0
+        scan = Scan(*io.read_scan_csv(ws["scan_path"]))
+        rng = np.random.default_rng(scan_seed(seed, SEED_PERTURB))
+        for p in parse_perturbation_list(",".join(perturbs)):
+            scan, _ = perturb_scan(scan, p, rng)
+        result = localize_scan(scan, cfg, seed, "regressor",
+                               io.init_weights(cfg.encoder, seed),
+                               load_regressor_weights(weights))
+        io.write_pose(tmp_path / "want.txt", result.transform)
+        assert ((out / "pose.txt").read_bytes()
+                == (tmp_path / "want.txt").read_bytes()), k
+        assert json.loads((out / "pose.json").read_text()) == {
+            "inlier_count": len(result.pose.inliers),
+            "rms_residual": result.pose.rms_residual, "seed": seed}, k
+
+
 def run_with_blas_threads(threads, *argv):
     """`python *argv` in a fresh interpreter whose BLAS runs `threads`
     threads; OpenBLAS reads the count only when numpy loads."""
@@ -844,6 +875,21 @@ def test_bench_perturb_past_its_range_exits_2(ws, tmp_path, capsys):
     rc = run(ws, "bench", "--perturb", "dropout=2", out=tmp_path / "o")
     assert rc == 2
     assert_flag_error_before_out(capsys, tmp_path / "o", "--perturb", "bench")
+
+
+@pytest.mark.parametrize("perturb, why", [
+    ("fov_limit=0", "fov_limit magnitude must be in (0, 360], got 0.0"),
+    ("bogus=1", "unknown perturbation kind 'bogus'")],
+    ids=["fov_limit-0", "bogus"])
+def test_localize_bad_perturb_exits_2_before_out(ws, tmp_path, capsys,
+                                                 perturb, why):
+    out = tmp_path / "o"
+    rc = run(ws, "localize", str(ws["scan_path"]), "--perturb", perturb,
+             out=out)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"ringloc: error: bad perturbation '{perturb}': {why}\n")
+    assert not out.exists()
 
 
 def test_train_toy_under_four_points_exits_5_on_one_line(tmp_path):

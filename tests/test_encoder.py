@@ -10,8 +10,9 @@ from ringloc.encoder import (CUBE, DOWN, UP, EncoderConfig, KernelMap, Level,
                              initial_features, leaky_relu, max_pool2,
                              sparse_conv)
 from ringloc.errors import EmptyGrid, ParseError
-from ringloc.io import load_weights, save_weights
+from ringloc.io import init_weights, load_weights, save_weights
 from ringloc.projection import INDEX_BOUND, VoxelCloud
+from ringloc.regressor import init_regressor_weights
 
 
 def make_level(coords, feats, ring):
@@ -472,6 +473,44 @@ def test_init_respects_fan_in_bound():
     again = init_encoder_weights(seed=5)
     np.testing.assert_array_equal(w.tensors["stage3.b.w"],
                                   again.tensors["stage3.b.w"])
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("widths", [(), (8, (2, 4, 6, 8, 10), 12)],
+                         ids=["standard", "narrow"])
+def test_init_encoder_weights_is_the_unmemoized_draw(widths, seed):
+    # The first call may draw or hit the memo; the second surely hits it.
+    cfg = EncoderConfig(*widths)
+    want = init_weights(cfg, seed).tensors
+    for _ in range(2):
+        got = init_encoder_weights(cfg, seed)
+        assert got.config is cfg
+        assert list(got.tensors) == list(want)
+        for name, t in want.items():
+            assert got.tensors[name].tobytes() == t.tobytes(), name
+
+
+def test_memoized_encoder_tensors_are_read_only():
+    w = init_encoder_weights(seed=0)
+    with pytest.raises(ValueError, match="read-only"):
+        w.tensors["stem.proj.w"][0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        w.tensors["stage1.a.b"] += 1.0
+
+
+def test_rebinding_a_tensor_changes_only_that_callers_weights():
+    w = init_encoder_weights(seed=0)
+    before = w.tensors["stem.proj.w"].copy()
+    w.tensors["stem.proj.w"] = np.zeros_like(before)
+    again = init_encoder_weights(seed=0).tensors["stem.proj.w"]
+    assert again.tobytes() == before.tobytes()
+
+
+def test_regressor_init_stays_writeable():
+    # Training updates the regressor's tensors in place, so its draw is
+    # not memoized.
+    w = init_regressor_weights(seed=0)
+    assert all(t.flags.writeable for t in w.tensors.values())
 
 
 def test_leaky_slope():
