@@ -30,7 +30,8 @@
 # README's quick-start localize loads both saved weight files; it may exit
 # 0 or 4 (no consensus).  One localize stacks two --perturb flags, which
 # draw in turn from one generator.  A scan row past the coordinate bound
-# (1.7e308 m) exits 2 at the reader, with warnings as errors.  The dense
+# (1.7e308 m) exits 2 at the reader, with warnings as errors, and so does
+# a scan row holding a byte that is not UTF-8 (0xff).  The dense
 # bench is the one run at a real sensor's scale (1024x32 rays, ~27k
 # points), where reliability selection and voxelize work on tens of
 # thousands of rows.  The pole-to-pole bench casts level rays (dz = 0, so
@@ -99,6 +100,9 @@ twice perturb localize std1/scan.csv --perturb random_yaw --perturb dropout=0.5
 cp std1/scan.csv far.csv
 echo '1.7e308,1.7e308,1.7e308,0.5,0,0.0,0.0,0.0' >> far.csv
 PYTHONWARNINGS=error EXIT_OK=2 twice far localize far.csv
+cp std1/scan.csv notutf8.csv
+printf '\377,0,0,0.5,0,0.0,0.0,0.0\n' >> notutf8.csv
+PYTHONWARNINGS=error EXIT_OK=2 twice notutf8 localize notutf8.csv
 printf 'config_version = 1\ntrajectory.n_poses = 3\npose.threshold = 1e-300\nbench.perturbations = yaw:90\n' > allfail.cfg
 "${ringloc_cmd[@]}" bench --config allfail.cfg --out allfail
 test "$(grep -c ',NoConsensus$' allfail/failures.csv)" -eq 6

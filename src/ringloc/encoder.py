@@ -237,14 +237,12 @@ def _seeded_draw(widths: Tuple, seed: int) -> Dict[str, np.ndarray]:
     return tensors
 
 
-def init_encoder_weights(config: Optional[EncoderConfig] = None,
-                         seed: int = 0) -> Weights:
-    """`init_weights` of config, the default widths if None.
+def init_encoder_weights(config: EncoderConfig, seed: int) -> Weights:
+    """`init_weights` of config.
 
     The draw is made once per (widths, seed) and its tensors are shared
     read-only; each call gets its own dict, so a caller rebinds a tensor
     or copies it before editing."""
-    config = config or EncoderConfig()
     return Weights(config, dict(_seeded_draw(
         (config.stem_width, config.stage_widths, config.output_width), seed)))
 

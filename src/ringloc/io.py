@@ -83,11 +83,15 @@ def atomic_write_bytes(path: PathLike, payload: bytes) -> None:
 
 
 def read_text(path: PathLike) -> str:
-    """A file's text; an unreadable file is a ParseError naming it."""
+    """A file's text, decoded as UTF-8 as the writers encode it; a file
+    that cannot be read or decoded is a ParseError naming it."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte offset "
+                         f"{exc.start}") from exc
 
 
 def _parse_rows(path: Path, lines: List[str], expected_header: str
@@ -299,7 +303,7 @@ class Weights:
     tensors: Dict[str, np.ndarray]
 
 
-def init_weights(config, seed: int = 0) -> Weights:
+def init_weights(config, seed: int) -> Weights:
     """A model's tensors, drawn in layout order from one seeded generator:
     each X.w and the X.b after it from U[-1/sqrt(fan_in), 1/sqrt(fan_in)],
     fan_in being the product of every axis of X.w but the last (kernel

@@ -7,7 +7,9 @@ finally compensation of the rectification, yielding the raw-sensor to
 world motion.
 
 Every stage draws from a seed derived from (run seed, frame, stage), so
-a whole benchmark is a pure function of its config and seed.  Frames
+a whole benchmark is a pure function of its config and seed; a stage
+takes both from its caller, and the one default the criteria pin is
+`estimate_pose_ransac`'s params, which criterion 5 leaves out.  Frames
 that fail (degenerate plane, no consensus, emptied scan) are recorded
 with their error name and skipped, not fatal.
 """
@@ -84,7 +86,8 @@ def localize_scan(scan: Scan, cfg: PipelineConfig, frame_seed: int,
     predictor regresses each distinct coarse encoder site once, hands
     every voxel its site's prediction, and pairs them with the voxel
     centers mapped back to Cartesian space, since the grid is all it
-    sees.
+    sees.  The predictor defaults to the oracle, with no weights, as the
+    dense-scan workload runs it.
     """
     rect_cloud, t_plane, voxels = rectified_voxels(scan, cfg, frame_seed)
     src = voxels.source_index
@@ -129,7 +132,7 @@ def simulate_trajectory(cfg: PipelineConfig, run_seed: int,
                         ) -> Tuple[SyntheticWorld, List[RigidTransform],
                                    List[Scan]]:
     """World, and the pose and unperturbed scan of each frame index in
-    `frames` (default: every frame of the loop), cast in one batch."""
+    `frames` (default: the bench's, every frame), cast in one batch."""
     world = generate_world(world_spec_from(cfg), cfg.world.seed)
     poses = loop_trajectory(cfg.trajectory.n_poses, cfg.trajectory.radius,
                             cfg.trajectory.height)
@@ -146,7 +149,8 @@ def run_perturbed_trajectory(cfg: PipelineConfig, run_seed: int,
                              predictor: str = "oracle",
                              encoder_weights=None, regressor_weights=None
                              ) -> BenchRow:
-    """Localize every frame under one perturbation (None for baseline)."""
+    """Localize every frame under one perturbation (None for baseline), by
+    default with the oracle, as criteria 1, 6 and 7 run it."""
     label = "baseline"
     if perturbation is not None:
         label = f"{perturbation.kind}:{perturbation.magnitude:g}"

@@ -11,7 +11,7 @@ hypotheses and picks the least-squares refit's inliers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -67,8 +67,7 @@ def _canonicalize(normal: np.ndarray, d: float) -> Tuple[np.ndarray, float]:
     return (-normal, -d) if flip else (normal, d)
 
 
-def fit_plane_ransac(cloud: PointCloud,
-                     params: Optional[RansacPlaneParams] = None
+def fit_plane_ransac(cloud: PointCloud, params: RansacPlaneParams
                      ) -> Tuple[PlaneModel, np.ndarray]:
     """Fit the dominant plane by RANSAC with a least-squares refit.
 
@@ -84,7 +83,6 @@ def fit_plane_ransac(cloud: PointCloud,
         DegenerateInput: the best consensus set (none when every sampled
             triple is collinear) is smaller than min_inliers.
     """
-    params = params or RansacPlaneParams()
     pts = cloud.xyz
     if len(pts) < 3:
         raise DegenerateInput("plane fit needs at least 3 points")
@@ -154,8 +152,7 @@ def build_plane_transform(plane: PlaneModel) -> RigidTransform:
     return RigidTransform(align_normal(plane.normal), plane.d * EZ)
 
 
-def rectify(cloud: PointCloud,
-            params: Optional[RansacPlaneParams] = None
+def rectify(cloud: PointCloud, params: RansacPlaneParams
             ) -> Tuple[PointCloud, RigidTransform]:
     """Fit the ground plane and move the cloud into the rectified frame.
 

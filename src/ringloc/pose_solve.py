@@ -56,8 +56,7 @@ class PoseEstimate:
     rms_residual: float  # m, over the inliers under the final transform
 
 
-def select_reliable(u: np.ndarray,
-                    policy: Optional[SelectionPolicy] = None) -> np.ndarray:
+def select_reliable(u: np.ndarray, policy: SelectionPolicy) -> np.ndarray:
     """Indices of the ceil(top_fraction * n) highest scores, ascending.
 
     When that count would fall below min_count the whole index range is
@@ -67,7 +66,6 @@ def select_reliable(u: np.ndarray,
     equal scores (+0.0 and -0.0 among them) are broken toward the lower
     index.  NaN ranks below every number, -inf included.
     """
-    policy = policy or SelectionPolicy()
     u = np.asarray(u, dtype=np.float64)
     n = len(u)
     k = int(np.ceil(policy.top_fraction * n))
@@ -186,7 +184,8 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
     `consensus` searches minimal-sample Kabsch fits scored by squared
     residual |R x + t - y|^2.  The winner is refit by the same Kabsch
     over its inliers, and the same squared residual against threshold^2
-    picks the final inliers and their RMS.
+    picks the final inliers and their RMS.  params defaults to the
+    standard RansacPoseParams, which criterion 5 solves under.
 
     Raises:
         NoConsensus: fewer correspondences than a minimal sample, or the

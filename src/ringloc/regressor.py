@@ -58,10 +58,9 @@ class RegressorConfig(Section):
                          ("head.b", (N_OUTPUTS,))]
 
 
-def init_regressor_weights(config: Optional[RegressorConfig] = None,
-                           seed: int = 0) -> Weights:
-    """The seeded `init_weights` draw of config, the default if None."""
-    return init_weights(config or RegressorConfig(), seed)
+def init_regressor_weights(config: RegressorConfig, seed: int) -> Weights:
+    """The seeded `init_weights` draw of config."""
+    return init_weights(config, seed)
 
 
 def load_regressor_weights(path) -> Weights:

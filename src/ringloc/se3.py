@@ -8,7 +8,7 @@ point identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class PointCloud:
     """
 
     xyz: np.ndarray
-    intensity: np.ndarray = field(default=None)  # type: ignore[assignment]
+    intensity: np.ndarray
 
     def __post_init__(self):
         self.xyz = np.asarray(self.xyz, dtype=np.float64)
@@ -60,8 +60,6 @@ class PointCloud:
             raise ShapeMismatch(f"xyz must be (N, 3), got {self.xyz.shape}")
         if len(self.xyz) == 0:
             raise EmptyScan("point cloud has no points")
-        if self.intensity is None:
-            self.intensity = np.zeros(len(self.xyz))
         self.intensity = np.asarray(self.intensity, dtype=np.float64)
         if self.intensity.shape != (len(self.xyz),):
             raise ShapeMismatch("intensity length does not match xyz")

@@ -56,7 +56,7 @@ class EpochStats:
 
 
 def build_training_set(cfg: PipelineConfig, encoder_weights: Weights,
-                       run_seed: int = 0) -> TrainingSet:
+                       run_seed: int) -> TrainingSet:
     """Simulate, rectify, voxelize, and encode the training frames.
 
     Uses every cfg.train.scan_stride-th frame of the standard loop and a
@@ -99,7 +99,8 @@ def train_regressor(tset: TrainingSet, cfg: PipelineConfig, loss_kind: str,
     computed frame by frame and averaged: one regressor forward pass per
     frame, whose cache the loss's gradients flow back through.  The
     regressor takes the encoder's output_width; epochs=0 returns its
-    seeded initialization untouched.
+    seeded initialization untouched.  epochs defaults to cfg.train.epochs,
+    as the CLI trains.
     """
     if loss_kind not in LOSSES:
         raise ValueError(f"loss kind must be one of {LOSS_KINDS}")

@@ -6,7 +6,12 @@ from pathlib import Path
 import numpy as np
 
 from ringloc.pose_solve import CONFIDENCE, FIRST_BLOCK, SCORE_BLOCK, consensus
-from ringloc.se3 import RigidTransform
+from ringloc.se3 import PointCloud, RigidTransform
+
+
+def cloud_of(xyz) -> PointCloud:
+    """A cloud of the points xyz, every intensity 0."""
+    return PointCloud(xyz, np.zeros(len(xyz)))
 
 
 def read_pose(path) -> RigidTransform:

@@ -20,7 +20,7 @@ from ringloc.cli import build_parser, main
 from ringloc.config import (PipelineConfig, config_items, format_value,
                             parse_perturbation_list, read_config,
                             write_config)
-from ringloc.encoder import encode, init_encoder_weights
+from ringloc.encoder import EncoderConfig, encode, init_encoder_weights
 from ringloc.errors import ParseError, RinglocError
 from ringloc.metrics import (orientation_errors_deg, position_errors,
                              report_schema, summarize)
@@ -499,14 +499,24 @@ def _voxel_file(ws, d):
     return str(path)
 
 
+def std_encoder():
+    """The standard encoder's weights at seed 0."""
+    return init_encoder_weights(EncoderConfig(), seed=0)
+
+
+def std_regressor():
+    """The standard regressor's weights at seed 0."""
+    return init_regressor_weights(RegressorConfig(), seed=0)
+
+
 def _misshapen_encoder(path):
-    tensors = dict(init_encoder_weights(seed=0).tensors)
+    tensors = dict(std_encoder().tensors)
     tensors["stem.skip.w"] = np.zeros((4, 16))
     return _tensor_file(path, **tensors)
 
 
 def _zero_width_encoder(path):
-    tensors = dict(init_encoder_weights(seed=0).tensors)
+    tensors = dict(std_encoder().tensors)
     tensors["stem.proj.w"] = np.zeros((3, 0))
     return _tensor_file(path, **tensors)
 
@@ -579,18 +589,18 @@ MALFORMED = {
                    + "\nstem.proj.w 4294967296 4294967296\ndata\n")],
     "encoder-weights-name-twice": lambda ws, d: [
         "encode", _voxel_file(ws, d), "--encoder-weights",
-        _twice(d / "enc.bin", init_encoder_weights(seed=0).tensors,
+        _twice(d / "enc.bin", std_encoder().tensors,
                "stem.proj.b")],
     "encoder-weights-given-regressor": lambda ws, d: [
         "encode", _voxel_file(ws, d), "--encoder-weights",
-        _tensor_file(d / "reg.bin", **init_regressor_weights(seed=0).tensors)],
+        _tensor_file(d / "reg.bin", **std_regressor().tensors)],
     "encoder-weights-nan": lambda ws, d: [
         "encode", _voxel_file(ws, d), "--encoder-weights",
-        _nan_weights(d / "enc.bin", init_encoder_weights(seed=0).tensors)],
+        _nan_weights(d / "enc.bin", std_encoder().tensors)],
     "regressor-weights-nan": lambda ws, d: [
         "localize", str(ws["scan_path"]), "--predictor", "regressor",
         "--regressor-weights",
-        _nan_weights(d / "reg.bin", init_regressor_weights(seed=0).tensors)],
+        _nan_weights(d / "reg.bin", std_regressor().tensors)],
     "scan-nan-gt": lambda ws, d: ["localize", _scan_cell(ws, d, 5, "nan")],
     "scan-class-7": lambda ws, d: ["localize", _scan_cell(ws, d, 4, "7")],
     "scan-class-inf": lambda ws, d: ["localize", _scan_cell(ws, d, 4, "inf")],
@@ -600,7 +610,7 @@ MALFORMED = {
     "regressor-weights-given-encoder": lambda ws, d: [
         "localize", str(ws["scan_path"]), "--predictor", "regressor",
         "--regressor-weights",
-        _tensor_file(d / "enc.bin", **init_encoder_weights(seed=0).tensors)],
+        _tensor_file(d / "enc.bin", **std_encoder().tensors)],
     "localize-oracle-regressor-weights": lambda ws, d: [
         "localize", str(ws["scan_path"]), "--regressor-weights",
         str(d / "reg.bin")],
@@ -622,6 +632,26 @@ def test_malformed_input_exits_2(ws, tmp_path, capsys, case):
     assert "ringloc: error:" in err
     # Every case's error names the malformed file it wrote under tmp_path.
     assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize("kind", ["cloud", "voxels", "config"])
+def test_a_file_not_in_utf8_exits_2_naming_it(ws, tmp_path, capsys, kind):
+    # The writers encode UTF-8; a 0xff byte cannot start a UTF-8 character.
+    header = {"cloud": io.CLOUD_HEADER, "voxels": io.VOXEL_HEADER,
+              "config": "config_version = 1"}[kind]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(header.encode() + b"\n0,\xff\n")
+    out = tmp_path / "o"
+    if kind == "config":
+        rc = main(["bench", "--config", str(bad), "--out", str(out)])
+    else:
+        rc = run(ws, "rectify" if kind == "cloud" else "encode", str(bad),
+                 out=out)
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    offset = len(header) + 3
+    assert err == [f"ringloc: error: {bad}: not UTF-8 text at byte offset "
+                   f"{offset}"]
 
 
 @pytest.mark.parametrize("case, flag", [
@@ -731,7 +761,7 @@ def test_localize_scan_rejects_bad_predictor_calls(ws):
         localize_scan(scan, cfg, 0, "nearest")
     with pytest.raises(ParseError):
         localize_scan(scan, cfg, 0, "regressor",
-                      init_encoder_weights(seed=0), None)
+                      std_encoder(), None)
     # A malformed call fails the whole bench, not each frame in turn.
     with pytest.raises(ParseError):
         run_perturbed_trajectory(cfg, 0, [ws["pose0"]], [scan], None,

@@ -1,8 +1,11 @@
 """Config text format, key coverage, and perturbation parsing."""
 
 import dataclasses
+import inspect
 
 import pytest
+
+from ringloc import encoder, io, plane, pose_solve, regressor, simulate, train
 
 from ringloc.config import (BenchConfig, PipelineConfig,
                             TrainConfig, TrajectoryConfig, WorldConfig,
@@ -15,7 +18,8 @@ from ringloc.plane import RansacPlaneParams
 from ringloc.pose_solve import RansacPoseParams, SelectionPolicy
 from ringloc.projection import ProjectionConfig
 from ringloc.regressor import RegressorConfig
-from ringloc.simulate import OracleSpec, SensorSpec
+from ringloc.se3 import PointCloud
+from ringloc.simulate import OracleSpec, SensorSpec, WorldSpec
 
 
 def test_default_round_trip():
@@ -216,3 +220,33 @@ def test_sections_are_independent_instances():
     a, b = standard_bench_config(), standard_bench_config()
     a.trajectory = dataclasses.replace(a.trajectory, n_poses=3)
     assert b.trajectory.n_poses == 100
+
+
+# Each stage's config and seed parameters: the standard values are
+# declared once, on the config fields, and the caller passes them.
+STAGE_ARGUMENTS = [
+    (simulate.generate_world, ("spec", "seed")),
+    (simulate.loop_trajectory, ("n_poses", "radius", "height")),
+    (simulate.simulate_scans, ("sensor", "seeds")),
+    (simulate.simulate_scan, ("sensor", "seed")),
+    (simulate.perturb_scan, ("p", "seed")),
+    (simulate.oracle_predict, ("oracle", "seed")),
+    (plane.fit_plane_ransac, ("params",)),
+    (plane.rectify, ("params",)),
+    (pose_solve.select_reliable, ("policy",)),
+    (encoder.init_encoder_weights, ("config", "seed")),
+    (regressor.init_regressor_weights, ("config", "seed")),
+    (io.init_weights, ("config", "seed")),
+    (train.build_training_set, ("cfg", "run_seed")),
+]
+
+
+def test_stages_take_their_config_and_seed_from_the_caller():
+    defaulted = [f"{fn.__name__}({name})" for fn, names in STAGE_ARGUMENTS
+                 for name in names
+                 if inspect.signature(fn).parameters[name].default
+                 is not inspect.Parameter.empty]
+    defaulted += [f"{cls.__name__}.{f.name}" for cls in (WorldSpec, PointCloud)
+                  for f in dataclasses.fields(cls)
+                  if f.default is not dataclasses.MISSING]
+    assert defaulted == []

@@ -12,7 +12,9 @@ from ringloc.encoder import (CUBE, DOWN, UP, EncoderConfig, KernelMap, Level,
 from ringloc.errors import EmptyGrid, ParseError
 from ringloc.io import init_weights, load_weights, save_weights
 from ringloc.projection import INDEX_BOUND, VoxelCloud
-from ringloc.regressor import init_regressor_weights
+from ringloc.regressor import RegressorConfig, init_regressor_weights
+
+STD = EncoderConfig()  # the standard widths
 
 
 def make_level(coords, feats, ring):
@@ -280,7 +282,7 @@ def test_encode_at_the_narrowest_ring_matches_dict_lookup(monkeypatch):
                                      rng.integers(0, 40, 60),
                                      rng.integers(-6, 10, 60)]), axis=0)
     v = make_voxels(idx, rng.uniform(0, 1, len(idx)), ring=16)
-    w = init_encoder_weights(seed=7)
+    w = init_encoder_weights(STD, seed=7)
     got = encode(v, w)
     monkeypatch.setattr(Level, "neighbors", brute_force_neighbors)
     np.testing.assert_array_equal(got, encode(v, w))
@@ -315,16 +317,18 @@ def test_conv_ignores_absolute_height():
 
 def test_empty_grid_rejected():
     with pytest.raises(EmptyGrid):
-        encode(make_voxels(np.zeros((0, 3))), init_encoder_weights(seed=0))
+        encode(make_voxels(np.zeros((0, 3))),
+               init_encoder_weights(STD, seed=0))
 
 
 def test_sites_at_the_index_bound_encode():
     # The bound that io.read_voxel_csv enforces is exactly what packs.
     edge = [[0, INDEX_BOUND - 1, -INDEX_BOUND], [5, 1, 0]]
-    feats = encode(make_voxels(edge), init_encoder_weights(seed=0))
+    weights = init_encoder_weights(STD, seed=0)
+    feats = encode(make_voxels(edge), weights)
     assert feats.shape == (2, 64) and np.all(np.isfinite(feats))
     with pytest.raises(ParseError):
-        encode(make_voxels([[0, INDEX_BOUND, 0]]), init_encoder_weights(seed=0))
+        encode(make_voxels([[0, INDEX_BOUND, 0]]), weights)
 
 
 B = INDEX_BOUND
@@ -377,12 +381,12 @@ def test_encode_zero_weights_zero_output():
 
 
 def test_encode_deterministic():
-    w = init_encoder_weights(seed=0)
+    w = init_encoder_weights(STD, seed=0)
     idx = np.unique(np.random.default_rng(10).integers(0, 30, (30, 3))
                     % [64, 30, 8], axis=0)
     v = make_voxels(idx, intensity=np.full(len(idx), 0.5))
     a = encode(v, w)
-    b = encode(v, init_encoder_weights(seed=0))
+    b = encode(v, init_encoder_weights(STD, seed=0))
     np.testing.assert_array_equal(a, b)
 
 
@@ -400,7 +404,7 @@ def test_encode_rows_follow_input_order():
                                      rng.integers(0, 8, 50)]), axis=0)
     inten = rng.uniform(0, 1, len(idx))
     v = make_voxels(idx, inten)
-    w = init_encoder_weights(seed=1)
+    w = init_encoder_weights(STD, seed=1)
     base = encode(v, w)
     perm = rng.permutation(len(idx))
     vp = VoxelCloud(idx[perm], np.zeros((len(idx), 3)), inten[perm],
@@ -414,7 +418,7 @@ def test_encode_shift_equivariance_on_grid():
                                      rng.integers(5, 35, 60),
                                      rng.integers(-3, 9, 60)]), axis=0)
     inten = rng.uniform(0, 1, len(idx))
-    w = init_encoder_weights(seed=2)
+    w = init_encoder_weights(STD, seed=2)
     base = encode(make_voxels(idx, inten), w)
     for delta in (16, 32, 48):
         shifted = idx.copy()
@@ -429,7 +433,7 @@ def test_encode_seam_straddle_equals_rotated_copy():
     idx = np.array([[63, 10, 2], [0, 10, 2], [1, 10, 2],
                     [63, 11, 2], [0, 11, 3]])
     inten = np.linspace(0.1, 0.9, len(idx))
-    w = init_encoder_weights(seed=3)
+    w = init_encoder_weights(STD, seed=3)
     at_seam = encode(make_voxels(idx, inten), w)
     moved_idx = idx.copy()
     moved_idx[:, 0] = (moved_idx[:, 0] + 16) % 64
@@ -442,7 +446,7 @@ def test_encode_leaves_its_inputs_and_weights_unchanged():
     idx = np.column_stack([rng.integers(0, 64, 80), rng.integers(-5, 30, 80),
                            rng.integers(-4, 9, 80)])
     v = make_voxels(idx, rng.uniform(0, 1, len(idx)))
-    w = init_encoder_weights(seed=6)
+    w = init_encoder_weights(STD, seed=6)
     before = [a.copy() for a in (v.indices, v.points, v.intensity,
                                  v.source_index)]
     tensors = {name: t.copy() for name, t in w.tensors.items()}
@@ -456,7 +460,7 @@ def test_encode_leaves_its_inputs_and_weights_unchanged():
 
 
 def test_weights_save_load_round_trip(tmp_path):
-    w = init_encoder_weights(seed=4)
+    w = init_encoder_weights(STD, seed=4)
     p = tmp_path / "enc.bin"
     save_weights(p, w)
     back = load_weights(p, "encoder", EncoderConfig.from_tensors)
@@ -467,10 +471,10 @@ def test_weights_save_load_round_trip(tmp_path):
 
 
 def test_init_respects_fan_in_bound():
-    w = init_encoder_weights(seed=5)
+    w = init_encoder_weights(STD, seed=5)
     assert np.abs(w.tensors["stage1.a.w"]).max() <= 1.0 / np.sqrt(27 * 8)
     assert np.abs(w.tensors["stem.proj.w"]).max() <= 1.0 / np.sqrt(3)
-    again = init_encoder_weights(seed=5)
+    again = init_encoder_weights(STD, seed=5)
     np.testing.assert_array_equal(w.tensors["stage3.b.w"],
                                   again.tensors["stage3.b.w"])
 
@@ -491,7 +495,7 @@ def test_init_encoder_weights_is_the_unmemoized_draw(widths, seed):
 
 
 def test_memoized_encoder_tensors_are_read_only():
-    w = init_encoder_weights(seed=0)
+    w = init_encoder_weights(STD, seed=0)
     with pytest.raises(ValueError, match="read-only"):
         w.tensors["stem.proj.w"][0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -499,17 +503,17 @@ def test_memoized_encoder_tensors_are_read_only():
 
 
 def test_rebinding_a_tensor_changes_only_that_callers_weights():
-    w = init_encoder_weights(seed=0)
+    w = init_encoder_weights(STD, seed=0)
     before = w.tensors["stem.proj.w"].copy()
     w.tensors["stem.proj.w"] = np.zeros_like(before)
-    again = init_encoder_weights(seed=0).tensors["stem.proj.w"]
+    again = init_encoder_weights(STD, seed=0).tensors["stem.proj.w"]
     assert again.tobytes() == before.tobytes()
 
 
 def test_regressor_init_stays_writeable():
     # Training updates the regressor's tensors in place, so its draw is
     # not memoized.
-    w = init_regressor_weights(seed=0)
+    w = init_regressor_weights(RegressorConfig(), seed=0)
     assert all(t.flags.writeable for t in w.tensors.values())
 
 

@@ -16,9 +16,11 @@ from ringloc.plane import (PlaneModel, RansacPlaneParams,
                            build_plane_transform, fit_plane_ransac, rectify)
 from ringloc.pose_solve import (CONFIDENCE, FIRST_BLOCK, SCORE_BLOCK,
                                 distinct_samples)
-from ringloc.se3 import PointCloud, apply, apply_points, rotation_about, rotation_angle_deg
+from ringloc.se3 import apply, apply_points, rotation_about, rotation_angle_deg
 
-from helpers import reference_stop, spy_consensus
+from helpers import cloud_of, reference_stop, spy_consensus
+
+STD = RansacPlaneParams()  # the standard ground-plane search, at seed 0
 
 
 def flat_cloud(n=1000, z=0.0, seed=0, extent=20.0):
@@ -28,9 +30,9 @@ def flat_cloud(n=1000, z=0.0, seed=0, extent=20.0):
 
 
 def test_three_point_plane_exact():
-    c = PointCloud(np.array([[0.0, 0.0, 0.0],
-                             [1.0, 0.0, 0.0],
-                             [0.0, 1.0, 0.0]]))
+    c = cloud_of(np.array([[0.0, 0.0, 0.0],
+                           [1.0, 0.0, 0.0],
+                           [0.0, 1.0, 0.0]]))
     plane, inliers = fit_plane_ransac(c, RansacPlaneParams(min_inliers=3))
     np.testing.assert_array_equal(plane.normal, [0.0, 0.0, 1.0])
     assert plane.d == 0.0
@@ -40,21 +42,21 @@ def test_three_point_plane_exact():
 def test_plane_through_outliers():
     rng = np.random.default_rng(1)
     pts = np.vstack([flat_cloud(1000), rng.uniform(-20, 20, size=(100, 3))])
-    plane, inliers = fit_plane_ransac(PointCloud(pts))
+    plane, inliers = fit_plane_ransac(cloud_of(pts), STD)
     np.testing.assert_allclose(plane.normal, [0.0, 0.0, 1.0], atol=1e-3)
     assert abs(plane.d) < 1e-3
     assert len(inliers) >= 990
 
 
 def test_offset_plane_signed_d():
-    plane, _ = fit_plane_ransac(PointCloud(flat_cloud(500, z=0.5)))
+    plane, _ = fit_plane_ransac(cloud_of(flat_cloud(500, z=0.5)), STD)
     assert abs(plane.d - (-0.5)) < 1e-3
 
 
 def test_normal_is_canonically_oriented():
     # Fitting the same wall from either side must give one orientation.
     pts = flat_cloud(300, seed=2)[:, [2, 0, 1]]  # x = 0 plane
-    plane, _ = fit_plane_ransac(PointCloud(pts))
+    plane, _ = fit_plane_ransac(cloud_of(pts), STD)
     np.testing.assert_allclose(plane.normal, [1.0, 0.0, 0.0], atol=1e-6)
 
 
@@ -74,7 +76,7 @@ def test_collinear_points_rejected(rows):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateInput):
-            fit_plane_ransac(PointCloud(line), params)
+            fit_plane_ransac(cloud_of(line), params)
     # The first block, then the other 192 fitted in one call and scored
     # in six full blocks.
     assert params.iterations == 200
@@ -86,7 +88,8 @@ def test_planar_cloud_fits_one_block(rows):
     # w = 1, where the bound's log(1 - w^3) would be log(0).
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        plane, inliers = fit_plane_ransac(PointCloud(flat_cloud(1000, z=0.5)))
+        plane, inliers = fit_plane_ransac(cloud_of(flat_cloud(1000, z=0.5)),
+                                          STD)
     assert rows["fitted"] == rows["scored"] == [FIRST_BLOCK]
     np.testing.assert_array_equal(plane.normal, [0.0, 0.0, 1.0])
     assert plane.d == -0.5
@@ -101,8 +104,8 @@ def test_scoring_memory_stays_within_a_few_blocks():
     ground = flat_cloud(n // 4, seed=15)
     clutter = np.random.default_rng(15).uniform(-20.0, 20.0,
                                                 (n - len(ground), 3))
-    cloud = PointCloud(np.vstack([ground, clutter]))
-    params = RansacPlaneParams()
+    cloud = cloud_of(np.vstack([ground, clutter]))
+    params = STD
     bound = 2.5 * SCORE_BLOCK * n * 8  # bytes
     tracemalloc.start()
     try:
@@ -119,12 +122,12 @@ def test_scoring_memory_stays_within_a_few_blocks():
 
 def test_too_few_inliers_rejected():
     with pytest.raises(DegenerateInput):
-        fit_plane_ransac(PointCloud(flat_cloud(20)),
+        fit_plane_ransac(cloud_of(flat_cloud(20)),
                          RansacPlaneParams(min_inliers=50))
 
 
 def test_fit_is_deterministic_per_seed():
-    c = PointCloud(np.vstack([
+    c = cloud_of(np.vstack([
         flat_cloud(400, seed=3),
         np.random.default_rng(4).uniform(-20, 20, size=(80, 3)),
     ]))
@@ -176,7 +179,7 @@ def test_blocked_scoring_matches_reference(iterations):
     t = np.linspace(-5.0, 5.0, 400)
     line = np.column_stack([t, 0.5 * t, 2.0 + 0.1 * t])  # collinear triples
     clutter = rng.uniform(-20.0, 20.0, (200, 3))
-    cloud = PointCloud(np.vstack([ground, line, clutter]))
+    cloud = cloud_of(np.vstack([ground, line, clutter]))
     for seed in range(4):
         params = RansacPlaneParams(iterations=iterations, seed=seed,
                                    min_inliers=10)
@@ -277,11 +280,11 @@ def test_build_plane_transform_vertical_plane():
 
 
 def test_rectify_horizontal_scene_near_identity():
-    cloud = PointCloud(np.vstack([
+    cloud = cloud_of(np.vstack([
         flat_cloud(800, seed=6),
         np.array([[1.0, 2.0, 3.0], [4.0, -1.0, 2.0], [0.0, 5.0, 4.0]]),
     ]))
-    rect, t_plane = rectify(cloud)
+    rect, t_plane = rectify(cloud, STD)
     assert rotation_angle_deg(t_plane.rotation) < 0.1
     assert abs(rect.xyz[:800, 2]).max() < 1e-6
 
@@ -291,19 +294,19 @@ def test_rectify_tilted_scene():
     base = np.vstack([flat_cloud(800, seed=7),
                       np.random.default_rng(8).uniform(-5, 5, (100, 3)) +
                       np.array([0.0, 0.0, 6.0])])
-    tilted = PointCloud(base @ tilt.T)
-    rect, t_plane = rectify(tilted)
+    tilted = cloud_of(base @ tilt.T)
+    rect, t_plane = rectify(tilted, STD)
     # Ground landed back on z = 0, so its normal is z to within 0.1 deg.
-    plane, _ = fit_plane_ransac(rect)
+    plane, _ = fit_plane_ransac(rect, STD)
     angle = math.degrees(math.acos(np.clip(plane.normal @ [0, 0, 1], -1, 1)))
     assert angle < 0.1
     assert abs(plane.d) < 0.01
 
 
 def test_rectify_applies_returned_transform():
-    cloud = PointCloud(np.vstack([flat_cloud(500, seed=9),
-                                  np.array([[2.0, 2.0, 5.0]])]))
-    rect, t_plane = rectify(cloud)
+    cloud = cloud_of(np.vstack([flat_cloud(500, seed=9),
+                                np.array([[2.0, 2.0, 5.0]])]))
+    rect, t_plane = rectify(cloud, STD)
     np.testing.assert_allclose(rect.xyz, apply(t_plane, cloud).xyz,
                                atol=1e-12)
 
@@ -321,8 +324,8 @@ def test_rectify_a_cloud_with_a_point_far_out(far):
     params = RansacPlaneParams(iterations=400, min_inliers=20)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rect, _ = rectify(PointCloud(pts), params)
-        plane, inliers = fit_plane_ransac(PointCloud(pts), params)
+        rect, _ = rectify(cloud_of(pts), params)
+        plane, inliers = fit_plane_ransac(cloud_of(pts), params)
     np.testing.assert_array_equal(inliers, np.arange(60))
     np.testing.assert_allclose(plane.normal, [0.0, 0.0, 1.0], atol=1e-12)
     assert np.abs(rect.xyz[:60, 2]).max() < 1e-9

@@ -35,14 +35,15 @@ def random_transform(rng) -> RigidTransform:
 
 def test_small_set_kept_whole():
     u = np.arange(40, dtype=np.float64)
-    got = select_reliable(u)  # ceil(0.25 * 40) = 10 < min_count 50
+    # ceil(0.25 * 40) = 10 < min_count 50
+    got = select_reliable(u, SelectionPolicy())
     assert np.array_equal(got, np.arange(40))
 
 
 def test_top_quarter_of_large_set():
     rng = np.random.default_rng(11)
     u = rng.standard_normal(400)
-    got = select_reliable(u)
+    got = select_reliable(u, SelectionPolicy())
     assert len(got) == 100
     assert np.all(np.diff(got) > 0)  # ascending, no repeats
     outside = np.setdiff1d(np.arange(400), got)
@@ -63,7 +64,7 @@ def test_count_is_ceiling_of_fraction():
 
 
 def test_empty_scores_give_empty_selection():
-    assert len(select_reliable(np.empty(0))) == 0
+    assert len(select_reliable(np.empty(0), SelectionPolicy())) == 0
 
 
 def reference_select(u, policy):

@@ -12,11 +12,13 @@ from ringloc.projection import (INDEX_BOUND, ProjectionConfig, VoxelCloud,
                                 voxelize)
 from ringloc.se3 import PointCloud, apply, yaw
 
+from helpers import cloud_of
+
 CFG64 = ProjectionConfig(voxel_size=0.2, ring_cells=64)
 
 
 def project(pts, cfg=CFG64):
-    return project_cylindrical(PointCloud(np.asarray(pts, dtype=np.float64)),
+    return project_cylindrical(cloud_of(np.asarray(pts, dtype=np.float64)),
                                cfg)
 
 
@@ -64,7 +66,7 @@ def test_projection_preserves_order_and_intensity():
 
 
 def test_voxelize_floor_arithmetic():
-    v = voxelize(PointCloud(np.array([[0.05, 1.31, -0.39]])), CFG64)
+    v = voxelize(cloud_of(np.array([[0.05, 1.31, -0.39]])), CFG64)
     np.testing.assert_array_equal(v.indices, [[0, 6, -2]])
 
 
@@ -82,7 +84,7 @@ def test_voxelize_keeps_first_representative():
 def test_voxelize_last_ring_cell():
     cfg = ProjectionConfig(voxel_size=0.2, ring_cells=1024)
     # 2 pi s = 204.8, so 204.79 sits in the final cell of the turn.
-    v = voxelize(PointCloud(np.array([[204.79, 5.0, 0.0]])), cfg)
+    v = voxelize(cloud_of(np.array([[204.79, 5.0, 0.0]])), cfg)
     assert v.indices[0, 0] == 1023
 
 
@@ -91,7 +93,7 @@ def test_voxelize_float_edge_wraps_to_zero():
     # An arc whose quotient reaches exactly ring_cells must wrap, not
     # produce an out-of-range cell.
     assert 204.8 / 0.2 == 1024.0
-    v = voxelize(PointCloud(np.array([[204.8, 5.0, 0.0]])), cfg)
+    v = voxelize(cloud_of(np.array([[204.8, 5.0, 0.0]])), cfg)
     assert v.indices[0, 0] == 0
 
 
@@ -103,7 +105,7 @@ def test_voxelize_drops_cells_past_the_index_bound():
                     [0.05, 1.31, edge],
                     [0.05, 1.31, -edge],       # lowest cell in range
                     [0.05, 1.31, -edge - 0.1]])
-    v = voxelize(PointCloud(pts), CFG64)
+    v = voxelize(cloud_of(pts), CFG64)
     np.testing.assert_array_equal(v.source_index, [0, 2, 4])
     np.testing.assert_array_equal(v.indices[:, 2],
                                   [0, INDEX_BOUND - 1, -INDEX_BOUND])
@@ -116,7 +118,7 @@ def test_voxelize_range_check_at_each_bound(height, kept):
     # One extreme cell beside an ordinary one: the single min/max check
     # must send exactly the out-of-range cells to the dropping path.
     pts = np.array([[0.05, 1.31, 0.0], [0.05, 1.31, height]])
-    v = voxelize(PointCloud(pts), CFG64)
+    v = voxelize(cloud_of(pts), CFG64)
     np.testing.assert_array_equal(v.source_index, [0, 1] if kept else [0])
 
 
@@ -144,7 +146,7 @@ def test_voxel_order_is_ascending_source_index():
     pts = np.column_stack([rng.uniform(0, 64 * 0.2, 200),
                            rng.uniform(1, 10, 200),
                            rng.uniform(-2, 2, 200)])
-    v = voxelize(PointCloud(pts), CFG64)
+    v = voxelize(cloud_of(pts), CFG64)
     assert np.all(np.diff(v.source_index) > 0)
 
 
@@ -191,8 +193,8 @@ def test_ring_wrap_matches_always_modulo_reference(lo, hi, full_turn):
                            rng.uniform(-1, 1, 300)])
     if full_turn:
         pts[::50, 0] = CFG64.ring_cells * CFG64.voxel_size
-    v = voxelize(PointCloud(pts), CFG64)
-    want_idx, want_first = voxelize_by_rows(PointCloud(pts), CFG64)
+    v = voxelize(cloud_of(pts), CFG64)
+    want_idx, want_first = voxelize_by_rows(cloud_of(pts), CFG64)
     np.testing.assert_array_equal(v.indices, want_idx)
     np.testing.assert_array_equal(v.source_index, want_first)
     np.testing.assert_array_equal(v.points, pts[want_first])
@@ -247,7 +249,7 @@ def test_round_trip_respects_quantization_bound():
     pts = np.column_stack([rng.uniform(-30, 30, (400, 2)),
                            rng.uniform(-2, 8, 400)])
     pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 1.0]
-    cloud = PointCloud(pts)
+    cloud = cloud_of(pts)
     cfg = ProjectionConfig(voxel_size=0.2, ring_cells=1024)
     proj = project_cylindrical(cloud, cfg)
     vox = voxelize(proj, cfg)
@@ -266,10 +268,10 @@ def test_on_grid_shift_permutes_voxels():
                            rng.uniform(0, 5, 300)])
     pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 1.0]
     cfg = ProjectionConfig(voxel_size=0.2, ring_cells=1024)
-    base = voxelize(project_cylindrical(PointCloud(pts), cfg), cfg)
+    base = voxelize(project_cylindrical(cloud_of(pts), cfg), cfg)
     for delta in (1, 16, 512, 1000):
         turned = apply(yaw(delta * 2.0 * math.pi / cfg.ring_cells),
-                       PointCloud(pts))
+                       cloud_of(pts))
         moved = voxelize(project_cylindrical(turned, cfg), cfg)
         assert len(moved) == len(base)
         np.testing.assert_array_equal(
@@ -290,9 +292,9 @@ def test_off_grid_rotation_matches_rotated_recovery():
     cfg = ProjectionConfig(voxel_size=0.2, ring_cells=1024)
     t = yaw(0.3137)  # deliberately far from any grid multiple
     rec_base = recover_cartesian(
-        voxelize(project_cylindrical(PointCloud(pts), cfg), cfg), cfg)
+        voxelize(project_cylindrical(cloud_of(pts), cfg), cfg), cfg)
     rec_turned = recover_cartesian(
-        voxelize(project_cylindrical(apply(t, PointCloud(pts)), cfg), cfg),
+        voxelize(project_cylindrical(apply(t, cloud_of(pts)), cfg), cfg),
         cfg)
     want = apply(t, rec_base)
     d, _ = cKDTree(rec_turned.xyz).query(want.xyz)
@@ -313,7 +315,7 @@ def test_recovered_spacing_grows_with_radius():
         pts = np.column_stack([r * np.cos(angles), r * np.sin(angles),
                                np.full(256, 10.0 * k)])
         rec = recover_cartesian(
-            voxelize(project_cylindrical(PointCloud(pts), cfg), cfg), cfg)
+            voxelize(project_cylindrical(cloud_of(pts), cfg), cfg), cfg)
         d, _ = cKDTree(rec.xyz).query(rec.xyz, k=2)
         means.append(d[:, 1].mean())
     assert means[0] < means[1] < means[2]

@@ -10,9 +10,11 @@ from ringloc.se3 import (PointCloud, RigidTransform, apply, apply_points,
                          compose, identity, invert, orthonormalize,
                          rotation_about, rotation_angle_deg, yaw)
 
+from helpers import cloud_of
+
 
 def cloud(*pts):
-    return PointCloud(np.array(pts, dtype=np.float64))
+    return cloud_of(np.array(pts, dtype=np.float64))
 
 
 def test_identity_roundtrip():
@@ -97,7 +99,7 @@ def test_rotation_angle_quarter_turn():
 
 def test_empty_cloud_rejected():
     with pytest.raises(EmptyScan):
-        PointCloud(np.zeros((0, 3)))
+        cloud_of(np.zeros((0, 3)))
 
 
 def test_nonfinite_cloud_rejected():

@@ -1,4 +1,5 @@
 """Synthetic world, ray casting, perturbations, and the oracle predictor."""
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -7,8 +8,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+from ringloc.config import TrajectoryConfig
 from ringloc.errors import EmptyScan, LengthMismatch
-from ringloc.pipeline import SEED_SCAN, simulate_trajectory
+from ringloc.pipeline import (SEED_ORACLE, SEED_PERTURB, SEED_PLANE, SEED_POSE,
+                              SEED_SCAN, simulate_trajectory)
 from ringloc.se3 import (PointCloud, RigidTransform, apply_points, compose,
                          identity)
 from ringloc.simulate import (BOX_HEIGHT, BOX_RING, CLASS_AMBIGUOUS,
@@ -21,13 +24,20 @@ from ringloc.simulate import (BOX_HEIGHT, BOX_RING, CLASS_AMBIGUOUS,
                               perturb_scan, scan_seed, simulate_scan,
                               simulate_scans)
 
+# The values the stages' dropped defaults gave, which these tests keep.
+SPEC = WorldSpec(12, 14, 15.0)
+BARE = WorldSpec(0, 0, 15.0)
+LOOP = loop_trajectory(100, 15.0, 1.5)
+SENSOR = SensorSpec()
+ORACLE = OracleSpec()
+
 
 # ------------------------------------------------------------------- world
 
 
 def test_world_is_seed_stable():
-    a = generate_world(seed=7)
-    b = generate_world(seed=7)
+    a = generate_world(SPEC, seed=7)
+    b = generate_world(SPEC, seed=7)
     assert len(a.boxes) == len(b.boxes) == 12
     assert len(a.cylinders) == len(b.cylinders) == 14
     for ba, bb in zip(a.boxes, b.boxes):
@@ -40,7 +50,7 @@ def test_world_is_seed_stable():
 
 
 def test_world_layout_respects_spec_bands():
-    spec = WorldSpec()
+    spec = SPEC
     world = generate_world(spec, seed=3)
     for box in world.boxes:
         center = (box.lo[:2] + box.hi[:2]) / 2.0
@@ -72,9 +82,9 @@ def nadir_sensor():
 
 
 def test_single_downward_ray_measures_height():
-    world = generate_world(WorldSpec(n_boxes=0, n_cylinders=0), seed=0)
+    world = generate_world(BARE, seed=0)
     pose = RigidTransform(np.eye(3), np.array([3.0, -2.0, 1.0]))
-    scan = simulate_scan(world, pose, nadir_sensor())
+    scan = simulate_scan(world, pose, nadir_sensor(), 0)
     assert len(scan.cloud) == 1
     assert np.linalg.norm(scan.cloud.xyz[0]) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(scan.gt_world[0], [3.0, -2.0, 0.0], atol=1e-12)
@@ -83,8 +93,8 @@ def test_single_downward_ray_measures_height():
 
 
 def test_noiseless_scan_matches_truth_under_pose():
-    world = generate_world(seed=1)
-    pose = loop_trajectory()[13]
+    world = generate_world(SPEC, seed=1)
+    pose = LOOP[13]
     sensor = SensorSpec(range_noise=0.0)
     scan = simulate_scan(world, pose, sensor, seed=5)
     assert np.allclose(apply_points(pose, scan.cloud.xyz), scan.gt_world,
@@ -92,47 +102,47 @@ def test_noiseless_scan_matches_truth_under_pose():
 
 
 def test_scan_is_seed_stable():
-    world = generate_world(seed=1)
-    pose = loop_trajectory()[0]
-    a = simulate_scan(world, pose, seed=9)
-    b = simulate_scan(world, pose, seed=9)
+    world = generate_world(SPEC, seed=1)
+    pose = LOOP[0]
+    a = simulate_scan(world, pose, SENSOR, seed=9)
+    b = simulate_scan(world, pose, SENSOR, seed=9)
     assert np.array_equal(a.cloud.xyz, b.cloud.xyz)
     assert np.array_equal(a.classes, b.classes)
     assert np.array_equal(a.gt_world, b.gt_world)
-    c = simulate_scan(world, pose, seed=10)
+    c = simulate_scan(world, pose, SENSOR, seed=10)
     assert not np.array_equal(a.cloud.xyz, c.cloud.xyz)
 
 
 def test_scan_sees_both_classes():
-    world = generate_world(seed=1)
-    scan = simulate_scan(world, loop_trajectory()[0])
+    world = generate_world(SPEC, seed=1)
+    scan = simulate_scan(world, LOOP[0], SENSOR, 0)
     assert np.any(scan.classes == CLASS_RELIABLE)
     assert np.any(scan.classes == CLASS_AMBIGUOUS)
     assert set(np.unique(scan.classes)) <= {CLASS_AMBIGUOUS, CLASS_RELIABLE}
 
 
 def test_empty_world_yields_only_ground():
-    world = generate_world(WorldSpec(n_boxes=0, n_cylinders=0), seed=0)
-    scan = simulate_scan(world, loop_trajectory()[0])
+    world = generate_world(BARE, seed=0)
+    scan = simulate_scan(world, LOOP[0], SENSOR, 0)
     assert np.all(scan.classes == CLASS_AMBIGUOUS)
     assert np.allclose(scan.gt_world[:, 2], 0.0, atol=0.1)
 
 
 def test_upward_rays_over_bare_ground_hit_nothing():
-    world = generate_world(WorldSpec(n_boxes=0, n_cylinders=0), seed=0)
+    world = generate_world(BARE, seed=0)
     sensor = SensorSpec(n_elevation=4, elevation_min_deg=5.0,
                         elevation_max_deg=10.0)
     with pytest.raises(EmptyScan):
-        simulate_scan(world, loop_trajectory()[0], sensor)
+        simulate_scan(world, LOOP[0], sensor, 0)
 
 
 def test_range_gate_drops_far_hits():
-    world = generate_world(WorldSpec(n_boxes=0, n_cylinders=0), seed=0)
-    pose = loop_trajectory()[0]
-    ungated = simulate_scan(world, pose, SensorSpec(range_noise=0.0))
+    world = generate_world(BARE, seed=0)
+    pose = LOOP[0]
+    ungated = simulate_scan(world, pose, SensorSpec(range_noise=0.0), 0)
     assert np.linalg.norm(ungated.cloud.xyz, axis=1).max() > 30.0
     sensor = SensorSpec(range_noise=0.0, max_range=30.0)
-    scan = simulate_scan(world, pose, sensor)
+    scan = simulate_scan(world, pose, sensor, 0)
     assert np.all(np.linalg.norm(scan.cloud.xyz, axis=1) <= 30.0 + 1e-9)
 
 
@@ -216,16 +226,16 @@ def assert_scan_matches_reference(world, pose, sensor, seed=0):
 def test_scan_matches_reference_caster(world_seed, sensor):
     # The pole-to-pole grid casts straight up and down (a = dx^2 + dy^2
     # is about 1e-33 there) and level rays (dz = 0 exactly).
-    world = generate_world(seed=world_seed)
+    world = generate_world(SPEC, seed=world_seed)
     for i in range(0, 100, 9):
-        assert_scan_matches_reference(world, loop_trajectory()[i], sensor, i)
+        assert_scan_matches_reference(world, LOOP[i], sensor, i)
 
 
 def test_dense_scan_matches_reference_caster():
     sensor = SensorSpec(n_azimuth=1024, n_elevation=32)
-    world = generate_world(seed=3)
+    world = generate_world(SPEC, seed=3)
     for i in (0, 50):
-        assert_scan_matches_reference(world, loop_trajectory()[i], sensor, i)
+        assert_scan_matches_reference(world, LOOP[i], sensor, i)
 
 
 def test_coincident_boxes_go_to_the_earlier_one():
@@ -291,7 +301,7 @@ def test_partial_last_block_matches_lone_casts():
     per_block = RAY_BLOCK // (sensor.n_azimuth * sensor.n_elevation)
     n = 2 * per_block + 3
     assert per_block > 1
-    assert_batch_matches_lone(generate_world(seed=5), loop_trajectory()[:n],
+    assert_batch_matches_lone(generate_world(SPEC, seed=5), LOOP[:n],
                               sensor, list(range(n)))
 
 
@@ -299,9 +309,8 @@ def test_dense_poses_cast_alone_match():
     # 1024 x 32 rays outnumber a block, so each pose is its own block.
     sensor = SensorSpec(n_azimuth=1024, n_elevation=32)
     assert sensor.n_azimuth * sensor.n_elevation > RAY_BLOCK
-    poses = loop_trajectory()
-    assert_batch_matches_lone(generate_world(seed=3), [poses[0], poses[50]],
-                              sensor, [0, 50])
+    assert_batch_matches_lone(generate_world(SPEC, seed=3),
+                              [LOOP[0], LOOP[50]], sensor, [0, 50])
 
 
 def test_pole_to_pole_batch_matches_lone_casts_without_warnings():
@@ -311,15 +320,15 @@ def test_pole_to_pole_batch_matches_lone_casts_without_warnings():
                         elevation_max_deg=90.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert_batch_matches_lone(generate_world(seed=7),
-                                  loop_trajectory()[::9], sensor,
+        assert_batch_matches_lone(generate_world(SPEC, seed=7),
+                                  LOOP[::9], sensor,
                                   list(range(12)))
 
 
 def test_empty_pose_names_its_frame_and_the_limit():
-    world = generate_world(seed=0)
+    world = generate_world(SPEC, seed=0)
     sensor = SensorSpec(max_range=0.5)
-    poses = loop_trajectory()[:3]
+    poses = LOOP[:3]
     with pytest.raises(EmptyScan, match=r"^frame 7: .*max_range = 0\.5 m$"):
         simulate_scans(world, poses, sensor, [0, 1, 2], frames=[7, 8, 9])
 
@@ -327,10 +336,10 @@ def test_empty_pose_names_its_frame_and_the_limit():
 def test_batched_cast_memory_stays_bounded():
     # The block, not the pose count, sets the working set over the scans
     # kept: 1.5 MB at 8,192 rays here, where 65,536-ray blocks took 8.7 MB.
-    world = generate_world(seed=0)
+    world = generate_world(SPEC, seed=0)
     tracemalloc.start()
     try:
-        scans = simulate_scans(world, loop_trajectory()[:64], SensorSpec(),
+        scans = simulate_scans(world, LOOP[:64], SensorSpec(),
                                list(range(64)))
         kept, peak = tracemalloc.get_traced_memory()
     finally:
@@ -341,12 +350,12 @@ def test_batched_cast_memory_stays_bounded():
 def test_scan_memory_stays_bounded():
     # One 1024 x 32 scan: no objects x rays table.  The stacked caster
     # peaked at 16 MB here.
-    world = generate_world(seed=0)
-    pose = loop_trajectory()[3]
+    world = generate_world(SPEC, seed=0)
+    pose = LOOP[3]
     sensor = SensorSpec(n_azimuth=1024, n_elevation=32)
     tracemalloc.start()
     try:
-        simulate_scan(world, pose, sensor)
+        simulate_scan(world, pose, sensor, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -454,12 +463,12 @@ def test_fov_limit_can_empty_a_cloud():
     behind = scan_of(np.array([[-5.0, 0.0, 0.0], [-3.0, 0.1, 1.0]]),
                      np.array([0.5, 0.5]))
     with pytest.raises(EmptyScan):
-        perturb_scan(behind, Perturbation("fov_limit", 10.0))
+        perturb_scan(behind, Perturbation("fov_limit", 10.0), 0)
 
 
 def test_perturb_scan_keeps_rows_aligned():
-    world = generate_world(seed=1)
-    scan = simulate_scan(world, loop_trajectory()[0])
+    world = generate_world(SPEC, seed=1)
+    scan = simulate_scan(world, LOOP[0], SENSOR, 0)
     out, applied = perturb_scan(scan, Perturbation("dropout", 0.4), seed=6)
     assert np.array_equal(applied.rotation, np.eye(3))
     kept = [int(np.flatnonzero(
@@ -470,9 +479,9 @@ def test_perturb_scan_keeps_rows_aligned():
 
 
 def test_effective_truth_explains_rotated_cloud():
-    world = generate_world(seed=1)
-    pose = loop_trajectory()[7]
-    scan = simulate_scan(world, pose, SensorSpec(range_noise=0.0))
+    world = generate_world(SPEC, seed=1)
+    pose = LOOP[7]
+    scan = simulate_scan(world, pose, SensorSpec(range_noise=0.0), 0)
     for kind, mag in [("yaw", 180.0), ("pitch_roll", 10.0), ("random_yaw", 0.0)]:
         out, applied = perturb_scan(scan, Perturbation(kind, mag), seed=8)
         truth = effective_truth(pose, applied)
@@ -481,7 +490,7 @@ def test_effective_truth_explains_rotated_cloud():
 
 
 def test_effective_truth_with_identity_is_the_pose():
-    pose = loop_trajectory()[3]
+    pose = LOOP[3]
     truth = effective_truth(pose, identity())
     assert np.array_equal(truth.rotation, pose.rotation)
     assert np.array_equal(truth.translation, pose.translation)
@@ -520,7 +529,7 @@ def test_oracle_class_statistics():
     rng = np.random.default_rng(1)
     gt = rng.uniform(-30.0, 30.0, (1000, 3))
     classes = (np.arange(1000) % 2 == 0).astype(np.int64)
-    coords, u = oracle_predict(gt, classes, seed=2)
+    coords, u = oracle_predict(gt, classes, ORACLE, seed=2)
     rel = classes == CLASS_RELIABLE
     assert np.all(np.abs(coords[rel] - gt[rel]) <= 0.05 * 6.0)
     assert np.all(np.abs(coords[~rel] - gt[~rel]) <= 20.0)
@@ -535,8 +544,8 @@ def test_oracle_rows_are_independent_of_class_mix():
     classes = np.zeros(50, dtype=np.int64)
     flipped = classes.copy()
     flipped[17] = CLASS_RELIABLE
-    ca, ua = oracle_predict(gt, classes, seed=3)
-    cb, ub = oracle_predict(gt, flipped, seed=3)
+    ca, ua = oracle_predict(gt, classes, ORACLE, seed=3)
+    cb, ub = oracle_predict(gt, flipped, ORACLE, seed=3)
     mask = np.arange(50) != 17
     assert np.array_equal(ca[mask], cb[mask])
     assert np.array_equal(ua[mask], ub[mask])
@@ -547,16 +556,16 @@ def test_oracle_is_seed_stable():
     rng = np.random.default_rng(3)
     gt = rng.uniform(-10.0, 10.0, (64, 3))
     classes = rng.integers(0, 2, 64)
-    a = oracle_predict(gt, classes, seed=4)
-    b = oracle_predict(gt, classes, seed=4)
+    a = oracle_predict(gt, classes, ORACLE, seed=4)
+    b = oracle_predict(gt, classes, ORACLE, seed=4)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    c = oracle_predict(gt, classes, seed=5)
+    c = oracle_predict(gt, classes, ORACLE, seed=5)
     assert not np.array_equal(a[0], c[0])
 
 
 def test_oracle_matches_the_where_form():
-    scan = simulate_scan(generate_world(seed=2), loop_trajectory()[40])
-    gt, classes, oracle = scan.gt_world, scan.classes, OracleSpec()
+    scan = simulate_scan(generate_world(SPEC, seed=2), LOOP[40], SENSOR, 0)
+    gt, classes, oracle = scan.gt_world, scan.classes, ORACLE
     coords, u = oracle_predict(gt, classes, oracle, seed=6)
     rng = np.random.default_rng(6)
     n = len(gt)
@@ -573,7 +582,8 @@ def test_oracle_matches_the_where_form():
 
 def test_oracle_rejects_misaligned_classes():
     with pytest.raises(LengthMismatch):
-        oracle_predict(np.zeros((4, 3)), np.zeros(5, dtype=np.int64))
+        oracle_predict(np.zeros((4, 3)), np.zeros(5, dtype=np.int64),
+                       ORACLE, 0)
 
 
 # ------------------------------------------------------------------- seeds
@@ -586,6 +596,17 @@ def test_scan_seed_is_stable_and_spread():
     seeds = {scan_seed(0, i) for i in range(100)} | \
         {scan_seed(1, i) for i in range(100)}
     assert len(seeds) == 200
+
+
+def test_scan_seed_memo_holds_a_bench_working_set():
+    # A bench derives the frame seed and five stage seeds per frame, then
+    # each of them again for every perturbation; an LRU memo smaller than
+    # that set misses on nearly every lookup.
+    n_poses = {f.name: f for f in dataclasses.fields(TrajectoryConfig)}[
+        "n_poses"]
+    stages = (SEED_SCAN, SEED_PLANE, SEED_ORACLE, SEED_POSE, SEED_PERTURB)
+    assert (scan_seed.cache_info().maxsize
+            >= (1 + len(stages)) * n_poses.metadata["high"])
 
 
 @pytest.mark.parametrize("numpy_first", [False, True])

@@ -7,8 +7,8 @@ from ringloc.config import PipelineConfig
 from ringloc.encoder import init_encoder_weights
 from ringloc.errors import EmptyScan
 from ringloc.losses import distance_residuals
-from ringloc.regressor import init_regressor_weights, regress, \
-    regress_backward
+from ringloc.regressor import RegressorConfig, init_regressor_weights, \
+    regress, regress_backward
 from ringloc.pipeline import simulate_trajectory
 from ringloc.simulate import CLASS_AMBIGUOUS, CLASS_RELIABLE, simulate_scans
 from ringloc.train import (LOSS_KINDS, LOSSES, N_QUARTILES, TrainingSet,
@@ -137,7 +137,7 @@ def test_quartile_split_handles_ragged_counts():
 
 def test_evaluate_quartiles_wiring():
     tset = tiny_set(seed=3)
-    weights = init_regressor_weights(seed=1)
+    weights = init_regressor_weights(RegressorConfig(), seed=1)
     u, errors, quartiles = evaluate_quartiles(tset, weights)
     pred, u_direct = regress(tset.features, weights)
     assert np.array_equal(u, u_direct)
@@ -188,7 +188,8 @@ def test_training_set_simulates_only_its_frames(monkeypatch):
         return simulate_scans(world, poses, sensor, seeds, frames)
 
     monkeypatch.setattr(pipeline, "simulate_scans", spy)
-    tset = build_training_set(cfg, init_encoder_weights(cfg.encoder))
+    tset = build_training_set(cfg, init_encoder_weights(cfg.encoder, seed=0),
+                              run_seed=0)
     assert len(simulated) == 3
     assert np.array_equal(np.unique(tset.scan_ids), [0, 4, 8])
 
@@ -197,12 +198,12 @@ def test_training_set_needs_a_point_per_quartile():
     # Three poses at stride 8 give one training frame, frame 0.
     cfg = PipelineConfig()
     cfg.trajectory.n_poses = 3
-    enc = init_encoder_weights(cfg.encoder)
+    enc = init_encoder_weights(cfg.encoder, seed=0)
     cfg.train.points_per_scan = N_QUARTILES - 1
     with pytest.raises(EmptyScan, match="training set too small"):
-        build_training_set(cfg, enc)
+        build_training_set(cfg, enc, run_seed=0)
     cfg.train.points_per_scan = N_QUARTILES
-    tset = build_training_set(cfg, enc)
+    tset = build_training_set(cfg, enc, run_seed=0)
     assert len(tset.features) == N_QUARTILES
     weights, _ = train_regressor(tset, cfg, "trr", epochs=1)
     assert np.all(np.isfinite(evaluate_quartiles(tset, weights)[2]))
