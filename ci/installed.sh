@@ -8,9 +8,9 @@
 # standard config built from the defaults (bench reads no data file), a
 # config value outside its range exiting 2 at load, a flag that sets a
 # key (--epochs) outside that key's range and a localize --perturb
-# magnitude outside its kind's range (fov_limit=0) each exiting 2 before
-# --out is created, --help stating the ranges, and the shipped report
-# schema.
+# magnitude outside its kind's range (fov_limit=0) each exiting 2 with no
+# --out (the first write creates it, and these fail before any), --help
+# stating the ranges, and the shipped report schema.
 #
 # The standard runs are ci/outputs.sh's, and only there: this script runs
 # it into DIR/std1 at one BLAS thread and into DIR/std2 at two, both with
@@ -26,12 +26,14 @@
 # Its own legs read std1's scan (std1/scan.csv) and trained weights
 # (std1/train/*.bin).  `twice NAME ARGS` runs `ringloc ARGS` at one and at
 # two BLAS threads into NAME1 and NAME2; both must exit alike, with a code
-# that EXIT_OK accepts (0 unless set), and write the same bytes.  The
+# that EXIT_OK accepts (0 unless set), and both must make NAME1 and NAME2
+# or neither; when they did, the two must hold the same bytes.  The
 # README's quick-start localize loads both saved weight files; it may exit
 # 0 or 4 (no consensus).  One localize stacks two --perturb flags, which
 # draw in turn from one generator.  A scan row past the coordinate bound
 # (1.7e308 m) exits 2 at the reader, with warnings as errors, and so does
-# a scan row holding a byte that is not UTF-8 (0xff).  The dense
+# a scan row holding a byte that is not UTF-8 (0xff); neither leaves an
+# --out (no far1, no notutf81).  The dense
 # bench is the one run at a real sensor's scale (1024x32 rays, ~27k
 # points), where reliability selection and voxelize work on tens of
 # thousands of rows.  The pole-to-pole bench casts level rays (dz = 0, so
@@ -75,7 +77,9 @@ twice() {
   done
   grep -qxE "${EXIT_OK:-0}" "${name}1.status"
   diff "${name}1.status" "${name}2.status"
-  diff -r "${name}1" "${name}2"
+  if [ -e "${name}1" ] || [ -e "${name}2" ]; then
+    diff -r "${name}1" "${name}2"
+  fi
 }
 printf 'config_version = 1\ntrajectory.n_poses = 10\n' > short.cfg
 "${ringloc_cmd[@]}" bench --config short.cfg --out short
@@ -100,9 +104,11 @@ twice perturb localize std1/scan.csv --perturb random_yaw --perturb dropout=0.5
 cp std1/scan.csv far.csv
 echo '1.7e308,1.7e308,1.7e308,0.5,0,0.0,0.0,0.0' >> far.csv
 PYTHONWARNINGS=error EXIT_OK=2 twice far localize far.csv
+test ! -e far1
 cp std1/scan.csv notutf8.csv
 printf '\377,0,0,0.5,0,0.0,0.0,0.0\n' >> notutf8.csv
 PYTHONWARNINGS=error EXIT_OK=2 twice notutf8 localize notutf8.csv
+test ! -e notutf81
 printf 'config_version = 1\ntrajectory.n_poses = 3\npose.threshold = 1e-300\nbench.perturbations = yaw:90\n' > allfail.cfg
 "${ringloc_cmd[@]}" bench --config allfail.cfg --out allfail
 test "$(grep -c ',NoConsensus$' allfail/failures.csv)" -eq 6

@@ -2,9 +2,10 @@
 
 Subcommands map to pipeline stages (rectify, project, encode, localize)
 plus the synthetic benchmark (bench) and the toy training run
-(train-toy).  All outputs are written atomically under --out with fixed
-names and shortest round-trip number formatting, so a rerun with the
-same inputs and seed is byte-identical.
+(train-toy); each leaves every seed and perturbation rule to the
+pipeline.  Outputs are written atomically under --out, which the first
+write creates, with fixed names and shortest round-trip number
+formatting, so a rerun with the same inputs and seed is byte-identical.
 
 Exit codes: 2 malformed input or an output that cannot be written,
 3 degenerate geometry, 4 no consensus, 5 empty scan or grid (or a
@@ -17,12 +18,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional
-
-import numpy as np
 
 from . import config as cfgmod
 from . import io
@@ -30,12 +28,12 @@ from .encoder import EncoderConfig, encode, init_encoder_weights
 from .errors import ParseError, RinglocError
 from .keys import describe
 from .metrics import orientation_errors_deg, position_errors, summarize
-from .pipeline import SEED_PERTURB, SEED_PLANE, localize_scan, \
+from .pipeline import localize_scan, perturb_frame, rectify_frame, \
     run_perturbed_trajectory, simulate_trajectory
-from .plane import rectify
 from .projection import project_cylindrical, recover_cartesian, voxelize
 from .regressor import load_regressor_weights
-from .simulate import Scan, perturb_scan, scan_seed
+from .se3 import identity
+from .simulate import Scan
 from .train import build_training_set, evaluate_quartiles, train_regressor
 from . import train as trainmod
 
@@ -118,9 +116,8 @@ def _read_scan(path) -> Scan:
 
 
 def cmd_rectify(args, cfg, out) -> int:
-    cloud = io.read_cloud_csv(args.input)
-    rect_cloud, t_plane = rectify(
-        cloud, replace(cfg.plane, seed=scan_seed(cfg.bench.seed, SEED_PLANE)))
+    rect_cloud, t_plane = rectify_frame(io.read_cloud_csv(args.input), cfg,
+                                        cfg.bench.seed)
     io.write_cloud_csv(out / "rectified.csv", rect_cloud)
     io.write_pose(out / "t_plane.txt", t_plane)
     return 0
@@ -177,13 +174,11 @@ def _predictor_weights(args, cfg):
 
 
 def cmd_localize(args, cfg, out) -> int:
+    perturbations = cfgmod.parse_perturbation_list(",".join(args.perturb or ()))
     scan = _read_scan(args.input)
     enc_w, reg_w = _predictor_weights(args, cfg)
     seed = cfg.bench.seed
-    # every --perturb draws in turn from one generator, not a fresh copy
-    rng = np.random.default_rng(scan_seed(seed, SEED_PERTURB))
-    for p in args.perturb:
-        scan, _ = perturb_scan(scan, p, rng)
+    scan, _ = perturb_frame(scan, identity(), perturbations, seed)
     result = localize_scan(scan, cfg, seed, args.predictor, enc_w, reg_w)
     io.write_pose(out / "pose.txt", result.transform)
     sidecar = {
@@ -256,8 +251,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = (cfgmod.read_config(args.config) if args.config is not None
                else cfgmod.PipelineConfig())
-        # Flags are checked before --out exists: each that sets a key by
-        # that key's range, localize's --perturb list by each kind's.
+        # each flag that sets a key is checked by that key's range
         perturbations = getattr(args, "perturbations", None)
         for flag, section, name, value in (
                 ("--seed", "bench", "seed", args.seed),
@@ -266,13 +260,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                  perturbations and ",".join(perturbations))):
             if value is not None:
                 cfg = cfgmod.set_keys(cfg, {section: {name: value}}, flag)
-        if args.command == "localize":
-            args.perturb = cfgmod.parse_perturbation_list(
-                ",".join(args.perturb or ()))
-        try:
-            args.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ParseError(f"cannot create --out {args.out}: {exc}") from exc
         return COMMANDS[args.command](args, cfg, args.out)
     except RinglocError as exc:
         print(f"ringloc: error: {exc}", file=sys.stderr)

@@ -101,11 +101,6 @@ def config_keys(cfg: PipelineConfig
     return keys
 
 
-def config_items(cfg: PipelineConfig) -> List[Tuple[str, object]]:
-    """Flat (dotted key, value) pairs in declaration order."""
-    return [(name, value) for name, _, value in config_keys(cfg)]
-
-
 def format_value(value) -> str:
     if isinstance(value, tuple):
         return ",".join(map(_cell, value))
@@ -127,7 +122,7 @@ def _parse_value(text: str, template) -> object:
 def config_to_text(cfg: PipelineConfig) -> str:
     lines = [f"config_version = {CONFIG_VERSION}"]
     current = None
-    for key, value in config_items(cfg):
+    for key, _, value in config_keys(cfg):
         section = key.split(".")[0]
         if section != current:
             lines.append("")
@@ -139,7 +134,7 @@ def config_to_text(cfg: PipelineConfig) -> str:
 def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
     """Parse key=value lines over the defaults; unknown keys are errors."""
     defaults = PipelineConfig()
-    lookup = dict(config_items(defaults))
+    lookup = {key: value for key, _, value in config_keys(defaults)}
     changes: Dict[str, Dict[str, object]] = {}
     saw_version = False
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -211,9 +206,5 @@ def parse_perturbation(token: str) -> Optional[Perturbation]:
 
 def parse_perturbation_list(text: str) -> List[Perturbation]:
     """Comma-separated perturbations, leaving out 'none'/'baseline' entries."""
-    perturbations = []
-    for token in text.split(","):
-        p = parse_perturbation(token)
-        if p is not None:
-            perturbations.append(p)
-    return perturbations
+    parsed = (parse_perturbation(token) for token in text.split(","))
+    return [p for p in parsed if p is not None]

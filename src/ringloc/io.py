@@ -10,16 +10,16 @@ Formats:
     tensors     text header naming each array and its shape, then packed
                 little-endian float32 payloads in header order.
 
-Writes go to a temp file in the target directory followed by an atomic
-rename, so readers never observe a half-written file, and a failed write
-is a ParseError naming its file that leaves no temp file.  Every CSV goes
-through `write_csv`, and every float (CSV, pose or config) is written
-with shortest round-trip repr (`_cell`), so reruns are byte-identical.
-CSV rows are read by `np.loadtxt` in one call (`_parse_rows`), with a
-per-row `float` parser as the fallback; a row it rejects, or one that
-breaks a format's rule (`_check_rows`), is a ParseError naming its line.
-Point rows are checked here, once (`_check_points`), so no later stage
-meets a coordinate whose square overflows.
+A write makes its directory, then a temp file there that an atomic
+rename puts in place: readers never see a half-written file, and a
+failed write is a ParseError naming its file that leaves no temp file.
+Every CSV goes through `write_csv`, and every float (CSV, pose or
+config) is written with shortest round-trip repr (`_cell`), so reruns
+are byte-identical.  CSV rows are read by `np.loadtxt` in one call
+(`_parse_rows`), with a per-row `float` parser as the fallback; a row it
+rejects, or one that breaks a format's rule (`_check_rows`), is a
+ParseError naming its line.  Point rows are checked here, once
+(`_check_points`), so no coordinate a later stage squares overflows.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ def atomic_write_text(path: PathLike, text: str) -> None:
 def atomic_write_bytes(path: PathLike, payload: bytes) -> None:
     path, tmp = Path(path), None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)

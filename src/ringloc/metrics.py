@@ -100,8 +100,9 @@ def summarize(result: TrajectoryResult) -> Dict[str, Union[int, float]]:
         "medpe_m": percentile(pos, 50.0),
         "p99_m": percentile(pos, 99.0),
     }
-    for t in SUCCESS_THRESHOLDS:
-        summary[f"success@{t:g}"] = success_at(result, t)
+    for t in SUCCESS_THRESHOLDS:  # success_at, from the errors above
+        summary[f"success@{t:g}"] = float(
+            np.count_nonzero(pos <= t) / len(pos))
     return summary
 
 

@@ -9,15 +9,18 @@ world motion.
 Every stage draws from a seed derived from (run seed, frame, stage), so
 a whole benchmark is a pure function of its config and seed; a stage
 takes both from its caller, and the one default the criteria pin is
-`estimate_pose_ransac`'s params, which criterion 5 leaves out.  Frames
-that fail (degenerate plane, no consensus, emptied scan) are recorded
-with their error name and skipped, not fatal.
+`estimate_pose_ransac`'s params, which criterion 5 leaves out.  Stage
+seeds are derived here alone, the CLI's too (`perturb_frame`,
+`rectify_frame`).  Frames that fail (degenerate plane, no consensus,
+emptied scan) are recorded with their error name and skipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .config import PipelineConfig
 from .encoder import encode_sites
@@ -59,6 +62,25 @@ def world_spec_from(cfg: PipelineConfig) -> WorldSpec:
                      keepout_radius=cfg.trajectory.radius)
 
 
+def perturb_frame(scan: Scan, truth: RigidTransform,
+                  perturbations: Sequence[Perturbation], frame_seed: int
+                  ) -> Tuple[Scan, RigidTransform]:
+    """A frame's scan and ground truth under each perturbation in turn,
+    all drawing from one generator seeded by the frame's SEED_PERTURB."""
+    rng = np.random.default_rng(scan_seed(frame_seed, SEED_PERTURB))
+    for p in perturbations:
+        scan, applied = perturb_scan(scan, p, rng)
+        truth = effective_truth(truth, applied)
+    return scan, truth
+
+
+def rectify_frame(cloud: PointCloud, cfg: PipelineConfig, frame_seed: int
+                  ) -> Tuple[PointCloud, RigidTransform]:
+    """`rectify` under the frame's plane seed."""
+    return rectify(cloud, replace(cfg.plane,
+                                  seed=scan_seed(frame_seed, SEED_PLANE)))
+
+
 def rectified_voxels(scan: Scan, cfg: PipelineConfig, frame_seed: int
                      ) -> Tuple[PointCloud, RigidTransform, VoxelCloud]:
     """Front end of one frame: level the scan, unroll it, voxelize it.
@@ -66,8 +88,7 @@ def rectified_voxels(scan: Scan, cfg: PipelineConfig, frame_seed: int
     Returns the rectified cloud, the raw-to-rectified transform, and
     the voxel grid built from the rectified cloud.
     """
-    rect_cloud, t_plane = rectify(
-        scan.cloud, replace(cfg.plane, seed=scan_seed(frame_seed, SEED_PLANE)))
+    rect_cloud, t_plane = rectify_frame(scan.cloud, cfg, frame_seed)
     projected = project_cylindrical(rect_cloud, cfg.projection)
     return rect_cloud, t_plane, voxelize(projected, cfg.projection)
 
@@ -151,18 +172,16 @@ def run_perturbed_trajectory(cfg: PipelineConfig, run_seed: int,
                              ) -> BenchRow:
     """Localize every frame under one perturbation (None for baseline), by
     default with the oracle, as criteria 1, 6 and 7 run it."""
-    label = "baseline"
+    label, perturbations = "baseline", []
     if perturbation is not None:
         label = f"{perturbation.kind}:{perturbation.magnitude:g}"
+        perturbations = [perturbation]
 
     row = BenchRow(label, TrajectoryResult(), [])
     for i, (scan, truth) in enumerate(zip(scans, poses)):
         frame_seed = scan_seed(run_seed, i)
         try:
-            if perturbation is not None:
-                scan, applied = perturb_scan(
-                    scan, perturbation, scan_seed(frame_seed, SEED_PERTURB))
-                truth = effective_truth(truth, applied)
+            scan, truth = perturb_frame(scan, truth, perturbations, frame_seed)
             res = localize_scan(scan, cfg, frame_seed, predictor,
                                 encoder_weights, regressor_weights)
         except ParseError:

@@ -342,7 +342,7 @@ def perturb_scan(scan: Scan, p: Perturbation,
     Rotation kinds rotate the cloud, subset kinds drop rows, and
     gaussian_noise jitters every point.  Each kind draws only from
     `np.random.default_rng(seed)`, so a perturbation is reproducible from
-    (p, seed), and perturbations given one Generator draw from it in turn.
+    (p, seed); `pipeline.perturb_frame` stacks several on one Generator.
 
     Returns the new scan and the applied rotation (identity for the
     kinds that do not rotate); a pose that explains the perturbed cloud

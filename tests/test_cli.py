@@ -17,7 +17,7 @@ import pytest
 import ringloc
 from ringloc import io
 from ringloc.cli import build_parser, main
-from ringloc.config import (PipelineConfig, config_items, format_value,
+from ringloc.config import (PipelineConfig, config_keys, format_value,
                             parse_perturbation_list, read_config,
                             write_config)
 from ringloc.encoder import EncoderConfig, encode, init_encoder_weights
@@ -70,6 +70,9 @@ def run(ws, cmd, *extra, out):
     return main(argv)
 
 
+# Every config key's standard value, in declaration order.
+STANDARD = {key: value for key, _, value in config_keys(PipelineConfig())}
+
 # A key's valid range as --help states it: "in [1, inf)", "each in (0, 1]".
 RANGE = re.compile(r"; (?:each )?in ([\[(])(\S+), (\S+)([\])]); standard ")
 
@@ -89,7 +92,7 @@ def in_stated_range(line, value):
 
 def test_help_documents_every_config_key():
     lines = help_lines()
-    for key, value in config_items(PipelineConfig()):
+    for key, value in STANDARD.items():
         assert lines[key].endswith(f"; standard {format_value(value)}"), key
         if isinstance(value, str):
             assert all(kind in lines[key] for kind in MAGNITUDES)
@@ -98,7 +101,7 @@ def test_help_documents_every_config_key():
             elements = value if isinstance(value, tuple) else (value,)
             assert all(in_stated_range(lines[key], v) for v in elements), key
     assert lines["pose.iterations"].endswith("standard 300")
-    assert len(config_items(PipelineConfig())) == 38
+    assert len(STANDARD) == 38
 
 
 # A ranged perturbation kind as the bench.perturbations line states it.
@@ -137,7 +140,7 @@ COUNT_BOUNDS = {
 @pytest.mark.parametrize("key, bound", COUNT_BOUNDS.items())
 def test_count_key_past_its_bound_is_rejected_at_load(key, bound, tmp_path):
     section = key.split(".")[0]
-    standard = dict(config_items(PipelineConfig()))[key]
+    standard = STANDARD[key]
     assert help_lines()[key].endswith(
         f", {bound}]; standard {format_value(standard)}")
 
@@ -165,7 +168,7 @@ LEARNED = ("train.", "encoder.", "regressor.")
 
 def numeric_slots():
     """(key, element index or None) for every number a config sets."""
-    for key, value in config_items(PipelineConfig()):
+    for key, value in STANDARD.items():
         if isinstance(value, tuple):
             yield from (pytest.param(key, i, id=f"{key}[{i}]")
                         for i in range(len(value)))
@@ -183,7 +186,7 @@ def test_hostile_value_is_rejected_or_runs_clean(key, index, tmp_path,
     base = {"trajectory.n_poses": "2"}
     base.update({"train.epochs": "1", "train.points_per_scan": "32"}
                 if learned else {"bench.perturbations": "yaw:90"})
-    standard = dict(config_items(PipelineConfig()))[key]
+    standard = STANDARD[key]
     line = help_lines()[key]
     for raw in HOSTILE:
         if index is None:
@@ -654,6 +657,18 @@ def test_a_file_not_in_utf8_exits_2_naming_it(ws, tmp_path, capsys, kind):
                    f"{offset}"]
 
 
+@pytest.mark.parametrize("body", [b"x,y,z\n1,2,3\n",
+                                  io.CLOUD_HEADER.encode() + b"\n0,\xff\n"],
+                         ids=["wrong-header", "not-utf8"])
+def test_rectify_of_a_rejected_cloud_leaves_no_out(ws, tmp_path, body):
+    # --out is made by the first write, and a rejected input writes none.
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(body)
+    out = tmp_path / "o"
+    assert run(ws, "rectify", str(bad), out=out) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case, flag", [
     ("localize-oracle-regressor-weights", "--regressor-weights"),
     ("bench-oracle-encoder-weights", "--encoder-weights")])
@@ -716,7 +731,7 @@ def test_noise_past_1000_m_exits_2_on_one_line(ws, tmp_path, capsys, cmd):
 
 def assert_flag_error_before_out(capsys, out, flag, section):
     """One error line naming the flag and the section of the key it sets,
-    and no --out: the flag is checked before --out is created."""
+    and no --out: the flag is checked before anything is written."""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"ringloc: error: {flag}: section '{section}': ")
@@ -870,14 +885,14 @@ def test_regressor_width_off_the_encoder_exits_2_at_load(ws, tmp_path, capsys,
     assert rc == 2 and reached == []
     err = capsys.readouterr().err
     assert "width 32" in err and "output_width 64" in err
-    assert list((tmp_path / "o").iterdir()) == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_pipeline_error_exits_1_on_one_line(ws, tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RinglocError("stage gave up")
 
-    monkeypatch.setattr(ringloc.cli, "rectify", fail)
+    monkeypatch.setattr(ringloc.cli, "rectify_frame", fail)
     rc = run(ws, "rectify", str(ws["cloud_path"]), out=tmp_path / "o")
     assert rc == 1
     err = capsys.readouterr().err
@@ -937,7 +952,7 @@ def test_train_toy_under_four_points_exits_5_on_one_line(tmp_path):
     assert proc.stderr.startswith("ringloc: error:")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_degenerate_geometry_exits_3(ws, tmp_path):
@@ -987,7 +1002,7 @@ def test_nothing_in_range_exits_5_naming_frame_and_limit(tmp_path, capsys,
     assert capsys.readouterr().err.splitlines() == [
         "ringloc: error: frame 0: no ray hit anything within "
         "sensor.max_range = 0.5 m"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_bench_derives_each_seed_once(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from ringloc import encoder, io, plane, pose_solve, regressor, simulate, train
 
 from ringloc.config import (BenchConfig, PipelineConfig,
                             TrainConfig, TrajectoryConfig, WorldConfig,
-                            config_items, config_to_text, parse_config_text,
+                            config_keys, config_to_text, parse_config_text,
                             parse_perturbation, parse_perturbation_list,
                             read_config, standard_bench_config, write_config)
 from ringloc.encoder import EncoderConfig
@@ -25,14 +25,14 @@ from ringloc.simulate import OracleSpec, SensorSpec, WorldSpec
 def test_default_round_trip():
     cfg = PipelineConfig()
     back = parse_config_text(config_to_text(cfg))
-    assert config_items(back) == config_items(cfg)
+    assert config_keys(back) == config_keys(cfg)
 
 
 def test_file_round_trip(tmp_path):
     cfg = standard_bench_config()
     p = tmp_path / "run.cfg"
     write_config(p, cfg)
-    assert config_items(read_config(p)) == config_items(cfg)
+    assert config_keys(read_config(p)) == config_keys(cfg)
 
 
 def test_every_key_round_trips_at_a_non_default_value(tmp_path):
@@ -55,8 +55,9 @@ def test_every_key_round_trips_at_a_non_default_value(tmp_path):
         train=TrainConfig(epochs=30, lr=0.002, decay=0.95, scan_stride=6,
                           points_per_scan=256, seed=5),
         bench=BenchConfig(seed=7, perturbations="yaw:90,dropout:0.25"))
-    items = config_items(cfg)
-    defaults = dict(config_items(PipelineConfig()))
+    items = [(key, value) for key, _, value in config_keys(cfg)]
+    defaults = {key: value
+                for key, _, value in config_keys(PipelineConfig())}
     assert all(value != defaults[key] for key, value in items)
     assert len({value for _, value in items}) == len(items)
     p = tmp_path / "every_key.cfg"
@@ -64,7 +65,7 @@ def test_every_key_round_trips_at_a_non_default_value(tmp_path):
     back = read_config(p)
     assert back == cfg
     # repr tells 3 from 3.0, inside tuples too
-    assert repr(config_items(back)) == repr(items)
+    assert repr(config_keys(back)) == repr(config_keys(cfg))
 
 
 def test_write_is_byte_stable(tmp_path):
@@ -94,7 +95,7 @@ def test_unknown_key_rejected():
 @pytest.mark.parametrize("key", ["plane.seed", "pose.seed"])
 def test_ransac_seed_is_not_a_key(key):
     # Both RANSAC seeds derive from the run seed; a file cannot set them.
-    assert key not in dict(config_items(PipelineConfig()))
+    assert key not in [name for name, _, _ in config_keys(PipelineConfig())]
     with pytest.raises(ParseError, match=f"unknown key '{key}'"):
         parse_config_text(f"config_version = 1\n{key} = 5\n")
 

@@ -11,7 +11,7 @@ import pytest
 from ringloc.config import TrajectoryConfig
 from ringloc.errors import EmptyScan, LengthMismatch
 from ringloc.pipeline import (SEED_ORACLE, SEED_PERTURB, SEED_PLANE, SEED_POSE,
-                              SEED_SCAN, simulate_trajectory)
+                              SEED_SCAN, perturb_frame, simulate_trajectory)
 from ringloc.se3 import (PointCloud, RigidTransform, apply_points, compose,
                          identity)
 from ringloc.simulate import (BOX_HEIGHT, BOX_RING, CLASS_AMBIGUOUS,
@@ -500,6 +500,25 @@ def test_effective_truth_with_identity_is_the_pose():
     again = compose(effective_truth(pose, applied), applied)
     assert np.allclose(again.rotation, pose.rotation, atol=1e-12)
     assert np.allclose(again.translation, pose.translation, atol=1e-12)
+
+
+def test_stacked_perturbations_fold_their_truth():
+    # yaw:30 then yaw:60 is yaw:90, for the cloud and for the truth that
+    # explains it; no perturbation leaves both as they were.
+    world = generate_world(SPEC, seed=1)
+    pose = LOOP[7]
+    scan = simulate_scan(world, pose, SensorSpec(range_noise=0.0), 0)
+    twice = perturb_frame(scan, pose, [Perturbation("yaw", 30.0),
+                                       Perturbation("yaw", 60.0)], 4)
+    once = perturb_frame(scan, pose, [Perturbation("yaw", 90.0)], 4)
+    assert np.allclose(twice[0].cloud.xyz, once[0].cloud.xyz, atol=1e-12)
+    for a, b in [(twice[1].rotation, once[1].rotation),
+                 (twice[1].translation, once[1].translation)]:
+        assert np.allclose(a, b, atol=1e-12)
+    assert np.allclose(apply_points(twice[1], twice[0].cloud.xyz),
+                       scan.gt_world, atol=1e-9)
+    same_scan, same_truth = perturb_frame(scan, pose, [], 4)
+    assert same_scan is scan and same_truth is pose
 
 
 def test_pitch_roll_tilt_stays_within_the_bound():
