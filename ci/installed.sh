@@ -30,17 +30,19 @@
 # or neither; when they did, the two must hold the same bytes.  The
 # README's quick-start localize loads both saved weight files; it may exit
 # 0 or 4 (no consensus).  One localize stacks two --perturb flags, which
-# draw in turn from one generator.  A scan row past the coordinate bound
-# (1.7e308 m) exits 2 at the reader, with warnings as errors, and so does
-# a scan row holding a byte that is not UTF-8 (0xff); neither leaves an
-# --out (no far1, no notutf81).  The dense
-# bench is the one run at a real sensor's scale (1024x32 rays, ~27k
-# points), where reliability selection and voxelize work on tens of
-# thousands of rows.  The pole-to-pole bench casts level rays (dz = 0, so
-# the slab test divides by zero) and straight up and down (a = dx^2 + dy^2
-# near 0), with warnings as errors.  A bench whose every frame fails (a
-# pose threshold nothing meets) still exits 0 and lists each frame in
-# failures.csv.
+# draw in turn from one generator.  The seed-1 bench's gaussian_noise
+# condition holds pose searches whose stop bound falls below the
+# hypotheses fitted ahead, so a later block ends at that bound; both
+# thread counts must give its bytes too.  A scan row past the coordinate
+# bound (1.7e308 m) exits 2 at the reader, with warnings as errors, and
+# so does a scan row holding a byte that is not UTF-8 (0xff); neither
+# leaves an --out (no far1, no notutf81).  The dense bench is the one run
+# at a real sensor's scale (1024x32 rays, ~27k points), where reliability
+# selection and voxelize work on tens of thousands of rows.  The
+# pole-to-pole bench casts level rays (dz = 0, so the slab test divides
+# by zero) and straight up and down (a = dx^2 + dy^2 near 0), with
+# warnings as errors.  A bench whose every frame fails (a pose threshold
+# nothing meets) still exits 0 and lists each frame in failures.csv.
 #
 # It runs the `ringloc` on PATH, or, when there is none, `python -m
 # ringloc.cli` from this checkout's src/ (then the `python -c` line imports
@@ -101,6 +103,7 @@ EXIT_OK='0|4' twice quick localize std1/scan.csv --predictor regressor \
   --encoder-weights std1/train/encoder_weights.bin \
   --regressor-weights std1/train/regressor_weights.bin
 twice perturb localize std1/scan.csv --perturb random_yaw --perturb dropout=0.5
+twice seed1 bench --seed 1
 cp std1/scan.csv far.csv
 echo '1.7e308,1.7e308,1.7e308,0.5,0,0.0,0.0,0.0' >> far.csv
 PYTHONWARNINGS=error EXIT_OK=2 twice far localize far.csv

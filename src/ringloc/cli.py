@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=False):
+    def common(p, run, needs_input=False):
+        p.set_defaults(run=run)
         if needs_input:
             p.add_argument("input", help="input file")
         p.add_argument("--config", type=Path, default=None,
@@ -71,15 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory")
 
     p = sub.add_parser("rectify", help="fit the ground plane and level a cloud")
-    common(p, needs_input=True)
+    common(p, cmd_rectify, needs_input=True)
 
     p = sub.add_parser("project", help="cylindrical projection + voxel grid")
-    common(p, needs_input=True)
+    common(p, cmd_project, needs_input=True)
     p.add_argument("--recover", action="store_true",
                    help="also write voxel centers mapped back to Cartesian")
 
     p = sub.add_parser("encode", help="run the sparse encoder over a voxel csv")
-    common(p, needs_input=True)
+    common(p, cmd_encode, needs_input=True)
     p.add_argument("--encoder-weights", type=Path, default=None,
                    help="weight file (default: seeded random init)")
 
@@ -92,15 +93,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--regressor-weights", type=Path, default=None)
 
     p = sub.add_parser("localize", help="full pose estimate for one scan")
-    common(p, needs_input=True)
+    common(p, cmd_localize, needs_input=True)
     predicting(p, "perturb", "corrupt the scan first (or KIND:VALUE)")
 
     p = sub.add_parser("bench", help="run the synthetic benchmark")
-    common(p)
+    common(p, cmd_bench)
     predicting(p, "perturbations", "set bench.perturbations, one per flag")
 
     p = sub.add_parser("train-toy", help="train the regressor at toy scale")
-    common(p)
+    common(p, cmd_train_toy)
     p.add_argument("--loss", choices=trainmod.LOSS_KINDS, default="trr")
     p.add_argument("--epochs", type=int, default=None,
                    help="set train.epochs (0 keeps the init)")
@@ -236,16 +237,6 @@ def cmd_train_toy(args, cfg, out) -> int:
     return 0
 
 
-COMMANDS = {
-    "rectify": cmd_rectify,
-    "project": cmd_project,
-    "encode": cmd_encode,
-    "localize": cmd_localize,
-    "bench": cmd_bench,
-    "train-toy": cmd_train_toy,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -260,7 +251,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                  perturbations and ",".join(perturbations))):
             if value is not None:
                 cfg = cfgmod.set_keys(cfg, {section: {name: value}}, flag)
-        return COMMANDS[args.command](args, cfg, args.out)
+        return args.run(args, cfg, args.out)
     except RinglocError as exc:
         print(f"ringloc: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -8,11 +8,12 @@ final motion is compensated for the rectification applied earlier.
 
 `consensus`, the one RANSAC loop, serves this pose search and the
 ground-plane fit in `plane.py`: it scores a first block of FIRST_BLOCK
-hypotheses, then blocks of at most SCORE_BLOCK that end at the bound of
-Fischler & Bolles (CACM 1981), holding one block x n table, and stops
-at that bound or at its cap.
+hypotheses, then blocks of at most SCORE_BLOCK, holding one block x n
+table.  One stop bound, that of Fischler & Bolles (CACM 1981) under its
+cap, ends every block and the search.
 `_fit_minimal`, the one Kabsch (Acta Cryst. 1976), fits every
-hypothesis, the refit and `kabsch`; one squared residual scores both.
+hypothesis, and `kabsch`, its one-sample form, is the refit; one squared
+residual scores both.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .keys import Section, key
 from .se3 import RigidTransform, compose, invert
 
 SAMPLE_SIZE = 3  # points per minimal sample of a rigid or plane fit
-FIRST_BLOCK = 8  # hypotheses scored before the stop bound is known
+FIRST_BLOCK = 8  # scored before the stop bound is known; <= SCORE_BLOCK
 SCORE_BLOCK = 32  # most hypotheses scored per later block
 CONFIDENCE = 0.999  # RANSAC stops once an all-inlier sample is this sure
 ITERATIONS_BOUND = 100_000  # top of each cap; a pose search at it peaks ~60 MB
@@ -128,28 +129,27 @@ def consensus(n: int, params, fit: Callable, squared_residuals: Callable
     returns `(*models, valid)`, one row per sample, and
     `squared_residuals(*block)` a block's (K, n) table.  Blocks are scored
     in draw order, holding one table: a first of FIRST_BLOCK, then blocks
-    of up to SCORE_BLOCK, each ending no later than the stop bound
-    log(1 - CONFIDENCE) / log(1 - w^3), w the best inlier ratio so far.
-    The search stops once the hypotheses scored reach that bound (w = 1
-    stops after the first block, w = 0 never early).  The winner has the
-    most inliers, then the least inlier sum of squares, then the earliest
-    draw.  Returns (best_count, (best_model, inliers)), the winner's model
-    rows and ascending inlier indices, or (0, None) if no hypothesis has
-    one.
+    of up to SCORE_BLOCK.  One stop bound, log(1 - CONFIDENCE) /
+    log(1 - w^3) rounded up and capped at `iterations`, w the best inlier
+    ratio so far, ends every block and the search (w = 1 stops after the
+    first block, w = 0 never early).  The winner has the most inliers,
+    then the least inlier sum of squares, then the earliest draw.
+    Returns (best_count, (best_model, inliers)), the winner's model rows
+    and ascending inlier indices, or (0, None) if no hypothesis has one.
     """
     rng = np.random.default_rng(params.seed)
     cap = params.iterations
     samples = distinct_samples(rng, n, cap, SAMPLE_SIZE)
     gate = params.threshold ** 2
     best_count, best_ss, best = 0, np.inf, None
-    start, fitted, reach = 0, 0, min(FIRST_BLOCK, cap)
-    while start < cap:
+    start, fitted, bound = 0, 0, min(FIRST_BLOCK, cap)
+    while start < bound:
         if start == fitted:
             # Fit up to the bound in one call: the bound only falls as w
             # grows, so no later block reaches further.
-            fitted, first = reach, start
+            fitted, first = bound, start
             *models, valid = fit(samples[first:fitted])
-        end = min(start + SCORE_BLOCK, fitted)
+        end = min(start + SCORE_BLOCK, bound)
         rows = slice(start - first, end - first)
         block = [m[rows] for m in models]
         d2 = squared_residuals(*block)
@@ -168,11 +168,8 @@ def consensus(n: int, params, fit: Callable, squared_residuals: Callable
                 best_count, best_ss = top, cand_ss[i]
                 best = (tuple(m[c] for m in block),
                         np.flatnonzero(inlier_mask[c]))
-        needed = _hypotheses_needed(best_count / n)
-        if end >= needed:
-            break
         start = end
-        reach = math.ceil(min(needed, cap))
+        bound = math.ceil(min(_hypotheses_needed(best_count / n), cap))
     return best_count, best
 
 
@@ -182,9 +179,10 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
     """Consensus rigid motion from noisy correspondences.
 
     `consensus` searches minimal-sample Kabsch fits scored by squared
-    residual |R x + t - y|^2.  The winner is refit by the same Kabsch
-    over its inliers, and the same squared residual against threshold^2
-    picks the final inliers and their RMS.  params defaults to the
+    residual |R x + t - y|^2.  `kabsch` refits the winner's inliers (a
+    collinear set keeps the winning sample's motion), and the same
+    squared residual against threshold^2 picks the final inliers and
+    their RMS.  params defaults to the
     standard RansacPoseParams, which criterion 5 solves under.
 
     Raises:
@@ -206,18 +204,18 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
     if best_count < SAMPLE_SIZE:
         raise NoConsensus(f"best hypothesis holds {best_count} inliers, "
                           f"need {SAMPLE_SIZE}")
-    (rot, trans), inliers = best
-    r, t, valid = _fit_minimal(local.take(inliers, axis=0)[None],
-                               pred.take(inliers, axis=0)[None])
-    if valid[0]:  # a collinear inlier set keeps the minimal-sample motion
-        rot, trans = r[0], t[0]
-    d2 = _squared_residuals(rot[None], trans[None], local, pred)[0]
+    model, inliers = best
+    try:
+        motion = kabsch(local[inliers], pred[inliers])
+    except DegenerateInput:  # collinear inliers keep the minimal-sample motion
+        motion = RigidTransform(*model)
+    d2 = _squared_residuals(motion.rotation[None], motion.translation[None],
+                            local, pred)[0]
     inliers = np.flatnonzero(d2 <= params.threshold ** 2)
     if len(inliers) < SAMPLE_SIZE:
         raise NoConsensus("refit collapsed the consensus set")
     rms = float(np.sqrt(np.mean(d2[inliers])))
-    return PoseEstimate(RigidTransform(rot, trans), inliers.astype(np.int64),
-                        rms)
+    return PoseEstimate(motion, inliers.astype(np.int64), rms)
 
 
 def _hypotheses_needed(w: float) -> float:

@@ -418,9 +418,14 @@ ITERATION_COUNTS = [1, FIRST_BLOCK - 1, FIRST_BLOCK, FIRST_BLOCK + 1,
 
 @pytest.mark.parametrize("iterations", ITERATION_COUNTS)
 def test_blocked_scoring_matches_reference(iterations):
-    for seed in range(6):
-        local, pred = noisy_instance(200 + seed, n=120, outliers=40,
-                                     sigma=0.2)
+    # The 46-outlier instances often find their first inliers after the
+    # first block, so the bound falls below what was fitted ahead, and a
+    # search that scored past it could pick a later winner.
+    instances = [(200 + seed, 120, 40, 0.2, seed) for seed in range(6)]
+    instances += [(seed, 100, 46, 0.1, seed) for seed in range(60)]
+    for instance, n, outliers, sigma, seed in instances:
+        local, pred = noisy_instance(instance, n=n, outliers=outliers,
+                                     sigma=sigma)
         params = RansacPoseParams(iterations=iterations, seed=seed)
         assert_same_estimate(local, pred, params)
 
@@ -433,6 +438,24 @@ def test_blocked_tie_break_matches_reference(iterations):
     local, pred = noisy_instance(0, n=100, outliers=70, sigma=0.25)
     assert tie_break_decides(local, pred, RansacPoseParams(iterations=300))
     assert_same_estimate(local, pred, RansacPoseParams(iterations=iterations))
+
+
+def test_collinear_inliers_keep_the_minimal_sample_motion():
+    # 50 points on the x axis predicted exactly and 5 off it predicted
+    # 1.1 m off in y.  Only a sample with an off-axis point is valid, yet
+    # the winner's inliers all lie on the axis: Kabsch cannot refit a
+    # line, so the search keeps the winning sample's motion.
+    local = np.zeros((55, 3))
+    local[:50, 0] = np.linspace(-10.0, 10.0, 50)
+    local[50:] = [(-8, 1, 0.5), (-3, 1, -0.5), (2, 1, 0.7), (6, 1, -0.2),
+                  (9, 1, 0.1)]
+    pred = local.copy()
+    pred[50:, 1] += 1.1
+    est = estimate_pose_ransac(local, pred)
+    assert len(est.inliers) == 40 and est.inliers.max() < 50
+    with pytest.raises(DegenerateInput):
+        kabsch(local[est.inliers], pred[est.inliers])
+    assert_same_estimate(local, pred, RansacPoseParams())
 
 
 # ----------------------------------------------------------- early stop
@@ -495,17 +518,25 @@ def test_all_outliers_fit_every_hypothesis(fitted_rows):
 
 def test_bound_between_blocks_ends_a_block_at_the_bound(monkeypatch,
                                                         fitted_rows):
-    # Half the correspondences are outliers, and the first block finds
-    # w = 0.5: the bound is 51.7 hypotheses, so the search fits up to 52
-    # in one call and scores a full block, then one that ends at 52.
-    local, pred = noisy_instance(13, n=100, outliers=50, sigma=0.0)
-    params = RansacPoseParams()
-    counts = reference_scores(local, pred, params)[4]
-    assert counts[:FIRST_BLOCK].max() == 50 and len(counts) == 52
-    seen = spy_consensus(monkeypatch, pose_solve)
-    assert_same_estimate(local, pred, params)
-    assert fitted_rows == [FIRST_BLOCK, 52 - FIRST_BLOCK, 1]
-    assert seen["scored"] == [FIRST_BLOCK, SCORE_BLOCK, 12]
+    # Instance 13 has half its correspondences outliers, and the first
+    # block finds w = 0.5: the bound is 51.7 hypotheses, so the search
+    # fits up to 52 in one call and scores a full block, then one that
+    # ends at 52.  Instance 1 (46 outliers) finds no inlier in the first
+    # block, so the search fits up to the cap; the second block finds
+    # w = 0.54, whose bound of 40.3 ends the third after one hypothesis.
+    for instance, outliers, sigma, seed, first_best, fitted, last in [
+            (13, 50, 0.0, 0, 50, 52, 12), (1, 46, 0.1, 1, 0, 300, 1)]:
+        local, pred = noisy_instance(instance, n=100, outliers=outliers,
+                                     sigma=sigma)
+        params = RansacPoseParams(seed=seed)
+        counts = reference_scores(local, pred, params)[4]
+        assert counts[:FIRST_BLOCK].max() == first_best
+        assert len(counts) == FIRST_BLOCK + SCORE_BLOCK + last
+        fitted_rows.clear()
+        seen = spy_consensus(monkeypatch, pose_solve)
+        assert_same_estimate(local, pred, params)
+        assert fitted_rows == [FIRST_BLOCK, fitted - FIRST_BLOCK, 1]
+        assert seen["scored"] == [FIRST_BLOCK, SCORE_BLOCK, last]
 
 
 def test_three_quarters_inliers_score_to_the_bound(monkeypatch):
