@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-toy", help="train the regressor at toy scale")
     common(p, cmd_train_toy)
-    p.add_argument("--loss", choices=trainmod.LOSS_KINDS, default="trr")
+    p.add_argument("--loss", choices=trainmod.LOSSES, default="trr")
     p.add_argument("--epochs", type=int, default=None,
                    help="set train.epochs (0 keeps the init)")
     return parser
@@ -128,10 +128,11 @@ def cmd_project(args, cfg, out) -> int:
     cloud = io.read_cloud_csv(args.input)
     voxels = voxelize(project_cylindrical(cloud, cfg.projection),
                       cfg.projection)
+    recovered = (recover_cartesian(voxels, cfg.projection)
+                 if args.recover else None)  # may fail: before any write
     io.write_voxel_csv(out / "voxels.csv", voxels)
-    if args.recover:
-        io.write_cloud_csv(out / "recovered.csv",
-                           recover_cartesian(voxels, cfg.projection))
+    if recovered is not None:
+        io.write_cloud_csv(out / "recovered.csv", recovered)
     return 0
 
 
@@ -154,8 +155,8 @@ def cmd_encode(args, cfg, out) -> int:
 
 
 def _predictor_weights(args, cfg):
-    """Both weight sets of the regressor predictor, checked to fit; the
-    oracle reads none, so a weight file given with it is an error."""
+    """`localize_scan`'s weights: none for "oracle", where a weight file
+    is an error, and both sets, checked to fit, for "regressor"."""
     if args.predictor != "regressor":
         for flag, path in (("--encoder-weights", args.encoder_weights),
                            ("--regressor-weights", args.regressor_weights)):

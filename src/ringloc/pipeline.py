@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .encoder import encode_sites
-from .errors import ParseError, RinglocError
+from .errors import RinglocError
 from .io import Weights
 from .metrics import TrajectoryResult
 from .plane import rectify
@@ -107,8 +107,8 @@ def localize_scan(scan: Scan, cfg: PipelineConfig, frame_seed: int,
     predictor regresses each distinct coarse encoder site once, hands
     every voxel its site's prediction, and pairs them with the voxel
     centers mapped back to Cartesian space, since the grid is all it
-    sees.  The predictor defaults to the oracle, with no weights, as the
-    dense-scan workload runs it.
+    sees.  A call passes "oracle" and no weights (the default, as the
+    dense-scan workload runs it) or "regressor" and both weight sets.
     """
     rect_cloud, t_plane, voxels = rectified_voxels(scan, cfg, frame_seed)
     src = voxels.source_index
@@ -120,15 +120,11 @@ def localize_scan(scan: Scan, cfg: PipelineConfig, frame_seed: int,
         local = rect_cloud.xyz.take(src, axis=0)
         pred = coords.take(src, axis=0)
         u = scores[src]
-    elif predictor == "regressor":
-        if encoder_weights is None or regressor_weights is None:
-            raise ParseError("regressor predictor needs both weight sets")
+    else:
         site_feats, rows = encode_sites(voxels, encoder_weights)
         pred, u = regress(site_feats, regressor_weights)
         pred, u = pred[rows], u[rows]
         local = recover_cartesian(voxels, cfg.projection).xyz
-    else:
-        raise ParseError(f"unknown predictor '{predictor}'")
 
     selected = select_reliable(u, cfg.selection)
     estimate = estimate_pose_ransac(
@@ -184,8 +180,6 @@ def run_perturbed_trajectory(cfg: PipelineConfig, run_seed: int,
             scan, truth = perturb_frame(scan, truth, perturbations, frame_seed)
             res = localize_scan(scan, cfg, frame_seed, predictor,
                                 encoder_weights, regressor_weights)
-        except ParseError:
-            raise  # a malformed call fails the run, not one frame
         except RinglocError as exc:
             row.failures.append((i, type(exc).__name__))
             continue

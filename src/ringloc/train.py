@@ -2,13 +2,13 @@
 
 The encoder stays fixed at its random initialization; only the
 regressor trains, by full-batch gradient descent with a per-epoch
-multiplicative step decay.  Scenes make the reliability signal
-structural: the encoder's features ignore the ring coordinate, so
-ground and pole points look the same from every azimuth while their
-world targets disagree, and no regressor can fit them.  Building
-points carry distinctive geometry and can be learned.  The
-reliability-weighted loss should therefore learn to rank building
-points above ground, which is what the quartile evaluation checks.
+multiplicative step decay.  The quartile evaluation reports the mean
+coordinate error per quarter of points by predicted reliability, most
+reliable first: whether the score orders error.  On the standard run
+(trr, seed 0) it does, 16.68 to 25.59 m, but predicting the targets'
+centroid errs within 0.07 m of that per quarter, and building points
+fill 0.09 of the top quarter and 0.59 of the bottom (0.25 overall):
+the score ranks them last, not above ground.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .simulate import scan_seed
 
 LOSSES = {"trr": losses.reliability_loss, "mean": losses.mean_distance_loss,
           "matching": losses.matching_loss}
-LOSS_KINDS = tuple(LOSSES)
 N_QUARTILES = 4  # reliability buckets the evaluation reports
 
 
@@ -102,8 +101,6 @@ def train_regressor(tset: TrainingSet, cfg: PipelineConfig, loss_kind: str,
     seeded initialization untouched.  epochs defaults to cfg.train.epochs,
     as the CLI trains.
     """
-    if loss_kind not in LOSSES:
-        raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
     loss_fn = LOSSES[loss_kind]
     epochs = cfg.train.epochs if epochs is None else epochs
     reg = replace(cfg.regressor, width=cfg.encoder.output_width)

@@ -770,17 +770,31 @@ def test_unwritable_output_exits_2_leaving_no_temp_file(ws, tmp_path, capsys,
     assert list(out.glob("*.tmp")) == []
 
 
-def test_localize_scan_rejects_bad_predictor_calls(ws):
-    cfg, scan = ws["cfg"], ws["scan"]
-    with pytest.raises(ParseError):
-        localize_scan(scan, cfg, 0, "nearest")
-    with pytest.raises(ParseError):
-        localize_scan(scan, cfg, 0, "regressor",
-                      std_encoder(), None)
-    # A malformed call fails the whole bench, not each frame in turn.
-    with pytest.raises(ParseError):
-        run_perturbed_trajectory(cfg, 0, [ws["pose0"]], [scan], None,
-                                 "regressor")
+@pytest.mark.parametrize("cmd, flag, name", [
+    ("localize", "--predictor", "nearest"), ("train-toy", "--loss", "huber")])
+def test_unknown_choice_exits_2_from_the_parser(ws, tmp_path, capsys, cmd,
+                                                flag, name):
+    # The parser is the one check of each name the CLI offers as a choice.
+    out = tmp_path / "o"
+    extra = [str(ws["scan_path"])] if cmd == "localize" else []
+    with pytest.raises(SystemExit) as exc:
+        run(ws, cmd, *extra, flag, name, out=out)
+    assert exc.value.code == 2
+    assert f"invalid choice: '{name}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failing_project_recover_leaves_no_out(ws, tmp_path, capsys):
+    # Both points lie past the voxel index range, inside io's bound: the
+    # grid is empty, so recovering it fails before voxels.csv is written.
+    far = tmp_path / "far.csv"
+    far.write_text("x,y,z,intensity\n1000000000.0,0.0,0.0,0.5\n"
+                   "1000000000.0,1.0,0.0,0.5\n")
+    out = tmp_path / "o"
+    assert run(ws, "project", str(far), "--recover", out=out) == 5
+    assert capsys.readouterr().err == (
+        "ringloc: error: nothing to recover from an empty grid\n")
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
