@@ -128,11 +128,10 @@ def cmd_project(args, cfg, out) -> int:
     cloud = io.read_cloud_csv(args.input)
     voxels = voxelize(project_cylindrical(cloud, cfg.projection),
                       cfg.projection)
-    recovered = (recover_cartesian(voxels, cfg.projection)
-                 if args.recover else None)  # may fail: before any write
     io.write_voxel_csv(out / "voxels.csv", voxels)
-    if recovered is not None:
-        io.write_cloud_csv(out / "recovered.csv", recovered)
+    if args.recover:
+        io.write_cloud_csv(out / "recovered.csv",
+                           recover_cartesian(voxels, cfg.projection))
     return 0
 
 

@@ -30,7 +30,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import EmptyGrid
 from .io import Weights, init_weights
 from .keys import Section, key
 from .projection import VoxelCloud, _pack
@@ -279,8 +278,6 @@ def encode_sites(v: VoxelCloud, weights: Weights
     site_feats[voxel_rows].  Voxels that repeat an index share one
     site, which takes the stem features of one of them.
     """
-    if len(v) == 0:
-        raise EmptyGrid("cannot encode an empty voxel grid")
     t = weights.tensors
 
     def rectified(y: np.ndarray) -> np.ndarray:

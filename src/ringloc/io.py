@@ -199,7 +199,8 @@ def write_pose(path: PathLike, t: RigidTransform) -> None:
 def read_voxel_csv(path: PathLike, config: ProjectionConfig) -> VoxelCloud:
     """Read a voxel grid: checked points, integer indices, each at most once,
     the ring index in [0, ring_cells), the others in [-INDEX_BOUND,
-    INDEX_BOUND), source_index in [0, 2^63); a row error names its line."""
+    INDEX_BOUND), source_index in [0, 2^63); a row error names its line.
+    A file with no row is a grid with no cell, which VoxelCloud rejects."""
     path = Path(path)
     lines = read_text(path).splitlines()
     data, linenos = _parse_rows(path, lines, VOXEL_HEADER)

@@ -12,7 +12,8 @@ takes both from its caller, and the one default the criteria pin is
 `estimate_pose_ransac`'s params, which criterion 5 leaves out.  Stage
 seeds are derived here alone, the CLI's too (`perturb_frame`,
 `rectify_frame`).  Frames that fail (degenerate plane, no consensus,
-emptied scan) are recorded with their error name and skipped.
+emptied scan, a voxel grid with no cell) are recorded with their error
+name and skipped.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ shifting the plane itself to z = 0.  Rectification removes the sensor's
 pitch, roll, and height above ground, leaving yaw as the only unknown
 rotation for the later pose solve.  The plane search runs
 `pose_solve.consensus`; one squared point-plane distance scores its
-hypotheses and picks the least-squares refit's inliers.
+hypotheses and picks the least-squares refit's inliers.  A `PlaneModel`
+holds the plane's rules: a unit normal, turned to face up.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ EZ = np.array([0.0, 0.0, 1.0])
 class PlaneModel:
     """Plane {p : normal . p + d = 0} with a unit normal.
 
-    The normal is canonically oriented: positive z component, falling back
-    to positive y then x when earlier components vanish, so equal planes
-    compare equal regardless of the fitting path.
+    (n, d) and (-n, -d) are one plane; construction keeps the normal
+    that faces up (positive z, else y, else x when earlier components
+    vanish), so equal planes compare equal whatever the fitting path.
     """
 
     normal: np.ndarray  # (3,) unit vector
@@ -40,6 +41,9 @@ class PlaneModel:
         n = np.linalg.norm(self.normal)
         if not np.isfinite(n) or abs(n - 1.0) > 1e-9:
             raise DegenerateInput("plane normal must be unit length")
+        a, b, c = self.normal
+        if c < 0.0 or (c == 0.0 and (b < 0.0 or (b == 0.0 and a < 0.0))):
+            self.normal, self.d = -self.normal, -self.d
 
 
 @dataclass
@@ -59,12 +63,6 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.empty(u.shape)
     out.T[...] = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
     return out
-
-
-def _canonicalize(normal: np.ndarray, d: float) -> Tuple[np.ndarray, float]:
-    a, b, c = normal
-    flip = c < 0.0 or (c == 0.0 and (b < 0.0 or (b == 0.0 and a < 0.0)))
-    return (-normal, -d) if flip else (normal, d)
 
 
 def fit_plane_ransac(cloud: PointCloud, params: RansacPlaneParams
@@ -118,38 +116,24 @@ def _least_squares_plane(pts: np.ndarray) -> PlaneModel:
     _, svals, vt = np.linalg.svd(pts - centroid, full_matrices=False)
     if svals[1] <= 1e-12 * max(svals[0], 1e-300):
         raise DegenerateInput("inlier set is collinear")
-    normal = vt[2]
-    normal, d = _canonicalize(normal, float(-normal @ centroid))
-    return PlaneModel(normal, d)
-
-
-def align_normal(normal: np.ndarray) -> np.ndarray:
-    """Minimal rotation taking a unit normal onto +z.
-
-    Rotates by arccos(n . e_z) about the axis n x e_z.  The antiparallel
-    case has no unique minimal axis; the convention here is a half-turn
-    about +x.
-    """
-    n = np.asarray(normal, dtype=np.float64)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-9:
-        raise DegenerateInput("align_normal expects a unit vector")
-    axis = _cross(n, EZ)
-    s = np.linalg.norm(axis)
-    c = float(np.clip(n @ EZ, -1.0, 1.0))
-    if s < 1e-12:
-        if c > 0.0:
-            return np.eye(3)
-        return rotation_about(np.array([1.0, 0.0, 0.0]), np.pi)
-    return rotation_about(axis / s, np.arccos(c))
+    return PlaneModel(vt[2], -vt[2] @ centroid)
 
 
 def build_plane_transform(plane: PlaneModel) -> RigidTransform:
     """Rigid motion sending the plane to z = 0.
 
-    After rotating the normal onto +z every plane point sits at height
-    n . p = -d, so translating by d along z lands the plane on zero.
+    The minimal rotation taking the normal onto +z turns by
+    arccos(n . e_z) about n x e_z (the identity for n = e_z, the one
+    parallel case of a normal that faces up).  Every plane point then
+    sits at height n . p = -d, so translating by d along z lands it on 0.
     """
-    return RigidTransform(align_normal(plane.normal), plane.d * EZ)
+    n = plane.normal
+    axis = _cross(n, EZ)
+    s = np.linalg.norm(axis)
+    c = float(np.clip(n @ EZ, -1.0, 1.0))
+    rotation = (np.eye(3) if s < 1e-12
+                else rotation_about(axis / s, np.arccos(c)))
+    return RigidTransform(rotation, plane.d * EZ)
 
 
 def rectify(cloud: PointCloud, params: RansacPlaneParams

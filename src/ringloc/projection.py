@@ -4,7 +4,9 @@ Points are unrolled onto a cylinder around the sensor's vertical axis:
 x becomes arc length s*theta along the ring, y the horizontal radius,
 z stays height.  A full turn maps to exactly ring_cells voxels along x,
 so a yaw of the input is a circular shift of the grid and convolution
-can wrap around the seam instead of truncating it.
+can wrap around the seam instead of truncating it.  A `VoxelCloud`
+holds a grid's rules (a valid config, at least one cell, ring indices in
+[0, ring_cells)), so the stages that read one check none of them.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class ProjectionConfig(Section):
 
 @dataclass
 class VoxelCloud:
-    """Occupied voxels with one representative point each.
+    """M >= 1 occupied voxels (else EmptyGrid), one representative point each.
 
     Attributes:
         indices: (M, 3) integer cells (ix, iy, iz).
@@ -91,8 +93,10 @@ class VoxelCloud:
         if self.intensity.shape != (m,) or self.source_index.shape != (m,):
             raise ShapeMismatch("per-voxel arrays must have length M")
         ProjectionConfig(self.voxel_size, self.ring_cells)  # a valid grid
+        if m == 0:
+            raise EmptyGrid("voxel grid has no occupied cell")
         ring = self.indices[:, 0]
-        if m and (ring.min() < 0 or ring.max() >= self.ring_cells):
+        if ring.min() < 0 or ring.max() >= self.ring_cells:
             raise ValueError("ring index outside [0, ring_cells)")
 
     def __len__(self) -> int:
@@ -132,16 +136,16 @@ def voxelize(projected: PointCloud, config: ProjectionConfig) -> VoxelCloud:
     One min and max over the cells decide whether any is outside: if none
     is, as in every simulated scan, the cells are packed as they are,
     without a mask or a gather.  Voxels are ordered by their
-    representative's position in the input.
+    representative's position in the input; dropping every point leaves
+    no cell, which VoxelCloud rejects.
     """
     with np.errstate(over="ignore"):  # a cell past float max is inf
         cells = np.floor(projected.xyz / config.voxel_size)
     ring = cells[:, 0]
-    if len(ring) and (ring.min() < 0 or ring.max() >= config.ring_cells):
+    if ring.min() < 0 or ring.max() >= config.ring_cells:
         ring %= config.ring_cells
     rows = None
-    if len(cells) and (cells.min() < -INDEX_BOUND
-                       or cells.max() >= INDEX_BOUND):
+    if cells.min() < -INDEX_BOUND or cells.max() >= INDEX_BOUND:
         rows = np.flatnonzero(np.all((cells >= -INDEX_BOUND)
                                      & (cells < INDEX_BOUND), axis=1))
         cells = cells.take(rows, axis=0)
@@ -161,8 +165,6 @@ def recover_cartesian(v: VoxelCloud, config: ProjectionConfig) -> PointCloud:
     Uses the cell center (i + 1/2) * voxel_size on every axis, then folds
     the arc back into an angle.  Output order matches the voxel order.
     """
-    if len(v) == 0:
-        raise EmptyGrid("nothing to recover from an empty grid")
     centers = (v.indices + 0.5) * config.voxel_size
     angle = centers[:, 0] / config.scale
     xyz = np.column_stack([

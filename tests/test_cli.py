@@ -784,16 +784,20 @@ def test_unknown_choice_exits_2_from_the_parser(ws, tmp_path, capsys, cmd,
     assert not out.exists()
 
 
+# Two points past the voxel index range, inside io's bound: they voxelize
+# to a grid with no cell.
+FAR_CLOUD = (f"{io.CLOUD_HEADER}\n1000000000.0,0.0,0.0,0.5\n"
+             "1000000000.0,1.0,0.0,0.5\n")
+
+
 def test_failing_project_recover_leaves_no_out(ws, tmp_path, capsys):
-    # Both points lie past the voxel index range, inside io's bound: the
-    # grid is empty, so recovering it fails before voxels.csv is written.
+    # voxelize fails before voxels.csv or recovered.csv is written.
     far = tmp_path / "far.csv"
-    far.write_text("x,y,z,intensity\n1000000000.0,0.0,0.0,0.5\n"
-                   "1000000000.0,1.0,0.0,0.5\n")
+    far.write_text(FAR_CLOUD)
     out = tmp_path / "o"
     assert run(ws, "project", str(far), "--recover", out=out) == 5
     assert capsys.readouterr().err == (
-        "ringloc: error: nothing to recover from an empty grid\n")
+        "ringloc: error: voxel grid has no occupied cell\n")
     assert not out.exists()
 
 
@@ -1035,11 +1039,28 @@ def test_bench_derives_each_seed_once(tmp_path, monkeypatch):
     assert 0 < len(built) <= 600
 
 
-def test_empty_input_exits_5(ws, tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("x,y,z,intensity\n")
-    rc = run(ws, "rectify", str(empty), out=tmp_path / "o")
-    assert rc == 5
+def far_plane_scan(n=80):
+    """A scan of n coplanar points near x = 1e9 m: it rectifies, then
+    voxelizes to a grid with no cell."""
+    xy = np.random.default_rng(0).uniform(-10.0, 10.0, (n, 2)) + [1e9, 0.0]
+    return io.SCAN_HEADER + "\n" + "".join(
+        f"{x!r},{y!r},0.0,0.5,0,{x!r},{y!r},0.0\n" for x, y in xy.tolist())
+
+
+@pytest.mark.parametrize("cmd, text", [
+    ("rectify", io.CLOUD_HEADER + "\n"),
+    ("project", FAR_CLOUD),
+    ("localize", far_plane_scan()),
+    ("encode", io.VOXEL_HEADER + "\n"),
+], ids=["rectify", "project", "localize", "encode"])
+def test_empty_input_exits_5(ws, tmp_path, capsys, cmd, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert run(ws, cmd, str(path), out=out) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("ringloc: error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", ["train-toy", "bench"])

@@ -1,4 +1,4 @@
-"""Ground-plane fitting, normal alignment, and rectification."""
+"""Ground-plane fitting, the upward plane normal, and rectification."""
 
 import math
 import tracemalloc
@@ -12,8 +12,8 @@ from ringloc import plane as plane_mod
 from ringloc.errors import DegenerateInput
 from ringloc.io import COORD_BOUND
 from ringloc.plane import (PlaneModel, RansacPlaneParams,
-                           _least_squares_plane, align_normal,
-                           build_plane_transform, fit_plane_ransac, rectify)
+                           _least_squares_plane, build_plane_transform,
+                           fit_plane_ransac, rectify)
 from ringloc.pose_solve import (CONFIDENCE, FIRST_BLOCK, SCORE_BLOCK,
                                 distinct_samples)
 from ringloc.se3 import apply, apply_points, rotation_about, rotation_angle_deg
@@ -227,14 +227,43 @@ def test_cross_matches_numpy_bit_for_bit(case):
     got = plane_mod._cross(u, v)
     assert got.flags.c_contiguous and got.dtype == np.float64
     assert got.tobytes() == np.cross(u, v).tobytes()
-    for a, b in zip(u, v):  # one vector at a time, as align_normal calls it
+    # one vector at a time, as build_plane_transform calls it
+    for a, b in zip(u, v):
         assert plane_mod._cross(a, b).tobytes() == np.cross(a, b).tobytes()
         assert (plane_mod._cross(a, plane_mod.EZ).tobytes()
                 == np.cross(a, plane_mod.EZ).tobytes())
 
 
-def test_align_normal_x_axis():
-    r = align_normal(np.array([1.0, 0.0, 0.0]))
+# (n, d) and (-n, -d) are one plane: PlaneModel keeps the upward normal.
+
+
+def unit_normals():
+    rng = np.random.default_rng(5)
+    random = rng.normal(size=(50, 3))
+    return {
+        "axes": np.vstack([np.eye(3), -np.eye(3)]),
+        "signed_zeros": np.array([[-0.0, -0.0, 1.0], [0.0, -0.0, -1.0],
+                                  [-0.0, 1.0, -0.0], [-0.0, -1.0, 0.0],
+                                  [1.0, -0.0, -0.0], [-1.0, 0.0, -0.0]]),
+        "random": random / np.linalg.norm(random, axis=1, keepdims=True),
+    }
+
+
+@pytest.mark.parametrize("case", ["axes", "signed_zeros", "random"])
+def test_plane_and_its_negation_are_one_plane(case):
+    for n, d in zip(unit_normals()[case], (0.0, -0.0, 0.5, -2.0) * 13):
+        p, q = PlaneModel(n, d), PlaneModel(-n, -d)
+        assert p.normal.tobytes() == q.normal.tobytes()
+        assert np.float64(p.d).tobytes() == np.float64(q.d).tobytes()
+        a, b, c = p.normal
+        assert c > 0.0 or (c == 0.0 and (b > 0.0 or (b == 0.0 and a > 0.0)))
+        assert (build_plane_transform(p).matrix().tobytes()
+                == build_plane_transform(q).matrix().tobytes())
+
+
+def test_build_plane_transform_x_axis():
+    r = build_plane_transform(PlaneModel(np.array([1.0, 0.0, 0.0]),
+                                         0.0)).rotation
     np.testing.assert_allclose(r @ [1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
                                atol=1e-12)
     # 90 degrees about -y, written out as a Rodrigues evaluation
@@ -243,21 +272,24 @@ def test_align_normal_x_axis():
 
 
 def test_align_normal_identity_and_antiparallel():
-    np.testing.assert_array_equal(align_normal(np.array([0.0, 0.0, 1.0])),
-                                  np.eye(3))
-    r = align_normal(np.array([0.0, 0.0, -1.0]))
-    np.testing.assert_allclose(r @ [0.0, 0.0, -1.0], [0.0, 0.0, 1.0],
-                               atol=1e-12)
-    np.testing.assert_allclose(r, np.diag([1.0, -1.0, -1.0]), atol=1e-12)
+    # +z needs no turn; -z is the same plane as +z with d negated, so
+    # PlaneModel turns it up and no half turn is ever built.
+    up = build_plane_transform(PlaneModel(np.array([0.0, 0.0, 1.0]), -0.5))
+    np.testing.assert_array_equal(up.rotation, np.eye(3))
+    down = build_plane_transform(PlaneModel(np.array([0.0, 0.0, -1.0]), 0.5))
+    np.testing.assert_array_equal(down.rotation, np.eye(3))
+    assert down.matrix().tobytes() == up.matrix().tobytes()
+    np.testing.assert_allclose(
+        apply_points(down, np.array([[3.0, 4.0, 0.5]])), [[3.0, 4.0, 0.0]],
+        atol=1e-12)
 
 
-def test_align_normal_random_unit_vectors():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        r = align_normal(n)
-        np.testing.assert_allclose(r @ n, [0.0, 0.0, 1.0], atol=1e-9)
+def test_build_plane_transform_random_unit_normals():
+    for n in unit_normals()["random"]:
+        plane = PlaneModel(n, 0.0)
+        r = build_plane_transform(plane).rotation
+        np.testing.assert_allclose(r @ plane.normal, [0.0, 0.0, 1.0],
+                                   atol=1e-9)
         assert abs(np.linalg.det(r) - 1.0) < 1e-9
 
 

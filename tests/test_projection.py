@@ -111,6 +111,12 @@ def test_voxelize_drops_cells_past_the_index_bound():
                                   [0, INDEX_BOUND - 1, -INDEX_BOUND])
 
 
+def test_voxelize_of_only_dropped_points_is_no_grid():
+    pts = np.array([[0.05, 1.31, INDEX_BOUND * 0.2], [0.05, 1e6, 0.0]])
+    with pytest.raises(EmptyGrid, match="voxel grid has no occupied cell"):
+        voxelize(cloud_of(pts), CFG64)
+
+
 @pytest.mark.parametrize("height, kept", [
     (INDEX_BOUND * 0.2 - 0.1, True), (INDEX_BOUND * 0.2, False),
     (-INDEX_BOUND * 0.2, True), (-INDEX_BOUND * 0.2 - 0.1, False)])
@@ -226,11 +232,11 @@ def test_recover_quarter_turn():
 
 
 def test_recover_empty_rejected():
-    empty = VoxelCloud(np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3)),
-                       np.zeros(0), np.zeros(0, dtype=np.int64),
-                       ring_cells=16, voxel_size=0.2)
-    with pytest.raises(EmptyGrid):
-        recover_cartesian(empty, CFG64)
+    # No grid without a cell is built, so recover_cartesian never gets one.
+    with pytest.raises(EmptyGrid, match="voxel grid has no occupied cell"):
+        VoxelCloud(np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3)),
+                   np.zeros(0), np.zeros(0, dtype=np.int64),
+                   ring_cells=16, voxel_size=0.2)
 
 
 @pytest.mark.parametrize("ring", [0, 8, 24, 1000, -16])
