@@ -36,19 +36,22 @@
 # thread counts must give its bytes too.  A scan row past the coordinate
 # bound (1.7e308 m) exits 2 at the reader, with warnings as errors, and
 # so does a scan row holding a byte that is not UTF-8 (0xff); neither
-# leaves an --out (no far1, no notutf81).  A cloud of two points 1e9 m
-# out, past the voxel index range, voxelizes to a grid with no cell:
-# project exits 5, with warnings as errors, and leaves no --out (no
-# allfar1).  The dense bench is the one run at a real sensor's scale
-# (1024x32 rays, ~27k points), where reliability selection and voxelize
-# work on tens of thousands of rows.  The pole-to-pole bench casts level
+# leaves an --out (no far1, no notutf81).  A --perturb magnitude of -0
+# (gaussian_noise=-0) lies below its range closed at 0, so localize exits
+# 2 at load, with warnings as errors, and leaves no --out (no negzero1).
+# A cloud of two points 1e9 m out, past the voxel index range, voxelizes
+# to a grid with no cell: project exits 5, with warnings as errors, and
+# leaves no --out (no allfar1).  The dense bench is the one run at a real
+# sensor's scale (1024x32 rays, ~27k points), where reliability selection
+# and voxelize work on tens of thousands of rows.  The pole-to-pole bench casts level
 # rays (dz = 0, so the slab test divides by zero) and straight up and
 # down (a = dx^2 + dy^2 near 0), with warnings as errors.  A bench whose
-# every frame fails (a pose threshold nothing meets) still exits 0 and
-# lists each frame in failures.csv.
+# every frame fails (a pose threshold nothing meets) still exits 0, lists
+# each frame in failures.csv, and writes a baseline_summary.json of no
+# frame that the shipped report schema accepts.
 #
 # It runs the `ringloc` on PATH, or, when there is none, `python -m
-# ringloc.cli` from this checkout's src/ (then the `python -c` line imports
+# ringloc.cli` from this checkout's src/ (then the `python -c` lines import
 # that copy too).  Like a workflow `run:` step, it stops at the first
 # failing command (`set -e`).
 set -e
@@ -115,12 +118,16 @@ cp std1/scan.csv notutf8.csv
 printf '\377,0,0,0.5,0,0.0,0.0,0.0\n' >> notutf8.csv
 PYTHONWARNINGS=error EXIT_OK=2 twice notutf8 localize notutf8.csv
 test ! -e notutf81
+PYTHONWARNINGS=error EXIT_OK=2 twice negzero localize std1/scan.csv --perturb gaussian_noise=-0
+test ! -e negzero1
 printf 'x,y,z,intensity\n1000000000.0,0.0,0.0,0.5\n1000000000.0,1.0,0.0,0.5\n' > allfar.csv
 PYTHONWARNINGS=error EXIT_OK=5 twice allfar project allfar.csv
 test ! -e allfar1
 printf 'config_version = 1\ntrajectory.n_poses = 3\npose.threshold = 1e-300\nbench.perturbations = yaw:90\n' > allfail.cfg
 "${ringloc_cmd[@]}" bench --config allfail.cfg --out allfail
 test "$(grep -c ',NoConsensus$' allfail/failures.csv)" -eq 6
+python -c "import json, sys, jsonschema; from ringloc.metrics import report_schema
+jsonschema.validate(json.load(open(sys.argv[1])), report_schema())" allfail/baseline_summary.json
 printf 'config_version = 1\nsensor.n_azimuth = 1024\nsensor.n_elevation = 32\ntrajectory.n_poses = 2\n' > dense.cfg
 PYTHONWARNINGS=error twice dense bench --config dense.cfg
 printf 'config_version = 1\nsensor.elevation_min_deg = -90\nsensor.elevation_max_deg = 90\nsensor.n_elevation = 19\ntrajectory.n_poses = 2\n' > poles.cfg

@@ -29,7 +29,7 @@ from .errors import ParseError, RinglocError
 from .keys import describe
 from .metrics import orientation_errors_deg, position_errors, summarize
 from .pipeline import localize_scan, perturb_frame, rectify_frame, \
-    run_perturbed_trajectory, simulate_trajectory
+    run_conditions, trajectory_scans
 from .projection import project_cylindrical, recover_cartesian, voxelize
 from .regressor import load_regressor_weights
 from .se3 import identity
@@ -194,18 +194,16 @@ def cmd_localize(args, cfg, out) -> int:
 def cmd_bench(args, cfg, out) -> int:
     enc_w, reg_w = _predictor_weights(args, cfg)
     perturbations = cfgmod.parse_perturbation_list(cfg.bench.perturbations)
-    _, poses, scans = simulate_trajectory(cfg, cfg.bench.seed)
-    rows = [run_perturbed_trajectory(cfg, cfg.bench.seed, poses, scans, p,
-                                     args.predictor, enc_w, reg_w)
-            for p in [None] + perturbations]
+    _, poses, scans = trajectory_scans(cfg, cfg.bench.seed)
+    rows = run_conditions(cfg, cfg.bench.seed, poses, scans,
+                          [None] + perturbations, args.predictor, enc_w, reg_w)
 
     baseline = rows[0].result  # empty when every baseline frame failed
     io.write_csv(out / "baseline_frames.csv", "frame,pos_err_m,ori_err_deg",
                  zip(baseline.frames, position_errors(baseline),
                      orientation_errors_deg(baseline))
                  if len(baseline) else ())
-    summaries = [summarize(row.result) if len(row.result) else {}
-                 for row in rows]
+    summaries = [summarize(row.result) for row in rows]
     io.atomic_write_text(out / "baseline_summary.json",
                          json.dumps(summaries[0], indent=2) + "\n")
 

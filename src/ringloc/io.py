@@ -282,14 +282,15 @@ def read_tensors(path: PathLike) -> Dict[str, np.ndarray]:
         chunk = raw[cursor:cursor + nbytes]
         if len(chunk) != nbytes:
             raise ParseError(f"{path}: truncated payload for tensor '{name}'")
+        # Checked as float32: casting a signalling NaN warns.
+        payload = np.frombuffer(chunk, dtype="<f4")
+        if not np.all(np.isfinite(payload)):
+            raise ParseError(f"{path}: tensor '{name}' holds a non-finite value")
         try:
             # An empty payload can still name a shape numpy cannot hold.
-            out[name] = np.frombuffer(chunk, dtype="<f4").astype(
-                np.float64).reshape(shape)
+            out[name] = payload.astype(np.float64).reshape(shape)
         except ValueError as exc:
             raise ParseError(f"{path}: bad shape for tensor '{name}'") from exc
-        if not np.all(np.isfinite(out[name])):
-            raise ParseError(f"{path}: tensor '{name}' holds a non-finite value")
         cursor += nbytes
     if cursor != len(raw):
         raise ParseError(f"{path}: trailing bytes after last tensor")

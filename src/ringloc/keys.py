@@ -3,12 +3,13 @@ on its dataclass field, where the config file, ``--help`` and the Section
 check all read them.  The same rule covers the command-line flags that
 set a key (``--seed``, ``--epochs``, bench's ``--perturb``) and each
 perturbation kind's magnitude, which is declared with key() too.  NaN
-fails every comparison, so it lies outside every range, and a finite
-bound also rejects the infinity on its side."""
+fails every comparison, so it lies outside every range, a finite bound
+also rejects the infinity on its side, and -0 lies below a bound of 0."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 
 def key(default, doc: str, *, ge=None, gt=None, le=None):
@@ -47,7 +48,8 @@ def check(f: dataclasses.Field, name: str, value) -> None:
     high = f.metadata["high"]
     for v in value if isinstance(value, tuple) else (value,):
         if not ((v >= low if bracket == "[" else v > low)
-                and (high is None or v <= high)):
+                and (high is None or v <= high)) or (
+                    v == low == 0 and math.copysign(1.0, v) < 0):
             raise ValueError(f"{name} must be {range_text(f)}, got {v!r}")
 
 

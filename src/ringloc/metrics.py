@@ -91,15 +91,13 @@ def percentile(values: Sequence[float], p: float) -> float:
 
 def summarize(result: TrajectoryResult) -> Dict[str, Union[int, float]]:
     """Summary dict matching the shipped report schema."""
-    pos = position_errors(result)
     summary: Dict[str, Union[int, float]] = {
-        "schema_version": SCHEMA_VERSION,
-        "frames": len(result),
-        "mpe_m": float(pos.mean()),
-        "moe_deg": moe(result),
-        "medpe_m": percentile(pos, 50.0),
-        "p99_m": percentile(pos, 99.0),
-    }
+        "schema_version": SCHEMA_VERSION, "frames": len(result)}
+    if len(result) == 0:  # no error to summarize: the count alone
+        return summary
+    pos = position_errors(result)
+    summary.update(mpe_m=float(pos.mean()), moe_deg=moe(result),
+                   medpe_m=percentile(pos, 50.0), p99_m=percentile(pos, 99.0))
     for t in SUCCESS_THRESHOLDS:  # success_at, from the errors above
         summary[f"success@{t:g}"] = float(
             np.count_nonzero(pos <= t) / len(pos))

@@ -11,7 +11,8 @@ a whole benchmark is a pure function of its config and seed; a stage
 takes both from its caller, and the one default the criteria pin is
 `estimate_pose_ransac`'s params, which criterion 5 leaves out.  Stage
 seeds are derived here alone, the CLI's too (`perturb_frame`,
-`rectify_frame`).  Frames that fail (degenerate plane, no consensus,
+`rectify_frame`).  A bench runs every condition on a frame before it casts
+the next one.  Frames that fail (degenerate plane, no consensus,
 emptied scan, a voxel grid with no cell) are recorded with their error
 name and skipped.
 """
@@ -19,7 +20,7 @@ name and skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,12 +146,12 @@ class BenchRow:
     failures: List[Tuple[int, str]]
 
 
-def simulate_trajectory(cfg: PipelineConfig, run_seed: int,
-                        frames: Optional[Sequence[int]] = None
-                        ) -> Tuple[SyntheticWorld, List[RigidTransform],
-                                   List[Scan]]:
+def trajectory_scans(cfg: PipelineConfig, run_seed: int,
+                     frames: Optional[Sequence[int]] = None
+                     ) -> Tuple[SyntheticWorld, List[RigidTransform],
+                                Iterator[Scan]]:
     """World, and the pose and unperturbed scan of each frame index in
-    `frames` (default: the bench's, every frame), cast in one batch."""
+    `frames` (default: the bench's, every frame), cast as they are read."""
     world = generate_world(world_spec_from(cfg), cfg.world.seed)
     poses = loop_trajectory(cfg.trajectory.n_poses, cfg.trajectory.radius,
                             cfg.trajectory.height)
@@ -161,6 +162,39 @@ def simulate_trajectory(cfg: PipelineConfig, run_seed: int,
                                         frames)
 
 
+def simulate_trajectory(cfg: PipelineConfig, run_seed: int,
+                        frames: Optional[Sequence[int]] = None
+                        ) -> Tuple[SyntheticWorld, List[RigidTransform],
+                                   List[Scan]]:
+    """`trajectory_scans` with every scan cast and held."""
+    world, poses, scans = trajectory_scans(cfg, run_seed, frames)
+    return world, poses, list(scans)
+
+
+def run_conditions(cfg: PipelineConfig, run_seed: int,
+                   poses: Sequence[RigidTransform], scans: Iterable[Scan],
+                   conditions: Sequence[Optional[Perturbation]],
+                   predictor: str = "oracle", encoder_weights=None,
+                   regressor_weights=None) -> List[BenchRow]:
+    """One row per condition (a perturbation, or None for baseline): each
+    frame runs under every condition before the next scan is read."""
+    rows = [BenchRow("baseline" if p is None else f"{p.kind}:{p.magnitude:g}",
+                     TrajectoryResult(), []) for p in conditions]
+    for i, (scan, truth) in enumerate(zip(scans, poses)):
+        frame_seed = scan_seed(run_seed, i)
+        for p, row in zip(conditions, rows):
+            try:
+                seen, seen_truth = perturb_frame(
+                    scan, truth, [] if p is None else [p], frame_seed)
+                res = localize_scan(seen, cfg, frame_seed, predictor,
+                                    encoder_weights, regressor_weights)
+            except RinglocError as exc:
+                row.failures.append((i, type(exc).__name__))
+                continue
+            row.result.add(i, res.transform, seen_truth)
+    return rows
+
+
 def run_perturbed_trajectory(cfg: PipelineConfig, run_seed: int,
                              poses: List[RigidTransform], scans: List[Scan],
                              perturbation: Optional[Perturbation],
@@ -169,21 +203,5 @@ def run_perturbed_trajectory(cfg: PipelineConfig, run_seed: int,
                              ) -> BenchRow:
     """Localize every frame under one perturbation (None for baseline), by
     default with the oracle, as criteria 1, 6 and 7 run it."""
-    label, perturbations = "baseline", []
-    if perturbation is not None:
-        label = f"{perturbation.kind}:{perturbation.magnitude:g}"
-        perturbations = [perturbation]
-
-    row = BenchRow(label, TrajectoryResult(), [])
-    for i, (scan, truth) in enumerate(zip(scans, poses)):
-        frame_seed = scan_seed(run_seed, i)
-        try:
-            scan, truth = perturb_frame(scan, truth, perturbations, frame_seed)
-            res = localize_scan(scan, cfg, frame_seed, predictor,
-                                encoder_weights, regressor_weights)
-        except RinglocError as exc:
-            row.failures.append((i, type(exc).__name__))
-            continue
-        row.result.add(i, res.transform, truth)
-    return row
-
+    return run_conditions(cfg, run_seed, poses, scans, [perturbation],
+                          predictor, encoder_weights, regressor_weights)[0]

@@ -7,16 +7,16 @@ cylinders look alike from every azimuth (class 0, ambiguous).  Scans are
 ray grids intersected analytically, with optional range noise, so every
 point carries its exact ground-truth world hit alongside.  The caster
 builds each sensor's ray grid once and casts a trajectory's poses in
-blocks of whole poses, up to RAY_BLOCK rays; it reads the directions one
-axis column at a time and keeps each ray's nearest hit over the objects
-in turn, never an objects x rays table.
+blocks of whole poses, up to RAY_BLOCK rays, each yielded before the next
+is cast; it reads the directions one axis column at a time and keeps each
+ray's nearest hit over the objects in turn, never an objects x rays table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -137,9 +137,9 @@ class Perturbation:
 def scan_seed(global_seed: int, scan_index: int) -> int:
     """Stable per-scan seed derived from the run seed and frame index.
 
-    Memoized: every bench condition derives the same six seeds per frame
-    again (the frame's and five stages'), up to 6,000 keys at the
-    trajectory.n_poses bound; a smaller LRU memo misses nearly every time.
+    Memoized: each walk per condition (`run_perturbed_trajectory`) asks
+    for a frame's six seeds again, up to 6,000 keys at the n_poses bound;
+    a smaller LRU memo misses on nearly every lookup of such a walk.
     """
     return int(np.random.SeedSequence([global_seed, scan_index])
                .generate_state(1)[0])
@@ -280,8 +280,8 @@ def _cast_block(world: SyntheticWorld, poses: Sequence[RigidTransform],
 
 def simulate_scans(world: SyntheticWorld, poses: Sequence[RigidTransform],
                    sensor: SensorSpec, seeds: Sequence[int],
-                   frames: Optional[Sequence[int]] = None) -> List[Scan]:
-    """Cast the sensor's ray grid from each pose and return the hits.
+                   frames: Optional[Sequence[int]] = None) -> Iterator[Scan]:
+    """Cast the sensor's ray grid from each pose and yield its hits.
 
     Points are range-limited, carry the surface's class and intensity,
     and are jittered along the ray by the sensor's range noise, drawn
@@ -289,8 +289,8 @@ def simulate_scans(world: SyntheticWorld, poses: Sequence[RigidTransform],
     for the surviving rays.  Each ray keeps its nearest hit over the
     ground, every box and every cylinder in turn; a later object takes
     it only when strictly nearer.  Poses are cast in blocks of whole
-    poses up to RAY_BLOCK rays; each scan is bit for bit the one its pose
-    gives cast alone.
+    poses up to RAY_BLOCK rays, a block when its first scan is read; each
+    scan is bit for bit the one its pose gives cast alone.
 
     Raises:
         EmptyScan: a pose has no hit within sensor.max_range; the message
@@ -304,7 +304,6 @@ def simulate_scans(world: SyntheticWorld, poses: Sequence[RigidTransform],
     intensity_of = np.array([GROUND_INTENSITY] + [
         o.intensity for o in world.boxes + world.cylinders])
     per_block = max(1, RAY_BLOCK // len(dirs_s))
-    scans = []
     for first in range(0, len(poses), per_block):
         block = poses[first:first + per_block]
         t_hits, winners, dirs_w = _cast_block(world, block, dirs_s)
@@ -323,15 +322,14 @@ def simulate_scans(world: SyntheticWorld, poses: Sequence[RigidTransform],
             xyz_s = dirs_s.take(rows, axis=0) * (t_hit + noise)[:, None]
             gt_world = pose.translation \
                 + dirs_w[k].take(rows, axis=0) * t_hit[:, None]
-            scans.append(Scan(PointCloud(xyz_s, intensity_of[winner]),
-                              class_of[winner], gt_world))
-    return scans
+            yield Scan(PointCloud(xyz_s, intensity_of[winner]),
+                       class_of[winner], gt_world)
 
 
 def simulate_scan(world: SyntheticWorld, pose: RigidTransform,
                   sensor: SensorSpec, seed: int) -> Scan:
     """One pose's scan: `simulate_scans` of that pose alone."""
-    return simulate_scans(world, [pose], sensor, [seed])[0]
+    return next(simulate_scans(world, [pose], sensor, [seed]))
 
 
 def perturb_scan(scan: Scan, p: Perturbation,

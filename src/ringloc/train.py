@@ -23,7 +23,7 @@ from .encoder import encode
 from .errors import EmptyScan
 from .io import Weights
 from . import losses
-from .pipeline import rectified_voxels, simulate_trajectory
+from .pipeline import rectified_voxels, trajectory_scans
 from .regressor import backward, forward, init_regressor_weights, regress
 from .simulate import scan_seed
 
@@ -65,7 +65,7 @@ def build_training_set(cfg: PipelineConfig, encoder_weights: Weights,
     could rank it.
     """
     frames = range(0, cfg.trajectory.n_poses, cfg.train.scan_stride)
-    _, _, scans = simulate_trajectory(cfg, run_seed, frames)
+    _, _, scans = trajectory_scans(cfg, run_seed, frames)
     rng = np.random.default_rng(cfg.train.seed)
     feats, targets, classes, scan_ids = [], [], [], []
     for i, scan in zip(frames, scans):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from itertools import product
 from pathlib import Path
@@ -162,7 +163,7 @@ def test_help_states_the_ring_rule():
         "standard 1024")
 
 
-HOSTILE = ("nan", "inf", "-inf", "-1", "0", "1e300")
+HOSTILE = ("nan", "inf", "-inf", "-1", "0", "-0", "1e300")
 LEARNED = ("train.", "encoder.", "regressor.")
 
 
@@ -637,6 +638,36 @@ def test_malformed_input_exits_2(ws, tmp_path, capsys, case):
     assert str(tmp_path) in err
 
 
+def _signalling_nan_weights(path, tensors):
+    """The weight set with a signalling NaN (float32 word 0x7f800001) as
+    its first payload value: numpy warns when it casts one to float64."""
+    _tensor_file(path, **tensors)
+    raw = bytearray(path.read_bytes())
+    start = raw.index(b"\ndata\n") + len(b"\ndata\n")
+    raw[start:start + 4] = (0x7f800001).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("cmd", ["encode", "localize"])
+def test_signalling_nan_in_weights_exits_2_on_one_line(ws, tmp_path, capsys,
+                                                       cmd):
+    tensors = (std_encoder() if cmd == "encode" else std_regressor()).tensors
+    path = _signalling_nan_weights(tmp_path / "w.bin", tensors)
+    argv = (["encode", _voxel_file(ws, tmp_path), "--encoder-weights", path]
+            if cmd == "encode" else
+            ["localize", str(ws["scan_path"]), "--predictor", "regressor",
+             "--regressor-weights", path])
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(ws, *argv, out=out) == 2
+    assert capsys.readouterr().err == (
+        f"ringloc: error: {path}: tensor '{next(iter(tensors))}' holds a "
+        "non-finite value\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["cloud", "voxels", "config"])
 def test_a_file_not_in_utf8_exits_2_naming_it(ws, tmp_path, capsys, kind):
     # The writers encode UTF-8; a 0xff byte cannot start a UTF-8 character.
@@ -895,7 +926,7 @@ def test_regressor_width_off_the_encoder_exits_2_at_load(ws, tmp_path, capsys,
     reached = []
     monkeypatch.setattr(ringloc.cli, "localize_scan",
                         lambda *a, **k: reached.append("localize_scan"))
-    monkeypatch.setattr(ringloc.cli, "run_perturbed_trajectory",
+    monkeypatch.setattr(ringloc.cli, "run_conditions",
                         lambda *a, **k: reached.append("bench frames"))
     extra = [str(ws["scan_path"])] if cmd == "localize" else []
     rc = run(ws, cmd, *extra, "--predictor", "regressor",
@@ -955,6 +986,41 @@ def test_localize_bad_perturb_exits_2_before_out(ws, tmp_path, capsys,
     assert not out.exists()
 
 
+# -0 equals 0, but numpy's draws read its sign; a range closed at 0 rejects
+# it at load, so these exit 2 where they ended in a numpy ValueError.  A
+# dotted name is a config key set for bench, a bare one a localize
+# --perturb magnitude.
+@pytest.mark.parametrize("name, why", [
+    ("sensor.range_noise",
+     "section 'sensor': range_noise must be in [0, 1000], got -0.0"),
+    ("oracle.sigma_reliable",
+     "section 'oracle': sigma_reliable must be in [0, 1000], got -0.0"),
+    ("oracle.outlier_box",
+     "section 'oracle': outlier_box must be in [0, 1000], got -0.0"),
+    ("gaussian_noise", "bad perturbation 'gaussian_noise=-0': "
+     "gaussian_noise magnitude must be in [0, 1000], got -0.0"),
+    ("pitch_roll", "bad perturbation 'pitch_roll=-0': "
+     "pitch_roll magnitude must be in [0, 15], got -0.0"),
+], ids=["range_noise", "sigma_reliable", "outlier_box", "gaussian_noise",
+        "pitch_roll"])
+def test_negative_zero_in_a_range_closed_at_0_exits_2(ws, tmp_path, capsys,
+                                                      name, why):
+    out = tmp_path / "o"
+    if "." in name:
+        cfg = _text_file(tmp_path / "negzero.cfg",
+                         f"config_version = 1\n{name} = -0\n")
+        argv = ["bench", "--config", cfg, "--out", str(out)]
+        why = f"{cfg}: {why}"
+    else:
+        argv = ["localize", str(ws["scan_path"]), "--perturb", f"{name}=-0",
+                "--config", str(ws["cfg_path"]), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == f"ringloc: error: {why}\n"
+    assert not out.exists()
+
+
 def test_train_toy_under_four_points_exits_5_on_one_line(tmp_path):
     # Three poses at stride 8 train on frame 0 alone, one point from it:
     # too few for four reliability quartiles, so train-toy stops before
@@ -1001,7 +1067,9 @@ def test_bench_with_no_localized_baseline_frame_completes(tmp_path):
     assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
     assert ((out / "baseline_frames.csv").read_text()
             == "frame,pos_err_m,ori_err_deg\n")
-    assert json.loads((out / "baseline_summary.json").read_text()) == {}
+    summary = json.loads((out / "baseline_summary.json").read_text())
+    assert summary == {"schema_version": 1, "frames": 0}
+    jsonschema.validate(summary, report_schema())
     assert (out / "perturbations.csv").read_text().splitlines()[1:] == [
         "baseline,0,3,nan,nan,nan", "yaw:90,0,3,nan,nan,nan"]
     assert (out / "failures.csv").read_text().splitlines()[1:] == [
@@ -1025,7 +1093,7 @@ def test_nothing_in_range_exits_5_naming_frame_and_limit(tmp_path, capsys,
 
 def test_bench_derives_each_seed_once(tmp_path, monkeypatch):
     # 100 frames x (frame, scan, plane, oracle, pose, perturbation seed)
-    # are 600 distinct seeds; the 7 conditions ask for them 3,600 times.
+    # are 600 distinct seeds; the 7 conditions ask for them 3,100 times.
     built = []
 
     class CountingSeedSequence(np.random.SeedSequence):
@@ -1037,6 +1105,26 @@ def test_bench_derives_each_seed_once(tmp_path, monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
     assert main(["bench", "--out", str(tmp_path / "o")]) == 0
     assert 0 < len(built) <= 600
+
+
+def test_bench_memory_does_not_grow_with_the_pose_count(tmp_path):
+    # One walk: every condition runs on a frame before the next scan is
+    # cast, so a bench holds one block of scans, not the trajectory.
+    # Holding every scan peaked at 2.3 MB at 20 poses and 5.9 MB at 80;
+    # the one walk peaks at 2.0 and 2.2 MB.
+    peaks = []
+    for k, n_poses in enumerate((20, 20, 80)):  # the first run warms up
+        cfg = _text_file(tmp_path / f"{k}.cfg", "config_version = 1\n"
+                         f"trajectory.n_poses = {n_poses}\n"
+                         "bench.perturbations = none\n")
+        tracemalloc.start()
+        try:
+            assert main(["bench", "--config", cfg,
+                         "--out", str(tmp_path / f"o{k}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[2] - peaks[1]) <= 1e6, peaks
 
 
 def far_plane_scan(n=80):

@@ -114,11 +114,15 @@ def test_summary_matches_schema():
 
 def test_empty_result_is_rejected_everywhere():
     empty = TrajectoryResult()
-    for fn in [mpe, moe, position_errors, orientation_errors_deg, summarize]:
+    for fn in [mpe, moe, position_errors, orientation_errors_deg]:
         with pytest.raises(EmptyScan):
             fn(empty)
     with pytest.raises(EmptyScan):
         percentile([], 50.0)
+    # A condition with no localized frame still reports, by count alone.
+    summary = summarize(empty)
+    assert summary == {"schema_version": 1, "frames": 0}
+    jsonschema.validate(summary, report_schema())
 
 
 def test_misaligned_constructor_rejected():

@@ -275,7 +275,7 @@ def assert_same_scan(got, want):
 
 
 def assert_batch_matches_lone(world, poses, sensor, seeds):
-    scans = simulate_scans(world, poses, sensor, seeds)
+    scans = list(simulate_scans(world, poses, sensor, seeds))
     assert len(scans) == len(poses)
     for scan, pose, seed in zip(scans, poses, seeds):
         assert_same_scan(scan, simulate_scan(world, pose, sensor, seed))
@@ -330,7 +330,7 @@ def test_empty_pose_names_its_frame_and_the_limit():
     sensor = SensorSpec(max_range=0.5)
     poses = LOOP[:3]
     with pytest.raises(EmptyScan, match=r"^frame 7: .*max_range = 0\.5 m$"):
-        simulate_scans(world, poses, sensor, [0, 1, 2], frames=[7, 8, 9])
+        list(simulate_scans(world, poses, sensor, [0, 1, 2], frames=[7, 8, 9]))
 
 
 def test_batched_cast_memory_stays_bounded():
@@ -339,8 +339,8 @@ def test_batched_cast_memory_stays_bounded():
     world = generate_world(SPEC, seed=0)
     tracemalloc.start()
     try:
-        scans = simulate_scans(world, LOOP[:64], SensorSpec(),
-                               list(range(64)))
+        scans = list(simulate_scans(world, LOOP[:64], SensorSpec(),
+                                    list(range(64))))
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -618,9 +618,11 @@ def test_scan_seed_is_stable_and_spread():
 
 
 def test_scan_seed_memo_holds_a_bench_working_set():
-    # A bench derives the frame seed and five stage seeds per frame, then
-    # each of them again for every perturbation; an LRU memo smaller than
-    # that set misses on nearly every lookup.
+    # A bench's conditions re-derive a frame's stage seeds in turn, but a
+    # walk per condition (run_perturbed_trajectory, as the criteria call
+    # it) asks for the frame seed and five stage seeds of every frame
+    # again; an LRU memo smaller than that set misses on nearly every
+    # lookup of such a walk.
     n_poses = {f.name: f for f in dataclasses.fields(TrajectoryConfig)}[
         "n_poses"]
     stages = (SEED_SCAN, SEED_PLANE, SEED_ORACLE, SEED_POSE, SEED_PERTURB)
