@@ -18,10 +18,11 @@
 # to hold the same bytes.  That covers the standard bench, train-toy under
 # each of its three losses (which share one backward), oracle localize
 # plain and under --perturb yaw=90, regressor localize, rectify, project
-# --recover and encode.  Warnings as errors matter for bench and rectify:
-# pose and plane RANSAC share one stop rule, whose edge an inlier ratio of
-# 1 meets (oracle pose frames do), and rectify runs that rule on the
-# ground plane alone.
+# --recover and encode, and project --recover of a 1024x32 scan, whose
+# files span many write blocks.  Warnings as errors matter for bench and
+# rectify: pose and plane RANSAC share one stop rule, whose edge an
+# inlier ratio of 1 meets (oracle pose frames do), and rectify runs that
+# rule on the ground plane alone.
 #
 # Its own legs read std1's scan (std1/scan.csv) and trained weights
 # (std1/train/*.bin).  `twice NAME ARGS` runs `ringloc ARGS` at one and at

@@ -10,8 +10,10 @@
 # (OUT/scan.csv, frame 0 of the standard trajectory); oracle localize of
 # it, plain and under --perturb yaw=90; regressor localize with the
 # weights the trr run trained; rectify of it; project --recover of it;
-# and encode of the voxels that project wrote.  project and encode read
-# the raw scan, so RANSAC changes leave them alone.
+# encode of the voxels that project wrote; and, at a real sensor's scale,
+# a 1024x32 scan (OUT/dense_scan.csv, frame 0, ~27k points) and project
+# --recover of it, whose files span many of io's write blocks.  project
+# and encode read the raw scan, so RANSAC changes leave them alone.
 #
 # This is the one list of standard runs outside the test suite (criterion
 # 10 is the one inside it).  Comparing two trees: run the script from each
@@ -61,3 +63,14 @@ run regressor localize "$out/scan.csv" --predictor regressor \
 run rectify rectify "$out/scan.csv"
 run project project "$out/scan.csv" --recover
 run encode encode "$out/project/voxels.csv"
+python -c "
+import sys
+from ringloc import io
+from ringloc.config import parse_config_text
+from ringloc.pipeline import simulate_trajectory
+cfg = parse_config_text('config_version = 1\nsensor.n_azimuth = 1024\n'
+                        'sensor.n_elevation = 32\n')
+x = simulate_trajectory(cfg, 0, [0])[2][0]
+io.write_scan_csv(sys.argv[1], x.cloud, x.classes, x.gt_world)
+" "$out/dense_scan.csv"
+run denseproject project "$out/dense_scan.csv" --recover

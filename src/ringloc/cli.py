@@ -147,9 +147,7 @@ def cmd_encode(args, cfg, out) -> int:
     voxels = io.read_voxel_csv(args.input, cfg.projection)
     feats = encode(voxels, _encoder_weights(args, cfg))
     header = "ix,iy,iz," + ",".join(f"f{i}" for i in range(feats.shape[1]))
-    rows = ((*idx, *row) for idx, row
-            in zip(voxels.indices.tolist(), feats.tolist()))
-    io.write_csv(out / "features.csv", header, rows)
+    io.write_csv(out / "features.csv", header, [voxels.indices, feats])
     return 0
 
 
@@ -200,24 +198,22 @@ def cmd_bench(args, cfg, out) -> int:
 
     baseline = rows[0].result  # empty when every baseline frame failed
     io.write_csv(out / "baseline_frames.csv", "frame,pos_err_m,ori_err_deg",
-                 zip(baseline.frames, position_errors(baseline),
-                     orientation_errors_deg(baseline))
-                 if len(baseline) else ())
+                 [baseline.frames, position_errors(baseline),
+                  orientation_errors_deg(baseline)] if len(baseline) else [])
     summaries = [summarize(row.result) for row in rows]
     io.atomic_write_text(out / "baseline_summary.json",
                          json.dumps(summaries[0], indent=2) + "\n")
 
     stats = ("mpe_m", "moe_deg", "success@0.5")  # summary keys per condition
-    table, failures = [], []
-    for row, s in zip(rows, summaries):
-        table.append([row.label, len(row.result), len(row.failures)]
-                     + [s.get(key, math.nan) for key in stats])
-        for frame, err in row.failures:
-            failures.append((row.label, frame, err))
     io.write_csv(out / "perturbations.csv",
                  ",".join(("label", "frames_ok", "frames_failed") + stats),
-                 table)
-    io.write_csv(out / "failures.csv", "label,frame,error", failures)
+                 [[row.label for row in rows],
+                  [len(row.result) for row in rows],
+                  [len(row.failures) for row in rows]]
+                 + [[s.get(key, math.nan) for s in summaries] for key in stats])
+    failures = [(row.label, frame, err)
+                for row in rows for frame, err in row.failures]
+    io.write_csv(out / "failures.csv", "label,frame,error", list(zip(*failures)))
     return 0
 
 
@@ -226,10 +222,11 @@ def cmd_train_toy(args, cfg, out) -> int:
     tset = build_training_set(cfg, enc_weights, run_seed=cfg.bench.seed)
     weights, telemetry = train_regressor(tset, cfg, args.loss)
     _, _, quartiles = evaluate_quartiles(tset, weights)
-    io.write_csv(out / "telemetry.csv", "epoch,loss,lr,n_clamped",
-                 ((e.epoch, e.loss, e.lr, e.n_clamped) for e in telemetry))
+    fields = ("epoch", "loss", "lr", "n_clamped")
+    io.write_csv(out / "telemetry.csv", ",".join(fields),
+                 [[getattr(e, f) for e in telemetry] for f in fields])
     io.write_csv(out / "quartiles.csv", "quartile,mean_err_m",
-                 enumerate(quartiles, start=1))
+                 [range(1, len(quartiles) + 1), quartiles])
     io.save_weights(out / "encoder_weights.bin", enc_weights)
     io.save_weights(out / "regressor_weights.bin", weights)
     return 0

@@ -11,11 +11,14 @@ Formats:
                 little-endian float32 payloads in header order.
 
 A write makes its directory, then a temp file there that an atomic
-rename puts in place: readers never see a half-written file, and a
-failed write is a ParseError naming its file that leaves no temp file.
-Every CSV goes through `write_csv`, and every float (CSV, pose or
-config) is written with shortest round-trip repr (`_cell`), so reruns
-are byte-identical.  CSV rows are read by `np.loadtxt` in one call
+rename puts in place, with the mode a plain open() would give (0o666
+less the umask): readers never see a half-written file, and a failed
+write is a ParseError naming its file that leaves no temp file.  Every
+float is written with its shortest round-trip repr, so reruns are
+byte-identical.  Every CSV goes through `write_csv`, which takes a
+table's columns and formats and writes WRITE_BLOCK rows at a time, so
+its memory does not grow with the table; pose and config values go
+through `_cell`.  CSV rows are read by `np.loadtxt` in one call
 (`_parse_rows`), with a per-row `float` parser as the fallback; a row it
 rejects, or one that breaks a format's rule (`_check_rows`), is a
 ParseError naming its line.  Point rows are checked here, once
@@ -46,6 +49,9 @@ TENSOR_MAGIC = "ringloc-tensors 1"
 # Beyond every grid a config can build (2^20 cells of at most 1e3 m) and
 # far enough below float max that no square a fit takes can overflow.
 COORD_BOUND = 1e12  # m
+# Rows a CSV write formats and writes at a time: one block's text (about
+# 0.3 MB at features.csv's 67 columns) bounds the writer's memory.
+WRITE_BLOCK = 256
 
 
 def _cell(x) -> str:
@@ -55,26 +61,49 @@ def _cell(x) -> str:
     return str(x)
 
 
-def write_csv(path: PathLike, header: str, rows: Iterable[Sequence]) -> None:
+def write_csv(path: PathLike, header: str, columns: Sequence) -> None:
     """Write the header line, then one comma-joined line per row, with a
-    trailing newline, atomically."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(map(_cell, row)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    trailing newline, atomically.  `columns` are the table's columns in
+    order, each an array or a sequence numpy makes one array of (a 2-D
+    array gives its columns in turn).  WRITE_BLOCK rows at a time go
+    through `.tolist()`, so each cell is written as `str` of a Python
+    int, float (its shortest round-trip repr, as `_cell` writes) or str.
+    """
+    cols = []
+    for column in columns:
+        a = np.asarray(column)
+        cols.extend(a.T if a.ndim == 2 else (a,))
+    n = len(cols[0]) if cols else 0
+    if any(len(c) != n for c in cols):
+        raise ValueError(f"{path}: columns differ in length")
+
+    def blocks():
+        yield (header + "\n").encode("utf-8")
+        for start in range(0, n, WRITE_BLOCK):
+            cells = [map(str, c[start:start + WRITE_BLOCK].tolist())
+                     for c in cols]
+            yield ("\n".join(map(",".join, zip(*cells))) + "\n"
+                   ).encode("utf-8")
+
+    atomic_write_bytes(path, blocks())
 
 
 def atomic_write_text(path: PathLike, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])
 
 
-def atomic_write_bytes(path: PathLike, payload: bytes) -> None:
+def atomic_write_bytes(path: PathLike, chunks: Iterable[bytes]) -> None:
+    """Write the chunks in order as one file, which appears whole or not
+    at all, with mode 0o666 less the umask."""
     path, tmp = Path(path), None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
+        umask = os.umask(0)  # mkstemp made it 0o600; read, then restore
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
@@ -179,16 +208,13 @@ def read_scan_csv(path: PathLike
 
 
 def write_cloud_csv(path: PathLike, cloud: PointCloud) -> None:
-    write_csv(path, CLOUD_HEADER,
-              np.column_stack([cloud.xyz, cloud.intensity]).tolist())
+    write_csv(path, CLOUD_HEADER, [cloud.xyz, cloud.intensity])
 
 
 def write_scan_csv(path: PathLike, cloud: PointCloud,
                    classes: np.ndarray, gt_world: np.ndarray) -> None:
-    rows = ((*xyz, i, int(c), *g) for xyz, i, c, g
-            in zip(cloud.xyz.tolist(), cloud.intensity.tolist(),
-                   classes.tolist(), gt_world.tolist()))
-    write_csv(path, SCAN_HEADER, rows)
+    write_csv(path, SCAN_HEADER, [cloud.xyz, cloud.intensity,
+                                  classes.astype(np.int64), gt_world])
 
 
 def write_pose(path: PathLike, t: RigidTransform) -> None:
@@ -231,10 +257,8 @@ def read_voxel_csv(path: PathLike, config: ProjectionConfig) -> VoxelCloud:
 
 
 def write_voxel_csv(path: PathLike, v: VoxelCloud) -> None:
-    rows = ((*idx, *pt, inten, src) for idx, pt, inten, src
-            in zip(v.indices.tolist(), v.points.tolist(),
-                   v.intensity.tolist(), v.source_index.tolist()))
-    write_csv(path, VOXEL_HEADER, rows)
+    write_csv(path, VOXEL_HEADER,
+              [v.indices, v.points, v.intensity, v.source_index])
 
 
 def write_tensors(path: PathLike, tensors: Dict[str, np.ndarray]) -> None:
@@ -245,8 +269,8 @@ def write_tensors(path: PathLike, tensors: Dict[str, np.ndarray]) -> None:
         arr = np.asarray(arr, dtype=np.float64)
         header.append(name + " " + " ".join(str(d) for d in arr.shape))
         blobs.append(arr.astype("<f4").tobytes())
-    payload = ("\n".join(header) + "\ndata\n").encode("ascii") + b"".join(blobs)
-    atomic_write_bytes(path, payload)
+    atomic_write_bytes(path, [("\n".join(header) + "\ndata\n").encode("ascii"),
+                              *blobs])
 
 
 def read_tensors(path: PathLike) -> Dict[str, np.ndarray]:

@@ -272,6 +272,11 @@ def test_encode_writes_feature_rows(ws, tmp_path):
     assert len(lines) == len(voxels.indices) + 1
     first = np.array([float(v) for v in lines[1].split(",")[3:]])
     assert np.array_equal(first, want[0])
+    # Every row, over several write blocks, reads back bit for bit.
+    assert len(want) > 2 * io.WRITE_BLOCK
+    data, _ = io._parse_rows(out / "features.csv", lines, lines[0])
+    assert data[:, :3].astype(np.int64).tobytes() == voxels.indices.tobytes()
+    assert data[:, 3:].tobytes() == want.tobytes()
 
 
 def test_localize_recovers_the_pose(ws, tmp_path):

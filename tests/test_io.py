@@ -2,21 +2,27 @@
 the weight-set init rule."""
 
 import math
+import os
 import re
+import stat
+import sys
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
+from ringloc import io
 from ringloc.encoder import EncoderConfig
 from ringloc.errors import ParseError
 from ringloc.io import (CLOUD_HEADER, COORD_BOUND, SCAN_HEADER, TENSOR_MAGIC,
-                        VOXEL_HEADER, _parse_rows, atomic_write_text,
-                        init_weights, read_cloud_csv, read_scan_csv,
-                        read_tensors, read_voxel_csv, write_cloud_csv,
-                        write_csv, write_pose, write_scan_csv, write_tensors,
-                        write_voxel_csv)
-from ringloc.projection import ProjectionConfig, voxelize
+                        VOXEL_HEADER, WRITE_BLOCK, _cell, _parse_rows,
+                        atomic_write_text, init_weights, read_cloud_csv,
+                        read_scan_csv, read_tensors, read_voxel_csv,
+                        write_cloud_csv, write_csv, write_pose,
+                        write_scan_csv, write_tensors, write_voxel_csv)
+from ringloc.projection import (INDEX_BOUND, ProjectionConfig, VoxelCloud,
+                                voxelize)
 from ringloc.regressor import RegressorConfig
 from ringloc.se3 import PointCloud, RigidTransform, yaw
 
@@ -36,8 +42,9 @@ def test_write_csv_round_trips_exactly(tmp_path):
     floats = [0.1, 1.0 / 3.0, -2.5e-300, 1e16, float("nan"),
               np.float64(rng.normal()), np.float32(rng.normal())]
     rows = [(i, np.int64(7 * i), "label", x) for i, x in enumerate(floats)]
+    columns = [list(column) for column in zip(*rows)]
     p = tmp_path / "t.csv"
-    write_csv(p, "i,j,name,value", rows)
+    write_csv(p, "i,j,name,value", columns)
     text = p.read_text()
     assert text.endswith("\n") and not text.endswith("\n\n")
     lines = text.splitlines()
@@ -49,8 +56,110 @@ def test_write_csv_round_trips_exactly(tmp_path):
         back = float(cells[3])
         assert back == float(x) or (math.isnan(back) and math.isnan(x))
     first = p.read_bytes()
-    write_csv(p, "i,j,name,value", rows)
+    write_csv(p, "i,j,name,value", columns)
     assert p.read_bytes() == first
+
+
+def reference_csv(header, rows) -> bytes:
+    """The row-at-a-time writer that `write_csv` replaced: `_cell` of
+    each cell, comma-joined, one line per row, a trailing newline."""
+    lines = [header] + [",".join(map(_cell, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+F64_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
+             -1e16, 1e-5, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2, 1.7976931348623157e308,
+             math.nan, math.inf, -math.inf]
+F32_EDGES = [0.0, -0.0, 1e-45, 1.17549435e-38, 1e16, 1e-5, 0.1,
+             3.4028235e38, math.nan, math.inf, -math.inf]
+I64_EDGES = [2 ** 63 - 1, -(2 ** 63 - 1), -(2 ** 63), 0, -1]
+STRINGS = ["baseline", "yaw:90", "", "NoConsensus", "two words", "üñí"]
+
+
+def edge_table(n, seed):
+    """(header, columns, rows): n rows over every cell type the writers
+    pass, the named edge values first, then random float64 and float32
+    bit patterns (subnormals, NaN payloads and infinities among them) and
+    random int64s.  Columns hold arrays, a 2-D array, Python numbers,
+    numpy scalars and strings; rows hold each cell as `_cell` got it."""
+    rng = np.random.default_rng(seed)
+    f64 = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+    f64[:len(F64_EDGES)] = F64_EDGES[:n]
+    f32 = rng.integers(0, 2 ** 32, n, dtype=np.uint32).view(np.float32)
+    f32[:len(F32_EDGES)] = np.array(F32_EDGES[:n], dtype=np.float32)
+    i64 = rng.integers(-2 ** 63, 2 ** 63 - 1, n, dtype=np.int64)
+    i64[:len(I64_EDGES)] = I64_EDGES[:n]
+    pair = rng.permutation(np.concatenate([f64, f64[::-1]])).reshape(n, 2)
+    words = [STRINGS[k] for k in rng.integers(0, len(STRINGS), n)]
+    f64_scalars, f32_scalars, i64_scalars = list(f64), list(f32), list(i64)
+    columns = [f64, f32, i64, pair, f64.tolist(), i64.tolist(), f64_scalars,
+               f32_scalars, i64_scalars, words]
+    rows = list(zip(f64, f32, i64, pair[:, 0], pair[:, 1], f64.tolist(),
+                    i64.tolist(), f64_scalars, f32_scalars, i64_scalars,
+                    words))
+    header = ",".join(f"c{k}" for k in range(11))
+    return header, columns, rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_write_csv_bytes_match_cell_formatting(tmp_path, seed):
+    header, columns, rows = edge_table(2 * WRITE_BLOCK + 37, seed)
+    p = tmp_path / "edge.csv"
+    write_csv(p, header, columns)
+    assert p.read_bytes() == reference_csv(header, rows)
+
+
+def test_write_csv_blocks_join_to_one_block(tmp_path, monkeypatch):
+    n = 2 * WRITE_BLOCK + 1
+    header, columns, rows = edge_table(n, 9)
+    blocked, whole = tmp_path / "blocked.csv", tmp_path / "whole.csv"
+    write_csv(blocked, header, columns)
+    monkeypatch.setattr(io, "WRITE_BLOCK", n)
+    write_csv(whole, header, columns)
+    assert blocked.read_bytes() == whole.read_bytes()
+    assert len(blocked.read_bytes().splitlines()) == n + 1
+
+
+@pytest.mark.parametrize("columns", [[], [[], []], [np.zeros((0, 3))]])
+def test_write_csv_of_no_row_is_its_header(tmp_path, columns):
+    p = tmp_path / "t.csv"
+    write_csv(p, "a,b,c", columns)
+    assert p.read_bytes() == b"a,b,c\n"
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    p = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="columns differ in length"):
+        write_csv(p, "a,b", [np.zeros(3), np.zeros(2)])
+    assert not p.exists()
+
+
+def test_write_csv_memory_is_bounded_by_its_block(tmp_path):
+    """A 27,000 x 67 table (3 int columns, 64 float ones) writes in
+    memory that one block of rows bounds, far under the file's size.
+
+    One block holds at once: every column's `.tolist()` numbers for its
+    WRITE_BLOCK rows, and at most three copies of its formatted text (the
+    lines, the joined block with its newline, and the encoded bytes).  A
+    cell's text is at most 25 characters (the longest float repr, 24,
+    and a comma); each line and block is one str object."""
+    n, width = 27_000, 67
+    rng = np.random.default_rng(0)
+    ints = rng.integers(-2 ** 31, 2 ** 31, (n, 3))
+    floats = rng.normal(size=(n, 64))
+    p = tmp_path / "wide.csv"
+    number = max(sys.getsizeof(-2.2250738585072014e-308),
+                 sys.getsizeof(-2 ** 31)) + 8  # object and its list slot
+    block_text = WRITE_BLOCK * (sys.getsizeof("") + width * 25)
+    bound = WRITE_BLOCK * width * number + 3 * block_text
+    tracemalloc.start()
+    try:
+        write_csv(p, ",".join(f"c{k}" for k in range(width)), [ints, floats])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert bound < p.stat().st_size / 10
 
 
 def test_cloud_round_trip_is_exact(tmp_path):
@@ -299,7 +408,7 @@ def test_voxel_repeat_check_matches_row_unique(tmp_path, seed):
                              rng.integers(-span, span, (n, 2))])
     p = tmp_path / "vox.csv"
     write_csv(p, "ix,iy,iz,px,py,pz,intensity,source_index",
-              ((*c, 0.0, 0.0, 0.0, 0.5, r) for r, c in enumerate(cells.tolist())))
+              [cells, np.zeros((n, 3)), np.full(n, 0.5), np.arange(n)])
     want = first_repeat_by_rows(cells)
     if want is None:
         np.testing.assert_array_equal(read_voxel_csv(p, CFG64).indices, cells)
@@ -413,3 +522,71 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     atomic_write_text(p, "new\n")
     assert p.read_text() == "new\n"
     assert list(tmp_path.iterdir()) == [p]  # no temp files left behind
+
+
+def finite_bits(rng, shape, bound):
+    """Random float64s of every exponent up to `bound` in magnitude, with
+    -0.0, 0.0 and the smallest subnormal among them."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 12, shape)
+    x = np.clip(x, -bound, bound)
+    x.flat[:3] = [-0.0, 0.0, 5e-324]
+    return x
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_each_numeric_writer_reads_back_bit_for_bit(tmp_path, seed):
+    """Cloud, scan and voxel files of more than two write blocks give
+    back every bit of every value through io's readers."""
+    n = 2 * WRITE_BLOCK + 1
+    rng = np.random.default_rng(seed)
+    intensity = np.abs(finite_bits(rng, n, 1.0))
+    intensity[3] = 1.0
+    cloud = PointCloud(finite_bits(rng, (n, 3), COORD_BOUND), intensity)
+    write_cloud_csv(tmp_path / "cloud.csv", cloud)
+    back = read_cloud_csv(tmp_path / "cloud.csv")
+    same_bits(back.xyz, cloud.xyz)
+    same_bits(back.intensity, cloud.intensity)
+
+    classes = rng.integers(0, 2, n)
+    gt = finite_bits(rng, (n, 3), COORD_BOUND)
+    write_scan_csv(tmp_path / "scan.csv", cloud, classes, gt)
+    back, cls, gt_back = read_scan_csv(tmp_path / "scan.csv")
+    same_bits(back.xyz, cloud.xyz)
+    same_bits(back.intensity, cloud.intensity)
+    same_bits(cls, classes.astype(np.int64))
+    same_bits(gt_back, gt)
+
+    cells = np.column_stack([rng.integers(0, CFG64.ring_cells, n),
+                             rng.permutation(n) - n // 2,
+                             rng.integers(-INDEX_BOUND, INDEX_BOUND, n)])
+    cells[:2, 1:] = [[-INDEX_BOUND, INDEX_BOUND - 1],
+                     [INDEX_BOUND - 1, -INDEX_BOUND]]
+    v = VoxelCloud(cells, finite_bits(rng, (n, 3), COORD_BOUND), intensity,
+                   rng.integers(0, 2 ** 53, n), CFG64.ring_cells,
+                   CFG64.voxel_size)
+    write_voxel_csv(tmp_path / "vox.csv", v)
+    back = read_voxel_csv(tmp_path / "vox.csv", CFG64)
+    for name in ("indices", "points", "intensity", "source_index"):
+        same_bits(getattr(back, name), getattr(v, name))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_written_files_take_the_mode_open_gives(tmp_path, umask):
+    """Every write ends as 0o666 less the umask, as a plain open() makes
+    a file, whatever mode its temp file was made with."""
+    old = os.umask(umask)
+    try:
+        (tmp_path / "plain").write_text("")
+        write_csv(tmp_path / "t.csv", "a", [[1]])
+        atomic_write_text(tmp_path / "t.txt", "x\n")
+        write_tensors(tmp_path / "t.bin", {"w": np.zeros(2)})
+    finally:
+        os.umask(old)
+    for p in tmp_path.iterdir():
+        assert stat.S_IMODE(p.stat().st_mode) == 0o666 & ~umask, p.name
+
