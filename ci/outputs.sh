@@ -53,7 +53,7 @@ import sys
 from ringloc import io
 from ringloc.config import standard_bench_config
 from ringloc.pipeline import simulate_trajectory
-x = simulate_trajectory(standard_bench_config(), 0)[2][0]
+x = simulate_trajectory(standard_bench_config(), 0, [0])[2][0]
 io.write_scan_csv(sys.argv[1], x.cloud, x.classes, x.gt_world)
 " "$out/scan.csv"
 run localize localize "$out/scan.csv"

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .encoder import EncoderConfig
 from .errors import ParseError
-from .io import _cell, atomic_write_text, read_text
+from .io import atomic_write_text, read_text
 from .keys import Section, is_key, key, range_text
 from .plane import RansacPlaneParams
 from .pose_solve import RansacPoseParams, SelectionPolicy
@@ -102,9 +102,8 @@ def config_keys(cfg: PipelineConfig
 
 
 def format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(map(_cell, value))
-    return _cell(value)
+    """A value as config text: `str` of it, of each item for a tuple."""
+    return ",".join(map(str, value if isinstance(value, tuple) else (value,)))
 
 
 def _parse_value(text: str, template) -> object:

@@ -14,15 +14,15 @@ A write makes its directory, then a temp file there that an atomic
 rename puts in place, with the mode a plain open() would give (0o666
 less the umask): readers never see a half-written file, and a failed
 write is a ParseError naming its file that leaves no temp file.  Every
-float is written with its shortest round-trip repr, so reruns are
-byte-identical.  Every CSV goes through `write_csv`, which takes a
-table's columns and formats and writes WRITE_BLOCK rows at a time, so
-its memory does not grow with the table; pose and config values go
-through `_cell`.  CSV rows are read by `np.loadtxt` in one call
-(`_parse_rows`), with a per-row `float` parser as the fallback; a row it
-rejects, or one that breaks a format's rule (`_check_rows`), is a
-ParseError naming its line.  Point rows are checked here, once
-(`_check_points`), so no coordinate a later stage squares overflows.
+number is written as `str` of its Python value (a float's shortest
+round-trip repr), so reruns are byte-identical.  Every CSV goes through
+`write_csv`, which formats and writes WRITE_BLOCK rows of a table's
+columns at a time, so its memory does not grow with the table.  CSV rows
+are read by `np.loadtxt` in one call (`_parse_rows`), with a per-row
+`float` parser as the fallback; a row it rejects, or one that breaks a
+format's rule (`_check_rows`), is a ParseError naming its line.  Point
+rows are checked here, once (`_check_points`), so no coordinate a later
+stage squares overflows.
 """
 
 from __future__ import annotations
@@ -54,20 +54,13 @@ COORD_BOUND = 1e12  # m
 WRITE_BLOCK = 256
 
 
-def _cell(x) -> str:
-    """Shortest round-trip repr for a float (Python or numpy), str otherwise."""
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def write_csv(path: PathLike, header: str, columns: Sequence) -> None:
     """Write the header line, then one comma-joined line per row, with a
     trailing newline, atomically.  `columns` are the table's columns in
     order, each an array or a sequence numpy makes one array of (a 2-D
     array gives its columns in turn).  WRITE_BLOCK rows at a time go
     through `.tolist()`, so each cell is written as `str` of a Python
-    int, float (its shortest round-trip repr, as `_cell` writes) or str.
+    int, float (its shortest round-trip repr) or str.
     """
     cols = []
     for column in columns:
@@ -218,7 +211,7 @@ def write_scan_csv(path: PathLike, cloud: PointCloud,
 
 
 def write_pose(path: PathLike, t: RigidTransform) -> None:
-    rows = ["  ".join(_cell(v) for v in row) for row in t.matrix()]
+    rows = ["  ".join(map(str, row)) for row in t.matrix().tolist()]
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 

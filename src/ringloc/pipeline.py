@@ -51,7 +51,6 @@ SEED_PERTURB = 4
 @dataclass
 class LocalizationResult:
     transform: RigidTransform  # raw sensor frame -> world
-    t_plane: RigidTransform  # raw -> rectified
     pose: PoseEstimate  # consensus in the rectified frame
     n_points: int
     n_voxels: int
@@ -133,7 +132,7 @@ def localize_scan(scan: Scan, cfg: PipelineConfig, frame_seed: int,
         local.take(selected, axis=0), pred.take(selected, axis=0),
         replace(cfg.pose, seed=scan_seed(frame_seed, SEED_POSE)))
     transform = compensate(estimate.transform, invert(t_plane))
-    return LocalizationResult(transform, t_plane, estimate,
+    return LocalizationResult(transform, estimate,
                               len(scan.cloud), len(voxels), len(selected))
 
 
@@ -197,11 +196,8 @@ def run_conditions(cfg: PipelineConfig, run_seed: int,
 
 def run_perturbed_trajectory(cfg: PipelineConfig, run_seed: int,
                              poses: List[RigidTransform], scans: List[Scan],
-                             perturbation: Optional[Perturbation],
-                             predictor: str = "oracle",
-                             encoder_weights=None, regressor_weights=None
+                             perturbation: Optional[Perturbation]
                              ) -> BenchRow:
-    """Localize every frame under one perturbation (None for baseline), by
-    default with the oracle, as criteria 1, 6 and 7 run it."""
-    return run_conditions(cfg, run_seed, poses, scans, [perturbation],
-                          predictor, encoder_weights, regressor_weights)[0]
+    """Localize every frame with the oracle under one perturbation (None
+    for baseline), as criteria 1, 6 and 7 run it."""
+    return run_conditions(cfg, run_seed, poses, scans, [perturbation])[0]

@@ -137,9 +137,13 @@ class Perturbation:
 def scan_seed(global_seed: int, scan_index: int) -> int:
     """Stable per-scan seed derived from the run seed and frame index.
 
-    Memoized: each walk per condition (`run_perturbed_trajectory`) asks
-    for a frame's six seeds again, up to 6,000 keys at the n_poses bound;
-    a smaller LRU memo misses on nearly every lookup of such a walk.
+    Memoized.  `trajectory_scans` derives every frame's frame seed and
+    scan seed before the walk; the walk asks for each frame seed again,
+    and each condition for the frame's four other stage seeds: the
+    standard bench's 3,100 requests of 600 keys.  A walk per condition
+    (`run_perturbed_trajectory`) asks for them all again, so the memo
+    holds six seeds a frame at the n_poses bound (6,000 keys); a smaller
+    LRU memo misses on nearly every lookup of such a walk.
     """
     return int(np.random.SeedSequence([global_seed, scan_index])
                .generate_state(1)[0])

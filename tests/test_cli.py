@@ -465,6 +465,28 @@ def test_bench_outputs_and_schema(ws, tmp_path):
     assert summary == summarize(baseline)
 
 
+def test_bench_walk_matches_a_walk_per_condition(tmp_path):
+    # The bench runs every condition on a frame before it casts the next;
+    # each condition's row must be what a walk of that condition alone
+    # gives, dropout, random-yaw and noise draws included.
+    cfg = PipelineConfig()
+    cfg.trajectory.n_poses = 10
+    cfg_path, out = tmp_path / "ten.cfg", tmp_path / "o"
+    write_config(cfg_path, cfg)
+    assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 0
+    table = (out / "perturbations.csv").read_text().splitlines()
+    stats = table[0].split(",")[3:]
+    conditions = [None] + parse_perturbation_list(cfg.bench.perturbations)
+    assert len(conditions) == 7 and len(table) == 1 + len(conditions)
+    _, poses, scans = simulate_trajectory(cfg, 0)
+    for line, p in zip(table[1:], conditions):
+        row = run_perturbed_trajectory(cfg, 0, poses, scans, p)
+        summary = summarize(row.result)
+        assert line.split(",") == [
+            row.label, str(len(row.result)), str(len(row.failures)),
+            *(str(float(summary.get(k, np.nan))) for k in stats)]
+
+
 def test_bench_cli_perturb_overrides_config(ws, tmp_path):
     out = tmp_path / "o"
     assert run(ws, "bench", "--perturb", "dropout=0.3", out=out) == 0

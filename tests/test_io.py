@@ -7,16 +7,18 @@ import re
 import stat
 import sys
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
 from ringloc import io
+from ringloc.config import PipelineConfig, config_keys, config_to_text
 from ringloc.encoder import EncoderConfig
 from ringloc.errors import ParseError
 from ringloc.io import (CLOUD_HEADER, COORD_BOUND, SCAN_HEADER, TENSOR_MAGIC,
-                        VOXEL_HEADER, WRITE_BLOCK, _cell, _parse_rows,
+                        VOXEL_HEADER, WRITE_BLOCK, _parse_rows,
                         atomic_write_text, init_weights, read_cloud_csv,
                         read_scan_csv, read_tensors, read_voxel_csv,
                         write_cloud_csv, write_csv, write_pose,
@@ -58,6 +60,15 @@ def test_write_csv_round_trips_exactly(tmp_path):
     first = p.read_bytes()
     write_csv(p, "i,j,name,value", columns)
     assert p.read_bytes() == first
+
+
+def _cell(x) -> str:
+    """The reference number rule, which `str` of each Python value that
+    the writers write must match: the shortest round-trip repr of a float
+    (Python or numpy), `str` of anything else."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
 
 
 def reference_csv(header, rows) -> bytes:
@@ -107,6 +118,50 @@ def test_write_csv_bytes_match_cell_formatting(tmp_path, seed):
     p = tmp_path / "edge.csv"
     write_csv(p, header, columns)
     assert p.read_bytes() == reference_csv(header, rows)
+
+
+# Python floats read back from float32, as a float32 weight or cloud gives.
+F32_BACK = [float(np.float32(x)) for x in (0.1, 1.0 / 3.0, -2.7, 1e-5)]
+
+
+def test_write_pose_bytes_match_cell_formatting(tmp_path):
+    rng = np.random.default_rng(4)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 1.0 / 3.0,
+             *F32_BACK]
+    mats = [np.array(edges).reshape(3, 4),
+            np.array(edges[::-1]).reshape(3, 4),
+            rng.normal(size=(3, 4)).astype(np.float32).astype(np.float64),
+            rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-300, 300, (3, 4))]
+    for k, mat in enumerate(mats):
+        t, p = RigidTransform(mat[:, :3], mat[:, 3]), tmp_path / f"{k}.txt"
+        write_pose(p, t)
+        want = "".join("  ".join(map(_cell, row)) + "\n" for row in t.matrix())
+        assert p.read_bytes() == want.encode("utf-8")
+
+
+def test_config_text_bytes_match_cell_formatting():
+    f32, std = F32_BACK, PipelineConfig()
+    cfg = replace(
+        std,
+        projection=replace(std.projection, voxel_size=1e-5),
+        plane=replace(std.plane, threshold=5e-324),
+        pose=replace(std.pose, threshold=f32[0]),
+        selection=replace(std.selection, top_fraction=1.0 / 3.0),
+        sensor=replace(std.sensor, elevation_min_deg=f32[2] * 10.0,
+                       elevation_max_deg=-0.0, range_noise=0.0),
+        oracle=replace(std.oracle, sigma_reliable=f32[3],
+                       u_reliable=(5e-324, f32[1]),
+                       u_ambiguous=(-999.9999999999999, -0.0)),
+        trajectory=replace(std.trajectory, radius=0.0, height=f32[1]),
+        train=replace(std.train, lr=f32[0] / 100.0))
+    lines = [line for line in config_to_text(cfg).splitlines()
+             if line and not line.startswith("config_version")]
+    want = [f"{key} = " + (",".join(map(_cell, value))
+                           if isinstance(value, tuple) else _cell(value))
+            for key, _, value in config_keys(cfg)]
+    assert lines == want
+    assert "pose.threshold = 0.10000000149011612" in lines
+    assert "sensor.elevation_max_deg = -0.0" in lines
 
 
 def test_write_csv_blocks_join_to_one_block(tmp_path, monkeypatch):

@@ -618,11 +618,13 @@ def test_scan_seed_is_stable_and_spread():
 
 
 def test_scan_seed_memo_holds_a_bench_working_set():
-    # A bench's conditions re-derive a frame's stage seeds in turn, but a
-    # walk per condition (run_perturbed_trajectory, as the criteria call
-    # it) asks for the frame seed and five stage seeds of every frame
-    # again; an LRU memo smaller than that set misses on nearly every
-    # lookup of such a walk.
+    # trajectory_scans derives every frame's frame seed and scan seed
+    # before the walk, and in it each condition asks again for the frame's
+    # four other stage seeds (test_cli.py counts the standard bench's
+    # 3,100 requests of 600 keys).  A walk per condition
+    # (run_perturbed_trajectory, as the criteria call it) asks for every
+    # frame's seeds again; an LRU memo smaller than the six seeds of every
+    # frame misses on nearly every lookup of such a walk.
     n_poses = {f.name: f for f in dataclasses.fields(TrajectoryConfig)}[
         "n_poses"]
     stages = (SEED_SCAN, SEED_PLANE, SEED_ORACLE, SEED_POSE, SEED_PERTURB)
