@@ -26,7 +26,8 @@
 # Its own legs read std1's scan (std1/scan.csv) and trained weights
 # (std1/train/*.bin).  `twice NAME ARGS` runs `ringloc ARGS` at one and at
 # two BLAS threads into NAME1 and NAME2; both must exit alike, with a code
-# that EXIT_OK accepts (0 unless set).  A run that exits non-zero must
+# that EXIT_OK accepts (0 unless set), and each run's stderr is kept in
+# NAME1.err and NAME2.err (and shown).  A run that exits non-zero must
 # leave no --out, neither NAME1 nor NAME2 (the first write creates it, and
 # a failing command writes nothing); one that exits 0 must make both or
 # neither, and when it made them, the two must hold the same bytes.  The
@@ -41,7 +42,10 @@
 # --perturb magnitude of -0 (gaussian_noise=-0) lies below its range
 # closed at 0, so localize exits 2 at load, with warnings as errors.  A
 # cloud of two points 1e9 m out, past the voxel index range, voxelizes to
-# a grid with no cell: project exits 5, with warnings as errors.  The
+# a grid with no cell: project exits 5, with warnings as errors.  A voxel
+# row of std1's project output whose iy is one past the index range
+# (1048576) exits 2 at encode's reader, naming its line, with warnings as
+# errors: the reader's line check is the one guard on that input.  The
 # dense bench is the one run at a real sensor's scale (1024x32 rays, ~27k
 # points), where reliability selection and voxelize work on tens of
 # thousands of rows.  The pole-to-pole bench casts level rays (dz = 0, so
@@ -81,7 +85,9 @@ twice() {
   name=$1; shift
   for n in 1 2; do
     status=0
-    OPENBLAS_NUM_THREADS=$n "${ringloc_cmd[@]}" "$@" --out "$name$n" || status=$?
+    OPENBLAS_NUM_THREADS=$n "${ringloc_cmd[@]}" "$@" --out "$name$n" \
+      2> "$name$n.err" || status=$?
+    cat "$name$n.err" >&2
     echo "$status" > "$name$n.status"
   done
   grep -qxE "${EXIT_OK:-0}" "${name}1.status"
@@ -118,6 +124,10 @@ PYTHONWARNINGS=error EXIT_OK=2 twice notutf8 localize notutf8.csv
 PYTHONWARNINGS=error EXIT_OK=2 twice negzero localize std1/scan.csv --perturb gaussian_noise=-0
 printf 'x,y,z,intensity\n1000000000.0,0.0,0.0,0.5\n1000000000.0,1.0,0.0,0.5\n' > allfar.csv
 PYTHONWARNINGS=error EXIT_OK=5 twice allfar project allfar.csv
+awk -F, -v OFS=, 'NR == 3 {$2 = 1048576} 1' std1/project/voxels.csv > bigy.csv
+PYTHONWARNINGS=error EXIT_OK=2 twice bigy encode bigy.csv
+grep -qF 'bigy.csv:3: voxel index outside' bigy1.err
+grep -qF 'bigy.csv:3: voxel index outside' bigy2.err
 printf 'config_version = 1\ntrajectory.n_poses = 3\npose.threshold = 1e-300\nbench.perturbations = yaw:90\n' > allfail.cfg
 "${ringloc_cmd[@]}" bench --config allfail.cfg --out allfail
 test "$(grep -c ',NoConsensus$' allfail/failures.csv)" -eq 6

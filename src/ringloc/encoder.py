@@ -53,8 +53,8 @@ class KernelMap(NamedTuple):
     """Which input row feeds which output row through each kernel tap.
 
     pairs[k] is (out_rows, in_rows) for offset k: output out_rows[i]
-    reads input in_rows[i], out_rows ascending.  out_rows is None when
-    every output has that neighbor; in_rows then has one row per output.
+    reads input in_rows[i], out_rows ascending.  out_rows is None only
+    for a full stride-1 tap, whose in_rows has one row per output.
     """
 
     n_out: int
@@ -97,8 +97,7 @@ class Level:
         pairs = []
         for k in range(len(DOWN)):
             in_rows = np.flatnonzero(code == k)
-            everyone = len(in_rows) == len(parent.keys)
-            pairs.append((None if everyone else parent_rows[in_rows], in_rows))
+            pairs.append((parent_rows[in_rows], in_rows))
         return parent, parent_rows, KernelMap(len(parent.keys), pairs)
 
     def neighbors(self, offsets: np.ndarray) -> KernelMap:
@@ -149,15 +148,12 @@ def sparse_conv(feats: np.ndarray, kmap: KernelMap, weights: np.ndarray,
 
 
 def max_pool2(feats: np.ndarray, down: KernelMap) -> np.ndarray:
-    """Stride-2 max pool over the `DOWN` map of `Level.halve`; each
-    parent takes the max over its children, one running max per tap."""
+    """Stride-2 max pool over the `DOWN` map of `Level.halve`, which
+    lists every tap's rows: each parent takes the max over its children."""
     pooled = np.full((down.n_out, feats.shape[1]), -np.inf)
     for out_rows, in_rows in down.pairs:
-        if out_rows is None:
-            np.maximum(pooled, feats.take(in_rows, axis=0), out=pooled)
-        elif len(out_rows):
-            pooled[out_rows] = np.maximum(pooled[out_rows],
-                                          feats.take(in_rows, axis=0))
+        pooled[out_rows] = np.maximum(pooled[out_rows],
+                                      feats.take(in_rows, axis=0))
     return pooled
 
 

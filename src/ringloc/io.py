@@ -11,7 +11,7 @@ Formats:
                 little-endian float32 payloads in header order.
 
 A write makes its directory, then a temp file there that an atomic
-rename puts in place, with the mode a plain open() would give (0o666
+rename puts in place, created as a plain open() creates a file (0o666
 less the umask): readers never see a half-written file, and a failed
 write is a ParseError naming its file that leaves no temp file.  Every
 number is written as `str` of its Python value (a float's shortest
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -87,21 +87,22 @@ def atomic_write_text(path: PathLike, text: str) -> None:
 
 def atomic_write_bytes(path: PathLike, chunks: Iterable[bytes]) -> None:
     """Write the chunks in order as one file, which appears whole or not
-    at all, with mode 0o666 less the umask."""
-    path, tmp = Path(path), None
+    at all.  Its temp file is new (O_EXCL) under a random name, so the
+    umask applies as in open(), and only a file this made is unlinked."""
+    path, made = Path(path), False
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        made = True
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
-        umask = os.umask(0)  # mkstemp made it 0o600; read, then restore
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
+        made = False
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
     finally:
-        if tmp is not None and os.path.exists(tmp):
+        if made:
             os.unlink(tmp)
 
 

@@ -9,7 +9,7 @@ from ringloc.encoder import (CUBE, DOWN, UP, EncoderConfig, KernelMap, Level,
                              encode, encode_sites, init_encoder_weights,
                              initial_features, leaky_relu, max_pool2,
                              sparse_conv)
-from ringloc.errors import EmptyGrid, ParseError
+from ringloc.errors import EmptyGrid
 from ringloc.io import init_weights, load_weights, save_weights
 from ringloc.projection import INDEX_BOUND, VoxelCloud
 from ringloc.regressor import RegressorConfig, init_regressor_weights
@@ -37,6 +37,19 @@ def random_grid(ring=16, n=40, cin=3, seed=0, y_range=(0, 12), z_range=(-4, 6)):
             coords.append(c)
     feats = rng.normal(size=(n, cin))
     return make_level(coords, feats, ring)
+
+
+def down_grids(seed):
+    """A random ring-16 grid, then the same sites plus each parent's
+    (0, 0, 0) child, so the first `DOWN` tap reaches every parent."""
+    level, x = random_grid(seed=seed, cin=3, ring=16)
+    coords = np.unique(np.vstack([level.coords, level.coords >> 1 << 1]),
+                       axis=0)
+    rng = np.random.default_rng(seed + 100)
+    full = make_level(coords, rng.normal(size=(len(coords), 3)), 16)
+    down = full[0].halve()[2]
+    assert len(down.pairs[0][1]) == down.n_out
+    return [(level, x), full]
 
 
 def stride1(level, x, offsets, weights, bias):
@@ -139,24 +152,24 @@ def test_transposed_k2_matches_dense_reference():
 
 def test_stride2_matches_dense_reference():
     rng = np.random.default_rng(5)
-    child, x = random_grid(seed=5, cin=3, ring=16)
     w, b = rng.normal(size=(8, 3, 4)), rng.normal(size=4)
-    parent, _, down = child.halve()
-    assert parent.ring_cells == 8
-    out = sparse_conv(x, down, w, b)
+    for child, x in down_grids(seed=5):
+        parent, _, down = child.halve()
+        assert parent.ring_cells == 8
+        out = sparse_conv(x, down, w, b)
 
-    table = {tuple(c): f for c, f in zip(child.coords, x)}
-    parents = sorted({(c[0] >> 1, c[1] >> 1, c[2] >> 1)
-                      for c in map(tuple, child.coords)})
-    want = np.tile(b, (len(parents), 1)).astype(np.float64)
-    for r, p in enumerate(parents):
-        for v, off in enumerate(DOWN):
-            c = (2 * p[0] + off[0], 2 * p[1] + off[1], 2 * p[2] + off[2])
-            f = table.get(c)
-            if f is not None:
-                want[r] += f @ w[v]
-    np.testing.assert_array_equal(parent.coords, np.array(parents))
-    np.testing.assert_allclose(out, want, atol=1e-12)
+        table = {tuple(c): f for c, f in zip(child.coords, x)}
+        parents = sorted({(c[0] >> 1, c[1] >> 1, c[2] >> 1)
+                          for c in map(tuple, child.coords)})
+        want = np.tile(b, (len(parents), 1)).astype(np.float64)
+        for r, p in enumerate(parents):
+            for v, off in enumerate(DOWN):
+                c = (2 * p[0] + off[0], 2 * p[1] + off[1], 2 * p[2] + off[2])
+                f = table.get(c)
+                if f is not None:
+                    want[r] += f @ w[v]
+        np.testing.assert_array_equal(parent.coords, np.array(parents))
+        np.testing.assert_allclose(out, want, atol=1e-12)
 
 
 def dense_table(kmap):
@@ -233,8 +246,9 @@ def test_kernel_map_conv_matches_im2col(offsets, stride):
                          ids=["CUBE", "2*CUBE", "DOWN", "UP"])
 def test_kernel_map_equals_brute_force_lookup(offsets, stride):
     # Rings of 16 and 32, each halved down to one cell: rings of 2 and
-    # 1 are narrower than the dilated +-2 steps.
-    levels = []
+    # 1 are narrower than the dilated +-2 steps.  The first level has a
+    # full DOWN tap.
+    levels = [down_grids(seed=0)[1][0]]
     for seed in range(4):
         level, _ = seam_and_isolated_grid(seed, ring=16 << seed % 2)
         levels.append(level)
@@ -246,7 +260,9 @@ def test_kernel_map_equals_brute_force_lookup(offsets, stride):
         want = brute_force_table(level, offsets, stride)
         np.testing.assert_array_equal(dense_table(kmap), want)
         for (out_rows, in_rows), rows in zip(kmap.pairs, want):
-            assert (out_rows is None) == bool(np.all(rows >= 0))
+            # A stride-2 map lists the rows of every tap, full or not.
+            full = stride == 1 and bool(np.all(rows >= 0))
+            assert (out_rows is None) == full
             if out_rows is not None:
                 assert np.all(np.diff(out_rows) > 0)
                 assert len(in_rows) == len(out_rows)
@@ -322,13 +338,13 @@ def test_empty_grid_rejected():
 
 
 def test_sites_at_the_index_bound_encode():
-    # The bound that io.read_voxel_csv enforces is exactly what packs.
+    # The bound every VoxelCloud holds is exactly what packs.
     edge = [[0, INDEX_BOUND - 1, -INDEX_BOUND], [5, 1, 0]]
     weights = init_encoder_weights(STD, seed=0)
     feats = encode(make_voxels(edge), weights)
     assert feats.shape == (2, 64) and np.all(np.isfinite(feats))
-    with pytest.raises(ParseError):
-        encode(make_voxels([[0, INDEX_BOUND, 0]]), weights)
+    with pytest.raises(ValueError, match="voxel index outside"):
+        make_voxels([[0, INDEX_BOUND, 0]])
 
 
 B = INDEX_BOUND
@@ -348,17 +364,18 @@ def test_neighbor_table_at_the_range_edge(coords, ring, offsets):
 
 
 def test_max_pool_matches_reference():
-    child, x = random_grid(seed=9, cin=3, ring=16)
-    parent, _, down = child.halve()
-    out = max_pool2(x, down)
-    assert parent.ring_cells == 8
-    groups = {}
-    for c, f in zip(child.coords, x):
-        groups.setdefault((c[0] >> 1, c[1] >> 1, c[2] >> 1), []).append(f)
-    parents = sorted(groups)
-    want = np.array([np.max(groups[p], axis=0) for p in parents])
-    np.testing.assert_array_equal(parent.coords, np.array(parents))
-    np.testing.assert_array_equal(out, want)
+    for child, x in down_grids(seed=9):
+        parent, _, down = child.halve()
+        out = max_pool2(x, down)
+        assert parent.ring_cells == 8
+        groups = {}
+        for c, f in zip(child.coords, x):
+            groups.setdefault((c[0] >> 1, c[1] >> 1, c[2] >> 1),
+                              []).append(f)
+        parents = sorted(groups)
+        want = np.array([np.max(groups[p], axis=0) for p in parents])
+        np.testing.assert_array_equal(parent.coords, np.array(parents))
+        np.testing.assert_array_equal(out, want)
 
 
 def test_initial_features_drop_the_ring_coordinate():

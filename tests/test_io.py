@@ -579,6 +579,20 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     assert list(tmp_path.iterdir()) == [p]  # no temp files left behind
 
 
+def test_write_to_a_taken_temp_name_fails_leaving_it_alone(tmp_path,
+                                                           monkeypatch):
+    # The temp file must be new, so a file already at its name is kept as
+    # it was, and the write creates nothing.
+    monkeypatch.setattr(io.secrets, "token_hex", lambda n: "taken")
+    taken = tmp_path / "f.txt.taken.tmp"
+    taken.write_text("someone else's\n")
+    with pytest.raises(ParseError, match=re.escape(f"cannot write "
+                                                   f"{tmp_path / 'f.txt'}: ")):
+        atomic_write_text(tmp_path / "f.txt", "new\n")
+    assert taken.read_text() == "someone else's\n"
+    assert list(tmp_path.iterdir()) == [taken]
+
+
 def finite_bits(rng, shape, bound):
     """Random float64s of every exponent up to `bound` in magnitude, with
     -0.0, 0.0 and the smallest subnormal among them."""

@@ -250,6 +250,27 @@ def test_ring_off_the_encoder_grid_is_no_grid(ring):
                    np.zeros(0), ring_cells=ring, voxel_size=0.2)
 
 
+B = INDEX_BOUND
+
+
+@pytest.mark.parametrize("cell, rule", [
+    ((-1, 0, 0), "ring index"), ((64, 0, 0), "ring index"),
+    ((0, -B - 1, 0), "voxel index"), ((0, B, 0), "voxel index"),
+    ((0, 0, -B - 1), "voxel index"), ((0, 0, B), "voxel index"),
+    ((63, -B, B - 1), None), ((0, B - 1, -B), None),
+])
+def test_voxel_cloud_holds_both_index_rules(cell, rule):
+    # The ring index lies in [0, ring_cells) and the other two in
+    # [-INDEX_BOUND, INDEX_BOUND), so every cell of a grid packs.
+    cells = np.array([[5, 1, 0], cell])
+    args = (np.zeros((2, 3)), np.zeros(2), np.arange(2), 64, 0.2)
+    if rule is None:
+        assert VoxelCloud(cells, *args).indices.tolist() == cells.tolist()
+    else:
+        with pytest.raises(ValueError, match=rule + " outside"):
+            VoxelCloud(cells, *args)
+
+
 def test_round_trip_respects_quantization_bound():
     rng = np.random.default_rng(3)
     pts = np.column_stack([rng.uniform(-30, 30, (400, 2)),
