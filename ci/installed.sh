@@ -40,7 +40,13 @@
 # bound (1.7e308 m) exits 2 at the reader, with warnings as errors, and
 # so does a scan row holding a byte that is not UTF-8 (0xff).  A
 # --perturb magnitude of -0 (gaussian_noise=-0) lies below its range
-# closed at 0, so localize exits 2 at load, with warnings as errors.  A
+# closed at 0, so localize exits 2 at load, with warnings as errors.
+# random_yaw takes no magnitude (its range is [0, 0]), so a bench with
+# --perturb random_yaw=5 exits 2 at load, naming the random_yaw
+# magnitude, rather than run the standard random_yaw condition under a
+# second label.  Two yaws that agree to 6 significant digits
+# (0.1234567 and 0.1234568) are two conditions, and perturbations.csv
+# gives them two labels: no label repeats in its first column.  A
 # cloud of two points 1e9 m out, past the voxel index range, voxelizes to
 # a grid with no cell: project exits 5, with warnings as errors.  A voxel
 # row of std1's project output whose iy is one past the index range
@@ -122,6 +128,11 @@ cp std1/scan.csv notutf8.csv
 printf '\377,0,0,0.5,0,0.0,0.0,0.0\n' >> notutf8.csv
 PYTHONWARNINGS=error EXIT_OK=2 twice notutf8 localize notutf8.csv
 PYTHONWARNINGS=error EXIT_OK=2 twice negzero localize std1/scan.csv --perturb gaussian_noise=-0
+EXIT_OK=2 twice ryaw bench --config short.cfg --perturb random_yaw=5
+grep -qF 'random_yaw magnitude' ryaw1.err
+grep -qF 'random_yaw magnitude' ryaw2.err
+twice close bench --config short.cfg --perturb yaw=0.1234567 --perturb yaw=0.1234568
+test -z "$(cut -d, -f1 close1/perturbations.csv | sort | uniq -d)"
 printf 'x,y,z,intensity\n1000000000.0,0.0,0.0,0.5\n1000000000.0,1.0,0.0,0.5\n' > allfar.csv
 PYTHONWARNINGS=error EXIT_OK=5 twice allfar project allfar.csv
 awk -F, -v OFS=, 'NR == 3 {$2 = 1048576} 1' std1/project/voxels.csv > bigy.csv

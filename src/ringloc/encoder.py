@@ -43,10 +43,9 @@ DOWN = np.array(list(product((0, 1), repeat=3)), dtype=np.int64)
 UP = -DOWN  # the kernel-2 stride-1 form that reaches offsets {0, -1}
 
 
-def leaky_relu(x: np.ndarray, out: Optional[np.ndarray] = None
-               ) -> np.ndarray:
-    """x where x > 0, else LEAKY_SLOPE * x; out=x rectifies in place."""
-    return np.maximum(x, LEAKY_SLOPE * x, out=out)
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    """Rectify x in place: x where x > 0, else LEAKY_SLOPE * x; returns x."""
+    return np.maximum(x, LEAKY_SLOPE * x, out=x)
 
 
 class KernelMap(NamedTuple):
@@ -276,11 +275,8 @@ def encode_sites(v: VoxelCloud, weights: Weights
     """
     t = weights.tensors
 
-    def rectified(y: np.ndarray) -> np.ndarray:
-        return leaky_relu(y, out=y)
-
     def conv(name: str, x: np.ndarray, kmap: KernelMap) -> np.ndarray:
-        return rectified(sparse_conv(x, kmap, t[name + ".w"], t[name + ".b"]))
+        return leaky_relu(sparse_conv(x, kmap, t[name + ".w"], t[name + ".b"]))
 
     def conv_pair(stage: str, x: np.ndarray, kmap: KernelMap) -> np.ndarray:
         return conv(stage + ".b", conv(stage + ".a", x, kmap), kmap)
@@ -289,11 +285,11 @@ def encode_sites(v: VoxelCloud, weights: Weights
     h = feats @ t["stem.proj.w"]
     h += t["stem.proj.b"]
     h += feats @ t["stem.skip.w"]
-    h = rectified(h) @ t["stem.out.w"]
+    h = leaky_relu(h) @ t["stem.out.w"]
     h += t["stem.out.b"]
     level, voxel_rows = Level.of(v.indices, v.ring_cells)
     x = np.empty((len(level.coords), h.shape[1]))
-    x[voxel_rows] = rectified(h)
+    x[voxel_rows] = leaky_relu(h)
 
     for i in range(1, 5):
         level, parent_rows, down = level.halve()
@@ -308,4 +304,4 @@ def encode_sites(v: VoxelCloud, weights: Weights
     x = np.hstack([conv("stage6.up", x, level.neighbors(UP)), skip4]
                   ) @ t["stage6.fuse.w"]
     x += t["stage6.fuse.b"]
-    return conv_pair("stage6", rectified(x), dilated), voxel_rows
+    return conv_pair("stage6", leaky_relu(x), dilated), voxel_rows

@@ -40,8 +40,4 @@ class OriginPoint(DegenerateInput):
 
 
 class ShapeMismatch(RinglocError):
-    """Array arguments whose shapes cannot be combined."""
-
-
-class LengthMismatch(RinglocError):
-    """Parallel arrays of unequal length."""
+    """Array arguments whose shapes or lengths do not fit together."""

@@ -29,7 +29,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import EmptyScan, LengthMismatch, ShapeMismatch
+from .errors import EmptyScan, ShapeMismatch
 
 # ln(10)/pi: calibrated scores span one decade of softmax weight.
 K_SCALE = math.log(10.0) / math.pi
@@ -67,7 +67,7 @@ def _check(pred: np.ndarray, gt: np.ndarray, u: np.ndarray
     if pred.ndim != 2 or pred.shape[1] != 3 or gt.ndim != 2 or gt.shape[1] != 3:
         raise ShapeMismatch("pred and gt must both be (n, 3)")
     if len(gt) != len(pred) or u.shape != (len(pred),):
-        raise LengthMismatch("pred, gt and scores must have one row per point")
+        raise ShapeMismatch("pred, gt and scores must have one row per point")
     if len(pred) == 0:
         raise EmptyScan("loss over zero points")
     diff = pred - gt

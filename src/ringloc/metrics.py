@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyScan, LengthMismatch
+from .errors import EmptyScan
 from .se3 import RigidTransform, rotation_angle_deg
 
 SCHEMA_VERSION = 1
@@ -24,15 +24,12 @@ SUCCESS_THRESHOLDS = (0.5, 1.0, 5.0)  # m
 
 @dataclass
 class TrajectoryResult:
-    """Aligned estimated and ground-truth poses, one pair per frame."""
+    """Estimated and ground-truth poses, one pair per frame: a record
+    starts empty and grows only through `add`, so the lists align."""
 
-    frames: List[int] = field(default_factory=list)
-    estimates: List[RigidTransform] = field(default_factory=list)
-    truths: List[RigidTransform] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not (len(self.frames) == len(self.estimates) == len(self.truths)):
-            raise LengthMismatch("frames, estimates, and truths must align")
+    frames: List[int] = field(default_factory=list, init=False)
+    estimates: List[RigidTransform] = field(default_factory=list, init=False)
+    truths: List[RigidTransform] = field(default_factory=list, init=False)
 
     def __len__(self) -> int:
         return len(self.frames)

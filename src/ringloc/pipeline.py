@@ -176,8 +176,10 @@ def run_conditions(cfg: PipelineConfig, run_seed: int,
                    predictor: str = "oracle", encoder_weights=None,
                    regressor_weights=None) -> List[BenchRow]:
     """One row per condition (a perturbation, or None for baseline): each
-    frame runs under every condition before the next scan is read."""
-    rows = [BenchRow("baseline" if p is None else f"{p.kind}:{p.magnitude:g}",
+    frame runs under every condition before the next scan is read.  Each
+    label gives its magnitude exactly: repr's digits, less a trailing .0."""
+    rows = [BenchRow("baseline" if p is None else
+                     f"{p.kind}:{str(float(p.magnitude)).removesuffix('.0')}",
                      TrajectoryResult(), []) for p in conditions]
     for i, (scan, truth) in enumerate(zip(scans, poses)):
         frame_seed = scan_seed(run_seed, i)

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateInput, LengthMismatch, NoConsensus
+from .errors import DegenerateInput, NoConsensus, ShapeMismatch
 from .keys import Section, key
 from .se3 import RigidTransform, compose, invert
 
@@ -91,14 +91,14 @@ def kabsch(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     smallest singular direction so planar sets give a proper rotation.
 
     Raises:
-        LengthMismatch: different point counts.
+        ShapeMismatch: different point counts.
         DegenerateInput: fewer than 3 points, or a collinear source set,
             which leaves a rotation about the line unconstrained.
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
     if src.shape != dst.shape:
-        raise LengthMismatch("src and dst must have matching shapes")
+        raise ShapeMismatch("src and dst must have matching shapes")
     if src.ndim != 2 or src.shape[1] != 3 or len(src) < 3:
         raise DegenerateInput("alignment needs at least 3 points")
     rot, trans, valid = _fit_minimal(src[None], dst[None])
@@ -193,7 +193,7 @@ def estimate_pose_ransac(local: np.ndarray, pred: np.ndarray,
     local = np.asarray(local, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
     if local.shape != pred.shape:
-        raise LengthMismatch("local and predicted point counts differ")
+        raise ShapeMismatch("local and predicted point counts differ")
     n = len(local)
     if n < SAMPLE_SIZE:
         raise NoConsensus(f"{n} correspondences cannot fill a sample of "

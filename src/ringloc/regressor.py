@@ -144,7 +144,7 @@ def forward(features: np.ndarray, weights: Weights,
             layers.append((h, win, mx, inv))
         y = mx * t[f"ln{i}.g"]
         y += t[f"ln{i}.b"]
-        h = leaky_relu(y, out=y)
+        h = leaky_relu(y)
     out = h @ t["head.w"]
     out += t["head.b"]
     return out, ((layers, h) if keep_cache else None)

@@ -20,7 +20,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import EmptyScan, LengthMismatch
+from .errors import EmptyScan, ShapeMismatch
 from .keys import Section, check, key
 from .se3 import PointCloud, RigidTransform, compose, invert, rotation_about, yaw
 
@@ -28,10 +28,11 @@ CLASS_AMBIGUOUS = 0
 CLASS_RELIABLE = 1
 
 # Each perturbation kind's magnitude, declared as a config key is; a bare
-# kind means magnitude 0.
+# kind means magnitude 0, the only one random_yaw takes.
 MAGNITUDES = {
     "yaw": key(0.0, "rotation about the sensor's z axis (deg)"),
-    "random_yaw": key(0.0, "ignored: the yaw is drawn from the seed"),
+    "random_yaw": key(0.0, "none: the yaw is drawn from the seed",
+                      ge=0.0, le=0.0),
     "fov_limit": key(0.0, "kept field of view (deg)", gt=0.0, le=360.0),
     "dropout": key(0.0, "per-point removal probability", ge=0.0, le=0.9),
     "gaussian_noise": key(0.0, "1-sigma point jitter (m)", ge=0.0, le=1e3),
@@ -424,7 +425,7 @@ def oracle_predict(gt_world: np.ndarray, classes: np.ndarray,
     gt_world = np.asarray(gt_world, dtype=np.float64)
     classes = np.asarray(classes)
     if len(gt_world) != len(classes):
-        raise LengthMismatch("classes must align with ground-truth points")
+        raise ShapeMismatch("classes must align with ground-truth points")
     rng = np.random.default_rng(seed)
     n = len(gt_world)
     jitter = rng.normal(0.0, oracle.sigma_reliable, (n, 3))

@@ -26,7 +26,8 @@ from ringloc.errors import ParseError, RinglocError
 from ringloc.metrics import (orientation_errors_deg, position_errors,
                              report_schema, summarize)
 from ringloc.pipeline import (SEED_PERTURB, localize_scan, rectified_voxels,
-                              run_perturbed_trajectory, simulate_trajectory)
+                              run_conditions, run_perturbed_trajectory,
+                              simulate_trajectory)
 from ringloc.projection import project_cylindrical, voxelize
 from ringloc.regressor import (RegressorConfig, init_regressor_weights,
                                load_regressor_weights, save_regressor_weights)
@@ -111,7 +112,7 @@ KIND_RANGE = re.compile(r"(\w+) in ([\[(])([^,]+), ([^\])]+)([\])])")
 
 def test_help_states_each_perturbation_range_that_perturbation_checks():
     ranges = KIND_RANGE.findall(help_lines()["bench.perturbations"])
-    assert [r[0] for r in ranges] == ["fov_limit", "dropout",
+    assert [r[0] for r in ranges] == ["random_yaw", "fov_limit", "dropout",
                                       "gaussian_noise", "pitch_roll"]
     for kind, lo_bracket, lo, hi, hi_bracket in ranges:
         lo, hi = float(lo), float(hi)
@@ -494,6 +495,45 @@ def test_bench_cli_perturb_overrides_config(ws, tmp_path):
     assert [r.split(",")[0] for r in table[1:]] == ["baseline", "dropout:0.3"]
 
 
+def test_bench_labels_tell_apart_magnitudes_that_agree_to_6_digits(ws,
+                                                                  tmp_path):
+    out = tmp_path / "o"
+    assert run(ws, "bench", "--perturb", "yaw=0.1234567",
+               "--perturb", "yaw=0.1234568", out=out) == 0
+    table = (out / "perturbations.csv").read_text().splitlines()
+    labels = [r.split(",")[0] for r in table[1:]]
+    assert labels == ["baseline", "yaw:0.1234567", "yaw:0.1234568"]
+    assert [float(label.split(":")[1]) for label in labels[1:]] == [
+        0.1234567, 0.1234568]
+
+
+@pytest.mark.parametrize("token, label", [
+    ("yaw:180", "yaw:180"), ("random_yaw", "random_yaw:0"),
+    ("fov_limit:180", "fov_limit:180"), ("dropout:0.5", "dropout:0.5"),
+    ("gaussian_noise:0.05", "gaussian_noise:0.05"),
+    ("pitch_roll:10", "pitch_roll:10"), ("yaw:-0", "yaw:-0"),
+    ("yaw:123456789", "yaw:123456789"), ("yaw:1e-300", "yaw:1e-300"),
+    ("yaw:1e300", "yaw:1e+300")])
+def test_a_condition_label_names_its_magnitude_exactly(token, label):
+    # The standard labels read as they always have; any magnitude parses
+    # back from its label.
+    p = parse_perturbation_list(token)[0]
+    row = run_conditions(PipelineConfig(), 0, [], [], [p])[0]
+    assert row.label == label
+    assert float(label.split(":")[1]) == p.magnitude
+
+
+def test_random_yaw_with_a_magnitude_exits_2_at_load(ws, tmp_path, capsys):
+    # random_yaw draws its yaw from the seed; a magnitude would only give
+    # the same condition a second label.
+    out = tmp_path / "o"
+    assert run(ws, "bench", "--perturb", "random_yaw=5", out=out) == 2
+    assert capsys.readouterr().err == (
+        "ringloc: error: --perturb: section 'bench': bad perturbation "
+        "'random_yaw=5': random_yaw magnitude must be in [0, 0], got 5.0\n")
+    assert not out.exists()
+
+
 def test_train_toy_outputs(ws, tmp_path):
     out = tmp_path / "o"
     assert run(ws, "train-toy", "--epochs", "2", out=out) == 0
@@ -605,6 +645,19 @@ MALFORMED = {
         "encode", _text_file(d / "vox.csv", io.VOXEL_HEADER
                              + "\n0,3,1,0,0,0,0.5,0\n5,3,1,0,0,0,0.5,1"
                              + "\n0,3,1,0,0,0,0.7,2\n")],
+    "encoder-weights-directory": lambda ws, d: [
+        "encode", _voxel_file(ws, d), "--encoder-weights", str(d)],
+    "encoder-weights-no-data-marker": lambda ws, d: [
+        "encode", _voxel_file(ws, d), "--encoder-weights",
+        _text_file(d / "enc.bin", io.TENSOR_MAGIC + "\nstem.proj.w 4 16\n")],
+    "encoder-weights-blank-header-line": lambda ws, d: [
+        "encode", _voxel_file(ws, d), "--encoder-weights",
+        _text_file(d / "enc.bin",
+                   io.TENSOR_MAGIC + "\n\nstem.proj.w 4 16\ndata\n")],
+    "encoder-weights-non-integer-dims": lambda ws, d: [
+        "encode", _voxel_file(ws, d), "--encoder-weights",
+        _text_file(d / "enc.bin",
+                   io.TENSOR_MAGIC + "\nstem.proj.w 4 1.5\ndata\n")],
     "encoder-weights-foreign": lambda ws, d: [
         "encode", _voxel_file(ws, d), "--encoder-weights",
         _tensor_file(d / "foo.bin", foo=np.zeros(3))],
@@ -657,12 +710,14 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_2(ws, tmp_path, capsys, case):
-    rc = run(ws, *MALFORMED[case](ws, tmp_path), out=tmp_path / "o")
+    out = tmp_path / "o"
+    rc = run(ws, *MALFORMED[case](ws, tmp_path), out=out)
     assert rc == 2
-    err = capsys.readouterr().err
-    assert "ringloc: error:" in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ringloc: error:")
     # Every case's error names the malformed file it wrote under tmp_path.
-    assert str(tmp_path) in err
+    assert str(tmp_path) in err[0]
+    assert not out.exists()
 
 
 def _signalling_nan_weights(path, tensors):
@@ -1076,6 +1131,16 @@ def test_degenerate_geometry_exits_3(ws, tmp_path):
     assert rc == 3
 
 
+def test_rectify_of_two_points_exits_3_leaving_no_out(ws, tmp_path, capsys):
+    cloud = _text_file(tmp_path / "two.csv", f"{io.CLOUD_HEADER}\n"
+                       "1.0,0.0,0.0,0.5\n0.0,1.0,0.0,0.5\n")
+    out = tmp_path / "o"
+    assert run(ws, "rectify", cloud, out=out) == 3
+    assert capsys.readouterr().err == (
+        "ringloc: error: plane fit needs at least 3 points\n")
+    assert not out.exists()
+
+
 def test_no_consensus_exits_4(ws, tmp_path):
     cfg = trimmed_config()
     cfg.pose.threshold = 1e-300  # nothing can agree this tightly
@@ -1208,6 +1273,8 @@ def test_ring_cells_off_the_encoder_grid_exits_2(tmp_path, capsys, cmd):
     ("train-toy", "regressor.width = 32", "unknown key 'regressor.width'"),
     ("bench", "sensor.n_azimuth = 1000000000000", "section 'sensor'"),
     ("encode", "encoder.output_width = 1000000", "section 'encoder'"),
+    ("bench", "bench.seed 3", "bad.cfg:2: expected 'key = value'"),
+    ("bench", "config_version = 2", "bad.cfg:2: unsupported config version"),
 ])
 def test_invalid_config_value_exits_2_on_one_line(ws, tmp_path, capsys, cmd,
                                                  line, named):
@@ -1221,6 +1288,7 @@ def test_invalid_config_value_exits_2_on_one_line(ws, tmp_path, capsys, cmd,
     assert err.startswith("ringloc: error:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert named in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_file_exits_2(ws, tmp_path):

@@ -536,4 +536,5 @@ def test_regressor_init_stays_writeable():
 
 def test_leaky_slope():
     x = np.array([-2.0, 0.0, 3.0])
-    np.testing.assert_array_equal(leaky_relu(x), [-0.02, 0.0, 3.0])
+    assert leaky_relu(x) is x  # in place
+    np.testing.assert_array_equal(x, [-0.02, 0.0, 3.0])

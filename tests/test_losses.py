@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ringloc.errors import LengthMismatch
+from ringloc.errors import ShapeMismatch
 from ringloc.losses import (CLAMP, K_SCALE, MATCHING_FLOOR, calibrate_scores,
                             distance_residuals, matching_loss,
                             mean_distance_loss, reliability_loss,
@@ -120,13 +120,13 @@ def test_three_point_hand_case():
 
 
 def test_length_mismatch_rejected():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         reliability_loss(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(2))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         reliability_loss(np.zeros((3, 3)), np.zeros((2, 3)), np.zeros(3))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         mean_distance_loss(np.zeros((3, 3)), np.zeros((2, 3)), np.zeros(3))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         matching_loss(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(4))
 
 

@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ringloc.errors import EmptyScan, LengthMismatch
+from ringloc.errors import EmptyScan
 from ringloc.metrics import (TrajectoryResult, moe, mpe,
                              orientation_errors_deg, percentile,
                              position_errors, report_schema, success_at,
@@ -126,7 +126,7 @@ def test_empty_result_is_rejected_everywhere():
 
 
 def test_misaligned_constructor_rejected():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(TypeError):
         TrajectoryResult(frames=[0], estimates=[identity()], truths=[])
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from ringloc import plane, pose_solve
 from ringloc.config import standard_bench_config
-from ringloc.errors import DegenerateInput, LengthMismatch, NoConsensus
+from ringloc.errors import DegenerateInput, NoConsensus, ShapeMismatch
 from ringloc.pose_solve import (FIRST_BLOCK, SAMPLE_SIZE, SCORE_BLOCK,
                                 PoseEstimate, RansacPoseParams,
                                 SelectionPolicy, _fit_minimal,
@@ -188,7 +188,7 @@ def test_kabsch_rejects_tiny_sets():
 
 def test_kabsch_rejects_count_mismatch():
     rng = np.random.default_rng(5)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         kabsch(rng.standard_normal((4, 3)), rng.standard_normal((5, 3)))
 
 
@@ -326,7 +326,7 @@ def test_ransac_heavy_outliers_twenty_trials():
 
 def test_ransac_length_mismatch():
     rng = np.random.default_rng(6)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         estimate_pose_ransac(rng.standard_normal((5, 3)),
                              rng.standard_normal((6, 3)))
 

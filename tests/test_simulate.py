@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ringloc.config import TrajectoryConfig
-from ringloc.errors import EmptyScan, LengthMismatch
+from ringloc.errors import EmptyScan, ShapeMismatch
 from ringloc.pipeline import (SEED_ORACLE, SEED_PERTURB, SEED_PLANE, SEED_POSE,
                               SEED_SCAN, perturb_frame, simulate_trajectory)
 from ringloc.se3 import (PointCloud, RigidTransform, apply_points, compose,
@@ -600,7 +600,7 @@ def test_oracle_matches_the_where_form():
 
 
 def test_oracle_rejects_misaligned_classes():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         oracle_predict(np.zeros((4, 3)), np.zeros(5, dtype=np.int64),
                        ORACLE, 0)
 
