@@ -59,7 +59,15 @@
 # dy^2 near 0), with warnings as errors.  A bench whose
 # every frame fails (a pose threshold nothing meets) still exits 0, lists
 # each frame in failures.csv, and writes a baseline_summary.json of no
-# frame that the shipped report schema accepts.
+# frame that the shipped report schema accepts.  An encoder weight file
+# whose every word is 1e20 (std1's trained encoder, rescaled by one
+# `python -c` line) is finite, so it loads, but the encoder overflows to
+# inf and NaN: localize with it exits 4 on "predictions are not finite",
+# with warnings as errors, where the SVD would not converge, and encode
+# with it exits 2, naming the file, before it writes a feature row.  A
+# 3-pose bench at a subnormal elevation bound (sensor.elevation_min_deg =
+# 1e-320) casts a ray whose ground and slab distances overflow to inf, the
+# level ray's no-hit case; it exits 0 with warnings as errors.
 #
 # It runs the `ringloc` on PATH, or, when there is none, `python -m
 # ringloc.cli` from this checkout's src/ (then the `python -c` lines import
@@ -148,4 +156,12 @@ printf 'config_version = 1\nsensor.n_azimuth = 1024\nsensor.n_elevation = 32\ntr
 PYTHONWARNINGS=error twice dense bench --config dense.cfg
 printf 'config_version = 1\nsensor.elevation_min_deg = -90\nsensor.elevation_max_deg = 90\nsensor.n_elevation = 19\ntrajectory.n_poses = 2\n' > poles.cfg
 PYTHONWARNINGS=error twice poles bench --config poles.cfg
+python -c "import sys, numpy as np; from ringloc import io; io.write_tensors(sys.argv[2], {n: np.full_like(t, 1e20) for n, t in io.read_tensors(sys.argv[1]).items()})" std1/train/encoder_weights.bin huge.bin
+PYTHONWARNINGS=error EXIT_OK=4 twice hugeloc localize std1/scan.csv --predictor regressor \
+  --encoder-weights huge.bin --regressor-weights std1/train/regressor_weights.bin
+grep -qF 'predictions are not finite' hugeloc1.err
+EXIT_OK=2 twice hugeenc encode std1/project/voxels.csv --encoder-weights huge.bin
+grep -qF 'huge.bin: encoder features overflow' hugeenc1.err
+printf 'config_version = 1\nsensor.elevation_min_deg = 1e-320\ntrajectory.n_poses = 3\n' > subnormal.cfg
+PYTHONWARNINGS=error twice subnormal bench --config subnormal.cfg
 python -c "from ringloc.metrics import report_schema; report_schema()"

@@ -22,6 +22,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional
 
+import numpy as np
+
 from . import config as cfgmod
 from . import io
 from .encoder import EncoderConfig, encode, init_encoder_weights
@@ -146,6 +148,8 @@ def _encoder_weights(args, cfg):
 def cmd_encode(args, cfg, out) -> int:
     voxels = io.read_voxel_csv(args.input, cfg.projection)
     feats = encode(voxels, _encoder_weights(args, cfg))
+    if not np.isfinite(feats).all():  # the seeded init cannot overflow
+        raise ParseError(f"{args.encoder_weights}: encoder features overflow")
     header = "ix,iy,iz," + ",".join(f"f{i}" for i in range(feats.shape[1]))
     io.write_csv(out / "features.csv", header, [voxels.indices, feats])
     return 0

@@ -262,6 +262,7 @@ def encode(v: VoxelCloud, weights: Weights) -> np.ndarray:
     return site_feats[voxel_rows]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # solve_frame stops inf, NaN
 def encode_sites(v: VoxelCloud, weights: Weights
                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Full encoder pass at the coarsest sites, and each voxel's site row.

@@ -4,7 +4,8 @@ One frame runs: ground rectification, cylindrical projection and
 voxelization, per-voxel coordinate prediction (simulation oracle or the
 trained regressor), reliability selection, robust pose search, and
 finally compensation of the rectification, yielding the raw-sensor to
-world motion.
+world motion.  One seam splits a frame: `predict_frame` gives one
+correspondence per voxel, and `solve_frame` does the rest from there.
 
 Every stage draws from a seed derived from (run seed, frame, stage), so
 a whole benchmark is a pure function of its config and seed; a stage
@@ -26,7 +27,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .encoder import encode_sites
-from .errors import RinglocError
+from .errors import NoConsensus, RinglocError
 from .io import Weights
 from .metrics import TrajectoryResult
 from .plane import rectify
@@ -47,14 +48,14 @@ SEED_ORACLE = 2
 SEED_POSE = 3
 SEED_PERTURB = 4
 
+Prediction = Tuple[RigidTransform, np.ndarray, np.ndarray, np.ndarray]
+
 
 @dataclass
 class LocalizationResult:
     transform: RigidTransform  # raw sensor frame -> world
     pose: PoseEstimate  # consensus in the rectified frame
-    n_points: int
-    n_voxels: int
-    n_selected: int
+    n_selected: int  # correspondences the pose search ran on
 
 
 def world_spec_from(cfg: PipelineConfig) -> WorldSpec:
@@ -94,12 +95,11 @@ def rectified_voxels(scan: Scan, cfg: PipelineConfig, frame_seed: int
     return rect_cloud, t_plane, voxelize(projected, cfg.projection)
 
 
-def localize_scan(scan: Scan, cfg: PipelineConfig, frame_seed: int,
+def predict_frame(scan: Scan, cfg: PipelineConfig, frame_seed: int,
                   predictor: str = "oracle",
                   encoder_weights: Optional[Weights] = None,
-                  regressor_weights: Optional[Weights] = None
-                  ) -> LocalizationResult:
-    """Localize one scan against the world.
+                  regressor_weights: Optional[Weights] = None) -> Prediction:
+    """One scan's (t_plane, local, pred, u): one correspondence per voxel.
 
     The oracle predictor scores every source point from its simulated
     ground truth, and each voxel inherits its representative's
@@ -126,14 +126,33 @@ def localize_scan(scan: Scan, cfg: PipelineConfig, frame_seed: int,
         pred, u = regress(site_feats, regressor_weights)
         pred, u = pred[rows], u[rows]
         local = recover_cartesian(voxels, cfg.projection).xyz
+    return t_plane, local, pred, u
 
+
+def solve_frame(prediction: Prediction, cfg: PipelineConfig, frame_seed: int
+                ) -> LocalizationResult:
+    """Select, search the pose under the frame's SEED_POSE, compensate."""
+    t_plane, local, pred, u = prediction
+    if not (np.isfinite(pred).all() and np.isfinite(u).all()):
+        k = np.count_nonzero(~np.isfinite(pred).all(axis=1) | ~np.isfinite(u))
+        raise NoConsensus(f"{k} of {len(u)} predictions are not finite")
     selected = select_reliable(u, cfg.selection)
     estimate = estimate_pose_ransac(
         local.take(selected, axis=0), pred.take(selected, axis=0),
         replace(cfg.pose, seed=scan_seed(frame_seed, SEED_POSE)))
     transform = compensate(estimate.transform, invert(t_plane))
-    return LocalizationResult(transform, estimate,
-                              len(scan.cloud), len(voxels), len(selected))
+    return LocalizationResult(transform, estimate, len(selected))
+
+
+def localize_scan(scan: Scan, cfg: PipelineConfig, frame_seed: int,
+                  predictor: str = "oracle",
+                  encoder_weights: Optional[Weights] = None,
+                  regressor_weights: Optional[Weights] = None
+                  ) -> LocalizationResult:
+    """Localize one scan against the world."""
+    return solve_frame(predict_frame(scan, cfg, frame_seed, predictor,
+                                     encoder_weights, regressor_weights),
+                       cfg, frame_seed)
 
 
 @dataclass

@@ -112,6 +112,7 @@ def head_max(z: np.ndarray, heads: int, keep_winner: bool
     return mx, win
 
 
+@np.errstate(over="ignore", invalid="ignore")  # solve_frame stops inf, NaN
 def forward(features: np.ndarray, weights: Weights,
             keep_cache: bool = True):
     """(M, 4) outputs, coords then u, and the cache `backward` reads.

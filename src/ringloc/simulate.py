@@ -215,7 +215,7 @@ def _ray_grid(n_azimuth: int, n_elevation: int, elevation_min_deg: float,
 
 def _intersect_ground(origin, dx, dy, dz) -> np.ndarray:
     # A level ray has t = +-inf, and t * 0 = NaN along a world axis: no hit.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = -origin[2] / dz
         ok = (dz < 0.0) & (t > 0.0) & (np.abs(origin[0] + t * dx) <= EXTENT) \
             & (np.abs(origin[1] + t * dy) <= EXTENT)
@@ -226,7 +226,7 @@ def _intersect_box(box: Box, origin, columns) -> np.ndarray:
     """Slab test (Kay & Kajiya 1986), one direction column per axis; fmax
     and fmin fold the axes and skip NaN, the 0/0 of a ray in a face plane,
     so the other axes decide (Williams et al., JGT 2005)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t0 = [(lo - o) / d for lo, o, d in zip(box.lo, origin, columns)]
         t1 = [(hi - o) / d for hi, o, d in zip(box.hi, origin, columns)]
     near = reduce(np.fmax, map(np.minimum, t0, t1))

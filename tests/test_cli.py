@@ -378,21 +378,24 @@ def run_with_blas_threads(threads, *argv):
                           capture_output=True, text=True)
 
 
-# The regressor outputs `localize_scan` selects from, written whole.
+# The correspondences `localize_scan` selects from, every float64 bit.
 REGRESS_SCRIPT = """
 import sys
+from pathlib import Path
 from ringloc import io
 from ringloc.config import read_config
-from ringloc.encoder import encode_sites, init_encoder_weights
-from ringloc.pipeline import rectified_voxels
-from ringloc.regressor import load_regressor_weights, regress
+from ringloc.encoder import init_encoder_weights
+from ringloc.pipeline import predict_frame
+from ringloc.regressor import load_regressor_weights
 from ringloc.simulate import Scan
 cfg_path, scan_path, weights_path, out = sys.argv[1:]
 cfg = read_config(cfg_path)
-voxels = rectified_voxels(Scan(*io.read_scan_csv(scan_path)), cfg, 0)[2]
-feats, rows = encode_sites(voxels, init_encoder_weights(cfg.encoder, seed=0))
-coords, u = regress(feats, load_regressor_weights(weights_path))
-io.write_tensors(out, {"coords": coords, "u": u, "rows": rows})
+t_plane, local, pred, u = predict_frame(
+    Scan(*io.read_scan_csv(scan_path)), cfg, 0, "regressor",
+    init_encoder_weights(cfg.encoder, seed=0),
+    load_regressor_weights(weights_path))
+Path(out).write_bytes(b"".join(
+    a.tobytes() for a in (t_plane.matrix(), local, pred, u)))
 """
 
 
@@ -748,6 +751,62 @@ def test_signalling_nan_in_weights_exits_2_on_one_line(ws, tmp_path, capsys,
         f"ringloc: error: {path}: tensor '{next(iter(tensors))}' holds a "
         "non-finite value\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["localize", "bench", "encode"])
+def test_encoder_weights_that_overflow_exit_typed(ws, tmp_path, capsys, cmd):
+    # Every word 1e20 is finite, so read_tensors takes the file, but the
+    # encoder has no normalization: its features overflow to inf and NaN.
+    # The overflow must end at a check, not in the SVD or a warning.
+    enc = _tensor_file(tmp_path / "enc.bin", **{
+        name: np.full_like(t, 1e20)
+        for name, t in std_encoder().tensors.items()})
+    learned = ["--predictor", "regressor", "--encoder-weights", enc,
+               "--regressor-weights",
+               _tensor_file(tmp_path / "reg.bin", **std_regressor().tensors)]
+    argv = {"localize": ["localize", str(ws["scan_path"]), *learned],
+            "bench": ["bench", *learned],
+            "encode": ["encode", _voxel_file(ws, tmp_path),
+                       "--encoder-weights", enc]}[cmd]
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(ws, *argv, out=out)
+    err = capsys.readouterr().err
+    if cmd == "bench":
+        assert (code, err) == (0, "")
+        assert json.loads((out / "baseline_summary.json").read_text()) == {
+            "schema_version": 1, "frames": 0}
+        failures = (out / "failures.csv").read_text().splitlines()[1:]
+        assert len(failures) == 2 * ws["cfg"].trajectory.n_poses
+        assert all(row.endswith(",NoConsensus") for row in failures)
+        return
+    if cmd == "localize":
+        n = len(rectified_voxels(ws["scan"], ws["cfg"], 0)[2])
+        assert (code, err) == (4, f"ringloc: error: {n} of {n} predictions "
+                                  "are not finite\n")
+    else:
+        assert (code, err) == (2, f"ringloc: error: {enc}: encoder features "
+                                  "overflow\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", [
+    "elevation_min_deg = 1e-320", "elevation_min_deg = -1e-320",
+    "elevation_min_deg = 1e-310",
+    "elevation_min_deg = 0\nsensor.elevation_max_deg = 1e-320"],
+    ids=["min-1e-320", "min--1e-320", "min-1e-310", "max-1e-320"])
+def test_a_subnormal_elevation_bound_benches_clean(tmp_path, capsys, bound):
+    # The ray at a subnormal elevation has a subnormal dz, so the ground
+    # and slab distances overflow to inf: the level ray's no-hit case.
+    cfg = _text_file(tmp_path / "sub.cfg", "config_version = 1\n"
+                     f"sensor.{bound}\ntrajectory.n_poses = 3\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "perturbations.csv").read_text().count("\n") == 8
 
 
 @pytest.mark.parametrize("kind", ["cloud", "voxels", "config"])

@@ -17,7 +17,7 @@ from ringloc.pose_solve import (FIRST_BLOCK, SAMPLE_SIZE, SCORE_BLOCK,
                                 compensate,
                                 distinct_samples, estimate_pose_ransac, kabsch,
                                 select_reliable)
-from ringloc.pipeline import localize_scan, simulate_trajectory
+from ringloc.pipeline import localize_scan, simulate_trajectory, solve_frame
 from ringloc.se3 import (RigidTransform, apply_points, compose, identity,
                          invert, orthonormalize, rotation_about, yaw)
 
@@ -649,3 +649,42 @@ def test_compensate_with_pure_yaw_prior():
     got = compensate(t_star, t_plane)
     assert np.allclose(got.rotation, yaw(np.pi / 6).rotation, atol=1e-12)
     assert np.allclose(got.translation, 0.0, atol=1e-12)
+
+
+# ------------------------------------------------------------- solve_frame
+
+
+def made_up_prediction(rng, t_world, t_plane, n=400):
+    """(t_plane, local, pred, u): rectified points and their exact world
+    images under t_world, with random reliabilities."""
+    local = rng.uniform(-20.0, 20.0, (n, 3))
+    return t_plane, local, apply_points(t_world, local), rng.normal(size=n)
+
+
+def test_solve_frame_recovers_a_made_up_frame():
+    rng = np.random.default_rng(10)
+    cfg = standard_bench_config()
+    for frame_seed in range(5):
+        t_world, t_plane = random_transform(rng), random_transform(rng)
+        got = solve_frame(made_up_prediction(rng, t_world, t_plane), cfg,
+                          frame_seed)
+        want = compose(t_world, t_plane)  # raw -> rectified -> world
+        assert np.allclose(got.transform.rotation, want.rotation, atol=1e-9)
+        assert np.allclose(got.transform.translation, want.translation,
+                           atol=1e-9)
+        assert got.n_selected == math.ceil(cfg.selection.top_fraction * 400)
+        assert np.array_equal(got.pose.inliers, np.arange(got.n_selected))
+
+
+def test_solve_frame_stops_predictions_that_are_not_finite():
+    rng = np.random.default_rng(11)
+    t_plane, local, pred, u = made_up_prediction(
+        rng, random_transform(rng), random_transform(rng))
+    pred[3, 1] = np.inf
+    pred[5] = np.nan
+    u[[5, 9]] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConsensus,
+                           match="^3 of 400 predictions are not finite$"):
+            solve_frame((t_plane, local, pred, u), standard_bench_config(), 0)

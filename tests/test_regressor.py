@@ -1,21 +1,16 @@
 """Max-head regressor forward pass and hand-derived gradients."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from ringloc.encoder import LEAKY_SLOPE, encode
 from ringloc.errors import ShapeMismatch
-from ringloc.pipeline import SEED_POSE, localize_scan, rectified_voxels
-from ringloc.pose_solve import compensate, estimate_pose_ransac, \
-    select_reliable
+from ringloc.pipeline import predict_frame, rectified_voxels
 from ringloc.projection import recover_cartesian
 from ringloc.regressor import (LN_EPS, SLOPES, RegressorConfig, backward,
                                forward, head_max, init_regressor_weights,
                                load_regressor_weights, regress,
                                regress_backward, save_regressor_weights)
-from ringloc.se3 import invert
 from ringloc.simulate import scan_seed
 
 
@@ -524,24 +519,19 @@ def test_weights_save_load_round_trip(tmp_path):
 
 def test_localize_regresses_sites_like_every_voxel(std_cfg, sim, enc_weights,
                                                   training):
-    # localize_scan regresses each coarse site once and gathers back;
+    # predict_frame regresses each coarse site once and gathers back;
     # regressing every voxel row must give the same frame bit for bit.
     _, _, scans = sim
     weights = training[1][0]
     for i in (0, 33, 66):
         frame_seed = scan_seed(0, i)
-        got = localize_scan(scans[i], std_cfg, frame_seed, "regressor",
-                            enc_weights, weights)
-        _, t_plane, voxels = rectified_voxels(scans[i], std_cfg, frame_seed)
-        pred, u = regress(encode(voxels, enc_weights), weights)
-        local = recover_cartesian(voxels, std_cfg.projection).xyz
-        selected = select_reliable(u, std_cfg.selection)
-        est = estimate_pose_ransac(
-            local[selected], pred[selected],
-            replace(std_cfg.pose, seed=scan_seed(frame_seed, SEED_POSE)))
-        want = compensate(est.transform, invert(t_plane))
-        assert got.n_selected == len(selected)
-        assert np.array_equal(got.pose.inliers, est.inliers)
-        assert got.transform.rotation.tobytes() == want.rotation.tobytes()
-        assert (got.transform.translation.tobytes()
-                == want.translation.tobytes())
+        t_plane, local, pred, u = predict_frame(
+            scans[i], std_cfg, frame_seed, "regressor", enc_weights, weights)
+        _, want_plane, voxels = rectified_voxels(scans[i], std_cfg,
+                                                 frame_seed)
+        want_pred, want_u = regress(encode(voxels, enc_weights), weights)
+        want_local = recover_cartesian(voxels, std_cfg.projection).xyz
+        assert t_plane.matrix().tobytes() == want_plane.matrix().tobytes()
+        assert pred.tobytes() == want_pred.tobytes()
+        assert u.tobytes() == want_u.tobytes()
+        assert local.tobytes() == want_local.tobytes()
